@@ -11,7 +11,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <iostream>
 #include <thread>
@@ -160,12 +159,8 @@ BENCHMARK(BM_SuiteSweep)
     ->UseRealTime();
 
 /**
- * Record-once / replay-many vs interpret-every-cell, sweep-shaped: one
- * program under all of the paper's configurations, serially.  Arg(0)
- * interprets every cell; Arg(1) pays the interpreter once (the
- * recording) and replays the trace for every cell.  A fresh driver per
- * iteration keeps the comparison honest — the replay side re-records
- * every time, exactly like a fresh sweep process would.
+ * Interpret-every-cell, sweep-shaped: one program under all of the
+ * paper's configurations, serially, a fresh driver per iteration.
  */
 void
 BM_ConfigSweepPerProgram(benchmark::State &state)
@@ -174,14 +169,12 @@ BM_ConfigSweepPerProgram(benchmark::State &state)
     std::vector<rt::LPConfig> configs;
     for (const auto &named : core::paperConfigs())
         configs.push_back(named.config);
-    const bool replay = state.range(0) != 0;
 
     std::uint64_t instructions = 0;
     for (auto _ : state) {
         core::Loopapalooza driver(*mod);
         for (const rt::LPConfig &c : configs) {
-            rt::ProgramReport rep =
-                replay ? driver.runReplay(c) : driver.run(c);
+            rt::ProgramReport rep = driver.run(c);
             benchmark::DoNotOptimize(rep.parallelCost);
             instructions += rep.serialCost;
         }
@@ -189,10 +182,7 @@ BM_ConfigSweepPerProgram(benchmark::State &state)
     state.counters["cell_instr/s"] = benchmark::Counter(
         static_cast<double>(instructions), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ConfigSweepPerProgram)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ConfigSweepPerProgram)->Unit(benchmark::kMillisecond);
 
 /**
  * Measure one phase: run @p body (which returns dynamic instructions
@@ -319,9 +309,8 @@ writeBenchBaseline()
 
     // Record-once / replay-many: the 14-config grid over one suite,
     // serial, fresh drivers per measurement so the replay side pays its
-    // recording every time.  "speedup" is the per-cell replay ratio,
-    // "speedup_batched" the decode-once SoA batch ratio the trace
-    // subsystem is accountable for (targets: >= 3x and >= 10x).
+    // recording every time.  "speedup_batched" is the ratio of
+    // interpret-every-cell to the decode-once SoA batch runSweep uses.
     {
         std::vector<std::unique_ptr<ir::Module>> mods;
         for (const auto &prog : suites::nonNumericPrograms())
@@ -329,16 +318,12 @@ writeBenchBaseline()
         std::vector<rt::LPConfig> configs;
         for (const auto &named : core::paperConfigs())
             configs.push_back(named.config);
-        auto sweepOnce = [&](bool replay) {
+        auto interpretOnce = [&] {
             std::uint64_t instructions = 0;
             for (const auto &mod : mods) {
                 core::Loopapalooza sweepDriver(*mod);
-                for (const rt::LPConfig &c : configs) {
-                    rt::ProgramReport rep = replay
-                                                ? sweepDriver.runReplay(c)
-                                                : sweepDriver.run(c);
-                    instructions += rep.serialCost;
-                }
+                for (const rt::LPConfig &c : configs)
+                    instructions += sweepDriver.run(c).serialCost;
             }
             return instructions;
         };
@@ -355,43 +340,15 @@ writeBenchBaseline()
             }
             return instructions;
         };
-        // One-lane batches pay configs.size() decodes per program where
-        // the full batch pays one; the wall-clock difference is
-        // configs.size()-1 decodes, which prices the decode share of a
-        // per-cell replay (the fraction batching amortizes away).
-        auto oneLaneOnce = [&] {
-            std::uint64_t instructions = 0;
-            for (const auto &mod : mods) {
-                core::Loopapalooza sweepDriver(*mod);
-                for (const rt::LPConfig &c : configs)
-                    for (const auto &rep : sweepDriver.runReplayBatched(
-                             std::vector<rt::LPConfig>{c}))
-                        instructions += rep.serialCost;
-            }
-            return instructions;
-        };
         obs::Json tr = obs::Json::object();
-        obs::Json interp =
-            measurePhase(3, [&] { return sweepOnce(false); });
-        obs::Json replay =
-            measurePhase(3, [&] { return sweepOnce(true); });
+        obs::Json interp = measurePhase(3, interpretOnce);
         obs::Json batched = measurePhase(3, batchedOnce);
-        obs::Json oneLane = measurePhase(3, oneLaneOnce);
         double si = interp.at("wall_seconds").asDouble();
-        double sr = replay.at("wall_seconds").asDouble();
         double sb = batched.at("wall_seconds").asDouble();
-        double s1 = oneLane.at("wall_seconds").asDouble();
         tr.set("cells", mods.size() * configs.size());
         tr.set("interpret", std::move(interp));
-        tr.set("replay", std::move(replay));
         tr.set("batched", std::move(batched));
-        tr.set("speedup", sr > 0 ? si / sr : 0.0);
         tr.set("speedup_batched", sb > 0 ? si / sb : 0.0);
-        const double c = static_cast<double>(configs.size());
-        double decodeShare =
-            (c > 1 && s1 > 0) ? c * (s1 - sb) / ((c - 1.0) * s1) : 0.0;
-        tr.set("decode_share",
-               std::clamp(decodeShare, 0.0, 1.0));
         doc.set("trace_replay", std::move(tr));
     }
 

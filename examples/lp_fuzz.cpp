@@ -6,9 +6,10 @@
  * and pushing it through every path pair the framework promises is
  * byte-identical (interpret vs replay, 1 worker vs N, sharded-merged
  * vs unsharded, kill-and-resume vs straight-through, lint static vs
- * dynamic oracle) plus the trace-corruption oracle (seeded byte
- * mutations of the serialized LPTR trace must all be rejected with a
- * categorized LP_* error or parse back byte-identical).
+ * dynamic oracle, linted replay vs linted interpret) plus the
+ * trace-corruption oracle (seeded byte mutations of the serialized
+ * LPTR trace must all be rejected with a categorized LP_* error or
+ * parse back byte-identical).
  *
  *   lp_fuzz                               # default: seeds [0, 20)
  *   lp_fuzz --seed-range 0:500            # a 500-seed campaign
@@ -48,7 +49,7 @@ usage()
            "  --mutate[=N]         trace-corruption mutations per seed\n"
            "                       (default 8; 0 disables)\n"
            "  --no-differential    corruption oracle only\n"
-           "  --no-lint            skip the lint static-vs-dynamic pair\n"
+           "  --no-lint            skip the lint / oracle pairs\n"
            "  --minimize           shrink failures, write corpus entries\n"
            "  --corpus DIR         corpus directory (default\n"
            "                       tests/fuzz_corpus under the source\n"

@@ -26,21 +26,14 @@
  * Performance (see docs/performance.md):
  *   --trace-replay / --no-trace-replay
  *   (or LP_TRACE_REPLAY=on|off)      record-once / replay-many sweeps:
- *                                    interpret each program once, replay
- *                                    its event trace for every other
- *                                    configuration cell.  Default on for
- *                                    sweeps; reports are byte-identical
- *                                    either way.  Single runs always
- *                                    interpret.
- *   --batch-replay / --no-batch
- *   (or LP_BATCH_REPLAY=on|off)      batched replay: when several cells
- *                                    of a program replay the same trace,
- *                                    decode it once and apply every
- *                                    event to all those configuration
- *                                    lanes in one SoA pass.  Default on
- *                                    (needs trace replay, off under
- *                                    --lint); reports are byte-identical
- *                                    either way.
+ *                                    interpret each program once, then
+ *                                    decode its event trace once per
+ *                                    batch and apply every event to all
+ *                                    of the program's configuration
+ *                                    cells in one SoA pass.  Default on
+ *                                    for sweeps (--lint too); reports
+ *                                    are byte-identical either way.
+ *                                    Single runs always interpret.
  *   --checkpoint PATH                append one JSONL line per finished
  *                                    sweep cell to PATH
  *   --resume                         reuse cells already in the
@@ -344,18 +337,6 @@ main(int argc, char **argv)
         else
             sweep.traceReplay = v == 1;
     }
-    if (const char *env = std::getenv("LP_BATCH_REPLAY")) {
-        int v = parseOnOff(env);
-        if (v < 0)
-            obs::logMessage(obs::Level::Error,
-                            std::string("LP_BATCH_REPLAY value not "
-                                        "understood: ") +
-                                env + " (want on|off); batched replay "
-                                      "stays on",
-                            /*force=*/true);
-        else
-            sweep.batchReplay = v == 1;
-    }
     // LP_PROFILE: same one-time-warning contract as LP_LOG/LP_TRACE/
     // LP_JOBS — an unrecognized value warns once and profiling stays
     // off; the --profile flag (parsed below) wins over the environment.
@@ -487,14 +468,6 @@ main(int argc, char **argv)
                 sweep.traceReplay = false;
                 continue;
             }
-            if (a == "--batch-replay") {
-                sweep.batchReplay = true;
-                continue;
-            }
-            if (a == "--no-batch") {
-                sweep.batchReplay = false;
-                continue;
-            }
             if (a == "--jobs") {
                 std::string spec = value("--jobs");
                 unsigned n = 0;
@@ -513,6 +486,11 @@ main(int argc, char **argv)
                 exec::setJobsOverride(exec::resolveJobs(n));
                 continue;
             }
+            // Any other "--" word is a typo or a retired flag; taking
+            // it as a suite or program name would silently sweep
+            // something else.
+            if (a.rfind("--", 0) == 0 && a != "--file")
+                fatal("unknown option: " + a);
             args.push_back(std::move(a));
         }
 

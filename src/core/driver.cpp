@@ -115,46 +115,33 @@ Loopapalooza::trace() const
     return *trace_;
 }
 
-rt::ProgramReport
-Loopapalooza::runReplay(const rt::LPConfig &cfg) const
-{
-    const trace::Trace &t = trace();
-    LP_LOG_DEBUG("replaying %s under %s", mod_.name().c_str(),
-                 cfg.str().c_str());
-    return rt::replayLimitStudy(*plan_, *index_, t, cfg, mod_.name(),
-                                nullptr, &replayFacts_);
-}
-
 std::vector<rt::ProgramReport>
 Loopapalooza::runReplayBatched(const std::vector<rt::LPConfig> &cfgs) const
 {
     const trace::Trace &t = trace();
-    LP_LOG_DEBUG("batch-replaying %s across %zu configuration(s)",
+    LP_LOG_DEBUG("replaying %s across %zu configuration(s)",
                  mod_.name().c_str(), cfgs.size());
     return rt::replayLimitStudyBatched(*plan_, *index_, t, cfgs,
-                                       mod_.name(), &replayFacts_,
-                                       &dispatch_);
+                                       mod_.name(), nullptr,
+                                       &replayFacts_, &dispatch_);
 }
 
-rt::ProgramReport
-Loopapalooza::runReplayWithOracle(const rt::LPConfig &cfg) const
-{
-    rt::OracleCapture cap;
-    return runReplay(cfg, cap);
-}
-
-rt::ProgramReport
-Loopapalooza::runReplay(const rt::LPConfig &cfg,
-                        rt::OracleCapture &cap) const
+std::vector<rt::ProgramReport>
+Loopapalooza::runReplayBatched(const std::vector<rt::LPConfig> &cfgs,
+                               rt::OracleCapture &cap) const
 {
     const trace::Trace &t = trace();
-    LP_LOG_DEBUG("replaying %s under %s (oracle attached)",
-                 mod_.name().c_str(), cfg.str().c_str());
-    rt::ProgramReport rep = rt::replayLimitStudy(
-        *plan_, *index_, t, cfg, mod_.name(), &cap, &replayFacts_);
-    lint::applyOracle(cap, rep);
-    lint::applyVerdictOracle(staticVerdicts(), rep);
-    return rep;
+    LP_LOG_DEBUG("replaying %s across %zu configuration(s) (oracle "
+                 "attached)",
+                 mod_.name().c_str(), cfgs.size());
+    std::vector<rt::ProgramReport> reps = rt::replayLimitStudyBatched(
+        *plan_, *index_, t, cfgs, mod_.name(), &cap, &replayFacts_,
+        &dispatch_);
+    for (rt::ProgramReport &rep : reps) {
+        lint::applyOracle(cap, rep);
+        lint::applyVerdictOracle(staticVerdicts(), rep);
+    }
+    return reps;
 }
 
 } // namespace lp::core

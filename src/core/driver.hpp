@@ -70,38 +70,32 @@ class Loopapalooza
                           rt::OracleCapture &cap) const;
 
     /**
-     * As run(), but record-once / replay-many: the first call (across
-     * all threads) interprets the program once into a dynamic event
-     * trace; this and every later call replays that trace through a
-     * fresh LoopRuntime instead of re-interpreting.  Reports are
-     * byte-identical to run() on the same configuration.  Thread-safe;
-     * concurrent first calls serialize on the recording.
+     * As run() for ALL of @p cfgs, but record-once / replay-many: the
+     * first replay (across all threads) interprets the program once
+     * into a dynamic event trace; every replay decodes that trace a
+     * single time and applies each event to all configuration lanes in
+     * one structure-of-arrays pass (rt::replayLimitStudyBatched).
+     * Reports come back in @p cfgs order, each byte-identical to run()
+     * on that configuration.  Thread-safe; concurrent first calls
+     * serialize on the recording.
      *
      * @throws lp::IoError when the recording overflowed the trace byte
-     *         budget (LP_BUDGET_TRACE_BYTES) — fall back to run().
-     */
-    rt::ProgramReport runReplay(const rt::LPConfig &cfg) const;
-
-    /** As runWithOracle(), but replaying the recorded trace. */
-    rt::ProgramReport runReplayWithOracle(const rt::LPConfig &cfg) const;
-
-    /** As the OracleCapture overload of run(), but replaying. */
-    rt::ProgramReport runReplay(const rt::LPConfig &cfg,
-                                rt::OracleCapture &cap) const;
-
-    /**
-     * Replay the recorded trace once for ALL of @p cfgs: the event
-     * stream is decoded a single time and applied to every
-     * configuration lane in one structure-of-arrays pass
-     * (rt::replayLimitStudyBatched).  Reports come back in @p cfgs
-     * order, each byte-identical to runReplay() on that configuration.
-     * Thread-safe, same first-call recording behaviour as runReplay().
-     *
-     * @throws lp::IoError as runReplay() — the whole batch shares the
-     *         trace, so one malformed stream fails every lane.
+     *         budget (LP_BUDGET_TRACE_BYTES) or the trace is malformed —
+     *         the whole batch shares the trace, so one bad stream fails
+     *         every lane; fall back to run().
      */
     std::vector<rt::ProgramReport>
     runReplayBatched(const std::vector<rt::LPConfig> &cfgs) const;
+
+    /**
+     * As runReplayBatched(), with the consistency oracle attached: @p cap
+     * (fresh, and pre-seeded if the caller wishes, as for run()) is
+     * filled once from the shared replay state and judged into every
+     * lane's report, each byte-identical to runWithOracle().
+     */
+    std::vector<rt::ProgramReport>
+    runReplayBatched(const std::vector<rt::LPConfig> &cfgs,
+                     rt::OracleCapture &cap) const;
 
     /**
      * The recorded event trace, recording it on first use.  Recording

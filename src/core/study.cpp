@@ -59,17 +59,13 @@ PreparedProgram::runWithOracle(const rt::LPConfig &cfg) const
 rt::ProgramReport
 PreparedProgram::runReplay(const rt::LPConfig &cfg) const
 {
-    rt::ProgramReport rep = lp_->runReplay(cfg);
-    rep.program = prog_.name;
-    return rep;
+    return std::move(runReplayBatched({cfg}).front());
 }
 
 rt::ProgramReport
 PreparedProgram::runReplayWithOracle(const rt::LPConfig &cfg) const
 {
-    rt::ProgramReport rep = lp_->runReplayWithOracle(cfg);
-    rep.program = prog_.name;
-    return rep;
+    return std::move(runReplayBatchedWithOracle({cfg}).front());
 }
 
 std::vector<rt::ProgramReport>
@@ -77,6 +73,17 @@ PreparedProgram::runReplayBatched(
     const std::vector<rt::LPConfig> &cfgs) const
 {
     std::vector<rt::ProgramReport> reps = lp_->runReplayBatched(cfgs);
+    for (rt::ProgramReport &rep : reps)
+        rep.program = prog_.name;
+    return reps;
+}
+
+std::vector<rt::ProgramReport>
+PreparedProgram::runReplayBatchedWithOracle(
+    const std::vector<rt::LPConfig> &cfgs) const
+{
+    rt::OracleCapture cap;
+    std::vector<rt::ProgramReport> reps = lp_->runReplayBatched(cfgs, cap);
     for (rt::ProgramReport &rep : reps)
         rep.program = prog_.name;
     return reps;
@@ -174,9 +181,6 @@ Study::runSuite(const std::string &suite, const rt::LPConfig &cfg,
     }
     std::vector<rt::ProgramReport> out(members.size());
     auto runCell = [&](std::size_t i) {
-        if (opts.traceReplay)
-            return opts.oracle ? members[i]->runReplayWithOracle(cfg)
-                               : members[i]->runReplay(cfg);
         return opts.oracle ? members[i]->runWithOracle(cfg)
                            : members[i]->run(cfg);
     };

@@ -53,8 +53,8 @@ class PreparedProgram
 
     /**
      * As run(), but record-once / replay-many: the first replay of this
-     * program records its event trace, every other one replays it.
-     * Byte-identical reports to run() (see Loopapalooza::runReplay).
+     * program records its event trace, and this one replays it as a
+     * one-lane batch.  Byte-identical reports to run().
      */
     rt::ProgramReport runReplay(const rt::LPConfig &cfg) const;
 
@@ -65,10 +65,14 @@ class PreparedProgram
      * Replay the recorded trace for ALL of @p cfgs at once: one decode
      * of the event stream feeds every configuration lane
      * (Loopapalooza::runReplayBatched).  Reports come back in @p cfgs
-     * order, each byte-identical to runReplay() on that configuration.
+     * order, each byte-identical to run() on that configuration.
      */
     std::vector<rt::ProgramReport>
     runReplayBatched(const std::vector<rt::LPConfig> &cfgs) const;
+
+    /** As runReplayBatched(), each report as runWithOracle()'s. */
+    std::vector<rt::ProgramReport>
+    runReplayBatchedWithOracle(const std::vector<rt::LPConfig> &cfgs) const;
 
     const Loopapalooza &driver() const { return *lp_; }
 
@@ -165,13 +169,6 @@ class Study
          * (see rt::ProgramReport::oracleRan).
          */
         bool oracle = false;
-        /**
-         * Record-once / replay-many: interpret each program once (on
-         * its first cell) and replay the recorded event trace for every
-         * other configuration cell.  Reports are byte-identical to the
-         * interpret-every-cell default.
-         */
-        bool traceReplay = false;
     };
 
     /**

@@ -359,12 +359,13 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
     //  A. Batched replay (the default): the runnable cells are grouped
     //     by program and each group's trace is decoded ONCE, every
     //     event applied to all the group's configuration lanes in one
-    //     SoA pass.  A group that cannot batch-replay (truncated trace,
-    //     injected fault, ...) is simply left to phase B.
+    //     SoA pass.  A group whose batch cannot replay (truncated
+    //     trace, injected fault, ...) is simply left to phase B.
     //  B. The per-cell path for everything else: resumed cells,
-    //     prepare/lint-quarantined cells, singleton groups, lanes a
-    //     failed batch demoted, and the whole sweep under --no-batch
-    //     or --lint (the consistency oracle needs a per-cell capture).
+    //     prepare/lint-quarantined cells, lanes a failed batch demoted
+    //     (each replayed as a one-lane batch, with the retry and
+    //     interpret fallback below), and the whole sweep under
+    //     --no-trace-replay.
     //
     // Both phases dispatch expensive work first (LPT order, weighted by
     // each program's recorded trace cost): lp::exec workers claim
@@ -413,10 +414,8 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
             return it == progCost.end() ? 0 : it->second;
         };
 
-        // Phase A: batched replay over the >= 2-lane program groups.
-        const bool batching =
-            req.batchReplay && req.traceReplay && req.lintMode == 0;
-        if (batching) {
+        // Phase A: batched replay over every program's runnable cells.
+        if (req.traceReplay) {
             struct BatchTask
             {
                 const PreparedProgram *prog;
@@ -428,8 +427,6 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
                 byProg[cells[i].prepared].push_back(i);
             std::vector<BatchTask> tasks;
             for (auto &[prog, idxs] : byProg) {
-                if (idxs.size() < 2)
-                    continue; // a lone cell decodes once either way
                 // Respect the engine's 64-lane chunk while keeping
                 // every task big enough to amortize its decode.
                 for (std::size_t lo = 0; lo < idxs.size(); lo += 64)
@@ -486,7 +483,11 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
                     cfgs.push_back(cells[i].config->config);
                 std::vector<rt::ProgramReport> reps;
                 try {
-                    reps = task.prog->runReplayBatched(cfgs);
+                    // Under --lint the consistency oracle rides along,
+                    // captured once per batch.
+                    reps = req.lintMode != 0
+                               ? task.prog->runReplayBatchedWithOracle(cfgs)
+                               : task.prog->runReplayBatched(cfgs);
                 }
                 catch (const Error &e) {
                     // Whatever broke the batch (truncated trace,

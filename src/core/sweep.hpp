@@ -46,25 +46,16 @@ struct SweepRequest
     /**
      * Record-once / replay-many (--trace-replay / LP_TRACE_REPLAY).
      * Defaults on: a sweep visits every program under many
-     * configurations, so paying the interpreter once per program and
-     * replaying the trace for the other cells is a pure win; reports
-     * are byte-identical either way (tests/test_trace.cpp).
+     * configurations, so it pays the interpreter once per program and
+     * replays the trace in batches — each decode applies every event
+     * to all of the program's configuration lanes in one SoA pass
+     * (rt::replayLimitStudyBatched), under --lint too.  Reports are
+     * byte-identical either way (tests/test_batch.cpp, fuzz
+     * differential pairs 1 and 7); a batch that cannot replay falls
+     * back to the cells one by one.  Off interprets every cell, the
+     * reference path.
      */
     bool traceReplay = true;
-
-    /**
-     * Batched replay (--batch-replay / --no-batch / LP_BATCH_REPLAY).
-     * Defaults on: when two or more cells of a program replay the same
-     * trace, the sweep decodes it once and applies every event to all
-     * those configuration lanes in one SoA pass
-     * (rt::replayLimitStudyBatched) instead of decoding per cell.
-     * Reports are byte-identical either way (tests/test_batch.cpp,
-     * fuzz differential pair 7); a batch that cannot replay falls back
-     * to the per-cell path, cell by cell.  Only effective with
-     * traceReplay and without lint (the consistency oracle needs a
-     * per-cell capture).
-     */
-    bool batchReplay = true;
 
     /**
      * Lint mode (--lint / LP_LINT): 0 = off, 1 = on (gate on

@@ -260,12 +260,12 @@ runDifferential(std::uint64_t seed, const DiffOptions &opts)
     // consistency oracle rides on every cell and any error-level
     // mismatch makes runSweep exit nonzero, so the check is the
     // outcome's exit code (compared against the expected-clean form).
+    core::SweepRequest lint = base;
+    lint.traceReplay = true;
+    lint.lintMode = 1;
+    std::string lintOut;
     if (opts.lintOracle) {
-        core::SweepRequest lint = base;
-        lint.traceReplay = true;
-        lint.lintMode = 1;
-        std::string lintOut =
-            sweepOutcome(progs, lint, opts.faultSite, opts.faultNth);
+        lintOut = sweepOutcome(progs, lint, opts.faultSite, opts.faultNth);
         if (lintOut.rfind("exit:0\n", 0) != 0)
             failures.push_back(
                 {seed, "lint-static-vs-dynamic",
@@ -310,21 +310,19 @@ runDifferential(std::uint64_t seed, const DiffOptions &opts)
         }
     }
 
-    // Pair 7: batched replay vs per-cell replay.  replayOut above ran
-    // the default decode-once SoA batch path (SweepRequest.batchReplay);
-    // the --no-batch side decodes the trace once per cell.  Reports
-    // must match byte for byte — this is the whole-batch-engine oracle
-    // (tests/test_batch.cpp is the unit version; this runs it over
-    // every generated program, and transitively against interpret via
-    // pair 1).
-    {
-        core::SweepRequest nobatch = base;
-        nobatch.traceReplay = true;
-        nobatch.batchReplay = false;
-        std::string nobatchOut =
-            sweepOutcome(progs, nobatch, opts.faultSite, opts.faultNth);
-        comparePair(ctx, "batched-vs-per-cell-replay", replayOut,
-                    nobatchOut);
+    // Pair 7: the --lint sweep replayed vs interpreted.  Pair 5's
+    // replay side batches every cell and fills one consistency-oracle
+    // capture per batch from the shared replay state; the interpret
+    // side attaches a capture to each cell's live run.  The documents,
+    // oracle and static-verdict sections included, must match byte for
+    // byte (pair 1 is the same oracle without lint).
+    if (opts.lintOracle) {
+        core::SweepRequest lintInterp = lint;
+        lintInterp.traceReplay = false;
+        std::string lintInterpOut = sweepOutcome(
+            progs, lintInterp, opts.faultSite, opts.faultNth);
+        comparePair(ctx, "lint-replay-vs-interpret", lintOut,
+                    lintInterpOut);
     }
 
     exec::setJobsOverride(0);

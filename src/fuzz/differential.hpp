@@ -3,11 +3,11 @@
  * Differential oracles (`lp::fuzz`).
  *
  * The framework promises that one program produces byte-identical
- * reports whichever way it is driven: interpret vs trace replay,
- * one worker vs many, sharded-and-merged vs unsharded, killed-and-
- * resumed vs straight-through, batched (decode-once SoA) replay vs
- * per-cell replay — and that lint's static classification agrees with
- * the dynamic oracle.  Each generated program is pushed
+ * reports whichever way it is driven: interpret vs trace replay (with
+ * and without --lint's consistency oracle), one worker vs many,
+ * sharded-and-merged vs unsharded, killed-and-resumed vs
+ * straight-through — and that lint's static classification agrees
+ * with the dynamic oracle.  Each generated program is pushed
  * through every pair and any divergence is a harness failure carrying
  * the reproducing seed and the exact CLI line to replay it.
  *
@@ -49,7 +49,7 @@ struct DiffOptions
     unsigned shards = 3; ///< shard count of the sharded pair
     /** Scratch directory for checkpoint/shard files ("" = temp dir). */
     std::string scratchDir;
-    bool lintOracle = true; ///< run the lint static-vs-dynamic pair
+    bool lintOracle = true; ///< run the lint / oracle pairs (5, 6, 7)
     /** Fault schedule: site to arm before every run ("" = none). */
     std::string faultSite;
     std::uint64_t faultNth = 0;

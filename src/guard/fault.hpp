@@ -11,11 +11,11 @@
  *
  * Registered sites and what they throw:
  *
- *   parser   ir::parseModule entry          ParseError
- *   verify   ir::verifyModuleOrDie entry    VerifyError
- *   interp   interp::Machine::run entry     InterpreterTrap
- *   io       guard::Checkpoint::record      IoError
- *   replay   rt::replayLimitStudy entry     IoError
+ *   parser   ir::parseModule entry                ParseError
+ *   verify   ir::verifyModuleOrDie entry          VerifyError
+ *   interp   interp::Machine::run entry           InterpreterTrap
+ *   io       guard::Checkpoint::record            IoError
+ *   replay   rt::replayLimitStudyBatched entry    IoError
  *
  * A tripped fault disarms nothing: the counter simply moves past nth,
  * so a *retry* of the failed unit succeeds — which is exactly how the

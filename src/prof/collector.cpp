@@ -26,8 +26,7 @@ epochKindName(std::size_t k)
     switch (k) {
       case 0: return "interp";
       case 1: return "record";
-      case 2: return "replay";
-      case 3: return "replay_batch";
+      case 2: return "replay_batch";
     }
     return "?";
 }
@@ -57,7 +56,7 @@ Collector::Collector() : epochNanos_(steadyNanos())
     for (std::atomic<std::uint64_t> &lane : laneIdleSinceNs_)
         lane.store(0, std::memory_order_relaxed);
     for (EpochSlot &slot : epochs_)
-        for (std::size_t k = 0; k < 4; ++k) {
+        for (std::size_t k = 0; k < kEpochKinds; ++k) {
             slot.instructions[k].store(0, std::memory_order_relaxed);
             slot.wallNs[k].store(0, std::memory_order_relaxed);
         }
@@ -144,7 +143,7 @@ Collector::reset()
     for (std::atomic<std::uint64_t> &lane : laneIdleSinceNs_)
         lane.store(0, std::memory_order_relaxed);
     for (EpochSlot &slot : epochs_)
-        for (std::size_t k = 0; k < 4; ++k) {
+        for (std::size_t k = 0; k < kEpochKinds; ++k) {
             slot.instructions[k].store(0, std::memory_order_relaxed);
             slot.wallNs[k].store(0, std::memory_order_relaxed);
         }
@@ -294,7 +293,7 @@ Collector::workersJson() const
         // Epoch attribution for this lane, if any was collected.
         const EpochSlot &slot = epochs_[lane & (kMaxLanes - 1)];
         obs::Json ep = obs::Json::object();
-        for (std::size_t k = 0; k < 4; ++k) {
+        for (std::size_t k = 0; k < kEpochKinds; ++k) {
             std::uint64_t instr =
                 slot.instructions[k].load(std::memory_order_relaxed);
             std::uint64_t ns =

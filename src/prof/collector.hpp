@@ -75,7 +75,7 @@ struct CellRecord
 };
 
 /** What an epoch of attributed execution time was spent doing. */
-enum class EpochKind { Interp = 0, Record = 1, Replay = 2, ReplayBatch = 3 };
+enum class EpochKind { Interp = 0, Record = 1, ReplayBatch = 2 };
 
 class Collector
 {
@@ -153,10 +153,11 @@ class Collector
 
     Collector();
 
+    static constexpr std::size_t kEpochKinds = 3;
     struct alignas(64) EpochSlot
     {
-        std::atomic<std::uint64_t> instructions[4];
-        std::atomic<std::uint64_t> wallNs[4];
+        std::atomic<std::uint64_t> instructions[kEpochKinds];
+        std::atomic<std::uint64_t> wallNs[kEpochKinds];
     };
     static constexpr std::size_t kMaxLanes = 64;
 

@@ -17,11 +17,13 @@
  *
  * Byte-identity contract: for every lane, the per-loop reports, covered
  * intervals, predictor statistics and total savings written here are
- * exactly what a solo LoopRuntime::consumeTrace + finishAt would have
- * produced (tests/test_batch.cpp proves it across the whole grid, and
- * fuzz differential pair 7 tortures it).  Comments of the form
- * "mirrors <member>" tie each step to the per-cell code in tracker.cpp;
- * any change there needs a matching change here.
+ * exactly what the live LoopRuntime (runLimitStudy) produces for that
+ * configuration, and an attached OracleCapture receives exactly the
+ * evidence the live runtime would gather (tests/test_batch.cpp proves
+ * it across the whole grid; fuzz differential pairs 1 and 7 torture
+ * it).  Comments of the form "mirrors <member>" tie each step to the
+ * live code in tracker.cpp; any change there needs a matching change
+ * here.
  *
  * Shared-state soundness argument (why one copy suffices):
  *  - frame/instance structure, entry/iteration timestamps, curIter and
@@ -33,7 +35,10 @@
  *    eligible lane would write identical records;
  *  - the hybrid predictor for a phi sees the identical resolution
  *    sequence in every lane where dep2 tracks it, so one shared
- *    predictor (keyed by phi) trains for the whole active-lane set.
+ *    predictor (keyed by phi) trains for the whole active-lane set;
+ *  - the consistency oracle watches every loop whatever a lane's
+ *    verdict, so its per-instance difference states depend only on the
+ *    stream and one capture, filled once, serves every lane.
  */
 
 #include <algorithm>
@@ -62,11 +67,14 @@ class BatchReplayer
 {
   public:
     BatchReplayer(const ModulePlan &plan, const ReplayBlockFacts &facts,
-                  std::vector<std::unique_ptr<LoopRuntime>> &lanes)
+                  std::vector<std::unique_ptr<LoopRuntime>> &lanes,
+                  OracleCapture *oracle)
         : plan_(plan), facts_(facts), lanes_(lanes), L_(lanes.size()),
-          metrics_(lanes[0]->metrics_)
+          metrics_(lanes[0]->metrics_), oracle_(oracle)
     {
         panicIf(L_ == 0 || L_ > 64, "batch replay lane count out of range");
+        if (oracle_)
+            oracleWatches_ = watchOraclePhis(plan, *oracle_);
 
         const std::size_t numLoops = plan.numLoops();
         eligMask_.assign(numLoops, 0);
@@ -122,7 +130,7 @@ class BatchReplayer
         laneTotal_.assign(L_, 0);
         savingUp_.resize(L_);
 
-        // Epoch attribution, mirroring consumeTrace's budget-poll
+        // Epoch attribution, mirroring the interpreter's budget-poll
         // piggyback: one compare per block entry against a sentinel
         // that is UINT64_MAX when profiling is off.
         profiling_ = prof::profilingOn();
@@ -225,8 +233,8 @@ class BatchReplayer
     onPhi(const Instruction *phi, std::uint64_t bits)
     {
         PhiState &st = phiState(phi);
-        if (!st.activeMask)
-            return; // not a dep2-tracked LCD in any lane
+        if (!st.activeMask && st.oracleSlot < 0)
+            return; // neither dep2-tracked in any lane nor watched
         // Mirrors feedPhiResolved: only the top-of-stack instance of
         // the phi's own loop observes the resolution.
         EFrame &f = eframes_[frameDepth_ - 1];
@@ -234,6 +242,15 @@ class BatchReplayer
             return;
         BInst &inst = instStack_.back();
         if (inst.ord != st.ord)
+            return;
+
+        if (st.oracleSlot >= 0) {
+            const auto slot = static_cast<std::size_t>(st.oracleSlot);
+            OracleCapture::observe(
+                oracleStates_[inst.oracleBase + slot],
+                oracleWatches_[st.ord].slots[slot].depth, bits);
+        }
+        if (!st.activeMask)
             return;
 
         const bool carried = inst.curIter >= 1;
@@ -353,14 +370,16 @@ class BatchReplayer
         std::size_t base = 0;     ///< slot * L_, into the SoA arrays
         std::size_t regsBase = 0; ///< into the reg arenas
         std::uint32_t nRegs = 0;  ///< trackedAll.size()
+        std::size_t oracleBase = 0; ///< into oracleStates_
     };
 
     /** Shared predictor + stats for one dep2-tracked phi. */
     struct PhiState
     {
         std::uint64_t activeMask = 0; ///< dep2 ∩ eligible ∩ in-prefix
-        unsigned ord = 0;
+        unsigned ord = 0; ///< the header's loop (when it is one)
         unsigned idx = 0; ///< index into trackedAll / the reg arena
+        int oracleSlot = -1; ///< into the loop's oracle watches, or -1
         predict::HybridPredictor pred;
         LoopRuntime::PredStats stats;
     };
@@ -376,6 +395,7 @@ class BatchReplayer
         if (ord >= 0) {
             const LoopPlan &lp =
                 plan_.loopByOrdinal(static_cast<unsigned>(ord));
+            st->ord = static_cast<unsigned>(ord);
             auto ti = lp.trackedIndex.find(phi);
             if (ti != lp.trackedIndex.end()) {
                 std::uint64_t m =
@@ -384,8 +404,13 @@ class BatchReplayer
                     ncCount_[static_cast<std::size_t>(ord)])
                     m &= reduc0Mask_;
                 st->activeMask = m;
-                st->ord = static_cast<unsigned>(ord);
                 st->idx = ti->second;
+            }
+            if (oracle_) {
+                const LoopOracleWatches &lw = oracleWatches_[st->ord];
+                auto oi = lw.index.find(phi);
+                if (oi != lw.index.end())
+                    st->oracleSlot = static_cast<int>(oi->second);
             }
         }
         PhiState &ref = *st;
@@ -464,6 +489,18 @@ class BatchReplayer
             regLastDef_[r] = 0;
             regPrevOff_[r] = 0;
             regDefSeen_[r] = 0;
+        }
+        if (oracle_) {
+            // Mirrors the live runtime's per-instance oracle states.
+            inst.oracleBase = oracleTop_;
+            oracleTop_ += oracleWatches_[ord].slots.size();
+            if (oracleStates_.size() < oracleTop_)
+                oracleStates_.resize(oracleTop_);
+            std::fill(oracleStates_.begin() +
+                          static_cast<std::ptrdiff_t>(inst.oracleBase),
+                      oracleStates_.begin() +
+                          static_cast<std::ptrdiff_t>(oracleTop_),
+                      OracleCapture::State{});
         }
         // A shadow map only matters to eligible lanes; every eligible
         // lane would write identical records, so one map serves them.
@@ -630,6 +667,14 @@ class BatchReplayer
         const BInst inst = instStack_.back();
         instStack_.pop_back();
         regsTop_ = inst.regsBase;
+        if (oracle_) {
+            const auto &slots = oracleWatches_[inst.ord].slots;
+            for (std::size_t i = 0; i < slots.size(); ++i)
+                oracle_->recordInstance(slots[i].watch,
+                                        oracleStates_[inst.oracleBase + i],
+                                        slots[i].depth);
+            oracleTop_ = inst.oracleBase;
+        }
 
         const std::size_t B = inst.base;
         const std::uint64_t tailSerial = now - inst.iterStartTs;
@@ -747,6 +792,8 @@ class BatchReplayer
     std::vector<std::unique_ptr<LoopRuntime>> &lanes_;
     const std::size_t L_;
     const bool metrics_;
+    OracleCapture *const oracle_; ///< null = no consistency oracle
+    std::vector<LoopOracleWatches> oracleWatches_; ///< by ordinal
 
     // Per-ordinal lane facts (flat, [ord * L_ + lane]).
     std::vector<std::uint64_t> eligMask_;
@@ -801,6 +848,10 @@ class BatchReplayer
     std::vector<std::uint8_t> regDefSeen_;
     std::size_t regsTop_ = 0;
 
+    // Oracle difference states, stacked per open instance like regs.
+    std::vector<OracleCapture::State> oracleStates_;
+    std::size_t oracleTop_ = 0;
+
     std::vector<std::unique_ptr<ShadowWriteMap>> shadowPool_;
     std::vector<ShadowWriteMap *> shadowFree_;
 
@@ -819,6 +870,7 @@ replayLimitStudyBatched(const ModulePlan &plan,
                         const trace::Trace &t,
                         const std::vector<LPConfig> &cfgs,
                         const std::string &name,
+                        OracleCapture *oracle,
                         const ReplayBlockFacts *facts,
                         const trace::BatchDispatchTable *table)
 {
@@ -863,7 +915,10 @@ replayLimitStudyBatched(const ModulePlan &plan,
         }
         {
             obs::ScopedPhase phase("replay_batch");
-            BatchReplayer engine(plan, *facts, lanes);
+            // The evidence is config-independent: the first chunk's
+            // pass fills the capture for every chunk.
+            BatchReplayer engine(plan, *facts, lanes,
+                                 lo == 0 ? oracle : nullptr);
             trace::replayDispatch(*table, t, engine);
             engine.finish(t.finalCost);
             phase.addInstructions(t.finalCost *

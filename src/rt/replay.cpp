@@ -1,12 +1,7 @@
 #include "rt/replay.hpp"
 
-#include "guard/fault.hpp"
 #include "interp/machine.hpp"
-#include "obs/log.hpp"
 #include "obs/timer.hpp"
-#include "rt/tracker.hpp"
-#include "support/error.hpp"
-#include "support/text.hpp"
 #include "trace/recorder.hpp"
 
 namespace lp::rt {
@@ -56,49 +51,6 @@ recordTrace(const ir::Module &mod, const trace::ModuleIndex &index,
     machine.run();
     phase.addInstructions(machine.cost());
     return rec.finish(machine.cost());
-}
-
-ProgramReport
-replayLimitStudy(const ModulePlan &plan, const trace::ModuleIndex &index,
-                 const trace::Trace &t, const LPConfig &cfg,
-                 const std::string &name, OracleCapture *oracle,
-                 const ReplayBlockFacts *facts)
-{
-    if (t.truncated)
-        throw IoError("trace of " + name +
-                      " is truncated (recording hit the trace byte "
-                      "budget); raise LP_BUDGET_TRACE_BYTES or disable "
-                      "trace replay");
-    if (t.numFunctions != index.numFunctions() ||
-        t.numBlocks != index.numBlocks())
-        throw IoError(
-            "trace of " + name + " does not match the module (trace: " +
-            std::to_string(t.numFunctions) + " functions / " +
-            std::to_string(t.numBlocks) + " blocks, module: " +
-            std::to_string(index.numFunctions()) + " / " +
-            std::to_string(index.numBlocks()) + ")");
-
-    guard::faultPoint("replay");
-
-    std::unique_ptr<LoopRuntime> runtime;
-    {
-        obs::ScopedPhase phase("plan");
-        runtime = std::make_unique<LoopRuntime>(plan, cfg, oracle);
-    }
-
-    {
-        obs::ScopedPhase phase("replay");
-        runtime->consumeTrace(index, t, facts);
-        phase.addInstructions(t.finalCost);
-    }
-
-    obs::ScopedPhase phase("report");
-    ProgramReport rep = runtime->finishAt(name, t.finalCost);
-    LP_LOG_INFO("%s [%s] (replay): speedup %.2fx, coverage %.1f%%, "
-                "%zu loops reported",
-                name.c_str(), cfg.str().c_str(), rep.speedup(),
-                rep.coverage * 100.0, rep.loops.size());
-    return rep;
 }
 
 } // namespace lp::rt

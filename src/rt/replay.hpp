@@ -7,13 +7,13 @@
  * stream per program (Section III: instrument once, run once, evaluate
  * every model from the stream).  This front end makes the sweep pay the
  * interpreter exactly once: recordTrace() performs one recording run
- * (devirtualized sink, no tracker), and replayLimitStudy() then drives
- * a LoopRuntime for each remaining configuration straight from the
- * trace — no Machine, no register file, no simulated memory — while
- * reconstructing the machine clock and stack-pointer samples the
- * tracker needs bit-exactly.  Replay reports are therefore
- * byte-identical to interpret-mode reports (enforced by
- * tests/test_trace.cpp across the whole config grid).
+ * (devirtualized sink, no tracker), and replayLimitStudyBatched() then
+ * evaluates any number of configurations straight from the trace — no
+ * Machine, no register file, no simulated memory — while reconstructing
+ * the machine clock and stack-pointer samples the tracker needs
+ * bit-exactly.  Replay reports are therefore byte-identical to
+ * interpret-mode reports (enforced by tests/test_batch.cpp across the
+ * whole config grid, with and without the consistency oracle).
  *
  * Failure taxonomy: a truncated trace (byte budget hit during
  * recording), a fingerprint mismatch, or any malformed stream raises
@@ -53,10 +53,8 @@ std::vector<bool> headerBlockFlags(const ModulePlan &plan,
  * Per-block-id replay facts: does the block head a loop (its plan
  * ordinal) and which planned def watches fire there.  Everything in
  * here is configuration-independent, so one table — built once per
- * program, next to the recording — serves every cell of the sweep
- * read-only.  Before this existed, each replayed cell rebuilt the
- * same numBlocks-sized table, and on multicore sweeps those rebuilds
- * were pure allocator contention.
+ * program, next to the recording — serves every replay batch of the
+ * sweep read-only.
  */
 struct ReplayBlockFacts
 {
@@ -83,37 +81,24 @@ trace::Trace recordTrace(const ir::Module &mod,
                          const guard::RunBudget &budget);
 
 /**
- * Run the limit study for one configuration by replaying @p t.
- * Byte-identical to runLimitStudy() on the same module/config.
- *
- * @param facts shared per-block facts from buildReplayBlockFacts();
- *        null makes the cell build its own (slower, same result).
- * @throws lp::IoError when the trace is truncated, does not match the
- *         module, or is malformed.
- */
-ProgramReport replayLimitStudy(const ModulePlan &plan,
-                               const trace::ModuleIndex &index,
-                               const trace::Trace &t, const LPConfig &cfg,
-                               const std::string &name,
-                               OracleCapture *oracle = nullptr,
-                               const ReplayBlockFacts *facts = nullptr);
-
-/**
- * Run the limit study for @p cfgs — many configurations at once — by
+ * Run the limit study for @p cfgs — one or many configurations — by
  * decoding @p t exactly once and applying every event to all
  * configuration lanes in one structure-of-arrays pass (rt/batch.cpp).
- * Reports come back in @p cfgs order and are byte-identical to calling
- * replayLimitStudy() per configuration (and hence to interpreting).
+ * Reports come back in @p cfgs order and are byte-identical to
+ * runLimitStudy() on each configuration.
  *
  * More than 64 configurations are processed in chunks of 64 (lane sets
  * are 64-bit masks); the paper grid is 14, so one chunk.
  *
+ * @param oracle when non-null, filled once from the shared loop-instance
+ *        state with the evidence runLimitStudy() would gather for any
+ *        one of @p cfgs (it is config-independent); must be fresh.
  * @param facts shared per-block facts (buildReplayBlockFacts); null
  *        builds a local table.
  * @param table shared flat dispatch table (buildBatchDispatchTable);
  *        null builds a local one.
  * @throws lp::IoError when the trace is truncated, does not match the
- *         module, or is malformed — same taxonomy as replayLimitStudy.
+ *         module, or is malformed.
  */
 std::vector<ProgramReport>
 replayLimitStudyBatched(const ModulePlan &plan,
@@ -121,6 +106,7 @@ replayLimitStudyBatched(const ModulePlan &plan,
                         const trace::Trace &t,
                         const std::vector<LPConfig> &cfgs,
                         const std::string &name,
+                        OracleCapture *oracle = nullptr,
                         const ReplayBlockFacts *facts = nullptr,
                         const trace::BatchDispatchTable *table = nullptr);
 

@@ -2,21 +2,44 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 
 #include "obs/log.hpp"
 #include "obs/timer.hpp"
-#include "prof/collector.hpp"
-#include "rt/replay.hpp"
 #include "support/error.hpp"
 #include "support/text.hpp"
-#include "trace/format.hpp"
-#include "trace/index.hpp"
 
 namespace lp::rt {
 
 using ir::BasicBlock;
 using ir::Instruction;
+
+std::vector<LoopOracleWatches>
+watchOraclePhis(const ModulePlan &plan, OracleCapture &cap)
+{
+    std::vector<LoopOracleWatches> out(plan.numLoops());
+    for (unsigned ord = 0; ord < plan.numLoops(); ++ord) {
+        const LoopPlan &lplan = plan.loopByOrdinal(ord);
+        if (!lplan.loop)
+            continue;
+        LoopOracleWatches &lw = out[ord];
+        auto watch = [&](const Instruction *phi, unsigned depth,
+                         bool claimed) {
+            if (phi->type() != ir::Type::I64 &&
+                phi->type() != ir::Type::Ptr)
+                return; // differencing f64 bits is meaningless
+            unsigned w = cap.addWatch(
+                {phi, lplan.loop->label(), phi->name(), depth, claimed});
+            lw.index[phi] = static_cast<unsigned>(lw.slots.size());
+            lw.slots.push_back({w, depth});
+        };
+        for (unsigned i = 0; i < lplan.computablePhis.size(); ++i)
+            watch(lplan.computablePhis[i], lplan.computableDepths[i], true);
+        for (const TrackedPhi &tp : lplan.nonComputable)
+            watch(tp.phi, 1, cap.isForcedClaim(tp.phi));
+    }
+    cap.seal();
+    return out;
+}
 
 LoopRuntime::LoopRuntime(const ModulePlan &plan, const LPConfig &cfg,
                          OracleCapture *oracle)
@@ -46,8 +69,7 @@ LoopRuntime::LoopRuntime(const ModulePlan &plan, const LPConfig &cfg,
     // Build per-run loop info: static verdicts and the tracked-prefix
     // counts (reductions are demoted to tracked LCDs under reduc0).
     // The tracked lists, phi indexes, and def watches themselves live
-    // in the shared plan — this loop allocates nothing per loop unless
-    // the oracle is attached.
+    // in the shared plan — this loop allocates nothing per loop.
     runLoops_.resize(plan.numLoops());
     for (const auto &fp : plan.functionPlans()) {
         for (const LoopPlan &lplan : fp->loopPlans) {
@@ -62,39 +84,10 @@ LoopRuntime::LoopRuntime(const ModulePlan &plan, const LPConfig &cfg,
                 lplan.loop ? lplan.loop->label() : "<?>";
             rli.report.depth = lplan.loop ? lplan.loop->depth() : 0;
             rli.report.staticReason = rli.verdict;
-
-            // Oracle watches: every SCEV-claimed phi (with its claimed
-            // AddRec depth) and every tracked LCD (unclaimed, watched at
-            // depth 1 so the oracle can also spot *missed* IVs).  The
-            // claims are config-independent, so watches are registered
-            // for every loop whatever this run's verdict.
-            if (oracle_ && lplan.loop) {
-                auto watch = [&](const Instruction *phi, unsigned depth,
-                                 bool claimed) {
-                    if (phi->type() != ir::Type::I64 &&
-                        phi->type() != ir::Type::Ptr)
-                        return; // differencing f64 bits is meaningless
-                    unsigned w = oracle_->addWatch(
-                        {phi, lplan.loop->label(), phi->name(), depth,
-                         claimed});
-                    rli.oracleIndex[phi] =
-                        static_cast<unsigned>(rli.oracleSlots.size());
-                    rli.oracleSlots.push_back({w, depth});
-                };
-                for (unsigned i = 0; i < lplan.computablePhis.size();
-                     ++i) {
-                    watch(lplan.computablePhis[i],
-                          lplan.computableDepths[i], true);
-                }
-                for (const TrackedPhi &tp : lplan.nonComputable) {
-                    watch(tp.phi, 1,
-                          oracle_->isForcedClaim(tp.phi));
-                }
-            }
         }
     }
     if (oracle_)
-        oracle_->seal();
+        oracleWatches_ = watchOraclePhis(plan, *oracle_);
 }
 
 LoopRuntime::~LoopRuntime() = default;
@@ -213,19 +206,12 @@ LoopRuntime::feedBlockEnter(const BasicBlock *bb, std::uint64_t nowBefore,
                             std::uint64_t sp)
 {
     const int ord = plan_.headerOrdinal(bb);
+    RunLoopInfo *headerRli = ord >= 0 ? &runLoops_[ord] : nullptr;
     const auto &watchPlan = plan_.defWatchPlan();
     auto dw = watchPlan.find(bb);
-    feedBlockEnterAt(bb, nowBefore, sp,
-                     ord >= 0 ? &runLoops_[ord] : nullptr,
-                     dw != watchPlan.end() ? &dw->second : nullptr);
-}
+    const std::vector<PlannedDefWatch> *watches =
+        dw != watchPlan.end() ? &dw->second : nullptr;
 
-void
-LoopRuntime::feedBlockEnterAt(const BasicBlock *bb,
-                              std::uint64_t nowBefore, std::uint64_t sp,
-                              RunLoopInfo *headerRli,
-                              const std::vector<PlannedDefWatch> *watches)
-{
     FrameCtx &frame = curFrame();
     const std::uint64_t now = nowBefore;
 
@@ -285,7 +271,7 @@ LoopRuntime::openInstance(RunLoopInfo *rli, std::uint64_t now,
     inst.shadow = acquireShadow();
     inst.regs.resize(rli->trackedCount);
     if (oracle_)
-        inst.oracle.resize(rli->oracleSlots.size());
+        inst.oracle.resize(oracleWatches_[rli->plan->ordinal].slots.size());
     frame.loopStack.push_back(std::move(inst));
     rli->report.instances += 1;
     if (metrics_)
@@ -366,10 +352,10 @@ LoopRuntime::closeInstance(Instance &inst, std::uint64_t now)
     RunLoopInfo &rli = *inst.rli;
 
     if (oracle_) {
+        const auto &slots = oracleWatches_[rli.plan->ordinal].slots;
         for (std::size_t i = 0; i < inst.oracle.size(); ++i)
-            oracle_->recordInstance(rli.oracleSlots[i].watch,
-                                    inst.oracle[i],
-                                    rli.oracleSlots[i].depth);
+            oracle_->recordInstance(slots[i].watch, inst.oracle[i],
+                                    slots[i].depth);
     }
 
     // The trailing partial iteration (the final header visit that failed
@@ -480,16 +466,16 @@ LoopRuntime::feedPhiResolved(const Instruction *phi, std::uint64_t bits)
     // claim being checked is config-independent).  Every header visit
     // resolves the phi to the next point of the claimed recurrence,
     // initial value included, so the whole sequence is streamed.
-    if (oracle_ && !rli->oracleSlots.empty()) {
-        auto oi = rli->oracleIndex.find(phi);
-        if (oi != rli->oracleIndex.end()) {
+    if (oracle_) {
+        const LoopOracleWatches &lw = oracleWatches_[ord];
+        auto oi = lw.index.find(phi);
+        if (oi != lw.index.end()) {
             FrameCtx &oframe = curFrame();
             if (!oframe.loopStack.empty() &&
                 oframe.loopStack.back().rli == rli) {
                 Instance &oinst = oframe.loopStack.back();
-                OracleCapture::observe(
-                    oinst.oracle[oi->second],
-                    rli->oracleSlots[oi->second].depth, bits);
+                OracleCapture::observe(oinst.oracle[oi->second],
+                                       lw.slots[oi->second].depth, bits);
             }
         }
     }
@@ -740,164 +726,6 @@ LoopRuntime::finishAt(const std::string &programName,
             .counter("report.loops_reported")
             .add(rep.loops.size());
     return rep;
-}
-
-void
-LoopRuntime::consumeTrace(const trace::ModuleIndex &index,
-                          const trace::Trace &t,
-                          const ReplayBlockFacts *facts)
-{
-    using trace::EventKind;
-
-    /** One suspended or running function activation. */
-    struct Frame
-    {
-        const ir::Function *fn;
-        const ir::BasicBlock *cur = nullptr;
-        std::uint64_t blockSize = 0;
-        std::size_t phiIdx = 0;
-    };
-    std::vector<Frame> frames;
-
-    // Per-block-id facts (loop header? watched def sites?), resolved
-    // once per *program* and shared across every cell of the sweep
-    // (rt/replay.hpp): the stream names every executed block, and the
-    // hash probes feedBlockEnter would repeat per entry are measurable
-    // across a multi-hundred-thousand-event replay.  Direct callers
-    // without a shared table get a local one, built from the same plan.
-    ReplayBlockFacts localFacts;
-    if (!facts) {
-        localFacts = buildReplayBlockFacts(plan_, index);
-        facts = &localFacts;
-    }
-    const auto &blockFacts = facts->blocks;
-
-    std::uint64_t cost = 0;
-    // Epoch attribution mirrors the interpreter's budget poll: one
-    // compare per block entry against a sentinel that is UINT64_MAX
-    // when profiling is off (prof::profilingOn() sampled once per
-    // replay), so the disabled cost is a never-taken predictable branch.
-    const bool profiling = prof::profilingOn();
-    std::uint64_t nextEpochCost =
-        profiling ? prof::kEpochStrideInstructions : UINT64_MAX;
-    std::uint64_t epochStartCost = 0;
-    auto epochStartTime = std::chrono::steady_clock::time_point{};
-    if (profiling)
-        epochStartTime = std::chrono::steady_clock::now();
-    auto flushEpoch = [&] {
-        const auto now = std::chrono::steady_clock::now();
-        const std::uint64_t instructions = cost - epochStartCost;
-        const auto ns =
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                now - epochStartTime)
-                .count();
-        if (instructions > 0 || ns > 0)
-            prof::Collector::instance().addEpoch(
-                prof::EpochKind::Replay, instructions,
-                static_cast<std::uint64_t>(ns));
-        epochStartCost = cost;
-        epochStartTime = now;
-        nextEpochCost = cost + prof::kEpochStrideInstructions;
-    };
-    trace::PayloadReader r(t);
-    trace::Event e;
-    while (r.next(e)) {
-        switch (e.kind) {
-          case EventKind::FuncEnter: {
-            const ir::Function *fn = index.functionById(e.a);
-            feedFunctionEnter(fn);
-            frames.push_back({fn});
-            break;
-          }
-          case EventKind::FuncExit: {
-            if (frames.empty())
-                throw IoError("trace function exit without a frame");
-            feedFunctionExit(frames.back().fn, cost);
-            frames.pop_back();
-            break;
-          }
-          case EventKind::BlockEnter:
-          case EventKind::BlockEnterHeader: {
-            const ir::BasicBlock *bb = index.blockById(e.a);
-            if (frames.empty() || bb->parent() != frames.back().fn)
-                throw IoError(
-                    "trace block id " + std::to_string(e.a) +
-                    " does not belong to the running function");
-            Frame &f = frames.back();
-            f.cur = bb;
-            f.blockSize = bb->instructions().size();
-            f.phiIdx = 0;
-            cost += f.blockSize;
-            if (cost >= nextEpochCost) [[unlikely]]
-                flushEpoch();
-            const ReplayBlockFacts::PerBlock &bf = blockFacts[e.a];
-            feedBlockEnterAt(bb, cost - f.blockSize,
-                             e.kind == EventKind::BlockEnterHeader
-                                 ? e.b << 3
-                                 : 0,
-                             bf.headerOrdinal >= 0
-                                 ? &runLoops_[bf.headerOrdinal]
-                                 : nullptr,
-                             bf.watches);
-            break;
-          }
-          case EventKind::Phi: {
-            if (frames.empty() || !frames.back().cur)
-                throw IoError("trace phi event outside a block");
-            Frame &f = frames.back();
-            const auto &instrs = f.cur->instructions();
-            if (f.phiIdx >= instrs.size() || !instrs[f.phiIdx]->isPhi())
-                throw IoError("trace phi event does not line up with "
-                              "the block's phis");
-            feedPhiResolved(instrs[f.phiIdx++].get(), e.a);
-            break;
-          }
-          case EventKind::Load:
-          case EventKind::Store: {
-            if (frames.empty() || !frames.back().cur)
-                throw IoError("trace memory event outside a block");
-            Frame &f = frames.back();
-            if (e.a >= f.cur->instructions().size())
-                throw IoError("trace memory event offset " +
-                              std::to_string(e.a) +
-                              " is past the end of its block");
-            const Instruction *instr = f.cur->instructions()[e.a].get();
-            const std::uint64_t precise = cost - f.blockSize + e.a + 1;
-            if (e.kind == EventKind::Load)
-                feedLoad(instr, e.b << 3, precise);
-            else
-                feedStore(instr, e.b << 3, precise);
-            break;
-          }
-          case EventKind::Charge:
-            cost += e.a;
-            break;
-          case EventKind::CallSite: {
-            if (frames.empty() || !frames.back().cur)
-                throw IoError("trace call site outside a block");
-            Frame &f = frames.back();
-            if (e.a >= f.cur->instructions().size())
-                throw IoError("trace call site offset " +
-                              std::to_string(e.a) +
-                              " is past the end of its block");
-            const Instruction *instr = f.cur->instructions()[e.a].get();
-            if (instr->opcode() == ir::Opcode::CallExt)
-                cost += instr->externalCallee()->cost();
-            break;
-          }
-        }
-    }
-    if (profiling)
-        flushEpoch(); // attribute the tail of the final epoch
-    if (!frames.empty())
-        throw IoError("trace ended with " +
-                      std::to_string(frames.size()) +
-                      " function frames still open");
-    if (cost != t.finalCost)
-        throw IoError("replayed clock disagrees with the recording (" +
-                      std::to_string(cost) + " vs " +
-                      std::to_string(t.finalCost) +
-                      "): trace does not match this module");
 }
 
 ProgramReport

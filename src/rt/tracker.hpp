@@ -26,15 +26,34 @@
 #include "rt/report.hpp"
 #include "rt/shadow.hpp"
 
-namespace lp::trace {
-class ModuleIndex;
-struct Trace;
-} // namespace lp::trace
-
 namespace lp::rt {
 
-struct ReplayBlockFacts;
 class BatchReplayer;
+
+/** The consistency-oracle watches of one loop's header phis. */
+struct LoopOracleWatches
+{
+    struct Slot
+    {
+        unsigned watch; ///< OracleCapture watch index
+        unsigned depth; ///< difference order - 1
+    };
+    std::vector<Slot> slots;
+    /** Phi -> index into slots. */
+    std::unordered_map<const ir::Instruction *, unsigned> index;
+};
+
+/**
+ * Register the oracle watches of every loop of @p plan with @p cap and
+ * seal it: each SCEV-claimed phi at its claimed AddRec depth, and each
+ * tracked LCD at depth 1 (unclaimed unless OracleCapture::forceClaim
+ * named it, so the oracle can also spot *missed* IVs).  The claims are
+ * config-independent, so the live runtime and the batched replayer
+ * watch the same phis through this one definition.
+ * @return each loop's watches, indexed by LoopPlan::ordinal
+ */
+std::vector<LoopOracleWatches> watchOraclePhis(const ModulePlan &plan,
+                                               OracleCapture &cap);
 
 /** Run-time dependency tracker and speedup estimator. */
 class LoopRuntime : public interp::ExecListener
@@ -62,10 +81,8 @@ class LoopRuntime : public interp::ExecListener
 
     /// @name Event feed
     /// The runtime's real front end.  Clock and stack-pointer samples
-    /// arrive as explicit arguments, so events can come either from the
-    /// live listener call-backs below (which sample the attached
-    /// machine) or from a recorded trace whose replay driver
-    /// reconstructs the same samples (rt/replay.hpp).
+    /// arrive as explicit arguments; the live listener call-backs below
+    /// sample them from the attached machine.
     /// @{
     void feedFunctionEnter(const ir::Function *fn);
     void feedFunctionExit(const ir::Function *fn, std::uint64_t now);
@@ -78,20 +95,6 @@ class LoopRuntime : public interp::ExecListener
                   std::uint64_t preciseNow);
     void feedStore(const ir::Instruction *instr, std::uint64_t addr,
                    std::uint64_t preciseNow);
-    /**
-     * Feed every event of @p t, reconstructing the clock and
-     * stack-pointer samples the recording mirrored (rt/replay.hpp has
-     * the protocol).  Defined alongside the feed* bodies so the
-     * per-event dispatch inlines into them — this loop is the whole
-     * hot path of a replayed sweep cell.
-     * @param facts per-block-id facts shared across cells (see
-     *        rt/replay.hpp); null rebuilds them locally, which is
-     *        correct but costs a numBlocks-sized rebuild per cell.
-     * @throws lp::IoError on any malformed or mismatched stream.
-     */
-    void consumeTrace(const trace::ModuleIndex &index,
-                      const trace::Trace &t,
-                      const ReplayBlockFacts *facts = nullptr);
     /// @}
 
     /// @name ExecListener interface (live-machine front end)
@@ -125,13 +128,6 @@ class LoopRuntime : public interp::ExecListener
         bool defSeen = false;
     };
 
-    /** One oracle watch bound to this loop (index into the capture). */
-    struct OracleSlot
-    {
-        unsigned watch; ///< OracleCapture watch index
-        unsigned depth; ///< difference order - 1
-    };
-
     /** Per-configuration, per-static-loop facts.
      *
      *  The tracked list itself lives in the shared plan
@@ -146,9 +142,6 @@ class LoopRuntime : public interp::ExecListener
         SerialReason verdict = SerialReason::None;
         unsigned trackedCount = 0; ///< prefix of plan->trackedAll in play
         LoopReport report;
-        /** Oracle watches of this loop's header phis (capture attached). */
-        std::vector<OracleSlot> oracleSlots;
-        std::unordered_map<const ir::Instruction *, unsigned> oracleIndex;
     };
 
     /** One dynamic loop instance. */
@@ -215,18 +208,8 @@ class LoopRuntime : public interp::ExecListener
     /** Indexed by LoopPlan::ordinal (header lookups resolve through
      *  the shared plan; no per-cell header map). */
     std::vector<RunLoopInfo> runLoops_;
-
-    /**
-     * feedBlockEnter with its two per-block lookups (loop header?
-     * watched def sites?) already resolved.  The live path resolves
-     * them per call; replay pre-resolves them per block id once and
-     * calls this directly (two hash probes per block entry are
-     * measurable over a multi-million-event stream).
-     */
-    void feedBlockEnterAt(const ir::BasicBlock *bb,
-                          std::uint64_t nowBefore, std::uint64_t sp,
-                          RunLoopInfo *headerRli,
-                          const std::vector<PlannedDefWatch> *watches);
+    /** Oracle watches by LoopPlan::ordinal; empty without a capture. */
+    std::vector<LoopOracleWatches> oracleWatches_;
 
     /** Shared (hardware-like) per-LCD predictors and their counters. */
     std::unordered_map<const ir::Instruction *,

@@ -3,25 +3,23 @@
  * Threaded-code dispatch table + decode-once trace walker for batched
  * replay.
  *
- * A sweep replays the same LPTR trace once per configuration cell, so a
- * 196-cell grid decodes every payload byte 196 times and re-resolves the
- * same block-id facts 196 times.  This header provides the two pieces
- * that amortize that work to once per *program*:
+ * Every configuration cell of a program replays the same LPTR trace.
+ * This header provides the two pieces that make decoding it and
+ * resolving its block-id facts a once-per-*program* cost:
  *
  *  - BatchDispatchTable: the per-block-id facts the replay hot loop
  *    needs (owning function id, instruction count, flat instruction
  *    pointers, pre-resolved external-call charges), lowered from the
  *    ModuleIndex into dense parallel arrays — a threaded-code table
- *    indexed directly by the ids the trace carries, replacing the
- *    per-event hash probes and virtual calls of the generic path.
+ *    indexed directly by the ids the trace carries, so the per-event
+ *    path has no hash probes or virtual calls.
  *
  *  - replayDispatch(): decode the payload exactly once and drive a Sink
  *    with fully-resolved events (instruction pointers, reconstructed
  *    clock / stack-pointer / precise-cost samples).  The walker owns the
- *    structural validation — it raises the same lp::IoError diagnostics,
- *    under the same conditions, as LoopRuntime::consumeTrace, so a
- *    corrupt trace fails identically whether it is replayed per cell or
- *    batched (the fuzz corruption oracle depends on this).
+ *    structural validation: every malformed or mismatched stream raises
+ *    lp::IoError, so a corrupt trace fails a batch like a damaged input
+ *    file.
  *
  * The Sink is a template parameter so the per-event callbacks inline
  * into the decode loop; rt's batched replayer (rt/batch.cpp) applies
@@ -90,13 +88,12 @@ BatchDispatchTable buildBatchDispatchTable(const ModuleIndex &index);
  *   void onStore(const ir::Instruction *i, std::uint64_t addr,
  *                std::uint64_t preciseNow);
  *
- * Clock reconstruction matches LoopRuntime::consumeTrace exactly:
- * block entry charges the block size, Charge events add out-of-band
- * cost, CallSite events add the pre-resolved external charge, and the
- * final clock is cross-checked against the recording.
+ * Clock reconstruction matches the interpreter's clock exactly: block
+ * entry charges the block size, Charge events add out-of-band cost,
+ * CallSite events add the pre-resolved external charge, and the final
+ * clock is cross-checked against the recording.
  *
- * @throws lp::IoError on any malformed or mismatched stream, with the
- *         same diagnostics as the per-cell replay path.
+ * @throws lp::IoError on any malformed or mismatched stream.
  */
 template <class Sink>
 void

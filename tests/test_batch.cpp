@@ -3,13 +3,14 @@
  * Tests for batched multi-cell trace replay (src/trace/batch.* +
  * src/rt/batch.cpp + the core front ends).  The load-bearing property:
  * replaying one trace for N configurations in a single SoA pass
- * produces reports *byte-identical* — as serialized JSON — to replaying
- * (and hence interpreting) each configuration on its own, for every
+ * produces reports *byte-identical* — as serialized JSON — to
+ * interpreting each configuration on its own (the live LoopRuntime is
+ * the reference), with and without the consistency oracle, for every
  * program shape, every model, every ablation axis, and every lane
  * count including the 64-lane chunk boundary.  Also covered: the
- * IoError taxonomy (truncated and foreign traces fail a batch exactly
- * like a single cell), and the sweep driver's batch path agreeing with
- * --no-batch byte for byte.
+ * IoError taxonomy (truncated and foreign traces fail the batch), and
+ * the sweep driver's batch path agreeing with interpret-every-cell
+ * byte for byte, --lint included.
  */
 
 #include <gtest/gtest.h>
@@ -91,7 +92,7 @@ dump(const rt::ProgramReport &rep)
     return rep.toJson(/*withObsSnapshot=*/false).dump(2);
 }
 
-// --------------------------------------- batched == per-cell == interp
+// ------------------------------------------------- batched == interpret
 
 TEST_F(BatchTest, BatchedReplayIsByteIdenticalAcrossShapesAndGrid)
 {
@@ -100,12 +101,16 @@ TEST_F(BatchTest, BatchedReplayIsByteIdenticalAcrossShapesAndGrid)
         Loopapalooza lp(*mod);
         std::vector<rt::ProgramReport> batched =
             lp.runReplayBatched(grid);
+        rt::OracleCapture cap;
+        std::vector<rt::ProgramReport> linted =
+            lp.runReplayBatched(grid, cap);
         ASSERT_EQ(batched.size(), grid.size()) << name;
+        ASSERT_EQ(linted.size(), grid.size()) << name;
         for (std::size_t i = 0; i < grid.size(); ++i) {
-            EXPECT_EQ(dump(batched[i]), dump(lp.runReplay(grid[i])))
-                << name << " lane " << i << " under " << grid[i].str();
             EXPECT_EQ(dump(batched[i]), dump(lp.run(grid[i])))
-                << name << " lane " << i << " vs interpret under "
+                << name << " lane " << i << " under " << grid[i].str();
+            EXPECT_EQ(dump(linted[i]), dump(lp.runWithOracle(grid[i])))
+                << name << " lane " << i << " with the oracle under "
                 << grid[i].str();
         }
     }
@@ -121,13 +126,13 @@ TEST_F(BatchTest, BatchedReplayMatchesOnRandomPrograms)
             lp.runReplayBatched(grid);
         ASSERT_EQ(batched.size(), grid.size());
         for (std::size_t i = 0; i < grid.size(); ++i)
-            EXPECT_EQ(dump(batched[i]), dump(lp.runReplay(grid[i])))
+            EXPECT_EQ(dump(batched[i]), dump(lp.run(grid[i])))
                 << "seed " << seed << " lane " << i << " under "
                 << grid[i].str();
     }
 }
 
-TEST_F(BatchTest, SingleLaneBatchMatchesPerCell)
+TEST_F(BatchTest, SingleLaneBatchMatchesInterpret)
 {
     auto mod = test::buildHistogram(64, 8);
     Loopapalooza lp(*mod);
@@ -135,14 +140,15 @@ TEST_F(BatchTest, SingleLaneBatchMatchesPerCell)
         LPConfig::parse("reduc1-dep1-fn2", ExecModel::Helix);
     std::vector<rt::ProgramReport> batched = lp.runReplayBatched({cfg});
     ASSERT_EQ(batched.size(), 1u);
-    EXPECT_EQ(dump(batched[0]), dump(lp.runReplay(cfg)));
+    EXPECT_EQ(dump(batched[0]), dump(lp.run(cfg)));
 }
 
 TEST_F(BatchTest, ChunkBoundaryAt64LanesIsSeamless)
 {
     // 5 x 18 = 90 lanes: the second chunk starts mid-repetition, so any
     // cross-chunk state leak (shared predictor, shadow pool, epoch
-    // carry-over) would break a lane on one side of the boundary.
+    // carry-over, oracle capture) would break a lane on one side of
+    // the boundary.
     auto mod = test::buildPointerChaseShuffled(64);
     Loopapalooza lp(*mod);
     const std::vector<LPConfig> grid = fullGrid();
@@ -151,14 +157,43 @@ TEST_F(BatchTest, ChunkBoundaryAt64LanesIsSeamless)
         many.insert(many.end(), grid.begin(), grid.end());
     ASSERT_GT(many.size(), 64u);
 
-    std::vector<rt::ProgramReport> batched = lp.runReplayBatched(many);
-    ASSERT_EQ(batched.size(), many.size());
-    std::vector<std::string> percell;
-    for (const LPConfig &cfg : grid)
-        percell.push_back(dump(lp.runReplay(cfg)));
-    for (std::size_t i = 0; i < many.size(); ++i)
-        EXPECT_EQ(dump(batched[i]), percell[i % grid.size()])
-            << "lane " << i;
+    for (bool oracle : {false, true}) {
+        rt::OracleCapture cap;
+        std::vector<rt::ProgramReport> batched =
+            oracle ? lp.runReplayBatched(many, cap)
+                   : lp.runReplayBatched(many);
+        ASSERT_EQ(batched.size(), many.size());
+        std::vector<std::string> reference;
+        for (const LPConfig &cfg : grid)
+            reference.push_back(
+                dump(oracle ? lp.runWithOracle(cfg) : lp.run(cfg)));
+        for (std::size_t i = 0; i < many.size(); ++i)
+            EXPECT_EQ(dump(batched[i]), reference[i % grid.size()])
+                << "lane " << i << (oracle ? " with the oracle" : "");
+        if (!oracle)
+            continue;
+
+        // One pass filled the capture: the evidence, and every lane's
+        // oracle section, equal a one-lane batch's.
+        rt::OracleCapture oneCap;
+        const rt::ProgramReport one =
+            lp.runReplayBatched({grid[0]}, oneCap).front();
+        ASSERT_EQ(cap.watches().size(), oneCap.watches().size());
+        ASSERT_GT(cap.watches().size(), 0u);
+        for (unsigned w = 0; w < cap.watches().size(); ++w) {
+            EXPECT_EQ(cap.stats(w).samples, oneCap.stats(w).samples);
+            EXPECT_EQ(cap.stats(w).instances, oneCap.stats(w).instances);
+        }
+        const std::string oneOracle =
+            one.toJson(/*withObsSnapshot=*/false).at("oracle").dump();
+        for (std::size_t i = 0; i < many.size(); ++i)
+            EXPECT_EQ(batched[i]
+                          .toJson(/*withObsSnapshot=*/false)
+                          .at("oracle")
+                          .dump(),
+                      oneOracle)
+                << "lane " << i;
+    }
 }
 
 TEST_F(BatchTest, EmptyConfigListYieldsNoReports)
@@ -181,7 +216,7 @@ TEST_F(BatchTest, BatchRejectsTruncatedTraces)
     ASSERT_TRUE(lp.trace().truncated);
     try {
         lp.runReplayBatched(fullGrid());
-        FAIL() << "batch-replaying a truncated trace must throw";
+        FAIL() << "replaying a truncated trace in a batch must throw";
     }
     catch (const IoError &e) {
         EXPECT_STREQ(e.codeName(), "LP_IO");
@@ -221,9 +256,9 @@ TEST_F(BatchTest, DispatchTableCoversTheWholeModule)
 
 // --------------------------------------------- sweep-level batch path
 
-TEST_F(BatchTest, SweepBatchPathMatchesNoBatchByteForByte)
+TEST_F(BatchTest, SweepBatchPathMatchesInterpretByteForByte)
 {
-    auto sweepDoc = [&](bool batch) {
+    auto sweepDoc = [&](bool replay, int lintMode) {
         std::vector<core::BenchProgram> progs;
         progs.push_back(
             {"saxpy", "unit", [] { return test::buildSaxpy(32); }});
@@ -234,13 +269,17 @@ TEST_F(BatchTest, SweepBatchPathMatchesNoBatchByteForByte)
         core::SweepRequest req;
         req.suite = "unit";
         req.wantJson = true;
-        req.batchReplay = batch;
+        req.traceReplay = replay;
+        req.lintMode = lintMode;
         core::SweepResult res = core::runSweep(progs, req);
         EXPECT_EQ(res.exitCode, 0);
         EXPECT_TRUE(res.hasDocument);
         return res.document.dump(2);
     };
-    EXPECT_EQ(sweepDoc(true), sweepDoc(false));
+    EXPECT_EQ(sweepDoc(true, 0), sweepDoc(false, 0));
+    // --lint batches too: one oracle capture per batch, judged into
+    // every lane, must reproduce the per-cell interpreted captures.
+    EXPECT_EQ(sweepDoc(true, 1), sweepDoc(false, 1));
 }
 
 } // namespace

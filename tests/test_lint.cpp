@@ -507,6 +507,32 @@ TEST(LintOracle, ForcedFalseClaimIsCaughtEndToEnd)
         EXPECT_FALSE(f.phi.empty());
     }
     EXPECT_TRUE(found);
+
+    // The same forced claim through batched replay: its one capture,
+    // filled from the shared replay state, must surface the identical
+    // findings in every lane.
+    rt::OracleCapture batchCap;
+    for (const auto &fp : lp.plan().functionPlans())
+        for (const rt::LoopPlan &lplan : fp->loopPlans)
+            for (const rt::TrackedPhi &tp : lplan.nonComputable)
+                batchCap.forceClaim(tp.phi);
+    std::vector<ProgramReport> lanes = lp.runReplayBatched(
+        {cfg("reduc0-dep0-fn0"),
+         LPConfig::parse("reduc1-dep2-fn2", ExecModel::PartialDoAll)},
+        batchCap);
+    ASSERT_EQ(lanes.size(), 2u);
+    for (const ProgramReport &lane : lanes) {
+        EXPECT_EQ(lane.oracleMismatches, rep.oracleMismatches);
+        ASSERT_EQ(lane.oracleFindings.size(), rep.oracleFindings.size());
+        for (std::size_t i = 0; i < rep.oracleFindings.size(); ++i) {
+            EXPECT_EQ(lane.oracleFindings[i].rule,
+                      rep.oracleFindings[i].rule);
+            EXPECT_EQ(lane.oracleFindings[i].phi,
+                      rep.oracleFindings[i].phi);
+            EXPECT_EQ(lane.oracleFindings[i].message,
+                      rep.oracleFindings[i].message);
+        }
+    }
 }
 
 TEST(LintOracle, SyntheticDivergenceIsAnError)

@@ -389,14 +389,11 @@ TEST_F(ProfSandbox, EpochsAttributeInterpretRecordAndReplayTime)
     core::Study study(smallPrograms(), 1);
     rt::LPConfig cfg =
         rt::LPConfig::parse("reduc1-dep1-fn2", rt::ExecModel::Helix);
-    // runReplay records once (Record epochs) and replays (Replay
-    // epochs); plain run interprets (Interp epochs).
-    core::Study::SuiteRunOptions replayOpts;
-    replayOpts.traceReplay = true;
-    study.runSuite("prof-test", cfg, replayOpts);
-    core::Study::SuiteRunOptions interpOpts;
-    interpOpts.traceReplay = false;
-    study.runSuite("prof-test", cfg, interpOpts);
+    // runReplay records once (Record epochs) and replays as a one-lane
+    // batch (ReplayBatch epochs); plain run interprets (Interp epochs).
+    for (const auto &p : study.programs())
+        p->runReplay(cfg);
+    study.runSuite("prof-test", cfg, 1);
     c.setEnabled(false);
 
     obs::Json workers = c.workersJson();
@@ -406,7 +403,7 @@ TEST_F(ProfSandbox, EpochsAttributeInterpretRecordAndReplayTime)
         const obs::Json &ep = lanes.at(i).at("epochs");
         sawInterp |= ep.contains("interp");
         sawRecord |= ep.contains("record");
-        sawReplay |= ep.contains("replay");
+        sawReplay |= ep.contains("replay_batch");
         for (const std::string &kind : ep.keys())
             EXPECT_GT(ep.at(kind).at("instructions").asU64(), 0u);
     }

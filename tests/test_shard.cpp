@@ -10,8 +10,8 @@
  *  - partitioning: shardCheckpointPath naming, every cell owned by
  *    exactly one shard, shard runs produce no report document;
  *  - differential: merged vs unsharded byte-identity, plain and under
- *    crash recovery and lint, and batched (decode-once) shards vs a
- *    --no-batch unsharded reference;
+ *    crash recovery and lint, and batched (decode-once) shards vs an
+ *    interpret-every-cell unsharded reference;
  *  - validation: the config errors runSweep promises (missing
  *    checkpoint, index out of range, --json on a shard run).
  */
@@ -223,18 +223,18 @@ TEST(ShardSweep, MergedLintSweepMatchesUnshardedIncludingOracle)
     cleanBase("lp_shard_lint.jsonl", 2);
 }
 
-TEST(ShardSweep, BatchedShardedMergeMatchesNoBatchUnsharded)
+TEST(ShardSweep, BatchedShardedMergeMatchesInterpretedUnsharded)
 {
-    // Cross-axis byte-identity: each shard above runs with batched
+    // Cross-axis byte-identity: each shard below runs with batched
     // replay on (the default), splitting its slice into decode-once
-    // lane batches, while the reference sweep disables batching
-    // entirely.  Sharding and batching together must change nothing
-    // in the merged report.
+    // lane batches, while the reference sweep interprets every cell.
+    // Sharding and batching together must change nothing in the
+    // merged report.
     std::string reference;
     {
         core::SweepRequest req;
         req.wantJson = true;
-        req.batchReplay = false;
+        req.traceReplay = false;
         core::SweepResult res = core::runSweep(shardPrograms(), req);
         EXPECT_EQ(res.exitCode, 0);
         EXPECT_TRUE(res.hasDocument);

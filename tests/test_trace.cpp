@@ -6,9 +6,9 @@
  * to an interpreted one for every program shape and configuration, so a
  * sweep may freely interpret once and replay the remaining cells.  Also
  * covered: trace encode/decode round-trips, the serialized container's
- * malformed-blob taxonomy (everything is LP_IO), the trace byte budget
- * (truncated recordings must fail replay, not silently report from a
- * partial stream), and keep-going sweeps quarantining those failures.
+ * malformed-blob taxonomy (everything is LP_IO), and the trace byte
+ * budget (truncated recordings must fail replay, not silently report
+ * from a partial stream).
  */
 
 #include <gtest/gtest.h>
@@ -18,10 +18,8 @@
 #include <vector>
 
 #include "core/driver.hpp"
-#include "core/study.hpp"
 #include "guard/budget.hpp"
 #include "helpers.hpp"
-#include "rt/replay.hpp"
 #include "support/error.hpp"
 #include "trace/format.hpp"
 #include "trace/index.hpp"
@@ -78,16 +76,17 @@ configGrid()
 
 TEST_F(TraceTest, ReplayReportsAreByteIdenticalAcrossTheGrid)
 {
+    const std::vector<LPConfig> grid = configGrid();
     for (auto &[name, mod] : allShapes()) {
         Loopapalooza lp(*mod);
-        for (const LPConfig &cfg : configGrid()) {
+        std::vector<rt::ProgramReport> replay = lp.runReplayBatched(grid);
+        ASSERT_EQ(replay.size(), grid.size()) << name;
+        for (std::size_t i = 0; i < grid.size(); ++i) {
             std::string interp =
-                lp.run(cfg).toJson(/*withObsSnapshot=*/false).dump(2);
-            std::string replay = lp.runReplay(cfg)
-                                     .toJson(/*withObsSnapshot=*/false)
-                                     .dump(2);
-            EXPECT_EQ(interp, replay)
-                << name << " under " << cfg.str();
+                lp.run(grid[i]).toJson(/*withObsSnapshot=*/false).dump(2);
+            EXPECT_EQ(interp,
+                      replay[i].toJson(/*withObsSnapshot=*/false).dump(2))
+                << name << " under " << grid[i].str();
         }
     }
 }
@@ -96,39 +95,18 @@ TEST_F(TraceTest, ReplayWithOracleIsByteIdentical)
 {
     auto mod = test::buildSumReduction(64);
     Loopapalooza lp(*mod);
-    for (const LPConfig &cfg : configGrid()) {
-        std::string interp = lp.runWithOracle(cfg)
+    const std::vector<LPConfig> grid = configGrid();
+    rt::OracleCapture cap;
+    std::vector<rt::ProgramReport> replay = lp.runReplayBatched(grid, cap);
+    ASSERT_EQ(replay.size(), grid.size());
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        std::string interp = lp.runWithOracle(grid[i])
                                  .toJson(/*withObsSnapshot=*/false)
                                  .dump(2);
-        std::string replay = lp.runReplayWithOracle(cfg)
-                                 .toJson(/*withObsSnapshot=*/false)
-                                 .dump(2);
-        EXPECT_EQ(interp, replay) << cfg.str();
+        EXPECT_EQ(interp,
+                  replay[i].toJson(/*withObsSnapshot=*/false).dump(2))
+            << grid[i].str();
     }
-}
-
-TEST_F(TraceTest, StudySweepWithTraceReplayMatchesInterpret)
-{
-    std::vector<core::BenchProgram> progs;
-    progs.push_back(
-        {"saxpy", "unit", [] { return test::buildSaxpy(32); }});
-    progs.push_back(
-        {"sum", "unit", [] { return test::buildSumReduction(32); }});
-    core::Study study(progs, /*jobs=*/1);
-
-    core::Study::SuiteRunOptions interp;
-    interp.jobs = 1;
-    core::Study::SuiteRunOptions replay;
-    replay.jobs = 1;
-    replay.traceReplay = true;
-
-    const LPConfig cfg =
-        LPConfig::parse("reduc1-dep1-fn2", ExecModel::Helix);
-    auto a = study.runSuite("unit", cfg, interp);
-    auto b = study.runSuite("unit", cfg, replay);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(a[i].toJson(false).dump(2), b[i].toJson(false).dump(2));
 }
 
 // ----------------------------------------------------- trace round-trip
@@ -377,21 +355,6 @@ TEST_F(TraceTest, ReaderRejectsCorruptPayload)
     EXPECT_THROW(drain(bad), IoError);
 }
 
-TEST_F(TraceTest, ReplayRejectsAForeignTrace)
-{
-    auto saxpy = test::buildSaxpy(32);
-    auto sum = test::buildSumReduction(32);
-    Loopapalooza lpa(*saxpy);
-    Loopapalooza lpb(*sum);
-    const LPConfig cfg =
-        LPConfig::parse("reduc0-dep0-fn0", ExecModel::DoAll);
-    // saxpy's trace replayed against sum's plan: the function/block
-    // fingerprint differs, so replay refuses up front.
-    EXPECT_THROW(rt::replayLimitStudy(lpb.plan(), lpb.traceIndex(),
-                                      lpa.trace(), cfg, "mismatch"),
-                 IoError);
-}
-
 // ------------------------------------------------------ trace byte cap
 
 TEST_F(TraceTest, TinyTraceBudgetTruncatesAndFailsReplay)
@@ -409,37 +372,12 @@ TEST_F(TraceTest, TinyTraceBudgetTruncatesAndFailsReplay)
     const LPConfig cfg =
         LPConfig::parse("reduc0-dep0-fn0", ExecModel::DoAll);
     try {
-        lp.runReplay(cfg);
+        lp.runReplayBatched({cfg});
         FAIL() << "replaying a truncated trace must throw";
     }
     catch (const IoError &e) {
         EXPECT_STREQ(e.codeName(), "LP_IO");
     }
-}
-
-TEST_F(TraceTest, KeepGoingSweepQuarantinesTruncatedTraces)
-{
-    guard::RunBudget b = guard::defaultBudget();
-    b.maxTraceBytes = 64;
-    guard::setBudgetOverride(b);
-
-    std::vector<core::BenchProgram> progs;
-    progs.push_back(
-        {"saxpy", "unit", [] { return test::buildSaxpy(64); }});
-    core::Study study(progs, /*jobs=*/1);
-
-    core::Study::SuiteRunOptions opts;
-    opts.keepGoing = true;
-    opts.traceReplay = true;
-    opts.jobs = 1;
-    opts.maxRetries = 1;
-    opts.backoffBaseMs = 1;
-    const LPConfig cfg =
-        LPConfig::parse("reduc0-dep0-fn0", ExecModel::DoAll);
-    auto reports = study.runSuite("unit", cfg, opts);
-    ASSERT_EQ(reports.size(), 1u);
-    EXPECT_EQ(reports[0].status, rt::RunStatus::Failed);
-    EXPECT_EQ(reports[0].errorCode, "LP_IO");
 }
 
 // -------------------------------------------------------- varint corner
