@@ -6,17 +6,14 @@
  * and pushing it through every path pair the framework promises is
  * byte-identical (interpret vs replay, 1 worker vs N, sharded-merged
  * vs unsharded, kill-and-resume vs straight-through, lint static vs
- * dynamic oracle, linted replay vs linted interpret) plus the
- * trace-corruption oracle (seeded byte mutations of the serialized
- * LPTR trace must all be rejected with a categorized LP_* error or
- * parse back byte-identical).
+ * dynamic oracle, PDG verdicts vs the dynamic tracker, linted replay
+ * vs linted interpret).
  *
  *   lp_fuzz                               # default: seeds [0, 20)
  *   lp_fuzz --seed-range 0:500            # a 500-seed campaign
  *   lp_fuzz --seed=7 --minimize           # reproduce + shrink one seed
  *   lp_fuzz --time-budget 60              # stop after ~60 s
  *   lp_fuzz --fault-schedule replay:3     # compose with guard::fault
- *   lp_fuzz --mutate=16                   # mutations per seed (0 = off)
  *   lp_fuzz --corpus DIR                  # where minimized entries land
  *   lp_fuzz --jobs-n 8 --shards 4         # pair parameters
  *
@@ -46,9 +43,6 @@ usage()
            "                       arm guard::fault before every run\n"
            "                       (io/replay: byte-identity must\n"
            "                       survive; others: repeat-determinism)\n"
-           "  --mutate[=N]         trace-corruption mutations per seed\n"
-           "                       (default 8; 0 disables)\n"
-           "  --no-differential    corruption oracle only\n"
            "  --no-lint            skip the lint / oracle pairs\n"
            "  --minimize           shrink failures, write corpus entries\n"
            "  --corpus DIR         corpus directory (default\n"
@@ -135,18 +129,6 @@ main(int argc, char **argv)
             opts.diff.faultSite = spec.substr(0, colon);
             opts.diff.faultNth =
                 parseU64(spec.substr(colon + 1), "fault nth");
-            continue;
-        }
-        if (a == "--mutate" || a.rfind("--mutate=", 0) == 0) {
-            opts.mutationsPerSeed =
-                a == "--mutate"
-                    ? 8
-                    : static_cast<unsigned>(parseU64(
-                          a.substr(sizeof("--mutate=") - 1), "mutate"));
-            continue;
-        }
-        if (a == "--no-differential") {
-            opts.differential = false;
             continue;
         }
         if (a == "--no-lint") {

@@ -516,13 +516,19 @@ main(int argc, char **argv)
                    : rc != 0                            ? rc
                                                         : 1;
         };
-        if (args.size() >= 4 && args[0] == "--file")
+        // A word too many or too few (a forgotten model, two suites)
+        // must not fall through to sweeping every suite.
+        const bool file = !args.empty() && args[0] == "--file";
+        if (file && args.size() == 4)
             return finishProfile(runFile(args[1], args[2], args[3]));
-        if (args.size() >= 3)
+        if (!file && args.size() == 3)
             return finishProfile(runSingle(args[0], args[1], args[2]));
-        if (args.size() == 1)
+        if (!file && args.size() == 1)
             return finishProfile(runSuites(args[0], sweep));
-        return finishProfile(runSuites("", sweep));
+        if (args.empty())
+            return finishProfile(runSuites("", sweep));
+        fatal("usage: run_study [<suite>] | run_study <program> <flags> "
+              "<model> | run_study --file <path.lir> <flags> <model>");
     } catch (const FatalError &e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;

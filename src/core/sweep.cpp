@@ -278,7 +278,7 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
                 catch (const IoError &e) {
                     // The one place replay integrity is decided: a
                     // trace that cannot be replayed — truncated
-                    // recording, failed checksum, fingerprint mismatch,
+                    // recording, fingerprint mismatch, malformed payload,
                     // injected replay fault — degrades this cell to
                     // interpreting instead of failing it.  Replay
                     // reports are byte-identical to interpreted ones,

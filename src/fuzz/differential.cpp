@@ -8,10 +8,8 @@
 #include "core/driver.hpp"
 #include "core/sweep.hpp"
 #include "exec/pool.hpp"
-#include "fuzz/mutate.hpp"
 #include "guard/fault.hpp"
 #include "support/error.hpp"
-#include "trace/format.hpp"
 
 namespace lp::fuzz {
 
@@ -328,54 +326,6 @@ runDifferential(std::uint64_t seed, const DiffOptions &opts)
     exec::setJobsOverride(0);
     if (faulted)
         guard::setFault("", 0);
-    return failures;
-}
-
-std::vector<DiffFailure>
-runCorruption(std::uint64_t seed, unsigned mutations, const GenOptions &gen)
-{
-    std::vector<DiffFailure> failures;
-    std::unique_ptr<ir::Module> mod;
-    std::unique_ptr<core::Loopapalooza> lp;
-    const trace::Trace *clean = nullptr;
-    try {
-        mod = generateProgram(seed, gen);
-        lp = std::make_unique<core::Loopapalooza>(*mod);
-        clean = &lp->trace();
-    }
-    catch (const Error &) {
-        // Recording legitimately failed (e.g. trace-byte budget):
-        // nothing to corrupt for this seed.
-        return failures;
-    }
-    std::vector<std::uint8_t> blob = trace::serialize(*clean);
-
-    for (unsigned k = 0; k < mutations; ++k) {
-        Mutation m = drawMutation(seed * 131 + k, blob.size());
-        std::vector<std::uint8_t> bad = applyMutation(blob, m);
-        try {
-            trace::Trace parsed = trace::deserialize(bad);
-            if (!(parsed == *clean))
-                failures.push_back(
-                    {seed, "trace-corruption",
-                     m.describe() +
-                         ": deserialize accepted a mutated blob that "
-                         "decodes to a different trace",
-                     reproLineFor(seed)});
-            // else: the mutation was a no-op (e.g. ByteSet writing the
-            // byte that was already there) — accepting it is correct.
-        }
-        catch (const Error &) {
-            // Categorized rejection (LP_IO &c): the contract.
-        }
-        catch (const std::exception &e) {
-            failures.push_back({seed, "trace-corruption",
-                                m.describe() +
-                                    ": uncategorized exception: " +
-                                    e.what(),
-                                reproLineFor(seed)});
-        }
-    }
     return failures;
 }
 

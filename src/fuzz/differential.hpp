@@ -64,18 +64,6 @@ struct DiffOptions
 std::vector<DiffFailure> runDifferential(std::uint64_t seed,
                                          const DiffOptions &opts = {});
 
-/**
- * Corruption oracle: record the seed's trace, serialize it, apply
- * @p mutations seeded byte mutations, and require every mutated blob
- * to be either rejected by trace::deserialize with a categorized
- * lp::Error or parsed back byte-identical (no-op mutation).  Any
- * accepted-but-divergent parse, uncategorized exception or crash is a
- * failure.
- */
-std::vector<DiffFailure> runCorruption(std::uint64_t seed,
-                                       unsigned mutations,
-                                       const GenOptions &gen = {});
-
 /** The one-command repro line every failure report carries. */
 std::string reproLineFor(std::uint64_t seed);
 

@@ -16,11 +16,8 @@ namespace {
  */
 bool
 stillFailsOracle(std::uint64_t seed, const GenOptions &gen,
-                 const std::string &oracle, const DiffOptions &diffBase,
-                 unsigned mutations)
+                 const std::string &oracle, const DiffOptions &diffBase)
 {
-    if (oracle == "trace-corruption")
-        return !runCorruption(seed, mutations, gen).empty();
     DiffOptions d = diffBase;
     d.gen = gen;
     for (const DiffFailure &f : runDifferential(seed, d))
@@ -50,17 +47,7 @@ runHarness(const HarnessOptions &opts, std::ostream *log)
             res.budgetExhausted = true;
             break;
         }
-        std::vector<DiffFailure> found;
-        if (opts.differential) {
-            std::vector<DiffFailure> d =
-                runDifferential(seed, opts.diff);
-            found.insert(found.end(), d.begin(), d.end());
-        }
-        if (opts.mutationsPerSeed != 0) {
-            std::vector<DiffFailure> c = runCorruption(
-                seed, opts.mutationsPerSeed, opts.diff.gen);
-            found.insert(found.end(), c.begin(), c.end());
-        }
+        std::vector<DiffFailure> found = runDifferential(seed, opts.diff);
         ++res.seedsRun;
         if (log && opts.verbose)
             *log << "seed " << seed << ": "
@@ -87,8 +74,7 @@ runHarness(const HarnessOptions &opts, std::ostream *log)
             MinimizeResult m = minimizeOptions(
                 opts.diff.gen,
                 [&](const GenOptions &g) {
-                    return stillFailsOracle(seed, g, f.oracle, opts.diff,
-                                            opts.mutationsPerSeed);
+                    return stillFailsOracle(seed, g, f.oracle, opts.diff);
                 },
                 opts.minimizeBudget);
             std::string name = "seed" + std::to_string(seed) + "_" +

@@ -3,11 +3,10 @@
  * Fuzzing campaign driver (`lp::fuzz`) — what the lp_fuzz CLI runs.
  *
  * Walks a seed range (optionally under a wall-clock budget), runs the
- * differential oracle pairs and the trace-corruption oracle on every
- * seed, and on failure optionally minimizes the generation options
- * and lands a regression entry under the corpus directory.  Every
- * failure printed carries the seed and the exact CLI line
- * (`lp_fuzz --seed=S --minimize`) that reproduces it.
+ * differential oracle pairs on every seed, and on failure optionally
+ * minimizes the generation options and lands a regression entry under
+ * the corpus directory.  Every failure printed carries the seed and the
+ * exact CLI line (`lp_fuzz --seed=S --minimize`) that reproduces it.
  */
 
 #pragma once
@@ -29,9 +28,6 @@ struct HarnessOptions
     double timeBudgetSec = 0.0;
 
     DiffOptions diff;
-
-    bool differential = true;    ///< run the five oracle pairs
-    unsigned mutationsPerSeed = 8; ///< 0 = skip the corruption oracle
 
     bool minimize = false; ///< shrink failures and write corpus entries
     std::string corpusDir; ///< where minimized failures land

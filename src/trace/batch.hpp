@@ -3,7 +3,7 @@
  * Threaded-code dispatch table + decode-once trace walker for batched
  * replay.
  *
- * Every configuration cell of a program replays the same LPTR trace.
+ * Every configuration cell of a program replays the same recorded trace.
  * This header provides the two pieces that make decoding it and
  * resolving its block-id facts a once-per-*program* cost:
  *

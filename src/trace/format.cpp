@@ -1,93 +1,8 @@
 #include "trace/format.hpp"
 
-#include <algorithm>
-#include <array>
-#include <cstring>
-
 #include "support/error.hpp"
 
 namespace lp::trace {
-
-namespace {
-
-/** "LPTR" little-endian. */
-constexpr std::uint32_t kMagic = 0x5254504c;
-
-/** Header layout, all fields little-endian, fixed 44 bytes. */
-struct Header
-{
-    std::uint32_t magic;
-    std::uint32_t version;
-    std::uint32_t numFunctions;
-    std::uint32_t numBlocks;
-    std::uint64_t events;
-    std::uint64_t finalCost;
-    std::uint64_t payloadBytes;
-    std::uint32_t flags; ///< bit 0: truncated
-};
-
-constexpr std::size_t kHeaderBytes = 44;
-constexpr std::uint32_t kFlagTruncated = 1u << 0;
-constexpr std::uint32_t kKnownFlags = kFlagTruncated;
-
-std::uint64_t
-chunkCountFor(std::uint64_t payloadBytes)
-{
-    return (payloadBytes + kChecksumChunkBytes - 1) / kChecksumChunkBytes;
-}
-
-void
-put32(std::vector<std::uint8_t> &buf, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-put64(std::vector<std::uint8_t> &buf, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t
-get32(const std::uint8_t *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-std::uint64_t
-get64(const std::uint8_t *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
-} // namespace
-
-std::uint32_t
-crc32(const std::uint8_t *data, std::size_t size)
-{
-    static const auto table = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-    std::uint32_t crc = 0xffffffffu;
-    for (std::size_t i = 0; i < size; ++i)
-        crc = table[(crc ^ data[i]) & 0xff] ^ (crc >> 8);
-    return crc ^ 0xffffffffu;
-}
 
 void
 appendVarint(std::vector<std::uint8_t> &buf, std::uint64_t v)
@@ -162,147 +77,6 @@ throwUnknownTag(std::uint8_t tag)
 
 } // namespace detail
 
-std::vector<std::uint8_t>
-serialize(const Trace &t)
-{
-    const std::uint64_t payloadBytes = t.payload.size();
-    const std::uint64_t chunks = chunkCountFor(payloadBytes);
-    std::vector<std::uint8_t> out;
-    out.reserve(kHeaderBytes + 8 + 4 * chunks + payloadBytes);
-    put32(out, kMagic);
-    put32(out, kFormatVersion);
-    put32(out, t.numFunctions);
-    put32(out, t.numBlocks);
-    put64(out, t.events);
-    put64(out, t.finalCost);
-    put64(out, payloadBytes);
-    put32(out, t.truncated ? kFlagTruncated : 0);
-    put32(out, crc32(out.data(), kHeaderBytes));
-    put32(out, static_cast<std::uint32_t>(chunks));
-    for (std::uint64_t c = 0; c < chunks; ++c) {
-        std::size_t off = c * kChecksumChunkBytes;
-        std::size_t len = std::min(kChecksumChunkBytes,
-                                   t.payload.size() - off);
-        put32(out, crc32(t.payload.data() + off, len));
-    }
-    out.insert(out.end(), t.payload.begin(), t.payload.end());
-    return out;
-}
-
-namespace {
-
-/**
- * Decode the whole payload once, checking that what the header claims
- * about it holds: the byte stream is well-formed, the event count
- * matches, and every function/block id fits the module fingerprint.
- * The checks subsume what ModuleIndex would hit lazily mid-replay, so
- * a corrupt-but-decodable payload fails here, at the parse boundary.
- */
-void
-validateStructure(const Trace &t)
-{
-    PayloadReader r(t);
-    Event e;
-    std::uint64_t count = 0;
-    while (r.next(e)) {
-        ++count;
-        switch (e.kind) {
-          case EventKind::FuncEnter:
-            if (e.a >= t.numFunctions)
-                throw IoError("trace event " + std::to_string(count - 1) +
-                              " names function id " + std::to_string(e.a) +
-                              " out of range (module has " +
-                              std::to_string(t.numFunctions) + ")");
-            break;
-          case EventKind::BlockEnter:
-          case EventKind::BlockEnterHeader:
-            if (e.a >= t.numBlocks)
-                throw IoError("trace event " + std::to_string(count - 1) +
-                              " names block id " + std::to_string(e.a) +
-                              " out of range (module has " +
-                              std::to_string(t.numBlocks) + ")");
-            break;
-          default:
-            break;
-        }
-    }
-    if (count != t.events)
-        throw IoError("trace payload decodes to " + std::to_string(count) +
-                      " events but header says " +
-                      std::to_string(t.events));
-}
-
-} // namespace
-
-Trace
-deserialize(const std::uint8_t *data, std::size_t size)
-{
-    if (size < kHeaderBytes)
-        throw IoError("trace blob smaller than its header (" +
-                      std::to_string(size) + " bytes)");
-    if (get32(data) != kMagic)
-        throw IoError("trace blob has bad magic (not an LPTR trace)");
-    std::uint32_t version = get32(data + 4);
-    if (version < kMinFormatVersion || version > kFormatVersion)
-        throw IoError("trace format version " + std::to_string(version) +
-                      " not supported (expected " +
-                      std::to_string(kMinFormatVersion) + ".." +
-                      std::to_string(kFormatVersion) + ")");
-    Trace t;
-    t.numFunctions = get32(data + 8);
-    t.numBlocks = get32(data + 12);
-    t.events = get64(data + 16);
-    t.finalCost = get64(data + 24);
-    std::uint64_t payloadBytes = get64(data + 32);
-    std::uint32_t flags = get32(data + 40);
-    if (flags & ~kKnownFlags)
-        throw IoError("trace header has unknown flag bits (flags=" +
-                      std::to_string(flags) + ")");
-    t.truncated = (flags & kFlagTruncated) != 0;
-
-    std::size_t payloadOff = kHeaderBytes;
-    if (version >= 2) {
-        if (size < kHeaderBytes + 8)
-            throw IoError("trace blob too small for its checksum table");
-        std::uint32_t headerCrc = get32(data + kHeaderBytes);
-        if (crc32(data, kHeaderBytes) != headerCrc)
-            throw IoError("trace header checksum mismatch");
-        std::uint64_t chunkCount = get32(data + kHeaderBytes + 4);
-        if (chunkCount != chunkCountFor(payloadBytes))
-            throw IoError("trace checksum table has " +
-                          std::to_string(chunkCount) + " chunks, expected " +
-                          std::to_string(chunkCountFor(payloadBytes)));
-        payloadOff = kHeaderBytes + 8 +
-                     static_cast<std::size_t>(4 * chunkCount);
-        if (size < payloadOff)
-            throw IoError("trace blob too small for its checksum table");
-        if (size - payloadOff != payloadBytes)
-            throw IoError(
-                "trace payload size mismatch: header says " +
-                std::to_string(payloadBytes) + " bytes, blob has " +
-                std::to_string(size - payloadOff));
-        const std::uint8_t *payload = data + payloadOff;
-        for (std::uint64_t c = 0; c < chunkCount; ++c) {
-            std::size_t off = static_cast<std::size_t>(c) *
-                              kChecksumChunkBytes;
-            std::size_t len = std::min(
-                kChecksumChunkBytes,
-                static_cast<std::size_t>(payloadBytes) - off);
-            if (crc32(payload + off, len) !=
-                get32(data + kHeaderBytes + 8 + 4 * c))
-                throw IoError("trace payload chunk " + std::to_string(c) +
-                              " checksum mismatch");
-        }
-    } else if (size - kHeaderBytes != payloadBytes) {
-        throw IoError("trace payload size mismatch: header says " +
-                      std::to_string(payloadBytes) + " bytes, blob has " +
-                      std::to_string(size - kHeaderBytes));
-    }
-    t.payload.assign(data + payloadOff, data + size);
-    validateStructure(t);
-    return t;
-}
-
 std::vector<Event>
 decodeEvents(const Trace &t)
 {
@@ -315,7 +89,7 @@ decodeEvents(const Trace &t)
     if (out.size() != t.events)
         throw IoError("trace payload decodes to " +
                       std::to_string(out.size()) +
-                      " events but header says " + std::to_string(t.events));
+                      " events but the trace says " + std::to_string(t.events));
     return out;
 }
 

@@ -33,19 +33,12 @@
  * only points where the tracker samples the stack pointer); all other
  * blocks use the plain BlockEnter.
  *
- * Serialization adds a fixed header: magic "LPTR", a format version, a
- * truncated flag (the recording hit its byte budget), a module
- * fingerprint (function/block counts), the event count, the final
- * dynamic-instruction cost, and the payload size.  Version 2 appends a
- * CRC32 of the header and one CRC32 per 64 KiB payload chunk, so a
- * single flipped bit anywhere in a serialized trace is detected before
- * any event is consumed; version-1 blobs (no checksums) stay readable.
- * Every malformed input path — bad magic, unknown version or flag bit,
- * checksum mismatch, fingerprint mismatch, bytes missing mid-event,
- * out-of-range function/block ids, an event count that disagrees with
- * the header, trailing garbage — throws lp::IoError (LP_IO), so sweep
- * cells replaying a damaged trace quarantine (or fall back to
- * interpreting, see core::runSweep) like any other I/O failure.
+ * A Trace lives in memory only: the recording run hands it straight to
+ * replay, alongside the module fingerprint and final cost the replay
+ * walker (trace/batch.hpp) checks it against.  Malformed input — an
+ * unknown tag, bytes missing mid-event, an id outside the module, a
+ * clock that disagrees with the recording — throws lp::IoError
+ * (LP_IO), so a sweep falls back to interpreting (see core::runSweep).
  */
 
 #pragma once
@@ -55,16 +48,7 @@
 
 namespace lp::trace {
 
-/** Format version written by this build; bump on any layout change. */
-constexpr std::uint32_t kFormatVersion = 2;
-
-/** Oldest serialized version deserialize() still accepts. */
-constexpr std::uint32_t kMinFormatVersion = 1;
-
-/** Payload bytes covered by each v2 chunk CRC32. */
-constexpr std::size_t kChecksumChunkBytes = 64 * 1024;
-
-/** Event tags; part of the on-disk format — append, never renumber. */
+/** Event tags, one byte each in the payload. */
 enum class EventKind : std::uint8_t {
     FuncEnter = 0,        ///< a = function id
     FuncExit = 1,         ///< (none)
@@ -90,7 +74,7 @@ struct Event
     bool operator==(const Event &o) const = default;
 };
 
-/** One recorded execution, ready to replay or serialize. */
+/** One recorded execution, ready to replay. */
 struct Trace
 {
     std::vector<std::uint8_t> payload; ///< encoded event stream
@@ -242,43 +226,6 @@ class PayloadReader
     std::uint64_t prevSpGranule_ = 0;
     std::uint64_t prevGranule_ = 0;
 };
-
-/**
- * CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) over @p size
- * bytes at @p data.  Exposed so tests can hand-craft valid v2 blobs.
- */
-std::uint32_t crc32(const std::uint8_t *data, std::size_t size);
-
-/**
- * Serialize header + payload to one self-contained byte vector.
- *
- * Version-2 layout (all fields little-endian):
- *
- *   [0,44)   v1 header: magic, version, numFunctions, numBlocks,
- *            events, finalCost, payloadBytes, flags
- *   [44,48)  u32 headerCrc  = crc32 of bytes [0,44)
- *   [48,52)  u32 chunkCount = ceil(payloadBytes / kChecksumChunkBytes)
- *   then     chunkCount × u32 chunk CRC32s
- *   then     payload (payloadBytes bytes)
- */
-std::vector<std::uint8_t> serialize(const Trace &t);
-
-/**
- * Parse a serialized trace.  Accepts versions kMinFormatVersion
- * through kFormatVersion.  @throws lp::IoError (LP_IO) on bad magic,
- * unknown version or flag bit, a size that does not match the header,
- * a header or chunk checksum mismatch (v2), or a payload that fails
- * structural validation: undecodable bytes, a decoded event count that
- * disagrees with the header, or a function/block id outside the
- * module fingerprint.
- */
-Trace deserialize(const std::uint8_t *data, std::size_t size);
-
-inline Trace
-deserialize(const std::vector<std::uint8_t> &bytes)
-{
-    return deserialize(bytes.data(), bytes.size());
-}
 
 /** Decode the whole payload. @throws lp::IoError on malformed bytes. */
 std::vector<Event> decodeEvents(const Trace &t);

@@ -8,14 +8,17 @@
  * the reference), with and without the consistency oracle, for every
  * program shape, every model, every ablation axis, and every lane
  * count including the 64-lane chunk boundary.  Also covered: the
- * IoError taxonomy (truncated and foreign traces fail the batch), and
- * the sweep driver's batch path agreeing with interpret-every-cell
- * byte for byte, --lint included.
+ * IoError taxonomy (truncated and foreign traces, and every stream the
+ * replay walker rejects, fail the batch), and the sweep driver's batch
+ * path agreeing with interpret-every-cell byte for byte, --lint
+ * included.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -233,6 +236,159 @@ TEST_F(BatchTest, BatchRejectsAForeignTrace)
                                              lpa.trace(), fullGrid(),
                                              "mismatch"),
                  IoError);
+}
+
+TEST_F(BatchTest, WalkerRejectsEveryStructuralDamage)
+{
+    // Once a payload decodes, trace::replayDispatch is its only
+    // structural check.  Each row damages one event of a real trace and
+    // re-encodes it under the module's own fingerprint and final cost,
+    // so the damage gets past the batch's entry checks; the replay must
+    // then fail with LP_IO and the walker's message for that damage.
+    using trace::BatchDispatchTable;
+    using trace::Event;
+    using trace::EventKind;
+    using Events = std::vector<Event>;
+
+    auto instMod =
+        test::buildLoopWithCalls(8, test::CalleeKind::Instrumented);
+    auto extMod = test::buildLoopWithCalls(8, test::CalleeKind::UnsafeExt);
+    Loopapalooza inst(*instMod);
+    Loopapalooza ext(*extMod); // the fixture with call sites
+
+    auto is = [](EventKind k) {
+        return [k](const Event &e) { return e.kind == k; };
+    };
+    auto isBlock = [](const Event &e) {
+        return e.kind == EventKind::BlockEnter ||
+               e.kind == EventKind::BlockEnterHeader;
+    };
+    auto find = [](const Events &ev, auto pred) {
+        for (std::size_t i = 0; i < ev.size(); ++i)
+            if (pred(ev[i]))
+                return i;
+        throw std::logic_error("fixture lacks the event to damage");
+    };
+    // Size of the block running when ev[i] replays.
+    auto sizeAt = [&](const Events &ev, std::size_t i,
+                      const BatchDispatchTable &t) {
+        std::vector<std::uint64_t> running;
+        for (std::size_t k = 0; k < i; ++k) {
+            if (ev[k].kind == EventKind::FuncEnter)
+                running.push_back(0);
+            else if (ev[k].kind == EventKind::FuncExit)
+                running.pop_back();
+            else if (isBlock(ev[k]))
+                running.back() = ev[k].a;
+        }
+        return std::uint64_t{t.blocks.at(running.back()).size};
+    };
+
+    struct Row
+    {
+        const char *what;
+        const Loopapalooza *lp;
+        std::function<void(Events &, std::uint64_t &finalCost,
+                           const BatchDispatchTable &)>
+            damage;
+        const char *message; ///< from the walker's throw
+    };
+    const Row rows[] = {
+        {"function id out of range", &inst,
+         [&](Events &ev, std::uint64_t &, const BatchDispatchTable &t) {
+             ev[find(ev, is(EventKind::FuncEnter))].a = t.functions.size();
+         },
+         "trace refers to function id"},
+        {"block id out of range", &inst,
+         [&](Events &ev, std::uint64_t &, const BatchDispatchTable &t) {
+             ev[find(ev, isBlock)].a = t.blocks.size();
+         },
+         "trace refers to block id"},
+        {"block of another function", &inst,
+         [&](Events &ev, std::uint64_t &, const BatchDispatchTable &t) {
+             Event &e = ev[find(ev, isBlock)];
+             std::uint64_t other = 0;
+             while (t.blocks.at(other).fnId == t.blocks[e.a].fnId)
+                 ++other;
+             e.a = other;
+         },
+         "does not belong to the running function"},
+        {"phi before any block", &inst,
+         [&](Events &ev, std::uint64_t &, const BatchDispatchTable &) {
+             ev.insert(ev.begin() + find(ev, is(EventKind::FuncEnter)) + 1,
+                       {EventKind::Phi, 0, 0});
+         },
+         "trace phi event outside a block"},
+        {"phi where the block has none", &inst,
+         [&](Events &ev, std::uint64_t &, const BatchDispatchTable &t) {
+             std::size_t i = find(ev, [&](const Event &e) {
+                 return isBlock(e) &&
+                        !t.instrs[t.blocks[e.a].firstInstr]->isPhi();
+             });
+             ev.insert(ev.begin() + i + 1, {EventKind::Phi, 0, 0});
+         },
+         "does not line up with the block's phis"},
+        {"load or store offset past its block", &inst,
+         [&](Events &ev, std::uint64_t &, const BatchDispatchTable &t) {
+             std::size_t i = find(ev, [](const Event &e) {
+                 return e.kind == EventKind::Load ||
+                        e.kind == EventKind::Store;
+             });
+             ev[i].a = sizeAt(ev, i, t);
+         },
+         "trace memory event offset"},
+        {"call-site offset past its block", &ext,
+         [&](Events &ev, std::uint64_t &, const BatchDispatchTable &t) {
+             std::size_t i = find(ev, is(EventKind::CallSite));
+             ev[i].a = sizeAt(ev, i, t);
+         },
+         "trace call site offset"},
+        {"function exit with no frame", &inst,
+         [](Events &ev, std::uint64_t &, const BatchDispatchTable &) {
+             ev.push_back({EventKind::FuncExit, 0, 0});
+         },
+         "function exit without a frame"},
+        {"frames left open at the end", &inst,
+         [](Events &ev, std::uint64_t &, const BatchDispatchTable &) {
+             ASSERT_EQ(ev.back().kind, EventKind::FuncExit);
+             ev.pop_back();
+         },
+         "function frames still open"},
+        {"final cost off by one", &inst,
+         [](Events &, std::uint64_t &finalCost,
+            const BatchDispatchTable &) { finalCost += 1; },
+         "replayed clock disagrees with the recording"},
+    };
+
+    auto replay = [](const Loopapalooza &lp, const Events &ev,
+                     std::uint64_t finalCost) {
+        const trace::ModuleIndex &index = lp.traceIndex();
+        return rt::replayLimitStudyBatched(
+            lp.plan(), index,
+            trace::encodeEvents(ev, finalCost, index.numFunctions(),
+                                index.numBlocks()),
+            fullGrid(), "damaged");
+    };
+    // Undamaged, both re-encoded fixtures replay cleanly.
+    for (const Loopapalooza *lp : {&inst, &ext})
+        EXPECT_NO_THROW(replay(*lp, trace::decodeEvents(lp->trace()),
+                               lp->trace().finalCost));
+
+    for (const Row &row : rows) {
+        Events ev = trace::decodeEvents(row.lp->trace());
+        std::uint64_t finalCost = row.lp->trace().finalCost;
+        row.damage(ev, finalCost, row.lp->dispatchTable());
+        try {
+            replay(*row.lp, ev, finalCost);
+            ADD_FAILURE() << row.what << ": the damaged trace replayed";
+        }
+        catch (const IoError &e) {
+            EXPECT_STREQ(e.codeName(), "LP_IO") << row.what;
+            EXPECT_NE(std::string(e.what()).find(row.message),
+                      std::string::npos)
+                << row.what << ": " << e.what();
+        }
+    }
 }
 
 // -------------------------------------------------- dispatch table shape

@@ -4,10 +4,7 @@
  *
  *  - generator: determinism, delegate compatibility, the dependence-
  *    class mix knob, option validation;
- *  - mutation: deterministic draws, the corruption oracle finds zero
- *    divergences on clean seeds (every mutated trace is rejected with
- *    a categorized LP_* error or is a byte-identical no-op);
- *  - differential: the five oracle pairs are clean on sample seeds,
+ *  - differential: the seven oracle pairs are clean on sample seeds,
  *    failures carry the one-command repro line;
  *  - minimizer: shrinks to the predicate's minimal option set and
  *    respects its evaluation budget;
@@ -30,7 +27,6 @@
 #include "fuzz/generator.hpp"
 #include "fuzz/harness.hpp"
 #include "fuzz/minimize.hpp"
-#include "fuzz/mutate.hpp"
 #include "generator.hpp"
 #include "guard/budget.hpp"
 #include "guard/checkpoint.hpp"
@@ -143,28 +139,6 @@ TEST_F(FuzzTest, InvalidOptionsThrowInternal)
     emptyRange.minOps = 5;
     emptyRange.maxOps = 4;
     EXPECT_THROW(fuzz::generateProgram(1, emptyRange), InternalError);
-}
-
-// ----------------------------------------------------------------- mutation
-
-TEST_F(FuzzTest, MutationDrawsAreDeterministic)
-{
-    for (std::uint64_t seed = 0; seed < 16; ++seed) {
-        fuzz::Mutation a = fuzz::drawMutation(seed, 1000);
-        fuzz::Mutation b = fuzz::drawMutation(seed, 1000);
-        EXPECT_EQ(a.describe(), b.describe());
-    }
-}
-
-TEST_F(FuzzTest, CorruptionOracleCleanOnSampleSeeds)
-{
-    for (std::uint64_t seed : {0ULL, 5ULL, 9ULL}) {
-        std::vector<fuzz::DiffFailure> fails =
-            fuzz::runCorruption(seed, 48);
-        for (const fuzz::DiffFailure &f : fails)
-            ADD_FAILURE() << f.oracle << ": " << f.detail << " ("
-                          << f.reproLine << ")";
-    }
 }
 
 // ------------------------------------------------------------- differential
@@ -287,8 +261,8 @@ TEST_F(FuzzTest, CorpusEntryRoundTrips)
 TEST_F(FuzzTest, CheckedInCorpusRegressionsStayClean)
 {
     // The regression tier of the corpus workflow: every .repro landed
-    // under tests/fuzz_corpus re-runs its seed through the corruption
-    // oracle and the differential pairs, and must stay clean.
+    // under tests/fuzz_corpus re-runs its seed through the differential
+    // pairs, and must stay clean.
     fs::path corpus = fs::path(LP_SOURCE_DIR) / "tests" / "fuzz_corpus";
     ASSERT_TRUE(fs::exists(corpus));
     unsigned entries = 0;
@@ -339,10 +313,6 @@ TEST_F(FuzzTest, CheckedInCorpusRegressionsStayClean)
         ASSERT_TRUE(haveSeed) << e.path();
         for (const fuzz::DiffFailure &f :
              fuzz::runDifferential(seed, opts))
-            ADD_FAILURE() << e.path().filename() << ": " << f.oracle
-                          << ": " << f.detail;
-        for (const fuzz::DiffFailure &f :
-             fuzz::runCorruption(seed, 16, opts.gen))
             ADD_FAILURE() << e.path().filename() << ": " << f.oracle
                           << ": " << f.detail;
         // And the checked-in .lir still parses.
@@ -447,7 +417,6 @@ TEST_F(FuzzTest, HarnessRunsARangeAndReportsCleanly)
     fuzz::HarnessOptions opts;
     opts.seedBegin = 0;
     opts.seedEnd = 2;
-    opts.mutationsPerSeed = 4;
     opts.diff.jobsN = 2;
     opts.diff.shards = 2;
     opts.diff.scratchDir = ::testing::TempDir() + "lp_fuzz_test_scratch";
