@@ -20,14 +20,16 @@ main()
     bench::banner("Ablation: HELIX multi-sync vs classic DOACROSS",
                   "Section II-C");
 
-    core::Study study(suites::allPrograms());
-
     rt::LPConfig helix = core::bestHelix();
     rt::LPConfig doacross = helix;
     doacross.singleSyncDoacross = true;
 
-    const std::vector<std::string> suitesOrder = study.suites();
-    auto grid = bench::sweepGrid(study, {helix, doacross}, suitesOrder);
+    // LPConfig::str() omits singleSyncDoacross: label the rows.
+    const std::vector<std::string> suitesOrder = {
+        "eembc", "cfp2000", "cfp2006", "cint2000", "cint2006"};
+    auto grid = bench::sweepGrid(suites::allPrograms(),
+                                 {{"HELIX", helix}, {"DOACROSS", doacross}},
+                                 suitesOrder);
 
     TextTable t({"suite", "HELIX (multi-sync)", "DOACROSS (single-sync)",
                  "HELIX advantage"});

@@ -18,24 +18,25 @@ main()
     bench::banner("Ablation: PDOALL serialization-threshold sweep",
                   "Section III-B");
 
-    core::Study study(suites::allPrograms());
     const double thresholds[] = {0.05, 0.2, 0.4, 0.6, 0.8, 0.95, 1.0};
     const std::vector<std::string> suitesOrder = {
         "eembc", "cfp2000", "cfp2006", "cint2000", "cint2006"};
 
-    std::vector<rt::LPConfig> configs;
+    // LPConfig::str() omits the threshold: label each row with it.
+    std::vector<core::NamedConfig> configs;
     for (double th : thresholds) {
         rt::LPConfig cfg = core::bestPdoall();
         cfg.pdoallSerialThreshold = th;
-        configs.push_back(cfg);
+        configs.push_back(
+            {TextTable::num(th * 100, 0) + "%", cfg});
     }
-    auto grid = bench::sweepGrid(study, configs, suitesOrder);
+    auto grid =
+        bench::sweepGrid(suites::allPrograms(), configs, suitesOrder);
 
     TextTable t({"threshold", "eembc", "cfp2000", "cfp2006", "cint2000",
                  "cint2006"});
     for (std::size_t c = 0; c < configs.size(); ++c) {
-        std::vector<std::string> row = {
-            TextTable::num(thresholds[c] * 100, 0) + "%"};
+        std::vector<std::string> row = {configs[c].label};
         for (std::size_t s = 0; s < suitesOrder.size(); ++s)
             row.push_back(TextTable::num(grid[c][s].speedup) + "x");
         t.addRow(row);

@@ -50,17 +50,14 @@ main()
     bench::banner("Figure 2: non-numeric geomean speedups",
                   "Fig. 2, Section IV");
 
-    core::Study study(suites::nonNumericPrograms());
-
-    std::vector<rt::LPConfig> configs;
-    for (const auto &named : core::paperConfigs())
-        configs.push_back(named.config);
-    auto grid = bench::sweepGrid(study, configs, {"cint2000", "cint2006"});
+    const auto &configs = core::paperConfigs();
+    auto grid = bench::sweepGrid(suites::nonNumericPrograms(), configs,
+                                 {"cint2000", "cint2006"});
 
     TextTable t({"configuration", "cint2000", "paper", "cint2006",
                  "paper"});
     for (std::size_t c = 0; c < configs.size(); ++c) {
-        const auto &named = core::paperConfigs()[c];
+        const auto &named = configs[c];
         auto ref = kPaper.find(named.label);
         std::string p2000 = "-", p2006 = "-";
         if (ref != kPaper.end()) {

@@ -49,18 +49,14 @@ main()
     bench::banner("Figure 3: numeric geomean speedups",
                   "Fig. 3, Section IV");
 
-    core::Study study(suites::numericPrograms());
-
-    std::vector<rt::LPConfig> configs;
-    for (const auto &named : core::paperConfigs())
-        configs.push_back(named.config);
-    auto grid = bench::sweepGrid(study, configs,
+    const auto &configs = core::paperConfigs();
+    auto grid = bench::sweepGrid(suites::numericPrograms(), configs,
                                  {"eembc", "cfp2000", "cfp2006"});
 
     TextTable t({"configuration", "eembc", "cfp2000", "cfp2006",
                  "paper range"});
     for (std::size_t c = 0; c < configs.size(); ++c) {
-        const auto &named = core::paperConfigs()[c];
+        const auto &named = configs[c];
         auto ref = kPaper.find(named.label);
         std::string pr = "-";
         if (ref != kPaper.end()) {

@@ -23,47 +23,43 @@ main()
                   "Fig. 4, Section IV");
 
     // All SPEC suites (Figure 4 excludes EEMBC).
+    const std::vector<std::string> suitesOrder = {"cfp2000", "cfp2006",
+                                                  "cint2000", "cint2006"};
     std::vector<core::BenchProgram> progs;
     for (const auto &p : suites::allPrograms())
         if (p.suite != "eembc")
             progs.push_back(p);
-    core::Study study(progs);
 
     const rt::LPConfig pdoall = core::bestPdoall();
     const rt::LPConfig helix = core::bestHelix();
+    auto grid = bench::sweepGrid(
+        progs, {{pdoall.str(), pdoall}, {helix.str(), helix}},
+        suitesOrder);
 
     // Programs the paper singles out as PDOALL-preferring.
     const std::set<std::string> paperPdoallWins = {
         "179.art-like", "429.mcf-like", "450.soplex-like",
         "482.sphinx3-like"};
 
-    // Two runs per benchmark; each (program, config) pair is one task.
-    const std::size_t n = study.programs().size();
-    std::vector<double> spAll(n), shAll(n);
-    exec::parallelFor(2 * n, [&](std::size_t i) {
-        const auto &prog = study.programs()[i / 2];
-        if (i % 2 == 0)
-            spAll[i / 2] = prog->run(pdoall).speedup();
-        else
-            shAll[i / 2] = prog->run(helix).speedup();
-    });
-
     TextTable t({"benchmark", "suite", "PDOALL best", "HELIX best",
                  "winner", "paper winner"});
     int agree = 0, total = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto &prog = study.programs()[i];
-        double sp = spAll[i];
-        double sh = shAll[i];
-        bool pdoallWins = sp > sh;
-        bool paperSaysPdoall = paperPdoallWins.count(prog->name()) > 0;
-        ++total;
-        if (pdoallWins == paperSaysPdoall)
-            ++agree;
-        t.addRow({prog->name(), prog->suite(),
-                  TextTable::num(sp) + "x", TextTable::num(sh) + "x",
-                  pdoallWins ? "PDOALL" : "HELIX",
-                  paperSaysPdoall ? "PDOALL" : "HELIX"});
+    for (std::size_t s = 0; s < suitesOrder.size(); ++s) {
+        for (std::size_t i = 0; i < grid[0][s].reports.size(); ++i) {
+            const std::string name =
+                grid[0][s].reports[i].at("program").asString();
+            double sp = grid[0][s].reports[i].at("speedup").asDouble();
+            double sh = grid[1][s].reports[i].at("speedup").asDouble();
+            bool pdoallWins = sp > sh;
+            bool paperSaysPdoall = paperPdoallWins.count(name) > 0;
+            ++total;
+            if (pdoallWins == paperSaysPdoall)
+                ++agree;
+            t.addRow({name, suitesOrder[s], TextTable::num(sp) + "x",
+                      TextTable::num(sh) + "x",
+                      pdoallWins ? "PDOALL" : "HELIX",
+                      paperSaysPdoall ? "PDOALL" : "HELIX"});
+        }
     }
     t.print(std::cout);
     std::cout << "\nwinner agreement with the paper: " << agree << "/"

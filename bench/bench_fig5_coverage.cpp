@@ -20,19 +20,16 @@ main()
     bench::banner("Figure 5: dynamic coverage for selected configurations",
                   "Fig. 5, Section IV");
 
-    core::Study study(suites::allPrograms());
     const std::vector<std::string> suitesOrder = {
         "eembc", "cint2006", "cint2000", "cfp2006", "cfp2000"};
-
-    std::vector<rt::LPConfig> configs;
-    for (const auto &named : core::coverageConfigs())
-        configs.push_back(named.config);
-    auto grid = bench::sweepGrid(study, configs, suitesOrder);
+    const auto &configs = core::coverageConfigs();
+    auto grid =
+        bench::sweepGrid(suites::allPrograms(), configs, suitesOrder);
 
     TextTable t({"configuration", "eembc", "cint2006", "cint2000",
                  "cfp2006", "cfp2000"});
     for (std::size_t c = 0; c < configs.size(); ++c) {
-        std::vector<std::string> row = {core::coverageConfigs()[c].label};
+        std::vector<std::string> row = {configs[c].label};
         for (std::size_t s = 0; s < suitesOrder.size(); ++s)
             row.push_back(TextTable::num(grid[c][s].coverage, 1) + "%");
         t.addRow(row);

@@ -23,7 +23,6 @@
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
 #include "predict/predictor.hpp"
-#include "prof/collector.hpp"
 #include "rt/tracker.hpp"
 #include "suites/kernels.hpp"
 
@@ -124,41 +123,6 @@ BM_KernelConstruction(benchmark::State &state)
 BENCHMARK(BM_KernelConstruction)->Unit(benchmark::kMillisecond);
 
 /**
- * Config-sweep scaling: the paper's 14 configurations over one suite on
- * N workers (Arg).  Arg(1) is the serial baseline; the acceptance bar
- * for lp::exec is >= 2x wall-clock improvement at Arg(4).
- */
-void
-BM_SuiteSweep(benchmark::State &state)
-{
-    static const core::Study study(suites::nonNumericPrograms(),
-                                   /*jobs=*/1);
-    std::vector<rt::LPConfig> configs;
-    for (const auto &named : core::paperConfigs())
-        configs.push_back(named.config);
-    const unsigned jobs = static_cast<unsigned>(state.range(0));
-
-    for (auto _ : state) {
-        std::vector<double> speedups(configs.size());
-        exec::parallelFor(
-            configs.size(),
-            [&](std::size_t i) {
-                auto reports = study.runSuite("cint2000", configs[i],
-                                              /*jobs=*/1);
-                speedups[i] = core::Study::geomeanSpeedup(reports);
-            },
-            jobs);
-        benchmark::DoNotOptimize(speedups.data());
-    }
-    state.counters["jobs"] = static_cast<double>(jobs);
-}
-BENCHMARK(BM_SuiteSweep)
-    ->Arg(1)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-/**
  * Interpret-every-cell, sweep-shaped: one program under all of the
  * paper's configurations, serially, a fresh driver per iteration.
  */
@@ -229,6 +193,13 @@ writeBenchBaseline()
     obs::Json doc = obs::Json::object();
     doc.set("bench", "framework_perf");
     doc.set("cost_unit", "dynamic IR instructions");
+    // The host record.  hardware_concurrency() alone answers 0
+    // ("unknown") or 1 under container cpu masks even when wider
+    // --jobs runs fine, so the guarded exec::hardwareThreads() width
+    // is recorded next to the raw answer.
+    doc.set("hardware_concurrency", exec::hardwareThreads());
+    doc.set("hardware_concurrency_raw",
+            std::thread::hardware_concurrency());
 
     doc.set("interpret", measurePhase(5, [&] {
         interp::Machine m(*interpMod);
@@ -239,73 +210,6 @@ writeBenchBaseline()
         rt::ProgramReport rep = driver.run(cfg);
         return rep.serialCost;
     }));
-
-    // Sweep scaling: the 14-config grid over one suite, serial vs 4
-    // workers vs all hardware threads.  "speedup_4j" is the wall-clock
-    // ratio the lp::exec layer is accountable for (acceptance: >= 3x on
-    // a 4-core runner); "instr_per_sec_per_worker" is the collapse
-    // detector — per-worker throughput holding roughly flat as workers
-    // are added is what distinguishes real scaling from workers
-    // fighting over the allocator.
-    {
-        core::Study study(suites::nonNumericPrograms(), /*jobs=*/1);
-        std::vector<rt::LPConfig> configs;
-        for (const auto &named : core::paperConfigs())
-            configs.push_back(named.config);
-        auto sweepOnce = [&](unsigned jobs) {
-            std::uint64_t instructions = 0;
-            std::vector<std::uint64_t> perConfig(configs.size());
-            exec::parallelFor(
-                configs.size(),
-                [&](std::size_t i) {
-                    std::uint64_t serial = 0;
-                    for (const auto &rep :
-                         study.runSuite("cint2000", configs[i], 1))
-                        serial += rep.serialCost;
-                    perConfig[i] = serial;
-                },
-                jobs);
-            for (std::uint64_t c : perConfig)
-                instructions += c;
-            return instructions;
-        };
-        auto measureSweep = [&](unsigned jobs) {
-            obs::Json j = measurePhase(3, [&] { return sweepOnce(jobs); });
-            j.set("workers", jobs);
-            j.set("instr_per_sec_per_worker",
-                  j.at("instr_per_sec").asDouble() /
-                      static_cast<double>(jobs));
-            return j;
-        };
-        obs::Json sweep = obs::Json::object();
-        obs::Json serial = measureSweep(1);
-        obs::Json par4 = measureSweep(4);
-        const double s1 = serial.at("wall_seconds").asDouble();
-        const double s4 = par4.at("wall_seconds").asDouble();
-        sweep.set("jobs1", std::move(serial));
-        sweep.set("jobs4", std::move(par4));
-        sweep.set("speedup_4j", s4 > 0 ? s1 / s4 : 0.0);
-        // The same measurement at the machine's full width, so a runner
-        // with more (or fewer) than 4 cores reports the speedup its
-        // hardware can actually exhibit.  hardware_concurrency() alone
-        // answers 0 ("unknown") or 1 under container cpu masks even
-        // when wider --jobs runs fine, so the guarded
-        // exec::hardwareThreads() width is what speedup_Nj uses; the
-        // raw answer is kept alongside, and each measurement records
-        // the worker count it actually ran ("workers").
-        const unsigned hw = exec::hardwareThreads();
-        sweep.set("hardware_concurrency", hw);
-        sweep.set("hardware_concurrency_raw",
-                  std::thread::hardware_concurrency());
-        if (hw != 1 && hw != 4) {
-            obs::Json parHw = measureSweep(hw);
-            const double shw = parHw.at("wall_seconds").asDouble();
-            sweep.set("jobs" + std::to_string(hw), std::move(parHw));
-            sweep.set("speedup_" + std::to_string(hw) + "j",
-                      shw > 0 ? s1 / shw : 0.0);
-        }
-        doc.set("sweep", std::move(sweep));
-    }
 
     // Record-once / replay-many: the 14-config grid over one suite,
     // serial, fresh drivers per measurement so the replay side pays its
@@ -350,44 +254,6 @@ writeBenchBaseline()
         tr.set("batched", std::move(batched));
         tr.set("speedup_batched", sb > 0 ? si / sb : 0.0);
         doc.set("trace_replay", std::move(tr));
-    }
-
-    // Contention baseline (lp::prof): the same 14-config sweep, once
-    // serial and once on 4 workers, with lock-site telemetry and
-    // per-worker utilization recording.  Runs after every timing
-    // section above so profiler overhead cannot perturb them; the
-    // next scaling fix shows up here as lock-wait ns moving, not as a
-    // guess (ROADMAP "flat parallel scaling").
-    {
-        core::Study study(suites::nonNumericPrograms(), /*jobs=*/1);
-        std::vector<rt::LPConfig> configs;
-        for (const auto &named : core::paperConfigs())
-            configs.push_back(named.config);
-        prof::Collector &collector = prof::Collector::instance();
-        auto profiledSweep = [&](unsigned jobs) {
-            collector.reset();
-            collector.setEnabled(true);
-            collector.beginRegion();
-            exec::parallelFor(
-                configs.size(),
-                [&](std::size_t i) {
-                    auto reports =
-                        study.runSuite("cint2000", configs[i], 1);
-                    benchmark::DoNotOptimize(reports.data());
-                },
-                jobs);
-            collector.endRegion();
-            collector.setEnabled(false);
-            obs::Json out = obs::Json::object();
-            out.set("contention", collector.contentionJson());
-            out.set("workers", collector.workersJson());
-            return out;
-        };
-        obs::Json contention = obs::Json::object();
-        contention.set("jobs1", profiledSweep(1));
-        contention.set("jobs4", profiledSweep(4));
-        collector.reset();
-        doc.set("contention", std::move(contention));
     }
 
     // One instrumented analyze+run so the snapshot reflects real counter

@@ -17,42 +17,34 @@ main()
     using namespace lp;
     bench::banner("Table I: measured dependency census", "Table I");
 
-    core::Study study(suites::allPrograms());
     // A configuration that tracks everything: PDOALL reduc0-dep2-fn3
     // (reduc0 keeps reductions visible as LCDs; dep2 runs the
     // predictors; fn3 leaves no loop statically serialized by calls).
     rt::LPConfig cfg = rt::LPConfig::parse("reduc0-dep2-fn3",
                                            rt::ExecModel::PartialDoAll);
+    const std::vector<std::string> suitesOrder = {
+        "eembc", "cfp2000", "cfp2006", "cint2000", "cint2006"};
+    auto grid = bench::sweepGrid(suites::allPrograms(),
+                                 {{cfg.str(), cfg}}, suitesOrder);
 
     TextTable t({"suite", "loops", "canonical", "IV/MIV (computable)",
                  "reductions", "predictable reg LCDs",
                  "unpredictable reg LCDs", "freq-mem-LCD loops",
                  "infreq-mem-LCD loops", "loops w/ calls"});
 
-    for (const char *suite :
-         {"eembc", "cfp2000", "cfp2006", "cint2000", "cint2006"}) {
-        rt::Census total;
-        for (const auto &rep : study.runSuite(suite, cfg)) {
-            const rt::Census &c = rep.census;
-            total.staticLoops += c.staticLoops;
-            total.canonicalLoops += c.canonicalLoops;
-            total.computableIvs += c.computableIvs;
-            total.reductions += c.reductions;
-            total.predictableRegLcds += c.predictableRegLcds;
-            total.unpredictableRegLcds += c.unpredictableRegLcds;
-            total.frequentMemLcdLoops += c.frequentMemLcdLoops;
-            total.infrequentMemLcdLoops += c.infrequentMemLcdLoops;
-            total.loopsWithCalls += c.loopsWithCalls;
+    for (std::size_t s = 0; s < suitesOrder.size(); ++s) {
+        std::vector<std::string> row = {suitesOrder[s]};
+        for (const char *key :
+             {"static_loops", "canonical_loops", "computable_ivs",
+              "reductions", "predictable_reg_lcds",
+              "unpredictable_reg_lcds", "frequent_mem_lcd_loops",
+              "infrequent_mem_lcd_loops", "loops_with_calls"}) {
+            std::uint64_t total = 0;
+            for (const obs::Json &rep : grid[0][s].reports)
+                total += rep.at("census").at(key).asU64();
+            row.push_back(std::to_string(total));
         }
-        t.addRow({suite, std::to_string(total.staticLoops),
-                  std::to_string(total.canonicalLoops),
-                  std::to_string(total.computableIvs),
-                  std::to_string(total.reductions),
-                  std::to_string(total.predictableRegLcds),
-                  std::to_string(total.unpredictableRegLcds),
-                  std::to_string(total.frequentMemLcdLoops),
-                  std::to_string(total.infrequentMemLcdLoops),
-                  std::to_string(total.loopsWithCalls)});
+        t.addRow(row);
     }
     t.print(std::cout);
 

@@ -10,20 +10,21 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "core/configs.hpp"
-#include "core/study.hpp"
+#include "core/sweep.hpp"
 #include "exec/pool.hpp"
 #include "obs/json.hpp"
 #include "rt/report.hpp"
 #include "suites/registry.hpp"
-#include "support/stats.hpp"
 #include "support/table.hpp"
 #include "support/text.hpp"
 
@@ -41,53 +42,59 @@ banner(const std::string &what, const std::string &paperRef)
               << "==========================================================\n";
 }
 
-/** Geomean speedup of one suite under one config. */
-inline double
-suiteSpeedup(const core::Study &study, const std::string &suite,
-             const rt::LPConfig &cfg)
-{
-    return core::Study::geomeanSpeedup(study.runSuite(suite, cfg));
-}
-
-/** Geomean coverage (percent) of one suite under one config. */
-inline double
-suiteCoverage(const core::Study &study, const std::string &suite,
-              const rt::LPConfig &cfg)
-{
-    return core::Study::geomeanCoverage(study.runSuite(suite, cfg));
-}
-
-/** Geomeans of one (configuration, suite) cell of a sweep grid. */
+/** One (configuration, suite) row of a sweep. */
 struct SweepCell
 {
-    double speedup = 0.0;
-    double coverage = 0.0;
+    double speedup = 0.0;  ///< geomean speedup
+    double coverage = 0.0; ///< geomean coverage, percent
+    /** The row's per-program report JSON, in registration order. */
+    std::vector<obs::Json> reports;
 };
 
 /**
- * Evaluate the full @p configs × @p suitesOrder grid of @p study, the
- * unit of parallelism being one (config, suite) cell (each cell runs
- * its programs serially).  Honors --jobs / LP_JOBS via
- * exec::defaultJobs().  Cell [c][s] holds configs[c] × suitesOrder[s];
- * the grid is indexed, not scheduling-ordered, so tables printed from
- * it are identical whatever the worker count.
+ * Sweep @p configs over @p programs through core::runSweep, strictly
+ * (the first failing cell aborts the harness) and with its table
+ * discarded, and return grid[c][s] for configs[c] x suitesOrder[s],
+ * read from the sweep document's "suites" rows and "reports".  Honors
+ * --jobs / LP_JOBS via exec::defaultJobs().
  */
 inline std::vector<std::vector<SweepCell>>
-sweepGrid(const core::Study &study,
-          const std::vector<rt::LPConfig> &configs,
+sweepGrid(const std::vector<core::BenchProgram> &programs,
+          const std::vector<core::NamedConfig> &configs,
           const std::vector<std::string> &suitesOrder)
 {
+    core::SweepRequest req;
+    req.configs = configs;
+    req.keepGoing = false;
+    req.wantJson = true;
+    std::ostream discard(nullptr);
+    const obs::Json doc = core::runSweep(programs, req, discard).document;
+
     std::vector<std::vector<SweepCell>> grid(
         configs.size(), std::vector<SweepCell>(suitesOrder.size()));
-    exec::parallelFor(
-        configs.size() * suitesOrder.size(), [&](std::size_t i) {
-            std::size_t c = i / suitesOrder.size();
-            std::size_t s = i % suitesOrder.size();
-            auto reports = study.runSuite(suitesOrder[s], configs[c],
-                                          /*jobs=*/1);
-            grid[c][s] = {core::Study::geomeanSpeedup(reports),
-                          core::Study::geomeanCoverage(reports)};
-        });
+    const obs::Json &rows = doc.at("suites");
+    const obs::Json &reports = doc.at("reports");
+    const std::size_t suitesPerConfig = rows.size() / configs.size();
+    std::size_t next = 0; // reports come in row order
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        const obs::Json &row = rows.at(r);
+        SweepCell cell{row.at("geomean_speedup").asDouble(),
+                       row.at("geomean_coverage_pct").asDouble(),
+                       {}};
+        const std::uint64_t cells = row.at("ok").asU64() +
+                                    row.at("failed").asU64() +
+                                    row.at("skipped").asU64();
+        for (std::uint64_t k = 0; k < cells; ++k)
+            cell.reports.push_back(reports.at(next++));
+        // Rows are configuration-major, in configs order.
+        const std::size_t c = r / suitesPerConfig;
+        const std::size_t s =
+            std::find(suitesOrder.begin(), suitesOrder.end(),
+                      row.at("suite").asString()) -
+            suitesOrder.begin();
+        if (s < suitesOrder.size())
+            grid[c][s] = std::move(cell);
+    }
     return grid;
 }
 

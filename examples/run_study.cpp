@@ -60,9 +60,11 @@
  *
  * Parallelism (see docs/parallel_execution.md):
  *   --jobs N (or LP_JOBS=N)          sweep with N worker threads
- *                                    (N=0 or "auto": all hardware
- *                                    threads).  Tables and JSON reports
- *                                    are identical to a serial run.
+ *                                    (1-4096; N=0 or "auto": all
+ *                                    hardware threads; any other --jobs
+ *                                    value is a usage error).  Tables
+ *                                    and JSON reports are identical to
+ *                                    a serial run.
  *   --shards I/N --checkpoint PATH   run shard I of an N-way sweep:
  *                                    this process owns every Nth cell
  *                                    and checkpoints it to
@@ -93,6 +95,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "core/configs.hpp"
@@ -106,7 +109,6 @@
 #include "lint/engine.hpp"
 #include "obs/json.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "prof/collector.hpp"
 #include "suites/registry.hpp"
 #include "support/error.hpp"
@@ -137,27 +139,6 @@ parseLintMode(const std::string &s)
     if (s == "off" || s == "0" || s.empty())
         return 0;
     return -1;
-}
-
-/**
- * Lint one module under the active mode, print every finding, and bump
- * the lint counters.
- */
-lint::LintResult
-lintOne(const ir::Module &mod)
-{
-    lint::LintOptions lo;
-    lo.warningsAsErrors = g_lintMode == 2;
-    lint::LintResult res = lint::lintModule(mod, lo);
-    if (obs::metricsOn()) {
-        obs::Registry::instance().counter("lint.modules_linted").add(1);
-        obs::Registry::instance()
-            .counter("lint.findings")
-            .add(res.diags.size());
-    }
-    for (const lint::Diagnostic &d : res.diags)
-        std::cout << "lint: " << d.str() << "\n";
-    return res;
 }
 
 /** Parse an on/off spelling; -1 when not understood. */
@@ -247,7 +228,8 @@ runFile(const std::string &path, const std::string &flags,
     buf << in.rdbuf();
     auto mod = ir::parseModule(buf.str(), interp::stdlibImplFor);
     if (g_lintMode != 0) {
-        lint::LintResult res = lintOne(*mod);
+        lint::LintResult res =
+            core::lintAndPrint(*mod, g_lintMode, std::cout);
         if (res.hasErrors()) {
             std::cerr << "error: [LP_LINT] " << path << ": "
                       << res.countAtLeast(lint::Severity::Error)
@@ -271,7 +253,8 @@ runSingle(const std::string &name, const std::string &flags,
             continue;
         core::PreparedProgram prepared(prog);
         if (g_lintMode != 0) {
-            lint::LintResult res = lintOne(prepared.driver().module());
+            lint::LintResult res = core::lintAndPrint(
+                prepared.driver().module(), g_lintMode, std::cout);
             if (res.hasErrors()) {
                 std::cerr << "error: [LP_LINT] " << name << ": "
                           << res.countAtLeast(lint::Severity::Error)
@@ -290,7 +273,7 @@ runSingle(const std::string &name, const std::string &flags,
 }
 
 int
-runSuites(const std::string &onlySuite, core::SweepRequest sweep)
+sweepSuites(const std::string &onlySuite, core::SweepRequest sweep)
 {
     sweep.suite = onlySuite;
     sweep.lintMode = g_lintMode;
@@ -470,20 +453,15 @@ main(int argc, char **argv)
             }
             if (a == "--jobs") {
                 std::string spec = value("--jobs");
-                unsigned n = 0;
-                if (spec != "auto") {
-                    try {
-                        n = static_cast<unsigned>(std::stoul(spec));
-                    } catch (...) {
-                        std::cerr << "bad --jobs value (want a count, 0 "
-                                     "or 'auto'): "
-                                  << spec << "\n";
-                        return 1;
-                    }
-                }
-                // Resolve "all hardware threads" here so the override
-                // is a concrete count (setJobsOverride(0) clears it).
-                exec::setJobsOverride(exec::resolveJobs(n));
+                // parseJobs resolves "all hardware threads", so the
+                // override is a concrete count (setJobsOverride(0)
+                // clears it).
+                std::optional<unsigned> jobs = exec::parseJobs(spec);
+                if (!jobs)
+                    fatal("bad --jobs value (want a count 1-4096, 0 or "
+                          "'auto'): " +
+                          spec);
+                exec::setJobsOverride(*jobs);
                 continue;
             }
             // Any other "--" word is a typo or a retired flag; taking
@@ -502,10 +480,6 @@ main(int argc, char **argv)
             sweep.shardIndex == 0)
             fatal("--shards N runs nothing by itself: use --shards I/N "
                   "for one shard, or add --merge to combine them");
-        if ((sweep.shardIndex != 0 || sweep.merge) &&
-            sweep.checkpointPath.empty())
-            fatal("--shards requires --checkpoint PATH (the shard "
-                  "checkpoints are the merge protocol)");
         if (budgetTouched)
             guard::setBudgetOverride(budget);
 
@@ -524,9 +498,9 @@ main(int argc, char **argv)
         if (!file && args.size() == 3)
             return finishProfile(runSingle(args[0], args[1], args[2]));
         if (!file && args.size() == 1)
-            return finishProfile(runSuites(args[0], sweep));
+            return finishProfile(sweepSuites(args[0], sweep));
         if (args.empty())
-            return finishProfile(runSuites("", sweep));
+            return finishProfile(sweepSuites("", sweep));
         fatal("usage: run_study [<suite>] | run_study <program> <flags> "
               "<model> | run_study --file <path.lir> <flags> <model>");
     } catch (const FatalError &e) {

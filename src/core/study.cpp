@@ -6,9 +6,7 @@
 #include "interp/machine.hpp"
 #include "obs/log.hpp"
 #include "obs/timer.hpp"
-#include "prof/collector.hpp"
 #include "support/error.hpp"
-#include "support/stats.hpp"
 #include "support/text.hpp"
 
 namespace lp::core {
@@ -89,22 +87,8 @@ PreparedProgram::runReplayBatchedWithOracle(
     return reps;
 }
 
-Study::Study(const std::vector<BenchProgram> &programs, unsigned jobs)
-{
-    StudyOptions opts;
-    opts.jobs = jobs;
-    prepare(programs, opts);
-}
-
 Study::Study(const std::vector<BenchProgram> &programs,
              const StudyOptions &opts)
-{
-    prepare(programs, opts);
-}
-
-void
-Study::prepare(const std::vector<BenchProgram> &programs,
-               const StudyOptions &opts)
 {
     programs_.resize(programs.size());
     if (!opts.keepGoing) {
@@ -144,121 +128,8 @@ Study::prepare(const std::vector<BenchProgram> &programs,
                           return !p;
                       });
     }
-    LP_LOG_INFO("study prepared: %zu programs, %zu suites, %zu "
-                "quarantined",
-                programs_.size(), suites().size(),
-                prepareFailures_.size());
-}
-
-std::vector<std::string>
-Study::suites() const
-{
-    std::vector<std::string> out;
-    for (const auto &p : programs_) {
-        if (std::find(out.begin(), out.end(), p->suite()) == out.end())
-            out.push_back(p->suite());
-    }
-    return out;
-}
-
-std::vector<rt::ProgramReport>
-Study::runSuite(const std::string &suite, const rt::LPConfig &cfg,
-                unsigned jobs) const
-{
-    SuiteRunOptions opts;
-    opts.jobs = jobs;
-    return runSuite(suite, cfg, opts);
-}
-
-std::vector<rt::ProgramReport>
-Study::runSuite(const std::string &suite, const rt::LPConfig &cfg,
-                const SuiteRunOptions &opts) const
-{
-    std::vector<const PreparedProgram *> members;
-    for (const auto &p : programs_) {
-        if (p->suite() == suite)
-            members.push_back(p.get());
-    }
-    std::vector<rt::ProgramReport> out(members.size());
-    auto runCell = [&](std::size_t i) {
-        return opts.oracle ? members[i]->runWithOracle(cfg)
-                           : members[i]->run(cfg);
-    };
-
-    if (!opts.keepGoing) {
-        exec::parallelFor(
-            members.size(),
-            [&](std::size_t i) {
-                prof::CellScope cell(members[i]->name(), suite,
-                                     cfg.str());
-                cell.setAttempts(1);
-                try {
-                    out[i] = runCell(i);
-                    cell.setInstructions(out[i].serialCost);
-                    cell.setStatus("ok");
-                }
-                catch (Error &e) {
-                    // Stamp the failing cell's identity before the
-                    // abort propagates, so strict-mode diagnostics name
-                    // the program, not just the error site.
-                    e.noteCell(members[i]->name(), suite, cfg.str());
-                    throw;
-                }
-            },
-            opts.jobs);
-        return out;
-    }
-
-    guard::GuardPolicy policy;
-    policy.maxRetries = opts.maxRetries;
-    policy.backoffBaseMs = opts.backoffBaseMs;
-    exec::parallelFor(
-        members.size(),
-        [&](std::size_t i) {
-            prof::CellScope cell(members[i]->name(), suite, cfg.str());
-            guard::RunVerdict v = guard::guardedRun(
-                members[i]->name() + " [" + cfg.str() + "]",
-                [&] { out[i] = runCell(i); },
-                policy);
-            if (!v.ok) {
-                out[i] = rt::ProgramReport{}; // drop any partial result
-                out[i].program = members[i]->name();
-                out[i].status = rt::RunStatus::Failed;
-                out[i].errorCode = v.codeName();
-                out[i].errorMessage = v.message;
-            } else {
-                cell.setInstructions(out[i].serialCost);
-                cell.setStatus("ok");
-            }
-            out[i].config = cfg;
-            out[i].attempts = static_cast<unsigned>(v.attempts);
-            cell.setAttempts(out[i].attempts);
-        },
-        opts.jobs);
-    return out;
-}
-
-double
-Study::geomeanSpeedup(const std::vector<rt::ProgramReport> &reports)
-{
-    GeomeanAccum acc;
-    // Clamp like geomeanCoverage does: a degenerate report (zero or
-    // negative "speedup" from an empty/filtered run) must depress the
-    // mean, not abort the whole sweep.
-    for (const auto &r : reports)
-        if (r.ok())
-            acc.add(std::max(r.speedup(), 1e-6));
-    return acc.value();
-}
-
-double
-Study::geomeanCoverage(const std::vector<rt::ProgramReport> &reports)
-{
-    GeomeanAccum acc;
-    for (const auto &r : reports)
-        if (r.ok())
-            acc.add(std::max(r.coverage * 100.0, 0.1));
-    return acc.value();
+    LP_LOG_INFO("study prepared: %zu programs, %zu quarantined",
+                programs_.size(), prepareFailures_.size());
 }
 
 } // namespace lp::core

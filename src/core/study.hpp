@@ -1,9 +1,10 @@
 /**
  * @file
  * Study harness: prepares a set of benchmark programs (building each
- * module once, running the compile-time component once) and executes them
- * under arbitrary configurations, aggregating suite-level geomeans the way
- * the paper's figures do.
+ * module once, running the compile-time component once) so each can run
+ * under arbitrary configurations.  core::runSweep (core/sweep.hpp) runs
+ * the configuration x program grid and aggregates the suite-level
+ * geomeans the way the paper's figures do.
  */
 
 #pragma once
@@ -82,16 +83,6 @@ class PreparedProgram
     std::unique_ptr<Loopapalooza> lp_;
 };
 
-/**
- * A set of prepared programs with suite-level aggregation.
- *
- * Preparation and suite sweeps are embarrassingly parallel (every
- * program runs in its own interp::Machine over an immutable module), so
- * both accept a worker count.  The default, exec::defaultJobs(), honors
- * --jobs / LP_JOBS and falls back to serial.  Results are ordered by
- * program index regardless of worker count; parallel and serial runs
- * produce identical reports.
- */
 /** How Study prepares its programs. */
 struct StudyOptions
 {
@@ -100,6 +91,7 @@ struct StudyOptions
      * of aborting the whole study; failures land in prepareFailures().
      */
     bool keepGoing = false;
+    /** Worker threads preparing programs (default: --jobs / LP_JOBS). */
     unsigned jobs = exec::defaultJobs();
 };
 
@@ -111,18 +103,20 @@ struct PrepareFailure
     guard::RunVerdict verdict;
 };
 
+/**
+ * A set of prepared programs: every module built, verified, analyzed
+ * and self-checked once, in parallel (each program is independent).
+ * Programs keep their registration order whatever the worker count.
+ * core::runSweep evaluates configurations over them.
+ */
 class Study
 {
   public:
     /**
-     * Prepare all of @p programs (builds and analyzes every module),
-     * using up to @p jobs worker threads.  Any preparation failure
-     * propagates (strict).
+     * Prepare all of @p programs under @p opts: strict preparation
+     * propagates the first failure; keep-going quarantines failures in
+     * prepareFailures().
      */
-    explicit Study(const std::vector<BenchProgram> &programs,
-                   unsigned jobs = exec::defaultJobs());
-
-    /** As above, honoring @p opts (keep-going quarantines failures). */
     Study(const std::vector<BenchProgram> &programs,
           const StudyOptions &opts);
 
@@ -137,63 +131,7 @@ class Study
         return programs_;
     }
 
-    /** Distinct suite names, in first-seen order. */
-    std::vector<std::string> suites() const;
-
-    /**
-     * Run every program of @p suite under @p cfg, using up to @p jobs
-     * worker threads.  Reports come back in program-registration order
-     * whatever the worker count.
-     */
-    std::vector<rt::ProgramReport>
-    runSuite(const std::string &suite, const rt::LPConfig &cfg,
-             unsigned jobs = exec::defaultJobs()) const;
-
-    /** How runSuite treats a failing cell. */
-    struct SuiteRunOptions
-    {
-        /**
-         * Record failing cells as status=failed reports (with error
-         * code, message and attempt count) instead of aborting the
-         * suite on the first failure.
-         */
-        bool keepGoing = false;
-        /** Retry budget for transient failures (guardedRun). */
-        int maxRetries = 2;
-        /** First-retry backoff in ms; doubles per retry. */
-        unsigned backoffBaseMs = 5;
-        unsigned jobs = exec::defaultJobs();
-        /**
-         * Attach the static-vs-dynamic consistency oracle to every
-         * cell; reports come back with their oracle section filled
-         * (see rt::ProgramReport::oracleRan).
-         */
-        bool oracle = false;
-    };
-
-    /**
-     * As runSuite above, honoring @p opts.  In keep-going mode every
-     * cell runs to a verdict: a failed cell comes back as a
-     * RunStatus::Failed report carrying the cell's identity and error,
-     * and its siblings are unaffected.
-     */
-    std::vector<rt::ProgramReport>
-    runSuite(const std::string &suite, const rt::LPConfig &cfg,
-             const SuiteRunOptions &opts) const;
-
-    /**
-     * Geometric-mean speedup of a set of reports.  Only RunStatus::Ok
-     * cells participate; failed/skipped cells carry no measurement.
-     */
-    static double geomeanSpeedup(const std::vector<rt::ProgramReport> &r);
-
-    /** Geometric-mean coverage (in percent) of a set of reports. */
-    static double geomeanCoverage(const std::vector<rt::ProgramReport> &r);
-
   private:
-    void prepare(const std::vector<BenchProgram> &programs,
-                 const StudyOptions &opts);
-
     std::vector<std::unique_ptr<PreparedProgram>> programs_;
     std::vector<PrepareFailure> prepareFailures_;
 };

@@ -22,14 +22,8 @@
 
 namespace lp::core {
 
-namespace {
-
-/**
- * Lint one module under @p lintMode, print every finding, and bump the
- * lint counters.
- */
 lint::LintResult
-lintOne(const ir::Module &mod, int lintMode)
+lintAndPrint(const ir::Module &mod, int lintMode, std::ostream &out)
 {
     lint::LintOptions lo;
     lo.warningsAsErrors = lintMode == 2;
@@ -41,11 +35,9 @@ lintOne(const ir::Module &mod, int lintMode)
             .add(res.diags.size());
     }
     for (const lint::Diagnostic &d : res.diags)
-        std::cout << "lint: " << d.str() << "\n";
+        out << "lint: " << d.str() << "\n";
     return res;
 }
-
-} // namespace
 
 std::string
 shardCheckpointPath(const std::string &base, unsigned index,
@@ -56,8 +48,16 @@ shardCheckpointPath(const std::string &base, unsigned index,
 }
 
 SweepResult
-runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
+runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req,
+         std::ostream &out)
 {
+    for (std::size_t i = 0; i < req.configs.size(); ++i)
+        for (std::size_t j = 0; j < i; ++j)
+            if (req.configs[j].label == req.configs[i].label)
+                fatal("sweep configuration label repeated: '" +
+                      req.configs[i].label +
+                      "' (labels key checkpoint cells and shard merges)");
+
     const bool sharded = req.shardIndex != 0;
     if (sharded || req.merge) {
         // Shard ownership is positional (cell index mod shard count),
@@ -112,7 +112,7 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
         obs::ScopedPhase phase("lint");
         for (const auto &p : study.programs()) {
             lint::LintResult res =
-                lintOne(p->driver().module(), req.lintMode);
+                lintAndPrint(p->driver().module(), req.lintMode, out);
             if (!res.hasErrors())
                 continue;
             std::string first;
@@ -135,9 +135,9 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
         }
     }
 
-    // Suite order from the registration list, not study.suites(): a
-    // suite whose every program failed to prepare must still show up
-    // (as skipped cells), not silently vanish.
+    // Suite order from the registration list, not the prepared
+    // programs: a suite whose every program failed to prepare must
+    // still show up (as skipped cells), not silently vanish.
     std::vector<std::string> suiteOrder;
     for (const auto &p : progs)
         if (std::find(suiteOrder.begin(), suiteOrder.end(), p.suite) ==
@@ -194,7 +194,7 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
         obs::Json json;
     };
     std::vector<Cell> cells;
-    for (const NamedConfig &named : paperConfigs())
+    for (const NamedConfig &named : req.configs)
         for (const std::string &suite : suiteOrder)
             for (const auto &p : progs) {
                 if (p.suite != suite)
@@ -572,18 +572,18 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
                                              .at("contradictions")
                                              .asU64();
         }
-        std::cout << "shard " << req.shardIndex << "/" << req.shardCount
-                  << ": " << owned.size() << " of " << cells.size()
-                  << " cell(s) — " << ok << " ok, " << failed
-                  << " failed, " << skipped << " skipped, "
-                  << nResumed.load() << " resumed\n"
-                  << "checkpoint: " << ckpt->path() << "\n";
+        out << "shard " << req.shardIndex << "/" << req.shardCount
+            << ": " << owned.size() << " of " << cells.size()
+            << " cell(s) — " << ok << " ok, " << failed
+            << " failed, " << skipped << " skipped, "
+            << nResumed.load() << " resumed\n"
+            << "checkpoint: " << ckpt->path() << "\n";
         if (oracleMismatches != 0)
-            std::cout << "oracle: " << oracleMismatches
-                      << " mismatch(es) in this shard\n";
+            out << "oracle: " << oracleMismatches
+                << " mismatch(es) in this shard\n";
         if (verdictContradictions != 0)
-            std::cout << "static verdicts: " << verdictContradictions
-                      << " contradiction(s) in this shard\n";
+            out << "static verdicts: " << verdictContradictions
+                << " contradiction(s) in this shard\n";
         result.exitCode =
             oracleMismatches != 0 || verdictContradictions != 0 ? 1 : 0;
         return result;
@@ -611,7 +611,7 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
     // identical computation; that shared path is what makes a merged
     // report byte-identical to an unsharded run's.
     std::size_t at = 0;
-    for (const NamedConfig &named : paperConfigs()) {
+    for (const NamedConfig &named : req.configs) {
         for (const std::string &suite : suiteOrder) {
             GeomeanAccum accSpeedup, accCoverage;
             std::size_t ok = 0, failed = 0, skipped = 0;
@@ -668,26 +668,26 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
             }
         }
     }
-    t.print(std::cout);
+    t.print(out);
 
     if (oracleCells != 0)
-        std::cout << "oracle: " << oraclePhisChecked
-                  << " phi(s) checked across " << oracleCells
-                  << " cell(s), " << oracleMismatches << " mismatch(es)\n";
+        out << "oracle: " << oraclePhisChecked
+            << " phi(s) checked across " << oracleCells
+            << " cell(s), " << oracleMismatches << " mismatch(es)\n";
     if (verdictCells != 0)
-        std::cout << "static verdicts: " << verdictsChecked
-                  << " loop verdict(s) checked across " << verdictCells
-                  << " cell(s), " << verdictContradictions
-                  << " contradiction(s)\n";
+        out << "static verdicts: " << verdictsChecked
+            << " loop verdict(s) checked across " << verdictCells
+            << " cell(s), " << verdictContradictions
+            << " contradiction(s)\n";
 
     if (!unhealthy.empty()) {
-        std::cout << unhealthy.size() << " cell(s) did not complete:\n";
+        out << unhealthy.size() << " cell(s) did not complete:\n";
         for (const Cell *cell : unhealthy)
-            std::cout << "  " << cell->json.at("status").asString()
-                      << "  " << cell->program << " ["
-                      << cell->config->label << " " << cell->suite
-                      << "]  " << cell->json.at("error_code").asString()
-                      << "\n";
+            out << "  " << cell->json.at("status").asString()
+                << "  " << cell->program << " ["
+                << cell->config->label << " " << cell->suite
+                << "]  " << cell->json.at("error_code").asString()
+                << "\n";
     }
 
     if (req.wantJson) {

@@ -1,11 +1,12 @@
 /**
  * @file
- * The suite-sweep driver (extracted from examples/run_study.cpp so
- * sharded sweeps and the differential tests can drive it in-process).
+ * The sweep driver: the one code path that evaluates a configuration x
+ * program grid.  run_study, the paper-figure harnesses, the
+ * differential fuzz harness and the tests all drive it in-process.
  *
  * A sweep is a flat list of (configuration, suite, program) cells —
- * the unit of parallelism, of quarantine, of checkpointing, and (new
- * here) of sharding.  runSweep() runs the list, prints the standard
+ * the unit of parallelism, of quarantine, of checkpointing, and of
+ * sharding.  runSweep() runs the list, prints the standard
  * table, and returns the machine-readable document; its report is
  * byte-identical whatever the worker count, and identical between a
  * resumed and an uninterrupted run.
@@ -29,18 +30,28 @@
 
 #pragma once
 
+#include <iostream>
 #include <string>
 #include <vector>
 
+#include "core/configs.hpp"
 #include "core/study.hpp"
+#include "lint/engine.hpp"
 #include "obs/json.hpp"
 
 namespace lp::core {
 
-/** Everything the sweep driver needs from the command line. */
+/** Everything the sweep driver needs: the grid and the run options. */
 struct SweepRequest
 {
     std::string suite; ///< empty = every registered suite
+
+    /**
+     * The configuration rows, in table order.  Labels must be distinct
+     * (runSweep rejects a repeat): they key checkpoint cells and shard
+     * merges, so two configurations sharing a label would share cells.
+     */
+    std::vector<NamedConfig> configs = paperConfigs();
 
     bool keepGoing = true; ///< quarantine failures (vs --strict)
     /**
@@ -90,13 +101,22 @@ std::string shardCheckpointPath(const std::string &base, unsigned index,
                                 unsigned count);
 
 /**
+ * Lint @p mod under @p lintMode (SweepRequest::lintMode), print every
+ * finding to @p out, and bump the lint counters.
+ */
+lint::LintResult lintAndPrint(const ir::Module &mod, int lintMode,
+                              std::ostream &out);
+
+/**
  * Run the sweep described by @p req over @p programs (the caller
  * passes suites::allPrograms(); taking the list as a parameter keeps
  * lp_core below lp_suites in the library stack and lets tests sweep a
  * synthetic program set).  Prints the standard table / shard summary
- * to stdout.  Strict-mode failures propagate as lp::Error.
+ * and lint findings to @p out.  Strict-mode failures propagate as
+ * lp::Error.
  */
 SweepResult runSweep(const std::vector<BenchProgram> &programs,
-                     const SweepRequest &req);
+                     const SweepRequest &req,
+                     std::ostream &out = std::cout);
 
 } // namespace lp::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <exception>
 #include <string>
@@ -23,20 +24,17 @@ jobsFromEnv()
         const char *env = std::getenv("LP_JOBS");
         if (!env || !*env)
             return 1u;
-        std::string s(env);
-        if (s == "0" || s == "auto")
-            return resolveJobs(0);
-        char *end = nullptr;
-        unsigned long v = std::strtoul(env, &end, 10);
-        if (*end != '\0' || v == 0 || v > 4096) {
+        std::optional<unsigned> jobs = parseJobs(env);
+        if (!jobs) {
             obs::logMessage(obs::Level::Error,
-                            "LP_JOBS value not understood: " + s +
+                            std::string("LP_JOBS value not understood: ") +
+                                env +
                                 " (want a worker count, 0 or 'auto' for "
                                 "all hardware threads); running serial",
                             /*force=*/true);
             return 1u;
         }
-        return static_cast<unsigned>(v);
+        return *jobs;
     }();
     return cached;
 }
@@ -50,6 +48,21 @@ resolveJobs(unsigned jobs)
         return jobs;
     unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;
+}
+
+std::optional<unsigned>
+parseJobs(const std::string &spec)
+{
+    if (spec == "0" || spec == "auto")
+        return resolveJobs(0);
+    // from_chars takes digits only: no sign, no space, and `ptr`
+    // stops at any trailing text.
+    unsigned v = 0;
+    const char *end = spec.data() + spec.size();
+    auto [ptr, ec] = std::from_chars(spec.data(), end, v);
+    if (ec != std::errc() || ptr != end || v == 0 || v > 4096)
+        return std::nullopt;
+    return v;
 }
 
 unsigned

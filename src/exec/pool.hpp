@@ -36,6 +36,8 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -57,6 +59,14 @@ void setJobsOverride(unsigned jobs);
 
 /** Map a jobs spec to a worker count: 0 = all hardware threads. */
 unsigned resolveJobs(unsigned jobs);
+
+/**
+ * Parse a worker-count spelling as `--jobs` and `LP_JOBS` take it: "0"
+ * or "auto" (all hardware threads, resolved), or a count 1-4096 written
+ * in digits only (no sign, space or trailing text).  nullopt when the
+ * spelling is not understood.
+ */
+std::optional<unsigned> parseJobs(const std::string &spec);
 
 /**
  * Best-effort hardware width for scaling reports.  Guards the two

@@ -2,8 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
-#include <iostream>
-#include <sstream>
+#include <ostream>
 
 #include "core/driver.hpp"
 #include "core/sweep.hpp"
@@ -16,21 +15,6 @@ namespace lp::fuzz {
 namespace fs = std::filesystem;
 
 namespace {
-
-/**
- * runSweep prints its tables to stdout; the harness runs hundreds of
- * sweeps, so swallow them for the duration of one run.
- */
-class CoutSilencer
-{
-  public:
-    CoutSilencer() : old_(std::cout.rdbuf(sink_.rdbuf())) {}
-    ~CoutSilencer() { std::cout.rdbuf(old_); }
-
-  private:
-    std::ostringstream sink_;
-    std::streambuf *old_;
-};
 
 std::vector<core::BenchProgram>
 makePrograms(std::uint64_t seed, const GenOptions &gen)
@@ -59,8 +43,9 @@ sweepOutcome(const std::vector<core::BenchProgram> &progs,
     if (!faultSite.empty())
         guard::setFault(faultSite, faultNth); // re-arm: resets counters
     try {
-        CoutSilencer quiet;
-        core::SweepResult res = core::runSweep(progs, req);
+        // The harness runs hundreds of sweeps: discard their tables.
+        std::ostream discard(nullptr);
+        core::SweepResult res = core::runSweep(progs, req, discard);
         std::string out = "exit:" + std::to_string(res.exitCode) + "\n";
         if (res.hasDocument)
             out += res.document.dump();

@@ -1,5 +1,8 @@
 #include "helpers.hpp"
 
+#include <ostream>
+
+#include "exec/pool.hpp"
 #include "support/error.hpp"
 
 namespace lp::test {
@@ -240,6 +243,25 @@ buildLoopWithCalls(std::int64_t n, CalleeKind kind)
     b.ret(b.load(Type::I64, b.elem(out, b.i64(n - 1))));
     mod->finalize();
     return mod;
+}
+
+obs::Json
+sweepDocument(const std::vector<core::BenchProgram> &programs,
+              const std::vector<rt::LPConfig> &configs, unsigned jobs,
+              bool traceReplay)
+{
+    core::SweepRequest req;
+    req.configs.clear();
+    for (const rt::LPConfig &cfg : configs)
+        req.configs.push_back({cfg.str(), cfg});
+    req.keepGoing = false;
+    req.traceReplay = traceReplay;
+    req.wantJson = true;
+    exec::setJobsOverride(jobs);
+    std::ostream discard(nullptr);
+    core::SweepResult res = core::runSweep(programs, req, discard);
+    exec::setJobsOverride(0);
+    return res.document;
 }
 
 } // namespace lp::test

@@ -1,13 +1,16 @@
 /**
  * @file
  * Shared test fixtures: small hand-built IR programs with known loop
- * structure, dependence classes, and expected results.
+ * structure, dependence classes, and expected results, and a strict
+ * sweep over a program set.
  */
 
 #pragma once
 
 #include <memory>
+#include <vector>
 
+#include "core/sweep.hpp"
 #include "interp/stdlib.hpp"
 #include "ir/builder.hpp"
 
@@ -57,5 +60,15 @@ std::unique_ptr<ir::Module> buildHistogram(std::int64_t n,
 enum class CalleeKind { Pure, Instrumented, UnsafeExt };
 std::unique_ptr<ir::Module> buildLoopWithCalls(std::int64_t n,
                                                CalleeKind kind);
+
+/**
+ * A strict core::runSweep of @p configs (each labelled by its
+ * LPConfig::str()) over @p programs on @p jobs workers, its table
+ * discarded; @p traceReplay picks batched replay or interpret-every-
+ * cell.  Returns the sweep document.
+ */
+obs::Json sweepDocument(const std::vector<core::BenchProgram> &programs,
+                        const std::vector<rt::LPConfig> &configs,
+                        unsigned jobs, bool traceReplay = true);
 
 } // namespace lp::test

@@ -69,8 +69,10 @@ allShapes()
     return out;
 }
 
-/** The full paper grid plus single-sync HELIX variants — every model,
- *  every dep/reduc/fn axis, both DOACROSS synchronization modes. */
+/** The full paper grid plus single-sync HELIX variants and PDOALL at
+ *  non-default serialization thresholds — every model, every
+ *  dep/reduc/fn axis, both DOACROSS synchronization modes, and both
+ *  ends of the threshold ablation. */
 std::vector<LPConfig>
 fullGrid()
 {
@@ -86,6 +88,11 @@ fullGrid()
     grid.push_back(LPConfig::parse("reduc0-dep2-fn2", ExecModel::Helix));
     grid.push_back(
         LPConfig::parse("reduc1-dep3-fn3", ExecModel::PartialDoAll));
+    for (double threshold : {0.05, 1.0}) {
+        LPConfig th = core::bestPdoall();
+        th.pdoallSerialThreshold = threshold;
+        grid.push_back(th);
+    }
     return grid;
 }
 
@@ -148,7 +155,7 @@ TEST_F(BatchTest, SingleLaneBatchMatchesInterpret)
 
 TEST_F(BatchTest, ChunkBoundaryAt64LanesIsSeamless)
 {
-    // 5 x 18 = 90 lanes: the second chunk starts mid-repetition, so any
+    // 5 x 20 = 100 lanes: the second chunk starts mid-repetition, so any
     // cross-chunk state leak (shared predictor, shadow pool, epoch
     // carry-over, oracle capture) would break a lane on one side of
     // the boundary.

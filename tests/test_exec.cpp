@@ -10,13 +10,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <numeric>
+#include <optional>
+#include <ostream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "core/study.hpp"
+#include "core/sweep.hpp"
 #include "exec/pool.hpp"
+#include "guard/checkpoint.hpp"
 #include "helpers.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
@@ -151,6 +155,21 @@ TEST(ParallelForAll, AllNullOnSuccessAndEmptyOnZero)
         exec::parallelForAll(32, [](std::size_t) {}, 4);
     for (const std::exception_ptr &e : errors)
         EXPECT_FALSE(e);
+}
+
+TEST(ParallelFor, ParseJobsTakesCountsZeroAndAutoOnly)
+{
+    // The one validator behind --jobs and LP_JOBS.
+    EXPECT_EQ(exec::parseJobs("1"), 1u);
+    EXPECT_EQ(exec::parseJobs("4"), 4u);
+    EXPECT_EQ(exec::parseJobs("4096"), 4096u);
+    EXPECT_EQ(exec::parseJobs("0"), exec::resolveJobs(0));
+    EXPECT_EQ(exec::parseJobs("auto"), exec::resolveJobs(0));
+    // Signs, spaces and trailing text are refused, not parsed around.
+    for (const char *bad : {"", "-1", "4x", "+4", " 4", "4 ", "4097",
+                            "0x4", "1e3", "auto4", "00",
+                            "99999999999999999999"})
+        EXPECT_EQ(exec::parseJobs(bad), std::nullopt) << '"' << bad << '"';
 }
 
 TEST(ParallelFor, JobsResolution)
@@ -290,31 +309,6 @@ TEST(ConcurrentMetrics, PhaseTimersFromWorkers)
     obs::PhaseTree::instance().reset();
 }
 
-// ---------------------------------------------------- suite aggregation
-
-TEST(StudyAggregation, GeomeanSpeedupClampsDegenerateReports)
-{
-    // A report whose serialCost is 0 has speedup() == 0; geomeanSpeedup
-    // must clamp it (like geomeanCoverage's 0.1% floor) instead of
-    // letting GeomeanAccum fatal on a non-positive sample.
-    rt::ProgramReport healthy;
-    healthy.serialCost = 1000;
-    healthy.parallelCost = 250; // 4x
-    rt::ProgramReport degenerate;
-    degenerate.serialCost = 0;
-    degenerate.parallelCost = 100; // 0x
-
-    double g = 0.0;
-    EXPECT_NO_THROW(
-        g = core::Study::geomeanSpeedup({healthy, degenerate}));
-    EXPECT_GT(g, 0.0);
-    EXPECT_LT(g, 4.0); // the degenerate report depresses the mean
-
-    // All-healthy inputs are untouched by the clamp.
-    EXPECT_DOUBLE_EQ(core::Study::geomeanSpeedup({healthy, healthy}),
-                     4.0);
-}
-
 // --------------------------------------------------------- determinism
 
 std::vector<core::BenchProgram>
@@ -339,49 +333,51 @@ smallPrograms()
     };
 }
 
-/** One full sweep at @p jobs workers, dumped to a canonical string. */
+/**
+ * One sweep over smallPrograms() at @p jobs workers, its document
+ * dumped; @p traceReplay picks batched replay or interpret-every-cell.
+ */
 std::string
-sweepFingerprint(unsigned jobs)
+sweepFingerprint(unsigned jobs, bool traceReplay)
 {
-    core::Study study(smallPrograms(), jobs);
-    std::string out;
-    const std::pair<const char *, rt::ExecModel> points[] = {
-        {"reduc0-dep0-fn0", rt::ExecModel::DoAll},
-        {"reduc1-dep0-fn0", rt::ExecModel::DoAll},
-        {"reduc0-dep0-fn0", rt::ExecModel::PartialDoAll},
-        {"reduc1-dep2-fn2", rt::ExecModel::PartialDoAll},
-        {"reduc0-dep0-fn2", rt::ExecModel::Helix},
-        {"reduc1-dep1-fn2", rt::ExecModel::Helix},
-    };
-    for (const auto &[flags, model] : points) {
-        rt::LPConfig cfg = rt::LPConfig::parse(flags, model);
-        for (const rt::ProgramReport &rep :
-             study.runSuite("exec-test", cfg, jobs))
-            out += rep.toJson(/*withObsSnapshot=*/false).dump();
-        out += '\n';
-    }
-    return out;
+    using rt::ExecModel;
+    using rt::LPConfig;
+    return test::sweepDocument(
+               smallPrograms(),
+               {LPConfig::parse("reduc0-dep0-fn0", ExecModel::DoAll),
+                LPConfig::parse("reduc1-dep0-fn0", ExecModel::DoAll),
+                LPConfig::parse("reduc0-dep0-fn0", ExecModel::PartialDoAll),
+                LPConfig::parse("reduc1-dep2-fn2", ExecModel::PartialDoAll),
+                LPConfig::parse("reduc0-dep0-fn2", ExecModel::Helix),
+                LPConfig::parse("reduc1-dep1-fn2", ExecModel::Helix)},
+               jobs, traceReplay)
+        .dump();
 }
 
 TEST(Determinism, ParallelSweepMatchesSerialByteForByte)
 {
-    std::string serial = sweepFingerprint(1);
-    std::string parallel = sweepFingerprint(4);
-    ASSERT_FALSE(serial.empty());
-    EXPECT_EQ(serial, parallel);
+    for (bool traceReplay : {false, true}) {
+        std::string serial = sweepFingerprint(1, traceReplay);
+        ASSERT_FALSE(serial.empty());
+        EXPECT_EQ(serial, sweepFingerprint(4, traceReplay))
+            << (traceReplay ? "batched" : "interpreted");
+    }
 }
 
 TEST(Determinism, RepeatedParallelSweepsAgree)
 {
     // Run-to-run: stateful externals (rand) are copied per Machine, so
     // results cannot depend on scheduling order across repetitions.
-    EXPECT_EQ(sweepFingerprint(4), sweepFingerprint(4));
+    EXPECT_EQ(sweepFingerprint(4, false), sweepFingerprint(4, false));
 }
 
 TEST(Determinism, StudyPreparationParallelMatchesSerial)
 {
-    core::Study serial(smallPrograms(), 1);
-    core::Study parallel(smallPrograms(), 4);
+    core::StudyOptions serialOpts, parallelOpts;
+    serialOpts.jobs = 1;
+    parallelOpts.jobs = 4;
+    core::Study serial(smallPrograms(), serialOpts);
+    core::Study parallel(smallPrograms(), parallelOpts);
     ASSERT_EQ(serial.programs().size(), parallel.programs().size());
     rt::LPConfig cfg =
         rt::LPConfig::parse("reduc1-dep1-fn2", rt::ExecModel::Helix);
@@ -413,6 +409,57 @@ TEST(Determinism, ConcurrentRunsOverOneDriverAgree)
         8);
     for (std::size_t i = 1; i < dumps.size(); ++i)
         EXPECT_EQ(dumps[0], dumps[i]) << "run " << i << " diverged";
+}
+
+// ---------------------------------------------------- suite aggregation
+
+TEST(SweepAggregation, DegenerateCellsAreClampedNotFatal)
+{
+    // A cell whose speedup or coverage is 0 (say, zero serial cost)
+    // must depress its row's geomeans, not abort the sweep:
+    // GeomeanAccum rejects non-positive samples, so runSweep clamps
+    // speedup to 1e-6 and coverage to 0.1%.  A resumed checkpoint
+    // holding such a cell feeds the aggregation directly.
+    const std::string path = ::testing::TempDir() + "lp_exec_clamp.jsonl";
+    std::remove(path.c_str());
+    rt::LPConfig cfg =
+        rt::LPConfig::parse("reduc1-dep1-fn2", rt::ExecModel::Helix);
+    const obs::Json healthy =
+        test::sweepDocument(smallPrograms(), {cfg}, /*jobs=*/1);
+
+    {
+        guard::Checkpoint ck(path, /*resume=*/false);
+        const obs::Json &reports = healthy.at("reports");
+        for (std::size_t i = 0; i < reports.size(); ++i) {
+            obs::Json cell = reports.at(i);
+            if (i == 0) {
+                cell.set("speedup", 0.0);
+                cell.set("coverage", 0.0);
+            }
+            ck.record(guard::Checkpoint::cellKey(
+                          cfg.str(), "exec-test",
+                          cell.at("program").asString()),
+                      cell);
+        }
+    }
+    core::SweepRequest req;
+    req.configs = {{cfg.str(), cfg}};
+    req.wantJson = true;
+    req.checkpointPath = path;
+    req.resume = true;
+    std::ostream discard(nullptr);
+    core::SweepResult res;
+    ASSERT_NO_THROW(res = core::runSweep(smallPrograms(), req, discard));
+    const obs::Json &row = res.document.at("suites").at(0);
+    const obs::Json &was = healthy.at("suites").at(0);
+    EXPECT_EQ(row.at("ok").asU64(), was.at("ok").asU64());
+    EXPECT_GT(row.at("geomean_speedup").asDouble(), 0.0);
+    EXPECT_LT(row.at("geomean_speedup").asDouble(),
+              was.at("geomean_speedup").asDouble());
+    EXPECT_GT(row.at("geomean_coverage_pct").asDouble(), 0.0);
+    EXPECT_LT(row.at("geomean_coverage_pct").asDouble(),
+              was.at("geomean_coverage_pct").asDouble());
+    std::remove(path.c_str());
 }
 
 } // namespace

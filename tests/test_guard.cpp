@@ -3,17 +3,18 @@
  * Tests for the lp::guard robustness layer: the categorized error
  * taxonomy, run budgets (fuel, wall-clock deadline, heap cap),
  * deterministic fault injection, quarantine/retry via guardedRun,
- * keep-going Study sweeps, and sweep checkpoints.
+ * keep-going sweeps and preparation, and sweep checkpoints.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
-#include "core/study.hpp"
+#include "core/sweep.hpp"
 #include "guard/budget.hpp"
 #include "guard/checkpoint.hpp"
 #include "guard/fault.hpp"
@@ -369,33 +370,39 @@ TEST_F(GuardTest, KeepGoingSuiteQuarantinesOneCellOthersComplete)
     std::vector<core::BenchProgram> progs = {
         healthyProgram("ok.one"), trappingProgram(),
         healthyProgram("ok.two")};
-    core::Study study(progs);
 
     rt::LPConfig cfg =
         rt::LPConfig::parse("reduc1-dep1-fn2", rt::ExecModel::Helix);
-    core::Study::SuiteRunOptions opts;
-    opts.keepGoing = true;
-    opts.backoffBaseMs = 0;
-    auto reports = study.runSuite("guard-suite", cfg, opts);
+    core::SweepRequest req;
+    req.configs = {{cfg.str(), cfg}};
+    req.keepGoing = true;
+    req.wantJson = true;
+    std::ostream discard(nullptr);
+    core::SweepResult res = core::runSweep(progs, req, discard);
 
+    const obs::Json &reports = res.document.at("reports");
     ASSERT_EQ(reports.size(), 3u);
-    EXPECT_TRUE(reports[0].ok());
-    EXPECT_FALSE(reports[1].ok());
-    EXPECT_TRUE(reports[2].ok());
-    EXPECT_EQ(reports[1].status, rt::RunStatus::Failed);
-    EXPECT_EQ(reports[1].errorCode, "LP_TRAP");
-    EXPECT_EQ(reports[1].program, "trap.kernel");
-    EXPECT_NE(reports[1].errorMessage.find("division by zero"),
+    EXPECT_EQ(reports.at(0).at("status").asString(), "ok");
+    EXPECT_EQ(reports.at(1).at("status").asString(), "failed");
+    EXPECT_EQ(reports.at(2).at("status").asString(), "ok");
+    EXPECT_EQ(reports.at(1).at("error_code").asString(), "LP_TRAP");
+    EXPECT_EQ(reports.at(1).at("program").asString(), "trap.kernel");
+    EXPECT_NE(reports.at(1).at("error").asString().find(
+                  "division by zero"),
               std::string::npos)
-        << reports[1].errorMessage;
+        << reports.at(1).at("error").asString();
 
     // Geomeans aggregate the survivors only.
-    EXPECT_GT(core::Study::geomeanSpeedup(reports), 0.0);
+    const obs::Json &row = res.document.at("suites").at(0);
+    EXPECT_EQ(row.at("ok").asU64(), 2u);
+    EXPECT_EQ(row.at("failed").asU64(), 1u);
+    EXPECT_GT(row.at("geomean_speedup").asDouble(), 0.0);
 
     // Strict mode over the same suite aborts, with the cell identity
     // stamped onto the error.
+    req.keepGoing = false;
     try {
-        study.runSuite("guard-suite", cfg, /*jobs=*/1);
+        core::runSweep(progs, req, discard);
         FAIL() << "expected InterpreterTrap";
     }
     catch (const Error &e) {
@@ -423,7 +430,7 @@ TEST_F(GuardTest, KeepGoingStudyQuarantinesFailedPrepare)
     EXPECT_FALSE(study.prepareFailures()[0].verdict.ok);
 
     // Strict preparation of the same set aborts instead.
-    EXPECT_THROW(core::Study(progs, /*jobs=*/1u), FatalError);
+    EXPECT_THROW(core::Study(progs, core::StudyOptions{}), FatalError);
 }
 
 // ----------------------------------------------------------- checkpoint

@@ -9,8 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <ostream>
+#include <stdexcept>
+#include <string>
+
 #include "core/configs.hpp"
-#include "core/study.hpp"
+#include "core/sweep.hpp"
 #include "suites/registry.hpp"
 
 namespace lp {
@@ -25,39 +30,75 @@ cfg(const char *flags, ExecModel model)
     return LPConfig::parse(flags, model);
 }
 
-/** Shared fixture: prepare all programs once for the whole test suite. */
+/**
+ * Shared fixture: one default sweep (every suite x paperConfigs(), the
+ * run_study path) for the whole test suite; the tests read its
+ * document.  Every configuration asserted on is a paperConfigs() row,
+ * labelled by its LPConfig::str().
+ */
 class PaperShapes : public ::testing::Test
 {
   protected:
     static void
     SetUpTestSuite()
     {
-        study_ = new core::Study(suites::allPrograms());
+        core::SweepRequest req;
+        req.keepGoing = false;
+        req.wantJson = true;
+        std::ostream discard(nullptr);
+        doc_ = new obs::Json(
+            core::runSweep(suites::allPrograms(), req, discard).document);
     }
 
     static void
     TearDownTestSuite()
     {
-        delete study_;
-        study_ = nullptr;
+        delete doc_;
+        doc_ = nullptr;
+    }
+
+    /** The document's "suites" row of (@p suite, @p c). */
+    static const obs::Json &
+    row(const std::string &suite, const LPConfig &c)
+    {
+        const obs::Json &rows = doc_->at("suites");
+        for (std::size_t i = 0; i < rows.size(); ++i)
+            if (rows.at(i).at("config").asString() == c.str() &&
+                rows.at(i).at("suite").asString() == suite)
+                return rows.at(i);
+        throw std::out_of_range("no sweep row " + c.str() + " " + suite);
     }
 
     static double
     speedup(const std::string &suite, const LPConfig &c)
     {
-        return core::Study::geomeanSpeedup(study_->runSuite(suite, c));
+        return row(suite, c).at("geomean_speedup").asDouble();
     }
 
     static double
     coverage(const std::string &suite, const LPConfig &c)
     {
-        return core::Study::geomeanCoverage(study_->runSuite(suite, c));
+        return row(suite, c).at("geomean_coverage_pct").asDouble();
     }
 
-    static core::Study *study_;
+    /** Per-program speedups under @p c, by program name. */
+    static std::map<std::string, double>
+    programSpeedups(const LPConfig &c)
+    {
+        std::map<std::string, double> out;
+        const obs::Json &reports = doc_->at("reports");
+        for (std::size_t i = 0; i < reports.size(); ++i)
+            if (reports.at(i).at("config").at("label").asString() ==
+                c.str())
+                out[reports.at(i).at("program").asString()] =
+                    reports.at(i).at("speedup").asDouble();
+        return out;
+    }
+
+    static obs::Json *doc_;
 };
 
-core::Study *PaperShapes::study_ = nullptr;
+obs::Json *PaperShapes::doc_ = nullptr;
 
 TEST_F(PaperShapes, NonNumericFlatUnderDoall)
 {
@@ -190,33 +231,18 @@ TEST_F(PaperShapes, PdoallWinsWhereThePaperSaysItDoes)
 {
     // Fig. 4: 179.art, 450.soplex, 482.sphinx and 429.mcf prefer the
     // best PDOALL over the best HELIX.
-    for (const auto &prog : study_->programs()) {
-        bool expectPdoall = prog->name() == "179.art-like" ||
-                            prog->name() == "450.soplex-like" ||
-                            prog->name() == "482.sphinx3-like" ||
-                            prog->name() == "429.mcf-like";
-        if (!expectPdoall)
-            continue;
-        double p = prog->run(core::bestPdoall()).speedup();
-        double h = prog->run(core::bestHelix()).speedup();
-        EXPECT_GT(p, h) << prog->name();
-    }
+    const auto pdoall = programSpeedups(core::bestPdoall());
+    const auto helix = programSpeedups(core::bestHelix());
+    for (const char *name : {"179.art-like", "450.soplex-like",
+                             "482.sphinx3-like", "429.mcf-like"})
+        EXPECT_GT(pdoall.at(name), helix.at(name)) << name;
 }
 
 TEST_F(PaperShapes, LibquantumIsTheOutlier)
 {
     // Fig. 4's extreme bar: libquantum dwarfs the rest of CINT2006.
-    double libq = 0, best = 0;
-    for (const auto &prog : study_->programs()) {
-        if (prog->suite() != "cint2006")
-            continue;
-        double s = prog->run(core::bestHelix()).speedup();
-        if (prog->name() == "462.libquantum-like")
-            libq = s;
-        else
-            best = std::max(best, s);
-    }
-    EXPECT_GT(libq, 20.0);
+    const auto helix = programSpeedups(core::bestHelix());
+    EXPECT_GT(helix.at("462.libquantum-like"), 20.0);
 }
 
 } // namespace

@@ -23,7 +23,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/study.hpp"
 #include "exec/pool.hpp"
 #include "helpers.hpp"
 #include "obs/json.hpp"
@@ -260,18 +259,23 @@ smallPrograms()
     };
 }
 
+/** The configurations the sweeps below run. */
+const rt::LPConfig kHelix =
+    rt::LPConfig::parse("reduc1-dep1-fn2", rt::ExecModel::Helix);
+const std::vector<rt::LPConfig> kThreeModels = {
+    rt::LPConfig::parse("reduc0-dep0-fn0", rt::ExecModel::DoAll),
+    rt::LPConfig::parse("reduc1-dep2-fn2", rt::ExecModel::PartialDoAll),
+    kHelix,
+};
+
 TEST_F(ProfSandbox, WorkerTimelinesHaveValidLanesAndUtilization)
 {
     prof::Collector &c = prof::Collector::instance();
     const std::string path = tempPath("lp_prof_lanes.json");
     ASSERT_TRUE(c.configure("json:" + path));
 
-    core::Study study(smallPrograms(), 1);
-    rt::LPConfig cfg =
-        rt::LPConfig::parse("reduc1-dep1-fn2", rt::ExecModel::Helix);
-    c.beginRegion();
-    study.runSuite("prof-test", cfg, 4);
-    c.endRegion();
+    // runSweep profiles its cell dispatch as one region.
+    test::sweepDocument(smallPrograms(), {kHelix}, 4);
 
     obs::Json workers = c.workersJson();
     EXPECT_GT(workers.at("region_wall_ns").asU64(), 0u);
@@ -362,13 +366,7 @@ TEST_F(ProfSandbox, ParallelSweepQueueWaitStaysWithinRegionWall)
     prof::Collector &c = prof::Collector::instance();
     c.setEnabled(true);
 
-    core::Study study(smallPrograms(), 1);
-    rt::LPConfig cfg =
-        rt::LPConfig::parse("reduc1-dep1-fn2", rt::ExecModel::Helix);
-    c.beginRegion();
-    for (int round = 0; round < 3; ++round)
-        study.runSuite("prof-test", cfg, 4);
-    c.endRegion();
+    test::sweepDocument(smallPrograms(), kThreeModels, 4);
     c.setEnabled(false);
 
     obs::Json workers = c.workersJson();
@@ -386,14 +384,12 @@ TEST_F(ProfSandbox, EpochsAttributeInterpretRecordAndReplayTime)
     prof::Collector &c = prof::Collector::instance();
     c.setEnabled(true);
 
-    core::Study study(smallPrograms(), 1);
-    rt::LPConfig cfg =
-        rt::LPConfig::parse("reduc1-dep1-fn2", rt::ExecModel::Helix);
-    // runReplay records once (Record epochs) and replays as a one-lane
-    // batch (ReplayBatch epochs); plain run interprets (Interp epochs).
-    for (const auto &p : study.programs())
-        p->runReplay(cfg);
-    study.runSuite("prof-test", cfg, 1);
+    // The default sweep records each program once (Record epochs) and
+    // replays it in batches (ReplayBatch epochs); interpreting every
+    // cell runs Interp epochs.
+    test::sweepDocument(smallPrograms(), {kHelix}, 1);
+    test::sweepDocument(smallPrograms(), {kHelix}, 1,
+                        /*traceReplay=*/false);
     c.setEnabled(false);
 
     obs::Json workers = c.workersJson();
@@ -414,7 +410,7 @@ TEST_F(ProfSandbox, EpochsAttributeInterpretRecordAndReplayTime)
 
 // ---------------------------------------------------------- determinism
 
-/** One sweep fingerprint: every cell report, dumped canonically. */
+/** One sweep's report document, with the profiler on or off. */
 std::string
 sweepFingerprint(unsigned jobs, bool profiled)
 {
@@ -424,20 +420,8 @@ sweepFingerprint(unsigned jobs, bool profiled)
     } else {
         ProfSandbox::quiesce();
     }
-    core::Study study(smallPrograms(), jobs);
-    std::string out;
-    const std::pair<const char *, rt::ExecModel> points[] = {
-        {"reduc0-dep0-fn0", rt::ExecModel::DoAll},
-        {"reduc1-dep2-fn2", rt::ExecModel::PartialDoAll},
-        {"reduc1-dep1-fn2", rt::ExecModel::Helix},
-    };
-    for (const auto &[flags, model] : points) {
-        rt::LPConfig cfg = rt::LPConfig::parse(flags, model);
-        for (const rt::ProgramReport &rep :
-             study.runSuite("prof-test", cfg, jobs))
-            out += rep.toJson(/*withObsSnapshot=*/false).dump();
-        out += '\n';
-    }
+    std::string out =
+        test::sweepDocument(smallPrograms(), kThreeModels, jobs).dump();
     ProfSandbox::quiesce();
     std::remove((tempPath("lp_prof_identity.json") + ".cells.jsonl")
                     .c_str());

@@ -13,7 +13,8 @@
  *    crash recovery and lint, and batched (decode-once) shards vs an
  *    interpret-every-cell unsharded reference;
  *  - validation: the config errors runSweep promises (missing
- *    checkpoint, index out of range, --json on a shard run).
+ *    checkpoint, index out of range, --json on a shard run, a
+ *    repeated configuration label).
  */
 
 #include <cstdio>
@@ -280,6 +281,31 @@ TEST(ShardSweep, InvalidShardRequestsAreConfigErrors)
     both.merge = true;
     both.checkpointPath = ::testing::TempDir() + "x.jsonl";
     EXPECT_THROW(core::runSweep(progs, both), FatalError);
+}
+
+TEST(ShardSweep, RepeatedConfigLabelsAreConfigErrors)
+{
+    // Labels key checkpoint cells and shard merges, and LPConfig::str()
+    // omits the PDOALL threshold: two thresholds labelled by str()
+    // would share cells, so the sweep refuses the list up front.
+    rt::LPConfig strict = rt::LPConfig::parse(
+        "reduc1-dep2-fn2", rt::ExecModel::PartialDoAll);
+    rt::LPConfig lax = strict;
+    lax.pdoallSerialThreshold = 1.0;
+    core::SweepRequest req;
+    req.configs = {{strict.str(), strict}, {lax.str(), lax}};
+    try {
+        core::runSweep(shardPrograms(), req);
+        FAIL() << "expected a FatalError for the repeated label";
+    }
+    catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(strict.str()),
+                  std::string::npos)
+            << e.what();
+    }
+
+    req.configs[1].label = "threshold 100%";
+    EXPECT_NO_THROW(core::runSweep(shardPrograms(), req));
 }
 
 } // namespace
