@@ -1,8 +1,11 @@
 #include "interp/machine.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cmath>
+#include <limits>
+#include <string>
+#include <unordered_map>
 
 #include "guard/fault.hpp"
 #include "obs/metrics.hpp"
@@ -15,8 +18,102 @@ namespace lp::interp {
 
 using ir::Instruction;
 using ir::Opcode;
-using ir::Value;
 using ir::ValueKind;
+
+/**
+ * Operations of the lowered form: ir::Opcode's, in the same order so
+ * lowering converts with a cast, and Panic for malformed IR reached at
+ * run time.  PtrAdd runs as Add; Phi never runs (phis are edge copies).
+ */
+enum class LoweredCode : std::uint8_t {
+    Add, Sub, Mul, SDiv, SRem, And, Or, Xor, Shl, AShr,
+    FAdd, FSub, FMul, FDiv,
+    ICmpEq, ICmpNe, ICmpLt, ICmpLe, ICmpGt, ICmpGe,
+    FCmpEq, FCmpNe, FCmpLt, FCmpLe, FCmpGt, FCmpGe,
+    Select, IToF, FToI, Alloca, Load, Store, PtrAdd, Phi,
+    Call, CallExt, Br, Jmp, Ret,
+    Panic,
+};
+constexpr bool
+mirrors(LoweredCode l, Opcode o)
+{
+    return static_cast<int>(l) == static_cast<int>(o);
+}
+static_assert(mirrors(LoweredCode::FCmpGe, Opcode::FCmpGe) &&
+              mirrors(LoweredCode::Phi, Opcode::Phi) &&
+              mirrors(LoweredCode::Ret, Opcode::Ret));
+
+/**
+ * One lowered instruction.  a and b are the source registers every op
+ * reads before dispatch (register 0 when unused: every frame has one),
+ * dst the result register.  c is Select's third source; Load, Store,
+ * Call, CallExt and Ret keep their in-block position there instead,
+ * which is what preciseCost() counts.  aux is Jmp's edge, Br's taken
+ * edge (c its fall-through edge), a call's call site or a Panic's
+ * message.  Store reads its value from a and its address from b; Ret
+ * returns a (a zero register for a void return).
+ */
+struct LoweredOp
+{
+    LoweredCode code = LoweredCode::Panic;
+    std::uint32_t dst = 0;
+    std::uint32_t a = 0;
+    std::uint32_t b = 0;
+    std::uint32_t c = 0;
+    std::uint32_t aux = 0;
+    const Instruction *instr = nullptr; ///< event payload
+};
+
+/**
+ * One function lowered to flat register code.  The register file of a
+ * call is its locals (by localId; the arguments first), one scratch
+ * register for breaking phi-copy cycles, then the constants.
+ */
+struct LoweredFunction
+{
+    /**
+     * Entering a block along one CFG edge; edge 0 is the function
+     * entry.  The phis' parallel copy is ordered into moves, after
+     * which the block's phis fire in order.  An edge that reaches
+     * malformed phis resumes at a Panic op and fires none.
+     */
+    struct Edge
+    {
+        const ir::BasicBlock *block = nullptr;
+        std::uint32_t size = 0;   ///< block's IR size: its clock charge
+        std::uint32_t resume = 0; ///< first op after the phis
+        std::uint32_t movesBegin = 0, movesEnd = 0;
+        std::uint32_t phisBegin = 0, phisEnd = 0;
+    };
+    struct Move
+    {
+        std::uint32_t dst, src;
+    };
+    struct Phi
+    {
+        std::uint32_t reg;
+        const Instruction *instr;
+    };
+    /** Callee (function or ExternalFunction::index()) and arguments. */
+    struct Call
+    {
+        std::uint32_t target;
+        std::uint32_t argsBegin, argsEnd; ///< into callArgs
+    };
+
+    const ir::Function *fn = nullptr;
+    std::uint32_t numArgs = 0;
+    std::uint32_t numLocals = 0;
+    std::uint32_t frameSize = 0;
+    std::vector<std::uint64_t> consts; ///< registers numLocals + 1 on
+    std::vector<LoweredOp> ops;
+    std::vector<Edge> edges;
+    std::vector<Move> moves;
+    std::vector<Phi> phis;
+    std::vector<Call> calls;
+    std::vector<std::uint32_t> callArgs;
+    std::vector<std::string> panics;
+};
 
 namespace {
 
@@ -38,6 +135,41 @@ asI64(std::uint64_t bits)
     return static_cast<std::int64_t>(bits);
 }
 
+constexpr std::int64_t kI64Min = std::numeric_limits<std::int64_t>::min();
+
+std::uint64_t
+sdiv(std::uint64_t a, std::uint64_t b)
+{
+    if (b == 0)
+        throw InterpreterTrap("division by zero");
+    if (asI64(a) == kI64Min && asI64(b) == -1)
+        throw InterpreterTrap("division overflow: INT64_MIN / -1");
+    return static_cast<std::uint64_t>(asI64(a) / asI64(b));
+}
+
+std::uint64_t
+srem(std::uint64_t a, std::uint64_t b)
+{
+    if (b == 0)
+        throw InterpreterTrap("remainder by zero");
+    if (asI64(a) == kI64Min && asI64(b) == -1)
+        throw InterpreterTrap("remainder overflow: INT64_MIN % -1");
+    return static_cast<std::uint64_t>(asI64(a) % asI64(b));
+}
+
+/**
+ * ftoi truncates toward zero.  NaN and values outside [-2^63, 2^63)
+ * give INT64_MIN, what the x86-64 conversion instruction returns, so
+ * every input has one defined result on every host.
+ */
+std::uint64_t
+ftoi(double v)
+{
+    if (v >= -0x1p63 && v < 0x1p63)
+        return static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
+    return static_cast<std::uint64_t>(kI64Min);
+}
+
 /**
  * Instructions between wall-clock deadline polls.  A clock read every
  * ~262k instructions is a few hundred reads per simulated second —
@@ -48,12 +180,229 @@ asI64(std::uint64_t bits)
  */
 constexpr std::uint64_t kDeadlineStride = 1ULL << 18;
 
+/** Simulated call depth (main() included) past which a call fails. */
+constexpr std::size_t kMaxCallDepth = 10'000;
+
 ErrorContext
 fnContext(const ir::Function *fn)
 {
     ErrorContext ctx;
     ctx.function = fn->name();
     return ctx;
+}
+
+[[noreturn]] void
+throwStackOverflow(const ir::Function *fn)
+{
+    throw ResourceExhausted(ErrorCode::Stack,
+                            "simulated call stack overflow calling @" +
+                                fn->name(),
+                            fnContext(fn));
+}
+
+/**
+ * Order the parallel copy @p copies (distinct destinations) into
+ * sequential moves appended to @p out.  A copy is emitted once no
+ * other pending copy reads its destination; when only cycles remain,
+ * one destination is saved in @p scratch and its readers redirected.
+ */
+void
+sequentialize(std::vector<LoweredFunction::Move> copies,
+              std::uint32_t scratch,
+              std::vector<LoweredFunction::Move> &out)
+{
+    using Move = LoweredFunction::Move;
+    std::erase_if(copies, [](const Move &m) { return m.dst == m.src; });
+    while (!copies.empty()) {
+        auto ready = std::find_if(
+            copies.begin(), copies.end(), [&](const Move &m) {
+                return std::none_of(
+                    copies.begin(), copies.end(),
+                    [&](const Move &o) { return o.src == m.dst; });
+            });
+        if (ready != copies.end()) {
+            out.push_back(*ready);
+            copies.erase(ready);
+            continue;
+        }
+        const std::uint32_t saved = copies.front().dst;
+        out.push_back({scratch, saved});
+        for (Move &m : copies)
+            if (m.src == saved)
+                m.src = scratch;
+    }
+}
+
+/** As Instruction::incomingFor, but null where that panics. */
+const ir::Value *
+incomingFrom(const Instruction &phi, const ir::BasicBlock *from)
+{
+    for (unsigned i = 0; i < phi.blocks().size(); ++i)
+        if (phi.blocks()[i] == from)
+            return phi.operand(i);
+    return nullptr;
+}
+
+using FunctionIndex = std::unordered_map<const ir::Function *, std::uint32_t>;
+
+/**
+ * Lower @p fn (finalized, with a body) once.  Blocks are lowered in
+ * order; branch edges are numbered as they appear and built afterwards,
+ * when every block's first op is known.
+ */
+LoweredFunction
+lowerFunction(const ir::Function &fn, const FunctionIndex &fnIndex)
+{
+    fatalIf(fn.blocks().empty(), "@" + fn.name() + " has no body");
+    LoweredFunction lf;
+    lf.fn = &fn;
+    lf.numArgs = static_cast<std::uint32_t>(fn.args().size());
+    lf.numLocals = fn.numLocals();
+    const std::uint32_t scratch = lf.numLocals;
+
+    std::unordered_map<std::uint64_t, std::uint32_t> constRegs;
+    auto constant = [&](std::uint64_t bits) {
+        const std::uint32_t next =
+            scratch + 1 + static_cast<std::uint32_t>(lf.consts.size());
+        auto [it, fresh] = constRegs.try_emplace(bits, next);
+        if (fresh)
+            lf.consts.push_back(bits);
+        return it->second;
+    };
+    auto reg = [&](const ir::Value *v) -> std::uint32_t {
+        switch (v->kind()) {
+          case ValueKind::ConstInt:
+            return constant(static_cast<std::uint64_t>(
+                static_cast<const ir::ConstInt *>(v)->value()));
+          case ValueKind::ConstFloat:
+            return constant(
+                asBits(static_cast<const ir::ConstFloat *>(v)->value()));
+          case ValueKind::Global:
+            return constant(
+                Memory::kGlobalBase +
+                static_cast<const ir::Global *>(v)->offsetBytes());
+          case ValueKind::Argument:
+          case ValueKind::Instruction:
+            return v->localId();
+        }
+        panic("unreachable value kind");
+    };
+    auto panicOp = [&](std::string msg) {
+        LoweredOp op;
+        op.aux = static_cast<std::uint32_t>(lf.panics.size());
+        lf.panics.push_back(std::move(msg));
+        lf.ops.push_back(op);
+        return static_cast<std::uint32_t>(lf.ops.size() - 1);
+    };
+    std::vector<std::pair<const ir::BasicBlock *, const ir::BasicBlock *>>
+        edgeEnds{{nullptr, fn.entry()}};
+    auto edgeTo = [&](const ir::BasicBlock *from, const ir::BasicBlock *to) {
+        edgeEnds.emplace_back(from, to);
+        return static_cast<std::uint32_t>(edgeEnds.size() - 1);
+    };
+
+    const std::size_t numBlocks = fn.blocks().size();
+    std::vector<std::uint32_t> firstOp(numBlocks), phisBegin(numBlocks),
+        phisEnd(numBlocks);
+    for (std::size_t b = 0; b < numBlocks; ++b) {
+        const ir::BasicBlock &bb = *fn.blocks()[b];
+        const auto &instrs = bb.instructions();
+        std::size_t ip = 0;
+        phisBegin[b] = static_cast<std::uint32_t>(lf.phis.size());
+        for (; ip < instrs.size() && instrs[ip]->isPhi(); ++ip)
+            lf.phis.push_back({instrs[ip]->localId(), instrs[ip].get()});
+        phisEnd[b] = static_cast<std::uint32_t>(lf.phis.size());
+        firstOp[b] = static_cast<std::uint32_t>(lf.ops.size());
+
+        for (; ip < instrs.size(); ++ip) {
+            const Instruction &instr = *instrs[ip];
+            const unsigned n = instr.numOperands();
+            auto r = [&](unsigned i) { return reg(instr.operand(i)); };
+            LoweredOp op;
+            op.code = static_cast<LoweredCode>(instr.opcode());
+            op.dst = instr.localId();
+            op.c = static_cast<std::uint32_t>(ip);
+            op.instr = &instr;
+            switch (instr.opcode()) {
+              case Opcode::Phi:
+                panicOp("phi after non-phi in block " + bb.name());
+                continue;
+              case Opcode::Call:
+              case Opcode::CallExt: {
+                LoweredFunction::Call call;
+                call.target = instr.opcode() == Opcode::CallExt
+                                  ? instr.externalCallee()->index()
+                                  : fnIndex.at(instr.callee());
+                call.argsBegin =
+                    static_cast<std::uint32_t>(lf.callArgs.size());
+                for (unsigned i = 0; i < n; ++i)
+                    lf.callArgs.push_back(r(i));
+                call.argsEnd = static_cast<std::uint32_t>(lf.callArgs.size());
+                op.aux = static_cast<std::uint32_t>(lf.calls.size());
+                lf.calls.push_back(call);
+                break;
+              }
+              case Opcode::Br:
+                op.a = r(0);
+                op.aux = edgeTo(&bb, instr.blocks()[0]);
+                op.c = edgeTo(&bb, instr.blocks()[1]);
+                break;
+              case Opcode::Jmp:
+                op.aux = edgeTo(&bb, instr.blocks()[0]);
+                break;
+              case Opcode::Ret:
+                op.a = n == 1 ? r(0) : constant(0);
+                break;
+              default:
+                if (n > 0)
+                    op.a = r(0);
+                if (n > 1)
+                    op.b = r(1);
+                if (n > 2)
+                    op.c = r(2);
+                break;
+            }
+            lf.ops.push_back(op);
+        }
+        if (!bb.terminator())
+            panicOp("block fell through without terminator");
+    }
+
+    for (const auto &[from, to] : edgeEnds) {
+        fatalIf(to->parent() != &fn,
+                "@" + fn.name() + " branches to another function's block");
+        const std::size_t b = to->index();
+        LoweredFunction::Edge e;
+        e.block = to;
+        e.size = static_cast<std::uint32_t>(to->instructions().size());
+        e.resume = firstOp[b];
+        e.movesBegin = static_cast<std::uint32_t>(lf.moves.size());
+        e.phisBegin = phisBegin[b];
+        e.phisEnd = phisEnd[b];
+        std::vector<LoweredFunction::Move> copies;
+        std::string bad;
+        for (std::uint32_t k = phisBegin[b]; k < phisEnd[b] && bad.empty();
+             ++k) {
+            const LoweredFunction::Phi &phi = lf.phis[k];
+            if (!from)
+                bad = "phi in entry block of @" + fn.name();
+            else if (const ir::Value *in = incomingFrom(*phi.instr, from))
+                copies.push_back({phi.reg, reg(in)});
+            else
+                bad = "phi has no incoming value for block " + from->name();
+        }
+        if (bad.empty()) {
+            sequentialize(std::move(copies), scratch, lf.moves);
+        } else {
+            e.resume = panicOp(std::move(bad));
+            e.phisEnd = e.phisBegin;
+        }
+        e.movesEnd = static_cast<std::uint32_t>(lf.moves.size());
+        lf.edges.push_back(e);
+    }
+    lf.frameSize =
+        scratch + 1 + static_cast<std::uint32_t>(lf.consts.size());
+    return lf;
 }
 
 /**
@@ -125,9 +474,15 @@ struct RecorderSink
 Machine::Machine(const ir::Module &mod, ExecListener *listener)
     : mod_(mod), listener_(listener)
 {
-    for (const auto &fn : mod.functions())
+    FunctionIndex index;
+    for (const auto &fn : mod.functions()) {
         fatalIf(!fn->finalized(),
                 "module not finalized before interpretation");
+        index.emplace(fn.get(), static_cast<std::uint32_t>(index.size()));
+    }
+    fns_.reserve(mod.functions().size());
+    for (const auto &fn : mod.functions())
+        fns_.push_back(lowerFunction(*fn, index));
     // Copy the external impls so stateful ones (rand's LCG) restart per
     // run and never share mutable state across concurrent Machines.
     extImpls_.reserve(mod.externals().size());
@@ -135,6 +490,8 @@ Machine::Machine(const ir::Module &mod, ExecListener *listener)
         extImpls_.push_back(ext->impl());
     setBudget(guard::defaultBudget());
 }
+
+Machine::~Machine() = default;
 
 void
 Machine::setBudget(const guard::RunBudget &b)
@@ -219,7 +576,16 @@ Machine::run()
     const ir::Function *main = mod_.mainFunction();
     fatalIf(!main, "module has no main()");
     fatalIf(!main->args().empty(), "main() must take no arguments");
-    std::uint64_t result = execFunction(main, {});
+    const LoweredFunction &entry = *std::find_if(
+        fns_.begin(), fns_.end(),
+        [&](const LoweredFunction &lf) { return lf.fn == main; });
+    std::uint64_t result;
+    if (recorder_)
+        result = execute(entry, RecorderSink{recorder_, this});
+    else if (listener_)
+        result = execute(entry, ListenerSink{listener_});
+    else
+        result = execute(entry, NullSink{});
 
     if (profiling_)
         flushEpoch(); // attribute the tail of the final epoch
@@ -231,236 +597,173 @@ Machine::run()
     return result;
 }
 
-std::uint64_t
-Machine::evalValue(const Value *v,
-                   const std::vector<std::uint64_t> &regs) const
+std::uint64_t *
+Machine::pushRegisters(const LoweredFunction &fn, std::size_t base)
 {
-    switch (v->kind()) {
-      case ValueKind::ConstInt:
-        return static_cast<std::uint64_t>(
-            static_cast<const ir::ConstInt *>(v)->value());
-      case ValueKind::ConstFloat:
-        return asBits(static_cast<const ir::ConstFloat *>(v)->value());
-      case ValueKind::Global:
-        return Memory::kGlobalBase +
-               static_cast<const ir::Global *>(v)->offsetBytes();
-      case ValueKind::Argument:
-      case ValueKind::Instruction:
-        return regs[v->localId()];
-    }
-    panic("unreachable value kind");
-}
-
-std::uint64_t
-Machine::execFunction(const ir::Function *fn,
-                      const std::vector<std::uint64_t> &args)
-{
-    if (recorder_)
-        return execFunctionT(fn, args, RecorderSink{recorder_, this});
-    if (listener_)
-        return execFunctionT(fn, args, ListenerSink{listener_});
-    return execFunctionT(fn, args, NullSink{});
+    const std::size_t top = base + fn.frameSize;
+    if (regs_.size() < top)
+        regs_.resize(std::max(top, 2 * regs_.size()));
+    std::uint64_t *r = regs_.data() + base;
+    std::fill_n(r, fn.numLocals, std::uint64_t{0});
+    std::copy(fn.consts.begin(), fn.consts.end(), r + fn.numLocals + 1);
+    return r;
 }
 
 template <typename Sink>
 std::uint64_t
-Machine::execFunctionT(const ir::Function *fn,
-                       const std::vector<std::uint64_t> &args, Sink sink)
+Machine::execute(const LoweredFunction &main, Sink sink)
 {
-    fatalIf(args.size() != fn->args().size(),
-            "argument count mismatch calling @" + fn->name());
-    if (++callDepth_ > 10'000)
-        throw ResourceExhausted(ErrorCode::Stack,
-                                "simulated call stack overflow calling @" +
-                                    fn->name(),
-                                fnContext(fn));
-
-    const std::uint64_t savedSp = sp_;
-    const std::uint64_t savedBlockSize = curBlockSize_;
-    const std::uint64_t savedIp = ipInBlock_;
-    sink.functionEnter(fn);
-
-    if (regScratch_.size() < callDepth_)
-        regScratch_.emplace_back();
-    std::vector<std::uint64_t> &regs = regScratch_[callDepth_ - 1];
-    regs.assign(fn->numLocals(), 0);
-    for (std::size_t i = 0; i < args.size(); ++i)
-        regs[fn->args()[i]->localId()] = args[i];
-
-    const ir::BasicBlock *bb = fn->entry();
-    const ir::BasicBlock *prev = nullptr;
-    std::uint64_t result = 0;
+    const LoweredFunction *f = &main;
+    std::size_t base = 0;
+    std::uint64_t *regs = pushRegisters(main, base);
+    frames_.push_back({nullptr, nullptr, 0, sp_, curBlockSize_, ipInBlock_});
+    sink.functionEnter(main.fn);
+    const LoweredFunction::Edge *e = &main.edges[0];
 
     for (;;) {
-        cost_ += bb->instructions().size();
-        curBlockSize_ = bb->instructions().size();
+        // Enter e's block: charge all of it, check the budgets, then
+        // resolve its phis (the copy runs before any phi fires).
+        cost_ += e->size;
+        curBlockSize_ = e->size;
         ipInBlock_ = 0;
         if (cost_ > costLimit_) [[unlikely]]
-            throwFuelExhausted(fn);
+            throwFuelExhausted(f->fn);
         if (cost_ >= nextPollCost_) [[unlikely]]
-            pollBudgets(fn);
-        sink.blockEnter(bb);
+            pollBudgets(f->fn);
+        sink.blockEnter(e->block);
+        for (std::uint32_t i = e->movesBegin; i < e->movesEnd; ++i)
+            regs[f->moves[i].dst] = regs[f->moves[i].src];
+        for (std::uint32_t i = e->phisBegin; i < e->phisEnd; ++i)
+            sink.phiResolved(f->phis[i].instr, regs[f->phis[i].reg]);
+        const LoweredOp *pc = f->ops.data() + e->resume;
 
-        // Phis resolve in parallel against the incoming edge.
-        std::size_t ip = 0;
-        const auto &instrs = bb->instructions();
-        if (!instrs.empty() && instrs[0]->isPhi()) {
-            phiScratch_.clear();
-            for (; ip < instrs.size() && instrs[ip]->isPhi(); ++ip) {
-                const Instruction *phi = instrs[ip].get();
-                panicIf(!prev, "phi in entry block of @" + fn->name());
-                phiScratch_.emplace_back(
-                    phi, evalValue(phi->incomingFor(prev), regs));
-            }
-            for (const auto &[phi, bits] : phiScratch_) {
-                regs[phi->localId()] = bits;
-                sink.phiResolved(phi, bits);
-            }
-        }
+        // Run ops until control leaves the block: each case either
+        // continues with the next op or sets e and breaks.
+        for (;;) {
+            const LoweredOp &op = *pc++;
+            const std::uint64_t x = regs[op.a], y = regs[op.b];
+            const std::int64_t ix = asI64(x), iy = asI64(y);
+            const double fx = asF64(x), fy = asF64(y);
+            std::uint64_t &out = regs[op.dst];
+            using enum LoweredCode;
+            switch (op.code) {
+              case Add: case PtrAdd: out = x + y; continue;
+              case Sub: out = x - y; continue;
+              case Mul: out = x * y; continue;
+              case SDiv: out = sdiv(x, y); continue;
+              case SRem: out = srem(x, y); continue;
+              case And: out = x & y; continue;
+              case Or: out = x | y; continue;
+              case Xor: out = x ^ y; continue;
+              case Shl: out = x << (y & 63); continue;
+              case AShr:
+                out = static_cast<std::uint64_t>(ix >> (y & 63));
+                continue;
+              case FAdd: out = asBits(fx + fy); continue;
+              case FSub: out = asBits(fx - fy); continue;
+              case FMul: out = asBits(fx * fy); continue;
+              case FDiv: out = asBits(fx / fy); continue;
+              case ICmpEq: out = x == y; continue;
+              case ICmpNe: out = x != y; continue;
+              case ICmpLt: out = ix < iy; continue;
+              case ICmpLe: out = ix <= iy; continue;
+              case ICmpGt: out = ix > iy; continue;
+              case ICmpGe: out = ix >= iy; continue;
+              case FCmpEq: out = fx == fy; continue;
+              case FCmpNe: out = fx != fy; continue;
+              case FCmpLt: out = fx < fy; continue;
+              case FCmpLe: out = fx <= fy; continue;
+              case FCmpGt: out = fx > fy; continue;
+              case FCmpGe: out = fx >= fy; continue;
+              case Select: out = x ? y : regs[op.c]; continue;
+              case IToF: out = asBits(static_cast<double>(ix)); continue;
+              case FToI: out = ftoi(fx); continue;
 
-        const ir::BasicBlock *next = nullptr;
-        for (; ip < instrs.size(); ++ip) {
-            const Instruction &instr = *instrs[ip];
-            ipInBlock_ = ip;
-            switch (instr.opcode()) {
-              case Opcode::Br: {
-                std::uint64_t c = evalValue(instr.operand(0), regs);
-                next = instr.blocks()[c ? 0 : 1];
+              case Alloca:
+                out = sp_;
+                sp_ += (x + 7) & ~std::uint64_t{7};
+                mem_.ensureStack(sp_);
+                continue;
+              case Load:
+                ipInBlock_ = op.c;
+                sink.load(op.instr, x);
+                out = mem_.load64(x);
+                continue;
+              case Store:
+                ipInBlock_ = op.c;
+                sink.store(op.instr, y);
+                mem_.store64(y, x);
+                continue;
+
+              case Call: {
+                ipInBlock_ = op.c;
+                sink.callSite(op.instr);
+                const LoweredFunction::Call &call = f->calls[op.aux];
+                const LoweredFunction &callee = fns_[call.target];
+                const std::uint32_t argc = call.argsEnd - call.argsBegin;
+                if (argc != callee.numArgs) [[unlikely]]
+                    fatal("argument count mismatch calling @" +
+                          callee.fn->name());
+                if (frames_.size() >= kMaxCallDepth) [[unlikely]]
+                    throwStackOverflow(callee.fn);
+                frames_.push_back(
+                    {f, pc, base, sp_, curBlockSize_, ipInBlock_});
+                sink.functionEnter(callee.fn);
+                // pushRegisters may move regs_ (out dangles from here
+                // on; Ret stores the result through the fresh pointer).
+                const std::size_t calleeBase = base + f->frameSize;
+                std::uint64_t *args = pushRegisters(callee, calleeBase);
+                regs = regs_.data() + base;
+                for (std::uint32_t i = 0; i < argc; ++i)
+                    args[i] = regs[f->callArgs[call.argsBegin + i]];
+                f = &callee;
+                base = calleeBase;
+                regs = args;
+                e = &callee.edges[0];
                 break;
               }
-              case Opcode::Jmp:
-                next = instr.blocks()[0];
+              case CallExt: {
+                ipInBlock_ = op.c;
+                sink.callSite(op.instr);
+                const LoweredFunction::Call &call = f->calls[op.aux];
+                extArgs_.clear();
+                for (std::uint32_t i = call.argsBegin; i < call.argsEnd; ++i)
+                    extArgs_.push_back(regs[f->callArgs[i]]);
+                cost_ += op.instr->externalCallee()->cost();
+                out = extImpls_[call.target](*this, extArgs_);
+                continue;
+              }
+
+              case Br:
+                e = &f->edges[x ? op.aux : op.c];
                 break;
-              case Opcode::Ret:
-                if (instr.numOperands() == 1)
-                    result = evalValue(instr.operand(0), regs);
-                sink.functionExit(fn);
-                sp_ = savedSp;
-                curBlockSize_ = savedBlockSize;
-                ipInBlock_ = savedIp;
-                --callDepth_;
-                return result;
-              default:
-                regs[instr.localId()] =
-                    execInstructionT(instr, regs, sink);
+              case Jmp:
+                e = &f->edges[op.aux];
                 break;
+              case Ret: {
+                ipInBlock_ = op.c;
+                sink.functionExit(f->fn);
+                const Frame fr = frames_.back();
+                frames_.pop_back();
+                sp_ = fr.sp;
+                curBlockSize_ = fr.blockSize;
+                ipInBlock_ = fr.ip;
+                if (!fr.caller)
+                    return x;
+                f = fr.caller;
+                pc = fr.resume;
+                base = fr.base;
+                regs = regs_.data() + base;
+                regs[pc[-1].dst] = x;
+                continue;
+              }
+              case Phi:
+              case Panic:
+                panic(f->panics[op.aux]);
             }
+            break;
         }
-        panicIf(!next, "block fell through without terminator");
-        prev = bb;
-        bb = next;
     }
-}
-
-template <typename Sink>
-std::uint64_t
-Machine::execInstructionT(const Instruction &instr,
-                          std::vector<std::uint64_t> &regs, Sink sink)
-{
-    auto op = [&](unsigned i) { return evalValue(instr.operand(i), regs); };
-    auto iop = [&](unsigned i) { return asI64(op(i)); };
-    auto fop = [&](unsigned i) { return asF64(op(i)); };
-
-    switch (instr.opcode()) {
-      case Opcode::Add: return op(0) + op(1);
-      case Opcode::Sub: return op(0) - op(1);
-      case Opcode::Mul: return op(0) * op(1);
-      case Opcode::SDiv: {
-        std::int64_t d = iop(1);
-        if (d == 0)
-            throw InterpreterTrap("division by zero");
-        return static_cast<std::uint64_t>(iop(0) / d);
-      }
-      case Opcode::SRem: {
-        std::int64_t d = iop(1);
-        if (d == 0)
-            throw InterpreterTrap("remainder by zero");
-        return static_cast<std::uint64_t>(iop(0) % d);
-      }
-      case Opcode::And: return op(0) & op(1);
-      case Opcode::Or: return op(0) | op(1);
-      case Opcode::Xor: return op(0) ^ op(1);
-      case Opcode::Shl: return op(0) << (op(1) & 63);
-      case Opcode::AShr:
-        return static_cast<std::uint64_t>(iop(0) >> (op(1) & 63));
-
-      case Opcode::FAdd: return asBits(fop(0) + fop(1));
-      case Opcode::FSub: return asBits(fop(0) - fop(1));
-      case Opcode::FMul: return asBits(fop(0) * fop(1));
-      case Opcode::FDiv: return asBits(fop(0) / fop(1));
-
-      case Opcode::ICmpEq: return iop(0) == iop(1);
-      case Opcode::ICmpNe: return iop(0) != iop(1);
-      case Opcode::ICmpLt: return iop(0) < iop(1);
-      case Opcode::ICmpLe: return iop(0) <= iop(1);
-      case Opcode::ICmpGt: return iop(0) > iop(1);
-      case Opcode::ICmpGe: return iop(0) >= iop(1);
-
-      case Opcode::FCmpEq: return fop(0) == fop(1);
-      case Opcode::FCmpNe: return fop(0) != fop(1);
-      case Opcode::FCmpLt: return fop(0) < fop(1);
-      case Opcode::FCmpLe: return fop(0) <= fop(1);
-      case Opcode::FCmpGt: return fop(0) > fop(1);
-      case Opcode::FCmpGe: return fop(0) >= fop(1);
-
-      case Opcode::Select: return op(0) ? op(1) : op(2);
-      case Opcode::IToF: return asBits(static_cast<double>(iop(0)));
-      case Opcode::FToI:
-        return static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(fop(0)));
-
-      case Opcode::Alloca: {
-        std::uint64_t size = op(0);
-        std::uint64_t addr = sp_;
-        sp_ += (size + 7) & ~std::uint64_t{7};
-        mem_.ensureStack(sp_);
-        return addr;
-      }
-      case Opcode::Load: {
-        std::uint64_t addr = op(0);
-        sink.load(&instr, addr);
-        return mem_.load64(addr);
-      }
-      case Opcode::Store: {
-        std::uint64_t addr = op(1);
-        sink.store(&instr, addr);
-        mem_.store64(addr, op(0));
-        return 0;
-      }
-      case Opcode::PtrAdd: return op(0) + op(1);
-
-      case Opcode::Call: {
-        sink.callSite(&instr);
-        // Scratch slot by depth: dead once the callee (depth + 1) has
-        // copied it into its registers, so depths never collide.
-        while (argScratch_.size() <= callDepth_)
-            argScratch_.emplace_back();
-        std::vector<std::uint64_t> &args = argScratch_[callDepth_];
-        args.resize(instr.numOperands());
-        for (unsigned i = 0; i < instr.numOperands(); ++i)
-            args[i] = op(i);
-        return execFunctionT(instr.callee(), args, sink);
-      }
-      case Opcode::CallExt: {
-        sink.callSite(&instr);
-        while (argScratch_.size() <= callDepth_)
-            argScratch_.emplace_back();
-        std::vector<std::uint64_t> &args = argScratch_[callDepth_];
-        args.resize(instr.numOperands());
-        for (unsigned i = 0; i < instr.numOperands(); ++i)
-            args[i] = op(i);
-        const ir::ExternalFunction *ext = instr.externalCallee();
-        cost_ += ext->cost();
-        return extImpls_[ext->index()](*this, args);
-      }
-
-      case Opcode::Phi:
-      case Opcode::Br:
-      case Opcode::Jmp:
-      case Opcode::Ret:
-        break;
-    }
-    panic("unhandled opcode in execInstruction");
 }
 
 } // namespace lp::interp

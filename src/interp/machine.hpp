@@ -6,6 +6,15 @@
  * paper's proxy for execution time — and firing instrumentation events.
  * Determinism is total: same module, same result, same cost, every run.
  *
+ * The Machine never walks the pointer IR while it runs.  Its
+ * constructor lowers every function of the module once into flat
+ * register code: operands become register indices (constants and
+ * global addresses are preloaded into registers after the locals),
+ * phis become parallel-copy lists on the CFG edges, and each edge
+ * carries what entering its target block costs on the block-granular
+ * clock.  The sinks still receive the ir:: instructions and blocks the
+ * events are about.
+ *
  * To make that guarantee hold run-to-run (and to let lp::exec run many
  * Machines over one module concurrently), each Machine copies the
  * module's external-function implementations at construction and
@@ -22,8 +31,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
-#include <utility>
 #include <vector>
 
 #include "guard/budget.hpp"
@@ -37,6 +44,9 @@ class Recorder;
 
 namespace lp::interp {
 
+struct LoweredFunction;
+struct LoweredOp;
+
 /** Interprets one module. */
 class Machine
 {
@@ -46,6 +56,7 @@ class Machine
      * @param listener optional instrumentation sink (not owned)
      */
     explicit Machine(const ir::Module &mod, ExecListener *listener = nullptr);
+    ~Machine();
 
     /**
      * Lay out globals and run main(); returns main's result bits.
@@ -76,10 +87,6 @@ class Machine
     Memory &memory() { return mem_; }
     const ir::Module &module() const { return mod_; }
 
-    /** Execute @p fn with @p args (bit patterns); used by call handling. */
-    std::uint64_t execFunction(const ir::Function *fn,
-                               const std::vector<std::uint64_t> &args);
-
     /** Charge @p n extra cost units (external function bodies). */
     void charge(std::uint64_t n) { cost_ += n; }
 
@@ -108,21 +115,20 @@ class Machine
     void setRecorder(trace::Recorder *r) { recorder_ = r; }
 
   private:
-    std::uint64_t evalValue(const ir::Value *v,
-                            const std::vector<std::uint64_t> &regs) const;
     /**
-     * The interpreter loop, templated on the instrumentation sink so
-     * the null-instrumentation and recording paths compile to direct
-     * (inlineable) calls instead of virtual dispatch per event.
+     * The interpreter loop over the lowered code, templated on the
+     * instrumentation sink so the null-instrumentation and recording
+     * paths compile to direct (inlineable) calls instead of virtual
+     * dispatch per event.  Calls push a Frame instead of recursing.
      */
     template <typename Sink>
-    std::uint64_t execFunctionT(const ir::Function *fn,
-                                const std::vector<std::uint64_t> &args,
-                                Sink sink);
-    template <typename Sink>
-    std::uint64_t execInstructionT(const ir::Instruction &instr,
-                                   std::vector<std::uint64_t> &regs,
-                                   Sink sink);
+    std::uint64_t execute(const LoweredFunction &main, Sink sink);
+    /**
+     * Place @p fn's register file at offset @p base (growing regs_ as
+     * needed, which may move it): locals zeroed, constants loaded.
+     */
+    std::uint64_t *pushRegisters(const LoweredFunction &fn,
+                                 std::size_t base);
     [[noreturn]] void throwFuelExhausted(const ir::Function *fn) const;
     /**
      * The unified cold poll, reached every ~262k instructions when a
@@ -135,6 +141,17 @@ class Machine
     void pollBudgets(const ir::Function *fn);
     /** Attribute instructions/wall-ns since the last epoch mark. */
     void flushEpoch();
+
+    /** What a Ret restores: the caller and the clock state at the call. */
+    struct Frame
+    {
+        const LoweredFunction *caller; ///< null for main()
+        const LoweredOp *resume;       ///< caller op after the Call
+        std::size_t base;              ///< caller's register offset
+        std::uint64_t sp;
+        std::uint64_t blockSize;
+        std::uint64_t ip;
+    };
 
     const ir::Module &mod_;
     ExecListener *listener_;
@@ -151,24 +168,15 @@ class Machine
     std::uint64_t curBlockSize_ = 0;
     std::uint64_t ipInBlock_ = 0;
     std::uint64_t sp_ = Memory::kStackBase;
-    unsigned callDepth_ = 0;
     bool ran_ = false;
-    /**
-     * Reusable per-call-depth scratch: register files and outgoing call
-     * arguments.  Allocated once per depth on first use and then reused
-     * by every call at that depth, removing the interpreter's per-call
-     * allocations.  Deques: growth must not move the slots of the
-     * suspended outer calls that still hold references into them.
-     */
-    std::deque<std::vector<std::uint64_t>> regScratch_;
-    std::deque<std::vector<std::uint64_t>> argScratch_;
-    /**
-     * Scratch for parallel phi resolution.  A single buffer suffices:
-     * its live range (top of a block) contains no calls, so it is never
-     * needed at two depths at once.
-     */
-    std::vector<std::pair<const ir::Instruction *, std::uint64_t>>
-        phiScratch_;
+    /** Lowered code, indexed like the module's functions(). */
+    std::vector<LoweredFunction> fns_;
+    /** Register stack: each active call's file sits above its caller's. */
+    std::vector<std::uint64_t> regs_;
+    /** Suspended calls, innermost last; its size is the call depth. */
+    std::vector<Frame> frames_;
+    /** Argument scratch for external calls (their Impl takes a vector). */
+    std::vector<std::uint64_t> extArgs_;
     /**
      * Per-run copies of external impls (run isolation; see @file),
      * indexed by ExternalFunction::index().  Last member: cold relative

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
+#include <string>
+
 #include "helpers.hpp"
 #include "interp/machine.hpp"
 #include "interp/stdlib.hpp"
@@ -119,6 +123,60 @@ TEST(Interp, DivisionByZeroIsFatal)
     EXPECT_THROW(m.run(), FatalError);
 }
 
+/** main() { return <op>(1 << 63, 0 - 1) }: the one overflowing quotient. */
+void
+expectOverflowTrap(Opcode op)
+{
+    Module mod("m");
+    IRBuilder b(mod);
+    b.createFunction("main", Type::I64);
+    Value *m = b.shl(b.i64(1), b.i64(63), "m");
+    Value *n = b.sub(b.i64(0), b.i64(1), "n");
+    b.ret(op == Opcode::SDiv ? b.sdiv(m, n) : b.srem(m, n));
+    mod.finalize();
+    Machine machine(mod);
+    try {
+        machine.run();
+        ADD_FAILURE() << opcodeName(op) << " INT64_MIN, -1 did not trap";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.code(), ErrorCode::Trap) << e.what();
+    }
+}
+
+TEST(Interp, DivisionOverflowTraps)
+{
+    expectOverflowTrap(Opcode::SDiv);
+    expectOverflowTrap(Opcode::SRem);
+}
+
+/** main() { return ftoi(<v>) } */
+std::uint64_t
+ftoiOf(double v)
+{
+    Module mod("m");
+    IRBuilder b(mod);
+    b.createFunction("main", Type::I64);
+    b.ret(b.ftoi(b.f64(v)));
+    mod.finalize();
+    return runModule(mod);
+}
+
+TEST(Interp, FToIOutOfRangeGivesInt64Min)
+{
+    const std::uint64_t int64Min = std::uint64_t{1} << 63;
+    EXPECT_EQ(ftoiOf(std::nan("")), int64Min);
+    EXPECT_EQ(ftoiOf(-std::nan("")), int64Min);
+    EXPECT_EQ(ftoiOf(INFINITY), int64Min);
+    EXPECT_EQ(ftoiOf(-INFINITY), int64Min);
+    EXPECT_EQ(ftoiOf(0x1p63), int64Min);
+    EXPECT_EQ(ftoiOf(1e304), int64Min);
+    EXPECT_EQ(ftoiOf(-1e304), int64Min);
+    // In range: truncation toward zero, both ends included.
+    EXPECT_EQ(ftoiOf(-0x1p63), int64Min);
+    EXPECT_EQ(ftoiOf(0x1p63 - 1024), int64Min - 1024);
+    EXPECT_EQ(ftoiOf(-2.9), static_cast<std::uint64_t>(-2));
+}
+
 TEST(Interp, CostLimitAborts)
 {
     auto mod = test::buildSaxpy(100000);
@@ -145,6 +203,45 @@ TEST(Interp, AllocaIsFrameLocal)
     b.ret(b.add(a, c));
     mod.finalize();
     EXPECT_EQ(runModule(mod), 42u);
+}
+
+/** f(n) = n == 0 ? 0 : f(n - 1) + 1, called as main() { f(@p n) }. */
+std::unique_ptr<Module>
+buildRecursion(std::int64_t n)
+{
+    auto mod = std::make_unique<Module>("m");
+    IRBuilder b(*mod);
+    Function *f = b.createFunction("f", Type::I64, {{Type::I64, "n"}});
+    Value *arg = f->args()[0].get();
+    BasicBlock *base = b.newBlock("base");
+    BasicBlock *rec = b.newBlock("rec");
+    b.br(b.icmpEq(arg, b.i64(0)), base, rec);
+    b.setInsertPoint(base);
+    b.ret(b.i64(0));
+    b.setInsertPoint(rec);
+    b.ret(b.add(b.call(f, {b.sub(arg, b.i64(1))}), b.i64(1)));
+
+    b.createFunction("main", Type::I64);
+    b.ret(b.call(f, {b.i64(n)}));
+    mod->finalize();
+    return mod;
+}
+
+TEST(Interp, CallDepthLimit)
+{
+    // main plus f(9998)..f(0) is 10,000 frames: the deepest allowed.
+    auto deepest = buildRecursion(9998);
+    EXPECT_EQ(runModule(*deepest), 9998u);
+
+    // One more frame overflows the simulated call stack.
+    auto over = buildRecursion(9999);
+    Machine m(*over);
+    try {
+        m.run();
+        ADD_FAILURE() << "10,001 frames did not overflow";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.code(), ErrorCode::Stack) << e.what();
+    }
 }
 
 TEST(Interp, ExternalCallsChargeCost)
@@ -262,6 +359,170 @@ TEST(Interp, PhiValuesObserved)
     ASSERT_EQ(listener.values.size(), 6u);
     for (std::uint64_t k = 0; k <= 5; ++k)
         EXPECT_EQ(listener.values[k], k);
+}
+
+/** Every phi value the interpreter reports, by phi name, in order. */
+struct PhiLog : interp::ExecListener
+{
+    std::map<std::string, std::vector<std::uint64_t>> values;
+    void
+    onPhiResolved(const Instruction *phi, std::uint64_t bits) override
+    {
+        values[phi->name()].push_back(bits);
+    }
+};
+
+/**
+ * A self-looping header @p h entered from @p entry, counting n from 0
+ * while n + 1 < @p trips; returns the exit block (insert point is left
+ * there).  @p body adds the loop's own phis and their latch values.
+ */
+template <typename Body>
+BasicBlock *
+selfLoop(IRBuilder &b, std::int64_t trips, Body body)
+{
+    BasicBlock *entry = b.insertBlock();
+    BasicBlock *h = b.newBlock("h");
+    BasicBlock *exit = b.newBlock("exit");
+    b.jmp(h);
+    b.setInsertPoint(h);
+    Instruction *n = b.phi(Type::I64, "n");
+    body(entry, h);
+    Value *n2 = b.add(n, b.i64(1));
+    IRBuilder::addIncoming(n, b.i64(0), entry);
+    IRBuilder::addIncoming(n, n2, h);
+    b.br(b.icmpLt(n2, b.i64(trips)), h, exit);
+    b.setInsertPoint(exit);
+    return exit;
+}
+
+TEST(Interp, PhisSwapInParallel)
+{
+    // a and b trade values on every back edge.  Copying them one at a
+    // time would leave both holding b's value from the second visit on.
+    Module mod("m");
+    IRBuilder b(mod);
+    b.createFunction("main", Type::I64);
+    Instruction *pa = nullptr, *pb = nullptr;
+    selfLoop(b, 5, [&](BasicBlock *entry, BasicBlock *h) {
+        pa = b.phi(Type::I64, "a");
+        pb = b.phi(Type::I64, "b");
+        IRBuilder::addIncoming(pa, b.i64(1), entry);
+        IRBuilder::addIncoming(pa, pb, h);
+        IRBuilder::addIncoming(pb, b.i64(2), entry);
+        IRBuilder::addIncoming(pb, pa, h);
+    });
+    b.ret(b.add(b.mul(pa, b.i64(10)), pb));
+    mod.finalize();
+
+    PhiLog log;
+    Machine m(mod, &log);
+    EXPECT_EQ(m.run(), 12u);
+    EXPECT_EQ(log.values["a"],
+              (std::vector<std::uint64_t>{1, 2, 1, 2, 1}));
+    EXPECT_EQ(log.values["b"],
+              (std::vector<std::uint64_t>{2, 1, 2, 1, 2}));
+}
+
+TEST(Interp, PhiReadsPreviousValueOfSameBlockPhi)
+{
+    // y takes x's value from the previous visit, not x's new value.
+    Module mod("m");
+    IRBuilder b(mod);
+    b.createFunction("main", Type::I64);
+    Instruction *px = nullptr, *py = nullptr;
+    selfLoop(b, 4, [&](BasicBlock *entry, BasicBlock *h) {
+        px = b.phi(Type::I64, "x");
+        py = b.phi(Type::I64, "y");
+        IRBuilder::addIncoming(px, b.i64(0), entry);
+        IRBuilder::addIncoming(px, b.add(px, b.i64(1)), h);
+        IRBuilder::addIncoming(py, b.i64(100), entry);
+        IRBuilder::addIncoming(py, px, h);
+    });
+    b.ret(py);
+    mod.finalize();
+
+    PhiLog log;
+    Machine m(mod, &log);
+    EXPECT_EQ(m.run(), 2u);
+    EXPECT_EQ(log.values["x"], (std::vector<std::uint64_t>{0, 1, 2, 3}));
+    EXPECT_EQ(log.values["y"], (std::vector<std::uint64_t>{100, 0, 1, 2}));
+}
+
+TEST(Interp, PhiIncomingConstantsAndGlobals)
+{
+    // p starts at a global's address, k at a constant, and z takes a
+    // constant on both edges.
+    Module mod("m");
+    Global *g = mod.addGlobal("g", 16);
+    IRBuilder b(mod);
+    b.createFunction("main", Type::I64);
+    b.store(b.i64(7), g);
+    b.store(b.i64(9), b.ptradd(g, b.i64(8)));
+    Instruction *pk = nullptr;
+    Value *k2 = nullptr;
+    selfLoop(b, 2, [&](BasicBlock *entry, BasicBlock *h) {
+        Instruction *pp = b.phi(Type::Ptr, "p");
+        pk = b.phi(Type::I64, "k");
+        Instruction *pz = b.phi(Type::I64, "z");
+        k2 = b.add(pk, b.load(Type::I64, pp));
+        IRBuilder::addIncoming(pp, g, entry);
+        IRBuilder::addIncoming(pp, b.ptradd(pp, b.i64(8)), h);
+        IRBuilder::addIncoming(pk, b.i64(5), entry);
+        IRBuilder::addIncoming(pk, k2, h);
+        IRBuilder::addIncoming(pz, b.i64(0), entry);
+        IRBuilder::addIncoming(pz, b.i64(-1), h);
+    });
+    b.ret(k2);
+    mod.finalize();
+
+    PhiLog log;
+    Machine m(mod, &log);
+    EXPECT_EQ(m.run(), 5u + 7u + 9u);
+    const std::uint64_t base = interp::Memory::kGlobalBase + g->offsetBytes();
+    EXPECT_EQ(log.values["p"], (std::vector<std::uint64_t>{base, base + 8}));
+    EXPECT_EQ(log.values["k"], (std::vector<std::uint64_t>{5, 12}));
+    EXPECT_EQ(log.values["z"],
+              (std::vector<std::uint64_t>{0, ~std::uint64_t{0}}));
+}
+
+TEST(Interp, BranchWithBothEdgesIntoOnePhiBlock)
+{
+    // `br %odd, join, join`: whichever edge is taken, v resolves to the
+    // value flowing in from the loop block.
+    Module mod("m");
+    IRBuilder b(mod);
+    b.createFunction("main", Type::I64);
+    BasicBlock *entry = b.insertBlock();
+    BasicBlock *loop = b.newBlock("loop");
+    BasicBlock *join = b.newBlock("join");
+    BasicBlock *exit = b.newBlock("exit");
+    b.jmp(loop);
+
+    b.setInsertPoint(loop);
+    Instruction *i = b.phi(Type::I64, "i");
+    Instruction *acc = b.phi(Type::I64, "acc");
+    Value *i2 = b.add(i, b.i64(1));
+    b.br(b.and_(i, b.i64(1)), join, join);
+
+    b.setInsertPoint(join);
+    Instruction *v = b.phi(Type::I64, "v");
+    IRBuilder::addIncoming(v, i2, loop);
+    Value *acc2 = b.add(acc, v);
+    b.br(b.icmpLt(i2, b.i64(5)), loop, exit);
+
+    IRBuilder::addIncoming(i, b.i64(0), entry);
+    IRBuilder::addIncoming(i, i2, join);
+    IRBuilder::addIncoming(acc, b.i64(0), entry);
+    IRBuilder::addIncoming(acc, acc2, join);
+    b.setInsertPoint(exit);
+    b.ret(acc2);
+    mod.finalize();
+
+    PhiLog log;
+    Machine m(mod, &log);
+    EXPECT_EQ(m.run(), 1u + 2u + 3u + 4u + 5u);
+    EXPECT_EQ(log.values["v"], (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
 }
 
 } // namespace
