@@ -211,10 +211,10 @@ writeBenchBaseline()
         return rep.serialCost;
     }));
 
-    // Record-once / replay-many: the 14-config grid over one suite,
-    // serial, fresh drivers per measurement so the replay side pays its
-    // recording every time.  "speedup_batched" is the ratio of
-    // interpret-every-cell to the decode-once SoA batch runSweep uses.
+    // Fused batches: the 14-config grid over one suite, serial, fresh
+    // drivers per measurement.  "speedup_batched" is the ratio of
+    // interpret-every-cell to the one-interpretation SoA batch
+    // runSweep uses.
     {
         std::vector<std::unique_ptr<ir::Module>> mods;
         for (const auto &prog : suites::nonNumericPrograms())
@@ -231,9 +231,9 @@ writeBenchBaseline()
             }
             return instructions;
         };
-        // Batched replay: one decode of each program's trace serves the
-        // whole config grid (rt::replayLimitStudyBatched) — the
-        // decode-once mode runSweep uses by default.
+        // Fused batch: one interpretation of each program serves the
+        // whole config grid (rt::runLimitStudyBatched) — the mode
+        // runSweep uses by default.
         auto batchedOnce = [&] {
             std::uint64_t instructions = 0;
             for (const auto &mod : mods) {

@@ -20,19 +20,18 @@
  *   --budget-instructions N          dynamic-IR-instruction fuel per run
  *   --budget-wall-ms N               wall-clock deadline per run
  *   --budget-heap-bytes N            simulated heap cap per run
- *   --budget-trace-bytes N           event-trace payload cap per recording
  *                                    (or LP_BUDGET_* env; flags win)
  *
  * Performance (see docs/performance.md):
  *   --trace-replay / --no-trace-replay
- *   (or LP_TRACE_REPLAY=on|off)      record-once / replay-many sweeps:
- *                                    interpret each program once, then
- *                                    decode its event trace once per
- *                                    batch and apply every event to all
- *                                    of the program's configuration
- *                                    cells in one SoA pass.  Default on
- *                                    for sweeps (--lint too); reports
- *                                    are byte-identical either way.
+ *   (or LP_TRACE_REPLAY=on|off)      fused sweeps: interpret each
+ *                                    program once per 64 of its
+ *                                    configuration cells, applying
+ *                                    every event to all of them in one
+ *                                    SoA pass.  Default on for sweeps
+ *                                    (--lint too); off interprets every
+ *                                    cell on its own.  Reports are
+ *                                    byte-identical either way.
  *                                    Single runs always interpret.
  *   --checkpoint PATH                append one JSONL line per finished
  *                                    sweep cell to PATH
@@ -422,13 +421,6 @@ main(int argc, char **argv)
             if (a == "--budget-heap-bytes") {
                 budget.maxHeapBytes = guard::parseBudgetValue(
                     "--budget-heap-bytes", value("--budget-heap-bytes"));
-                budgetTouched = true;
-                continue;
-            }
-            if (a == "--budget-trace-bytes") {
-                budget.maxTraceBytes = guard::parseBudgetValue(
-                    "--budget-trace-bytes",
-                    value("--budget-trace-bytes"));
                 budgetTouched = true;
                 continue;
             }

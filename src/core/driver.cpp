@@ -27,7 +27,7 @@ Loopapalooza::Loopapalooza(const ir::Module &mod) : mod_(mod)
         obs::ScopedPhase phase("analyze");
         plan_ = std::make_unique<rt::ModulePlan>(mod);
         index_ = std::make_unique<trace::ModuleIndex>(mod);
-        replayFacts_ = rt::buildReplayBlockFacts(*plan_, *index_);
+        blockFacts_ = rt::buildBlockFacts(*plan_);
         dispatch_ = trace::buildBatchDispatchTable(*index_);
     }
 
@@ -93,11 +93,10 @@ Loopapalooza::trace() const
             mod_, *index_, *plan_, guard::defaultBudget()));
     }
     catch (const Error &e) {
-        // A deterministic failure (trap, fuel, truncation, ...) would
-        // recur on every re-record, so cache it: later cells of this
-        // program fail fast with the same error.  Transient failures
-        // (wall-clock deadline on a loaded machine) stay uncached so a
-        // guardedRun retry records afresh.
+        // A deterministic failure (trap, fuel, ...) would recur on
+        // every re-record, so cache it.  Transient failures (wall-clock
+        // deadline on a loaded machine) stay uncached so a retry
+        // records afresh.
         if (!e.transient())
             traceError_ = std::current_exception();
         throw;
@@ -118,25 +117,21 @@ Loopapalooza::trace() const
 std::vector<rt::ProgramReport>
 Loopapalooza::runReplayBatched(const std::vector<rt::LPConfig> &cfgs) const
 {
-    const trace::Trace &t = trace();
-    LP_LOG_DEBUG("replaying %s across %zu configuration(s)",
+    LP_LOG_DEBUG("running %s across %zu configuration(s)",
                  mod_.name().c_str(), cfgs.size());
-    return rt::replayLimitStudyBatched(*plan_, *index_, t, cfgs,
-                                       mod_.name(), nullptr,
-                                       &replayFacts_, &dispatch_);
+    return rt::runLimitStudyBatched(*plan_, blockFacts_, cfgs,
+                                    mod_.name());
 }
 
 std::vector<rt::ProgramReport>
 Loopapalooza::runReplayBatched(const std::vector<rt::LPConfig> &cfgs,
                                rt::OracleCapture &cap) const
 {
-    const trace::Trace &t = trace();
-    LP_LOG_DEBUG("replaying %s across %zu configuration(s) (oracle "
+    LP_LOG_DEBUG("running %s across %zu configuration(s) (oracle "
                  "attached)",
                  mod_.name().c_str(), cfgs.size());
-    std::vector<rt::ProgramReport> reps = rt::replayLimitStudyBatched(
-        *plan_, *index_, t, cfgs, mod_.name(), &cap, &replayFacts_,
-        &dispatch_);
+    std::vector<rt::ProgramReport> reps = rt::runLimitStudyBatched(
+        *plan_, blockFacts_, cfgs, mod_.name(), &cap);
     for (rt::ProgramReport &rep : reps) {
         lint::applyOracle(cap, rep);
         lint::applyVerdictOracle(staticVerdicts(), rep);

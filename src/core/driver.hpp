@@ -20,9 +20,9 @@
 
 #include "analysis/pdg.hpp"
 #include "ir/module.hpp"
+#include "rt/batch.hpp"
 #include "rt/oracle_capture.hpp"
 #include "rt/plan.hpp"
-#include "rt/replay.hpp"
 #include "rt/report.hpp"
 #include "rt/tracker.hpp"
 #include "trace/batch.hpp"
@@ -70,19 +70,13 @@ class Loopapalooza
                           rt::OracleCapture &cap) const;
 
     /**
-     * As run() for ALL of @p cfgs, but record-once / replay-many: the
-     * first replay (across all threads) interprets the program once
-     * into a dynamic event trace; every replay decodes that trace a
-     * single time and applies each event to all configuration lanes in
-     * one structure-of-arrays pass (rt::replayLimitStudyBatched).
-     * Reports come back in @p cfgs order, each byte-identical to run()
-     * on that configuration.  Thread-safe; concurrent first calls
-     * serialize on the recording.
-     *
-     * @throws lp::IoError when the recording overflowed the trace byte
-     *         budget (LP_BUDGET_TRACE_BYTES) or the trace is malformed —
-     *         the whole batch shares the trace, so one bad stream fails
-     *         every lane; fall back to run().
+     * As run() for ALL of @p cfgs, as fused batches: the program is
+     * interpreted once per chunk of up to 64 configurations, each event
+     * applied to all of the chunk's lanes in one structure-of-arrays
+     * pass (rt::runLimitStudyBatched).  Reports come back in @p cfgs
+     * order, each byte-identical to run() on that configuration.  Same
+     * thread-safety as run().  A failing run (trap, fuel, ...) fails
+     * every lane of its batch.
      */
     std::vector<rt::ProgramReport>
     runReplayBatched(const std::vector<rt::LPConfig> &cfgs) const;
@@ -90,25 +84,26 @@ class Loopapalooza
     /**
      * As runReplayBatched(), with the consistency oracle attached: @p cap
      * (fresh, and pre-seeded if the caller wishes, as for run()) is
-     * filled once from the shared replay state and judged into every
-     * lane's report, each byte-identical to runWithOracle().
+     * filled once from the shared lane-engine state and judged into
+     * every lane's report, each byte-identical to runWithOracle().
      */
     std::vector<rt::ProgramReport>
     runReplayBatched(const std::vector<rt::LPConfig> &cfgs,
                      rt::OracleCapture &cap) const;
 
     /**
-     * The recorded event trace, recording it on first use.  Recording
+     * The recorded event trace, recording it on first use (no sweep
+     * path records; the sweep benchmark's layer probes do).  Recording
      * failures that are deterministic (trap, fuel, ...) are cached and
      * rethrown on every later call; transient ones (wall-clock deadline)
-     * are not, so a guardedRun retry re-records.
+     * are not, so a retry re-records.
      */
     const trace::Trace &trace() const;
 
     /** The compile-time component's output. */
     const rt::ModulePlan &plan() const { return *plan_; }
 
-    /** Stable function/block numbering shared by recorder and replay. */
+    /** Stable function/block numbering of the recorder and the walker. */
     const trace::ModuleIndex &traceIndex() const { return *index_; }
 
     const ir::Module &module() const { return mod_; }
@@ -121,18 +116,10 @@ class Loopapalooza
     const std::vector<analysis::LoopVerdictSummary> &staticVerdicts() const;
 
     /**
-     * The shared per-block replay facts (build-once-share-many): one
-     * table per program, read-only across every replayed cell.  Built
-     * in the constructor — it is config-independent, derived purely
-     * from the plan and the trace index.
-     */
-    const rt::ReplayBlockFacts &replayFacts() const { return replayFacts_; }
-
-    /**
-     * The flat threaded-code dispatch table for batched replay: every
-     * per-block/per-instruction fact the decode loop needs, lowered
-     * into contiguous arrays indexed by trace ids.  Config-independent
-     * and built in the constructor, like replayFacts().
+     * The flat threaded-code dispatch table of the trace walker
+     * (trace::replayDispatch): every per-block/per-instruction fact the
+     * decode loop needs, lowered into contiguous arrays indexed by
+     * trace ids.  Config-independent and built in the constructor.
      */
     const trace::BatchDispatchTable &dispatchTable() const
     {
@@ -143,7 +130,8 @@ class Loopapalooza
     const ir::Module &mod_;
     std::unique_ptr<rt::ModulePlan> plan_;
     std::unique_ptr<trace::ModuleIndex> index_;
-    rt::ReplayBlockFacts replayFacts_;
+    /** The fused batches' per-block facts, shared by every batch. */
+    rt::BlockFacts blockFacts_;
     trace::BatchDispatchTable dispatch_;
 
     mutable prof::TimedMutex traceMu_{"core.trace_record"};

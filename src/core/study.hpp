@@ -53,20 +53,19 @@ class PreparedProgram
     rt::ProgramReport runWithOracle(const rt::LPConfig &cfg) const;
 
     /**
-     * As run(), but record-once / replay-many: the first replay of this
-     * program records its event trace, and this one replays it as a
-     * one-lane batch.  Byte-identical reports to run().
+     * As run(), as a one-lane fused batch (runReplayBatched).
+     * Byte-identical reports to run().
      */
     rt::ProgramReport runReplay(const rt::LPConfig &cfg) const;
 
-    /** As runWithOracle(), replaying the recorded trace. */
+    /** As runWithOracle(), as a one-lane fused batch. */
     rt::ProgramReport runReplayWithOracle(const rt::LPConfig &cfg) const;
 
     /**
-     * Replay the recorded trace for ALL of @p cfgs at once: one decode
-     * of the event stream feeds every configuration lane
-     * (Loopapalooza::runReplayBatched).  Reports come back in @p cfgs
-     * order, each byte-identical to run() on that configuration.
+     * Evaluate ALL of @p cfgs at once: one interpretation per 64 lanes
+     * feeds every configuration lane (Loopapalooza::runReplayBatched).
+     * Reports come back in @p cfgs order, each byte-identical to run()
+     * on that configuration.
      */
     std::vector<rt::ProgramReport>
     runReplayBatched(const std::vector<rt::LPConfig> &cfgs) const;

@@ -257,48 +257,21 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req,
             }
         }
         // Run and checkpoint as one guarded unit: a transient failure
-        // while recording the cell retries the whole unit, so a cell is
-        // checkpointed iff it really finished.
+        // retries the whole unit, so a cell is checkpointed iff it
+        // really finished.
         auto work = [&] {
             // Under --lint the consistency oracle rides along on every
             // cell (the report gains its "oracle" section; reports of
             // lint-free runs are unchanged, keeping checkpoint resume
-            // byte-identical).
-            auto interpret = [&] {
-                return req.lintMode != 0 ? cell.prepared->runWithOracle(cfg)
-                                         : cell.prepared->run(cfg);
-            };
-            rt::ProgramReport rep;
-            if (req.traceReplay) {
-                try {
-                    rep = req.lintMode != 0
-                              ? cell.prepared->runReplayWithOracle(cfg)
-                              : cell.prepared->runReplay(cfg);
-                }
-                catch (const IoError &e) {
-                    // The one place replay integrity is decided: a
-                    // trace that cannot be replayed — truncated
-                    // recording, fingerprint mismatch, malformed payload,
-                    // injected replay fault — degrades this cell to
-                    // interpreting instead of failing it.  Replay
-                    // reports are byte-identical to interpreted ones,
-                    // so the sweep's output is unchanged; the warning
-                    // and the sweep.trace_fallbacks counter are the
-                    // only trace the degradation leaves.
-                    LP_LOG_WARN(
-                        "trace replay unavailable for %s [%s %s] (%s: "
-                        "%s); interpreting this cell",
-                        cell.program.c_str(), cell.config->label.c_str(),
-                        cell.suite.c_str(), e.codeName(), e.what());
-                    if (obs::metricsOn())
-                        obs::Registry::instance()
-                            .counter("sweep.trace_fallbacks")
-                            .add(1);
-                    rep = interpret();
-                }
-            } else {
-                rep = interpret();
-            }
+            // byte-identical).  With fused batches on, the cell runs
+            // as a one-lane batch.
+            const bool oracle = req.lintMode != 0;
+            rt::ProgramReport rep =
+                req.traceReplay
+                    ? (oracle ? cell.prepared->runReplayWithOracle(cfg)
+                              : cell.prepared->runReplay(cfg))
+                    : (oracle ? cell.prepared->runWithOracle(cfg)
+                              : cell.prepared->run(cfg));
             rep.seed = cell.seed;
             cellProf.setInstructions(rep.serialCost);
             cell.json = rep.toJson(/*withObsSnapshot=*/false);
@@ -356,164 +329,74 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req,
     // Dispatch the owned cells.  Two phases, both inside the profiled
     // region:
     //
-    //  A. Batched replay (the default): the runnable cells are grouped
-    //     by program and each group's trace is decoded ONCE, every
-    //     event applied to all the group's configuration lanes in one
-    //     SoA pass.  A group whose batch cannot replay (truncated
-    //     trace, injected fault, ...) is simply left to phase B.
+    //  A. Fused batches (the default): the runnable cells are grouped
+    //     by program, one task per program in registration order, and
+    //     each task interprets its program once per 64 lanes with every
+    //     cell's configuration attached.  A batch that fails (a trap,
+    //     an injected fault, a deadline) is simply left to phase B.
     //  B. The per-cell path for everything else: resumed cells,
     //     prepare/lint-quarantined cells, lanes a failed batch demoted
-    //     (each replayed as a one-lane batch, with the retry and
-    //     interpret fallback below), and the whole sweep under
+    //     (each run alone as a one-lane batch, under the retry and
+    //     quarantine policy), and the whole sweep under
     //     --no-trace-replay.
-    //
-    // Both phases dispatch expensive work first (LPT order, weighted by
-    // each program's recorded trace cost): lp::exec workers claim
-    // indices dynamically, so ordering is what decides whether the
-    // costliest task straggles at the tail of the sweep and leaves the
-    // other workers idle.
     std::vector<char> done(cells.size(), 0);
     auto dispatchCells = [&] {
-        // Cells that will actually run in this process: not
-        // prepare-failed, not lint-gated, not checkpoint-resumed.
-        std::vector<std::size_t> runnable;
-        for (std::size_t i : owned) {
-            const Cell &cell = cells[i];
-            if (!cell.prepared || lintFailByName.count(cell.program))
-                continue;
-            if (ckpt && ckpt->find(cellKeyOf(cell)))
-                continue;
-            runnable.push_back(i);
-        }
-
-        // Warm the per-program recordings in parallel (best effort) and
-        // collect each trace's final cost as the LPT weight.  Recording
-        // would otherwise happen lazily inside the first cell of each
-        // program, serializing sibling cells on the recording mutex.
-        // Failures are swallowed here — the owning cells re-raise them
-        // on the per-cell path, where quarantine policy applies.
-        std::map<const PreparedProgram *, std::uint64_t> progCost;
+        // Phase A: one fused batch per program over its runnable cells
+        // (not prepare-failed, not lint-gated, not checkpoint-resumed).
         if (req.traceReplay) {
-            std::vector<const PreparedProgram *> uniq;
-            for (std::size_t i : runnable)
-                if (progCost.emplace(cells[i].prepared, 0).second)
-                    uniq.push_back(cells[i].prepared);
-            std::vector<std::uint64_t> costs(uniq.size(), 0);
-            exec::parallelFor(uniq.size(), [&](std::size_t k) {
-                try {
-                    costs[k] = uniq[k]->driver().trace().finalCost;
-                }
-                catch (...) {
-                }
-            });
-            for (std::size_t k = 0; k < uniq.size(); ++k)
-                progCost[uniq[k]] = costs[k];
-        }
-        auto costOf = [&](std::size_t i) -> std::uint64_t {
-            auto it = progCost.find(cells[i].prepared);
-            return it == progCost.end() ? 0 : it->second;
-        };
-
-        // Phase A: batched replay over every program's runnable cells.
-        if (req.traceReplay) {
-            struct BatchTask
-            {
-                const PreparedProgram *prog;
-                std::vector<std::size_t> idxs; ///< cell indices (lanes)
-            };
-            std::map<const PreparedProgram *, std::vector<std::size_t>>
-                byProg;
-            for (std::size_t i : runnable)
-                byProg[cells[i].prepared].push_back(i);
-            std::vector<BatchTask> tasks;
-            for (auto &[prog, idxs] : byProg) {
-                // Respect the engine's 64-lane chunk while keeping
-                // every task big enough to amortize its decode.
-                for (std::size_t lo = 0; lo < idxs.size(); lo += 64)
-                    tasks.push_back(
-                        {prog,
-                         {idxs.begin() +
-                              static_cast<std::ptrdiff_t>(lo),
-                          idxs.begin() +
-                              static_cast<std::ptrdiff_t>(std::min(
-                                  lo + 64, idxs.size()))}});
+            std::vector<std::pair<const PreparedProgram *,
+                                  std::vector<std::size_t>>>
+                tasks;
+            for (const auto &p : study.programs()) {
+                if (lintFailByName.count(p->name()))
+                    continue;
+                std::vector<std::size_t> lanes;
+                for (std::size_t i : owned)
+                    if (cells[i].prepared == p.get() &&
+                        !(ckpt && ckpt->find(cellKeyOf(cells[i]))))
+                        lanes.push_back(i);
+                if (!lanes.empty())
+                    tasks.emplace_back(p.get(), std::move(lanes));
             }
-            // Fewer tasks than workers leaves cores idle for the whole
-            // batched phase: split the heaviest >= 4-lane tasks until
-            // the pool is covered (each split re-decodes the trace
-            // once more, so never below 2 lanes per task).
-            auto weight = [&](const BatchTask &t) {
-                const std::uint64_t c = std::max<std::uint64_t>(
-                    progCost.count(t.prog) ? progCost.at(t.prog) : 0, 1);
-                return c * t.idxs.size();
-            };
-            const std::size_t workers = exec::defaultJobs();
-            for (;;) {
-                if (tasks.size() >= workers)
-                    break;
-                std::size_t best = tasks.size();
-                std::uint64_t bestW = 0;
-                for (std::size_t k = 0; k < tasks.size(); ++k)
-                    if (tasks[k].idxs.size() >= 4 &&
-                        weight(tasks[k]) > bestW) {
-                        best = k;
-                        bestW = weight(tasks[k]);
-                    }
-                if (best == tasks.size())
-                    break;
-                BatchTask &t = tasks[best];
-                const std::size_t half = t.idxs.size() / 2;
-                BatchTask tail{
-                    t.prog,
-                    {t.idxs.begin() + static_cast<std::ptrdiff_t>(half),
-                     t.idxs.end()}};
-                t.idxs.resize(half);
-                tasks.push_back(std::move(tail));
-            }
-            std::stable_sort(tasks.begin(), tasks.end(),
-                             [&](const BatchTask &a, const BatchTask &b) {
-                                 return weight(a) > weight(b);
-                             });
 
             exec::parallelFor(tasks.size(), [&](std::size_t k) {
-                const BatchTask &task = tasks[k];
+                const auto &[prog, idxs] = tasks[k];
                 std::vector<rt::LPConfig> cfgs;
-                cfgs.reserve(task.idxs.size());
-                for (std::size_t i : task.idxs)
+                cfgs.reserve(idxs.size());
+                for (std::size_t i : idxs)
                     cfgs.push_back(cells[i].config->config);
                 std::vector<rt::ProgramReport> reps;
                 try {
                     // Under --lint the consistency oracle rides along,
                     // captured once per batch.
                     reps = req.lintMode != 0
-                               ? task.prog->runReplayBatchedWithOracle(cfgs)
-                               : task.prog->runReplayBatched(cfgs);
+                               ? prog->runReplayBatchedWithOracle(cfgs)
+                               : prog->runReplayBatched(cfgs);
                 }
                 catch (const Error &e) {
-                    // Whatever broke the batch (truncated trace,
-                    // injected fault, deadline) is re-raised lane by
-                    // lane on the per-cell path, where the established
-                    // fallback and quarantine policy decide; reports
-                    // stay byte-identical.
-                    LP_LOG_WARN("batched replay unavailable for %s "
-                                "(%zu lane(s); %s: %s); running those "
-                                "cells individually",
-                                task.prog->name().c_str(),
-                                task.idxs.size(), e.codeName(), e.what());
+                    // Whatever broke the batch is re-raised lane by
+                    // lane on the per-cell path, where the retry and
+                    // quarantine policy decide; reports stay
+                    // byte-identical.
+                    LP_LOG_WARN("fused batch failed for %s (%zu "
+                                "lane(s); %s: %s); running those cells "
+                                "individually",
+                                prog->name().c_str(), idxs.size(),
+                                e.codeName(), e.what());
                     if (obs::metricsOn())
                         obs::Registry::instance()
                             .counter("sweep.batch_fallbacks")
                             .add(1);
                     return;
                 }
-                for (std::size_t l = 0; l < task.idxs.size(); ++l) {
-                    Cell &cell = cells[task.idxs[l]];
+                for (std::size_t l = 0; l < idxs.size(); ++l) {
+                    Cell &cell = cells[idxs[l]];
                     rt::ProgramReport &rep = reps[l];
                     rep.seed = cell.seed;
                     {
                         // One record per lane: the profile keeps its
                         // per-cell rows (worker, status, instructions);
-                        // the shared decode's wall time shows up in the
+                        // the batch's wall time shows up in the
                         // replay_batch epochs rather than under any one
                         // lane.
                         prof::CellScope cellProf(cell.program,
@@ -526,20 +409,16 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req,
                     cell.json = rep.toJson(/*withObsSnapshot=*/false);
                     if (ckpt)
                         ckpt->record(cellKeyOf(cell), cell.json);
-                    done[task.idxs[l]] = 1;
+                    done[idxs[l]] = 1;
                 }
             });
         }
 
-        // Phase B: everything not completed by a batch, costliest first.
+        // Phase B: everything not completed by a batch.
         std::vector<std::size_t> pending;
         for (std::size_t i : owned)
             if (!done[i])
                 pending.push_back(i);
-        std::stable_sort(pending.begin(), pending.end(),
-                         [&](std::size_t a, std::size_t b) {
-                             return costOf(a) > costOf(b);
-                         });
         exec::parallelFor(pending.size(),
                           [&](std::size_t k) { runCell(pending[k]); });
     };

@@ -55,16 +55,15 @@ struct SweepRequest
 
     bool keepGoing = true; ///< quarantine failures (vs --strict)
     /**
-     * Record-once / replay-many (--trace-replay / LP_TRACE_REPLAY).
-     * Defaults on: a sweep visits every program under many
-     * configurations, so it pays the interpreter once per program and
-     * replays the trace in batches — each decode applies every event
-     * to all of the program's configuration lanes in one SoA pass
-     * (rt::replayLimitStudyBatched), under --lint too.  Reports are
+     * Fused batches (--trace-replay / LP_TRACE_REPLAY).  Defaults on: a
+     * sweep visits every program under many configurations, so it
+     * interprets each program once per 64 of its configuration lanes,
+     * every event applied to all of them in one SoA pass
+     * (rt::runLimitStudyBatched), under --lint too.  Reports are
      * byte-identical either way (tests/test_batch.cpp, fuzz
-     * differential pairs 1 and 7); a batch that cannot replay falls
-     * back to the cells one by one.  Off interprets every cell, the
-     * reference path.
+     * differential pairs 1 and 7); a batch that fails re-runs its
+     * cells one by one.  Off interprets every cell with its own
+     * LoopRuntime, the reference path.
      */
     bool traceReplay = true;
 

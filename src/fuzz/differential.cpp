@@ -162,7 +162,7 @@ runDifferential(std::uint64_t seed, const DiffOptions &opts)
 
     exec::setJobsOverride(1);
 
-    // Pair 1: interpret every cell vs record-once/replay-many.
+    // Pair 1: interpret every cell vs fused batches.
     core::SweepRequest interp = base;
     interp.traceReplay = false;
     core::SweepRequest replay = base;

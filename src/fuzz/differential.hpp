@@ -3,7 +3,7 @@
  * Differential oracles (`lp::fuzz`).
  *
  * The framework promises that one program produces byte-identical
- * reports whichever way it is driven: interpret vs trace replay (with
+ * reports whichever way it is driven: interpret vs fused batches (with
  * and without --lint's consistency oracle), one worker vs many,
  * sharded-and-merged vs unsharded, killed-and-resumed vs
  * straight-through — and that lint's static classification agrees
@@ -12,7 +12,7 @@
  * the reproducing seed and the exact CLI line to replay it.
  *
  * Fault-schedule composition (`lp_fuzz --fault-schedule site:nth`):
- * transient sites (io, replay) are healed by retry / the replay
+ * transient sites (io, replay) are healed by retry / the batch
  * fallback, so byte-identity must survive them — the pairs run
  * unchanged with the fault re-armed before each side.  Non-transient
  * sites kill cells outright at a process-wide nth hit, whose placement

@@ -48,8 +48,6 @@ envBudget()
         b.maxWallMs = budgetFromEnv("LP_BUDGET_WALL_MS", b.maxWallMs);
         b.maxHeapBytes =
             budgetFromEnv("LP_BUDGET_HEAP_BYTES", b.maxHeapBytes);
-        b.maxTraceBytes =
-            budgetFromEnv("LP_BUDGET_TRACE_BYTES", b.maxTraceBytes);
         return b;
     }();
     return cached;

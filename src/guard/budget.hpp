@@ -14,15 +14,10 @@
  *                           (default 50e9, the historical cost limit)
  *   LP_BUDGET_WALL_MS       wall-clock deadline per run (0 = none)
  *   LP_BUDGET_HEAP_BYTES    simulated heap cap per run (0 = none)
- *   LP_BUDGET_TRACE_BYTES   event-trace payload cap per recording
- *                           (default 1 GiB; 0 = none)
  *
  * Enforcement lives in interp: fuel and the deadline in Machine's block
  * loop (the deadline is polled every ~262k instructions so the hot path
- * never reads a clock per block), the heap cap in interp::Memory.  The
- * trace cap is enforced by trace::Recorder: a recording that overflows
- * it is marked truncated and fails replay with LP_IO instead of
- * silently reporting from a partial stream.
+ * never reads a clock per block), the heap cap in interp::Memory.
  */
 
 #pragma once
@@ -41,12 +36,6 @@ struct RunBudget
     std::uint64_t maxWallMs = 0;
     /** Simulated heap cap per run, in bytes; 0 = unlimited. */
     std::uint64_t maxHeapBytes = 0;
-    /**
-     * Event-trace payload cap per recording, in bytes; 0 = unlimited.
-     * The default bounds a runaway recording's host memory while being
-     * far above any of the bundled suite programs (~4 bytes/event).
-     */
-    std::uint64_t maxTraceBytes = 1ULL << 30;
 
     bool operator==(const RunBudget &o) const = default;
 };

@@ -15,7 +15,8 @@
  *   verify   ir::verifyModuleOrDie entry          VerifyError
  *   interp   interp::Machine::run entry           InterpreterTrap
  *   io       guard::Checkpoint::record            IoError
- *   replay   rt::replayLimitStudyBatched entry    IoError
+ *   replay   rt::runLimitStudyBatched entry       IoError
+ *            (a fused batch, before its interpreter runs)
  *
  * A tripped fault disarms nothing: the counter simply moves past nth,
  * so a *retry* of the failed unit succeeds — which is exactly how the

@@ -37,10 +37,7 @@
 #include "interp/events.hpp"
 #include "interp/memory.hpp"
 #include "ir/module.hpp"
-
-namespace lp::trace {
-class Recorder;
-}
+#include "prof/collector.hpp"
 
 namespace lp::interp {
 
@@ -59,10 +56,40 @@ class Machine
     ~Machine();
 
     /**
-     * Lay out globals and run main(); returns main's result bits.
-     * May be called once per Machine.
+     * Lay out globals and run main(); returns main's result bits.  The
+     * listener passed at construction, if any, observes the run.  May
+     * be called once per Machine (by either run entry).
      */
     std::uint64_t run();
+
+    /**
+     * As run(), firing every event into @p sink as a direct call, so a
+     * sink's per-event work inlines into the interpreter loop.  The
+     * loop is defined in interp/execute.hpp: include it where a sink
+     * type instantiates this entry.  A sink provides
+     *
+     *   void functionEnter(const ir::Function *fn);
+     *   void functionExit(const ir::Function *fn);
+     *   void blockEnter(const ir::BasicBlock *bb, std::uint32_t blockId);
+     *   void phiResolved(const ir::Instruction *phi, std::uint64_t bits);
+     *   void load(const ir::Instruction *i, std::uint64_t addr);
+     *   void store(const ir::Instruction *i, std::uint64_t addr);
+     *   void callSite(const ir::Instruction *i);
+     *
+     * and reads the clock samples it needs from the Machine inside the
+     * call-back (cost(), blockEntryCost(), preciseCost(),
+     * stackPointer()).  blockId numbers the module's blocks densely:
+     * Module::functions() in order, each function's blocks in order
+     * (trace::ModuleIndex assigns the same ids).  Phis fire right
+     * after their block's blockEnter, before any other event.
+     *
+     * Profiling epochs of the run are charged to @p kind, as @p lanes
+     * times the instructions run: a run that drives several
+     * configuration lanes does that much lane work.
+     */
+    template <typename Sink>
+    std::uint64_t run(Sink &sink, prof::EpochKind kind,
+                      std::uint64_t lanes = 1);
 
     /** Dynamic IR instructions executed so far (the sequential clock). */
     std::uint64_t cost() const { return cost_; }
@@ -80,6 +107,9 @@ class Machine
     {
         return cost_ - curBlockSize_ + ipInBlock_ + 1;
     }
+
+    /** The clock at the current block's entry, before its charge. */
+    std::uint64_t blockEntryCost() const { return cost_ - curBlockSize_; }
 
     /** Current top of the simulated stack. */
     std::uint64_t stackPointer() const { return sp_; }
@@ -105,24 +135,23 @@ class Machine
      */
     void setBudget(const guard::RunBudget &b);
 
-    /**
-     * Record the run into @p r instead of firing listener call-backs.
-     * The recorder becomes the (devirtualized) instrumentation sink:
-     * every event reaches it as a direct call together with the machine
-     * clock samples it needs, and any listener passed at construction
-     * is ignored for the run.  Set before run().
-     */
-    void setRecorder(trace::Recorder *r) { recorder_ = r; }
-
   private:
     /**
      * The interpreter loop over the lowered code, templated on the
-     * instrumentation sink so the null-instrumentation and recording
-     * paths compile to direct (inlineable) calls instead of virtual
-     * dispatch per event.  Calls push a Frame instead of recursing.
+     * instrumentation sink so every sink's events are direct
+     * (inlineable) calls instead of virtual dispatch per event.  Calls
+     * push a Frame instead of recursing.
      */
     template <typename Sink>
-    std::uint64_t execute(const LoweredFunction &main, Sink sink);
+    std::uint64_t execute(const LoweredFunction &main, Sink &sink);
+    /**
+     * The sink-independent halves of a run: arm the budgets and the
+     * profiler, lay out globals and find main(); then attribute the
+     * last epoch and count the run.
+     */
+    const LoweredFunction &beginRun(prof::EpochKind kind,
+                                    std::uint64_t lanes);
+    void endRun();
     /**
      * Place @p fn's register file at offset @p base (growing regs_ as
      * needed, which may move it): locals zeroed, constants loaded.
@@ -130,6 +159,7 @@ class Machine
     std::uint64_t *pushRegisters(const LoweredFunction &fn,
                                  std::size_t base);
     [[noreturn]] void throwFuelExhausted(const ir::Function *fn) const;
+    [[noreturn]] static void throwStackOverflow(const ir::Function *callee);
     /**
      * The unified cold poll, reached every ~262k instructions when a
      * wall-clock deadline is armed or profiling is on (nextPollCost_ is
@@ -155,7 +185,6 @@ class Machine
 
     const ir::Module &mod_;
     ExecListener *listener_;
-    trace::Recorder *recorder_ = nullptr;
     Memory mem_;
     std::uint64_t cost_ = 0;
     std::uint64_t costLimit_ = 50'000'000'000ULL;
@@ -163,6 +192,8 @@ class Machine
     std::uint64_t nextPollCost_ = UINT64_MAX; ///< armed by run()
     std::chrono::steady_clock::time_point deadline_{};
     bool profiling_ = false; ///< sampled once per run()
+    prof::EpochKind epochKind_ = prof::EpochKind::Interp;
+    std::uint64_t epochLanes_ = 1;
     std::uint64_t epochStartCost_ = 0;
     std::chrono::steady_clock::time_point epochStartTime_{};
     std::uint64_t curBlockSize_ = 0;

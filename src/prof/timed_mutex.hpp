@@ -258,12 +258,4 @@ class TimedMutex
     LockSiteStats *stats_;
 };
 
-/**
- * Instructions between profiling epoch polls in the interpret/replay
- * hot loops.  Matches the guard deadline stride (interp/machine.cpp):
- * both piggyback on the same unified budget poll, so enabling
- * profiling adds no branch to the per-block path.
- */
-constexpr std::uint64_t kEpochStrideInstructions = 1ULL << 18;
-
 } // namespace lp::prof

@@ -1,19 +1,16 @@
 /**
  * @file
- * Batched multi-cell trace replay: decode once, apply to N lanes.
+ * The lane engine of fused batches: one interpretation, N lanes.
  *
- * Every configuration cell of a program replays the *same* recorded
- * event stream; the only per-cell differences are which loops a config
- * deems eligible and how the execution model folds conflicts into
- * costs.  BatchReplayer exploits that: it consumes one decoded stream
- * (trace/batch.hpp's replayDispatch) and maintains the shared dynamic
- * structure — frame stack, loop-instance stack, iteration counters,
- * register-def timestamps, one shadow write-map per instance — exactly
- * once, while the per-lane model state (savings, slowest-iteration
- * accumulators, conflict flags, HELIX deltas) lives in parallel arrays
- * indexed [instanceSlot * L + lane].  The hot loop is therefore
- * `for event { decode; for lane in mask { apply } }`, and the per-lane
- * work only triggers at boundaries, conflicts and phi resolutions.
+ * BatchReplayer is the interpreter's sink for a fused batch
+ * (rt/batch.hpp).  It maintains the shared dynamic structure — frame
+ * stack, loop-instance stack, iteration counters, register-def
+ * timestamps, one shadow write-map per instance — exactly once, while
+ * the per-lane model state (savings, slowest-iteration accumulators,
+ * conflict flags, HELIX deltas) lives in parallel arrays indexed
+ * [instanceSlot * L + lane].  Each event is one direct call from the
+ * interpreter loop; the per-lane work only triggers at boundaries,
+ * conflicts and phi resolutions.
  *
  * Byte-identity contract: for every lane, the per-loop reports, covered
  * intervals, predictor statistics and total savings written here are
@@ -41,38 +38,40 @@
  *    stream and one capture, filled once, serves every lane.
  */
 
+#include "rt/batch.hpp"
+
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <memory>
 #include <unordered_map>
 
 #include "guard/fault.hpp"
-#include "interp/machine.hpp"
+#include "interp/execute.hpp"
 #include "obs/log.hpp"
 #include "obs/timer.hpp"
-#include "prof/collector.hpp"
-#include "rt/replay.hpp"
 #include "rt/tracker.hpp"
 #include "support/error.hpp"
 #include "support/text.hpp"
-#include "trace/batch.hpp"
 
 namespace lp::rt {
 
 using ir::Instruction;
 
-/** Applies one decoded event stream to up to 64 LoopRuntime lanes. */
+/**
+ * Applies one interpretation's events to up to 64 LoopRuntime lanes:
+ * the interp::Machine::run sink of a fused batch, reading the clock and
+ * stack-pointer samples from the machine it is attached to.
+ */
 class BatchReplayer
 {
   public:
-    BatchReplayer(const ModulePlan &plan, const ReplayBlockFacts &facts,
+    BatchReplayer(const ModulePlan &plan, const BlockFacts &facts,
                   std::vector<std::unique_ptr<LoopRuntime>> &lanes,
-                  OracleCapture *oracle)
-        : plan_(plan), facts_(facts), lanes_(lanes), L_(lanes.size()),
-          metrics_(lanes[0]->metrics_), oracle_(oracle)
+                  OracleCapture *oracle, const interp::Machine &machine)
+        : plan_(plan), facts_(facts), lanes_(lanes), m_(machine),
+          L_(lanes.size()), metrics_(lanes[0]->metrics_), oracle_(oracle)
     {
-        panicIf(L_ == 0 || L_ > 64, "batch replay lane count out of range");
+        panicIf(L_ == 0 || L_ > 64, "batch lane count out of range");
         if (oracle_)
             oracleWatches_ = watchOraclePhis(plan, *oracle_);
 
@@ -129,23 +128,13 @@ class BatchReplayer
 
         laneTotal_.assign(L_, 0);
         savingUp_.resize(L_);
-
-        // Epoch attribution, mirroring the interpreter's budget-poll
-        // piggyback: one compare per block entry against a sentinel
-        // that is UINT64_MAX when profiling is off.
-        profiling_ = prof::profilingOn();
-        nextEpochCost_ =
-            profiling_ ? prof::kEpochStrideInstructions : UINT64_MAX;
-        if (profiling_)
-            epochStartTime_ = std::chrono::steady_clock::now();
     }
 
-    /// @name Sink interface for trace::replayDispatch
+    /// @name Sink interface of interp::Machine::run
     /// @{
     void
-    onFuncEnter(const ir::Function *fn)
+    functionEnter(const ir::Function *)
     {
-        (void)fn; // structure only; the plan is resolved per loop
         // Mirrors feedFunctionEnter: reuse dead frames above the live
         // prefix.
         if (frameDepth_ == eframes_.size())
@@ -161,10 +150,11 @@ class BatchReplayer
     }
 
     void
-    onFuncExit(std::uint64_t now)
+    functionExit(const ir::Function *)
     {
         // Mirrors feedFunctionExit: close instances an early return left
         // open, then propagate the frame's savings to the parent.
+        const std::uint64_t now = m_.cost();
         EFrame &f = eframes_[frameDepth_ - 1];
         while (instStack_.size() > f.loopLo)
             closeTop(now);
@@ -179,24 +169,20 @@ class BatchReplayer
     }
 
     void
-    onBlockEnter(std::uint64_t blockId,
-                 const trace::BatchDispatchTable::BlockInfo &bi,
-                 std::uint64_t nowBefore, std::uint64_t now,
-                 std::uint64_t sp)
+    blockEnter(const ir::BasicBlock *bb, std::uint32_t blockId)
     {
-        if (now >= nextEpochCost_) [[unlikely]]
-            flushEpoch(now);
-
-        // Mirrors feedBlockEnterAt: pop every instance that does not
+        // Mirrors feedBlockEnter: pop every instance that does not
         // contain this block.
+        const std::uint64_t nowBefore = m_.blockEntryCost();
         EFrame &f = eframes_[frameDepth_ - 1];
         while (instStack_.size() > f.loopLo &&
-               !instStack_.back().lplan->loop->contains(bi.bb))
+               !instStack_.back().lplan->loop->contains(bb))
             closeTop(nowBefore);
 
-        const ReplayBlockFacts::PerBlock &bf =
-            facts_.blocks[static_cast<std::size_t>(blockId)];
-        if (bf.headerOrdinal >= 0) {
+        const BlockFacts::PerBlock &bf = facts_.blocks[blockId];
+        inHeader_ = bf.headerOrdinal >= 0;
+        if (inHeader_) {
+            const std::uint64_t sp = m_.stackPointer();
             const auto ord = static_cast<unsigned>(bf.headerOrdinal);
             if (instStack_.size() > f.loopLo &&
                 instStack_.back().ord == ord)
@@ -230,8 +216,11 @@ class BatchReplayer
     }
 
     void
-    onPhi(const Instruction *phi, std::uint64_t bits)
+    phiResolved(const Instruction *phi, std::uint64_t bits)
     {
+        // LoopRuntime ignores every phi but a loop header's.
+        if (!inHeader_)
+            return;
         PhiState &st = phiState(phi);
         if (!st.activeMask && st.oracleSlot < 0)
             return; // neither dep2-tracked in any lane nor watched
@@ -283,9 +272,9 @@ class BatchReplayer
     }
 
     void
-    onLoad(const Instruction *instr, std::uint64_t addr,
-           std::uint64_t preciseNow)
+    load(const Instruction *instr, std::uint64_t addr)
     {
+        const std::uint64_t preciseNow = m_.preciseCost();
         if (metrics_)
             memEventsCtr_->add(static_cast<std::uint64_t>(L_));
         const std::uint64_t granule = addr >> 3;
@@ -305,9 +294,9 @@ class BatchReplayer
     }
 
     void
-    onStore(const Instruction *instr, std::uint64_t addr,
-            std::uint64_t preciseNow)
+    store(const Instruction *instr, std::uint64_t addr)
     {
+        const std::uint64_t preciseNow = m_.preciseCost();
         if (metrics_)
             memEventsCtr_->add(static_cast<std::uint64_t>(L_));
         const std::uint64_t granule = addr >> 3;
@@ -323,17 +312,18 @@ class BatchReplayer
                                 preciseNow - inst.iterStartTs);
         }
     }
+
+    /** Calls need nothing: a callee's blocks carry its cost. */
+    void callSite(const Instruction *) {}
     /// @}
 
     /**
      * Install the accumulated per-lane totals into the lanes; call
-     * after replayDispatch returned, before each lane's finishAt().
+     * after the machine's run returned, before each lane's finishAt().
      */
     void
-    finish(std::uint64_t finalCost)
+    finish()
     {
-        if (profiling_)
-            flushEpoch(finalCost);
         for (std::size_t l = 0; l < L_; ++l)
             lanes_[l]->totalSavings_ = laneTotal_[l];
         for (const auto &[phi, st] : phiStates_) {
@@ -766,30 +756,10 @@ class BatchReplayer
         addSavings(savingUp_.data());
     }
 
-    void
-    flushEpoch(std::uint64_t cost)
-    {
-        const auto now = std::chrono::steady_clock::now();
-        // Per-lane attribution: every lane advanced by the same cost
-        // delta, so the batch epoch carries lanes x delta instructions.
-        const std::uint64_t instructions =
-            (cost - epochStartCost_) * static_cast<std::uint64_t>(L_);
-        const auto ns =
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                now - epochStartTime_)
-                .count();
-        if (instructions > 0 || ns > 0)
-            prof::Collector::instance().addEpoch(
-                prof::EpochKind::ReplayBatch, instructions,
-                static_cast<std::uint64_t>(ns));
-        epochStartCost_ = cost;
-        epochStartTime_ = now;
-        nextEpochCost_ = cost + prof::kEpochStrideInstructions;
-    }
-
     const ModulePlan &plan_;
-    const ReplayBlockFacts &facts_;
+    const BlockFacts &facts_;
     std::vector<std::unique_ptr<LoopRuntime>> &lanes_;
+    const interp::Machine &m_;
     const std::size_t L_;
     const bool metrics_;
     OracleCapture *const oracle_; ///< null = no consistency oracle
@@ -820,6 +790,7 @@ class BatchReplayer
     obs::Histogram *tripCountHist_;
 
     // Shared dynamic structure.
+    bool inHeader_ = false; ///< the block just entered heads a loop
     std::vector<EFrame> eframes_;
     std::size_t frameDepth_ = 0;
     std::vector<BInst> instStack_;
@@ -857,49 +828,41 @@ class BatchReplayer
 
     std::unordered_map<const Instruction *, std::unique_ptr<PhiState>>
         phiStates_;
-
-    bool profiling_ = false;
-    std::uint64_t nextEpochCost_ = UINT64_MAX;
-    std::uint64_t epochStartCost_ = 0;
-    std::chrono::steady_clock::time_point epochStartTime_{};
 };
 
-std::vector<ProgramReport>
-replayLimitStudyBatched(const ModulePlan &plan,
-                        const trace::ModuleIndex &index,
-                        const trace::Trace &t,
-                        const std::vector<LPConfig> &cfgs,
-                        const std::string &name,
-                        OracleCapture *oracle,
-                        const ReplayBlockFacts *facts,
-                        const trace::BatchDispatchTable *table)
+BlockFacts
+buildBlockFacts(const ModulePlan &plan)
 {
-    if (t.truncated)
-        throw IoError("trace of " + name +
-                      " is truncated (recording hit the trace byte "
-                      "budget); raise LP_BUDGET_TRACE_BYTES or disable "
-                      "trace replay");
-    if (t.numFunctions != index.numFunctions() ||
-        t.numBlocks != index.numBlocks())
-        throw IoError(
-            "trace of " + name + " does not match the module (trace: " +
-            std::to_string(t.numFunctions) + " functions / " +
-            std::to_string(t.numBlocks) + " blocks, module: " +
-            std::to_string(index.numFunctions()) + " / " +
-            std::to_string(index.numBlocks()) + ")");
+    // Number the blocks as interp::Machine does: Module::functions()
+    // in order, each function's blocks in order.
+    std::unordered_map<const ir::Function *, std::uint32_t> blockBase;
+    std::uint32_t numBlocks = 0;
+    for (const auto &fn : plan.module().functions()) {
+        blockBase.emplace(fn.get(), numBlocks);
+        numBlocks += static_cast<std::uint32_t>(fn->blocks().size());
+    }
+    auto idOf = [&](const ir::BasicBlock *bb) {
+        return blockBase.at(bb->parent()) + bb->index();
+    };
 
+    BlockFacts facts;
+    facts.blocks.resize(numBlocks);
+    for (const auto &fp : plan.functionPlans())
+        for (const LoopPlan &lplan : fp->loopPlans)
+            if (lplan.loop)
+                facts.blocks[idOf(lplan.loop->header())].headerOrdinal =
+                    static_cast<std::int32_t>(lplan.ordinal);
+    for (const auto &[bb, ws] : plan.defWatchPlan())
+        facts.blocks[idOf(bb)].watches = &ws;
+    return facts;
+}
+
+std::vector<ProgramReport>
+runLimitStudyBatched(const ModulePlan &plan, const BlockFacts &facts,
+                     const std::vector<LPConfig> &cfgs,
+                     const std::string &name, OracleCapture *oracle)
+{
     guard::faultPoint("replay");
-
-    ReplayBlockFacts localFacts;
-    if (!facts) {
-        localFacts = buildReplayBlockFacts(plan, index);
-        facts = &localFacts;
-    }
-    trace::BatchDispatchTable localTable;
-    if (!table) {
-        localTable = trace::buildBatchDispatchTable(index);
-        table = &localTable;
-    }
 
     std::vector<ProgramReport> reports;
     reports.reserve(cfgs.size());
@@ -913,25 +876,25 @@ replayLimitStudyBatched(const ModulePlan &plan,
                 lanes.push_back(std::make_unique<LoopRuntime>(
                     plan, cfgs[lo + i], nullptr));
         }
+        std::uint64_t cost = 0;
         {
             obs::ScopedPhase phase("replay_batch");
+            interp::Machine machine(plan.module());
             // The evidence is config-independent: the first chunk's
-            // pass fills the capture for every chunk.
-            BatchReplayer engine(plan, *facts, lanes,
-                                 lo == 0 ? oracle : nullptr);
-            trace::replayDispatch(*table, t, engine);
-            engine.finish(t.finalCost);
-            phase.addInstructions(t.finalCost *
-                                  static_cast<std::uint64_t>(n));
+            // run fills the capture for every chunk.
+            BatchReplayer engine(plan, facts, lanes,
+                                 lo == 0 ? oracle : nullptr, machine);
+            machine.run(engine, prof::EpochKind::ReplayBatch, n);
+            engine.finish();
+            cost = machine.cost();
+            phase.addInstructions(cost * static_cast<std::uint64_t>(n));
         }
         obs::ScopedPhase phase("report");
         for (std::size_t i = 0; i < n; ++i)
-            reports.push_back(lanes[i]->finishAt(name, t.finalCost));
+            reports.push_back(lanes[i]->finishAt(name, cost));
     }
-    LP_LOG_INFO("%s (batched replay): %zu lane(s), one decode of %llu "
-                "events",
-                name.c_str(), cfgs.size(),
-                static_cast<unsigned long long>(t.events));
+    LP_LOG_INFO("%s (fused batch): %zu lane(s), %zu interpretation(s)",
+                name.c_str(), cfgs.size(), (cfgs.size() + 63) / 64);
     return reports;
 }
 

@@ -48,7 +48,7 @@ struct LoopOracleWatches
  * seal it: each SCEV-claimed phi at its claimed AddRec depth, and each
  * tracked LCD at depth 1 (unclaimed unless OracleCapture::forceClaim
  * named it, so the oracle can also spot *missed* IVs).  The claims are
- * config-independent, so the live runtime and the batched replayer
+ * config-independent, so the live runtime and the batch lane engine
  * watch the same phis through this one definition.
  * @return each loop's watches, indexed by LoopPlan::ordinal
  */
@@ -75,7 +75,7 @@ class LoopRuntime : public interp::ExecListener
     /** Build the final report; call after Machine::run() returned. */
     ProgramReport finish(const std::string &programName);
 
-    /** Like finish(), but with an explicit final clock (replay mode). */
+    /** Like finish(), but with an explicit final clock (batch lanes). */
     ProgramReport finishAt(const std::string &programName,
                            std::uint64_t serialCost);
 
@@ -110,8 +110,8 @@ class LoopRuntime : public interp::ExecListener
 
   private:
     /**
-     * The batched replayer (rt/batch.cpp) drives N LoopRuntime lanes
-     * from one decoded event stream: it maintains the frame/instance
+     * The batch lane engine (rt/batch.cpp) drives N LoopRuntime lanes
+     * from one interpretation's events: it maintains the frame/instance
      * structure itself (it is configuration-independent) and writes
      * each lane's per-loop reports, savings, predictor stats and
      * covered intervals directly, then hands the lanes back for the

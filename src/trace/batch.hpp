@@ -1,11 +1,12 @@
 /**
  * @file
- * Threaded-code dispatch table + decode-once trace walker for batched
- * replay.
+ * Threaded-code dispatch table + decode-once trace walker.
  *
- * Every configuration cell of a program replays the same recorded trace.
- * This header provides the two pieces that make decoding it and
- * resolving its block-id facts a once-per-*program* cost:
+ * Sweeps no longer replay traces (a fused batch drives its lanes from
+ * the interpreter, rt/batch.hpp); the walker remains for the sweep
+ * benchmark's decode probe.  This header provides the two pieces that
+ * make decoding a trace and resolving its block-id facts a
+ * once-per-*program* cost:
  *
  *  - BatchDispatchTable: the per-block-id facts the replay hot loop
  *    needs (owning function id, instruction count, flat instruction
@@ -18,12 +19,10 @@
  *    with fully-resolved events (instruction pointers, reconstructed
  *    clock / stack-pointer / precise-cost samples).  The walker owns the
  *    structural validation: every malformed or mismatched stream raises
- *    lp::IoError, so a corrupt trace fails a batch like a damaged input
- *    file.
+ *    lp::IoError, like a damaged input file.
  *
  * The Sink is a template parameter so the per-event callbacks inline
- * into the decode loop; rt's batched replayer (rt/batch.cpp) applies
- * each resolved event to N configuration lanes in one SoA pass.
+ * into the decode loop.
  */
 
 #pragma once

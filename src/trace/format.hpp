@@ -2,14 +2,13 @@
  * @file
  * The dynamic event-trace format (`lp::trace`).
  *
- * The paper's method is "instrument once, run once, compute every
- * model's speedup from the dynamic event stream" (Section III).  This
- * subsystem makes that literal: one recording run captures the exact
- * event stream the run-time component consumes — block entries, header
- * phi values, load/store granules, call sites, function entry/exit and
- * out-of-band cost charges — as a compact append-only byte stream, and
- * every remaining (configuration, program) sweep cell replays the bytes
- * instead of re-interpreting the program.
+ * One recording run captures the exact event stream the run-time
+ * component consumes — block entries, header phi values, load/store
+ * granules, call sites, function entry/exit and out-of-band cost
+ * charges — as a compact append-only byte stream.  Sweeps no longer
+ * record: a fused batch (rt/batch.hpp) feeds the same events to every
+ * configuration lane straight from the interpreter.  The trace remains
+ * for the sweep benchmark's record and decode probes.
  *
  * Encoding (payload): one tag byte per event (EventKind), then varint
  * operands.  Spatially local operands are delta-encoded against the
@@ -33,12 +32,11 @@
  * only points where the tracker samples the stack pointer); all other
  * blocks use the plain BlockEnter.
  *
- * A Trace lives in memory only: the recording run hands it straight to
- * replay, alongside the module fingerprint and final cost the replay
- * walker (trace/batch.hpp) checks it against.  Malformed input — an
- * unknown tag, bytes missing mid-event, an id outside the module, a
- * clock that disagrees with the recording — throws lp::IoError
- * (LP_IO), so a sweep falls back to interpreting (see core::runSweep).
+ * A Trace lives in memory only, alongside the module fingerprint and
+ * final cost the walker (trace/batch.hpp) checks it against.  Malformed
+ * input — an unknown tag, bytes missing mid-event, an id outside the
+ * module, a clock that disagrees with the recording — throws
+ * lp::IoError (LP_IO).
  */
 
 #pragma once
@@ -82,8 +80,6 @@ struct Trace
     std::uint64_t finalCost = 0;       ///< Machine::cost() at run end
     std::uint32_t numFunctions = 0;    ///< module fingerprint
     std::uint32_t numBlocks = 0;       ///< module fingerprint
-    /** Recording stopped early: the byte budget was exhausted. */
-    bool truncated = false;
 
     bool operator==(const Trace &o) const = default;
 };

@@ -5,9 +5,8 @@
 namespace lp::trace {
 
 Recorder::Recorder(const ModuleIndex &index,
-                   std::vector<bool> headerBlocks, std::uint64_t maxBytes)
-    : index_(index), headerBlocks_(std::move(headerBlocks)),
-      maxBytes_(maxBytes)
+                   std::vector<bool> headerBlocks)
+    : index_(index), headerBlocks_(std::move(headerBlocks))
 {
     headerBlocks_.resize(index_.numBlocks(), false);
 }
@@ -15,12 +14,8 @@ Recorder::Recorder(const ModuleIndex &index,
 void
 Recorder::emit(const Event &e)
 {
-    if (truncated_)
-        return; // the cap may trip mid-sequence (e.g. on a sync Charge)
     w_.event(e);
     ++events_;
-    if (maxBytes_ != 0 && w_.size() > maxBytes_)
-        truncated_ = true;
 }
 
 void
@@ -37,8 +32,6 @@ Recorder::syncCost(std::uint64_t actual)
 void
 Recorder::functionEnter(const ir::Function *fn)
 {
-    if (truncated_)
-        return;
     const ModuleIndex::FnInfo &fi = index_.info(fn);
     blockCtxStack_.emplace_back(curBlockSize_, curBlockIsHeader_);
     fnStack_.push_back(&fi);
@@ -48,8 +41,6 @@ Recorder::functionEnter(const ir::Function *fn)
 void
 Recorder::functionExit(std::uint64_t cost)
 {
-    if (truncated_)
-        return;
     syncCost(cost);
     emit({EventKind::FuncExit, 0, 0});
     panicIf(fnStack_.empty(), "trace function exit without matching enter");
@@ -63,8 +54,6 @@ void
 Recorder::blockEnter(const ir::BasicBlock *bb,
                      std::uint64_t costAfterCharge, std::uint64_t sp)
 {
-    if (truncated_)
-        return;
     const std::uint64_t size = bb->instructions().size();
     syncCost(costAfterCharge - size);
     reconCost_ = costAfterCharge;
@@ -80,7 +69,7 @@ Recorder::blockEnter(const ir::BasicBlock *bb,
 void
 Recorder::phiResolved(std::uint64_t bits)
 {
-    if (truncated_ || !curBlockIsHeader_)
+    if (!curBlockIsHeader_)
         return;
     emit({EventKind::Phi, bits, 0});
 }
@@ -89,8 +78,6 @@ void
 Recorder::memEvent(EventKind kind, const ir::Instruction *instr,
                    std::uint64_t addr, std::uint64_t preciseCost)
 {
-    if (truncated_)
-        return;
     const std::uint64_t ip = fnStack_.back()->ipByLocalId[instr->localId()];
     const std::uint64_t reconPrecise =
         reconCost_ - curBlockSize_ + ip + 1;
@@ -120,8 +107,6 @@ Recorder::store(const ir::Instruction *instr, std::uint64_t addr,
 void
 Recorder::callSite(const ir::Instruction *instr)
 {
-    if (truncated_)
-        return;
     // Internal calls contribute cost through their callee's blocks; only
     // external calls carry out-of-band cost the replayed clock needs.
     if (instr->opcode() != ir::Opcode::CallExt)
@@ -136,15 +121,13 @@ Recorder::finish(std::uint64_t finalCost)
 {
     panicIf(finished_, "Recorder::finish called twice");
     finished_ = true;
-    if (!truncated_)
-        syncCost(finalCost);
+    syncCost(finalCost);
     Trace t;
     t.payload = w_.takeBytes();
     t.events = events_;
     t.finalCost = finalCost;
     t.numFunctions = index_.numFunctions();
     t.numBlocks = index_.numBlocks();
-    t.truncated = truncated_;
     return t;
 }
 

@@ -23,12 +23,6 @@
  * (LoopRuntime ignores all others), and call sites are kept for
  * external calls only (they carry cost; internal calls contribute
  * through their callee's block stream).
- *
- * Budget.  The stream is bounded by a byte cap (see
- * guard::RunBudget::maxTraceBytes).  On overflow the Recorder stops
- * appending and marks the trace truncated; replaying a truncated
- * trace fails with LP_IO so affected sweep cells quarantine instead
- * of reporting from a partial stream.
  */
 
 #pragma once
@@ -49,10 +43,8 @@ class Recorder
      * @param index id assignment shared with the replay side
      * @param headerBlocks loop-header flags indexed by global block id
      *        (from the compile-time component's loop analysis)
-     * @param maxBytes payload byte cap; 0 = unbounded
      */
-    Recorder(const ModuleIndex &index, std::vector<bool> headerBlocks,
-             std::uint64_t maxBytes);
+    Recorder(const ModuleIndex &index, std::vector<bool> headerBlocks);
 
     /// @name Event feed (one call per interpreter call-back).
     /// The cost arguments are the machine-clock samples at the
@@ -71,9 +63,6 @@ class Recorder
     void callSite(const ir::Instruction *instr);
     /// @}
 
-    /** True once the byte cap was hit (the stream is unusable). */
-    bool truncated() const { return truncated_; }
-
     /** Finalize: @p finalCost is Machine::cost() after run() returned. */
     Trace finish(std::uint64_t finalCost);
 
@@ -86,11 +75,9 @@ class Recorder
 
     const ModuleIndex &index_;
     std::vector<bool> headerBlocks_; ///< by global block id
-    std::uint64_t maxBytes_;
 
     PayloadWriter w_;
     std::uint64_t events_ = 0;
-    bool truncated_ = false;
     bool finished_ = false;
 
     // Mirror of the replay-side clock reconstruction.

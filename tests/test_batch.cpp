@@ -1,17 +1,15 @@
 /**
  * @file
- * Tests for batched multi-cell trace replay (src/trace/batch.* +
- * src/rt/batch.cpp + the core front ends).  The load-bearing property:
- * replaying one trace for N configurations in a single SoA pass
- * produces reports *byte-identical* — as serialized JSON — to
- * interpreting each configuration on its own (the live LoopRuntime is
- * the reference), with and without the consistency oracle, for every
- * program shape, every model, every ablation axis, and every lane
- * count including the 64-lane chunk boundary.  Also covered: the
- * IoError taxonomy (truncated and foreign traces, and every stream the
- * replay walker rejects, fail the batch), and the sweep driver's batch
- * path agreeing with interpret-every-cell byte for byte, --lint
- * included.
+ * Tests for fused batches (src/rt/batch.* + the core front ends).  The
+ * load-bearing property: one interpretation driving N configuration
+ * lanes in a single SoA pass produces reports *byte-identical* — as
+ * serialized JSON — to interpreting each configuration on its own (the
+ * live LoopRuntime is the reference), with and without the consistency
+ * oracle, for every program shape, every model, every ablation axis,
+ * and every lane count including the 64-lane chunk boundary.  Also
+ * covered: every stream the trace walker (src/trace/batch.*) rejects
+ * raises LP_IO, and the sweep driver's batch path agrees with
+ * interpret-every-cell byte for byte, --lint included.
  */
 
 #include <gtest/gtest.h>
@@ -29,7 +27,6 @@
 #include "fuzz/generator.hpp"
 #include "guard/budget.hpp"
 #include "helpers.hpp"
-#include "rt/replay.hpp"
 #include "support/error.hpp"
 #include "trace/batch.hpp"
 #include "trace/format.hpp"
@@ -215,43 +212,13 @@ TEST_F(BatchTest, EmptyConfigListYieldsNoReports)
 
 // ------------------------------------------------------ error taxonomy
 
-TEST_F(BatchTest, BatchRejectsTruncatedTraces)
-{
-    guard::RunBudget b = guard::defaultBudget();
-    b.maxTraceBytes = 64;
-    guard::setBudgetOverride(b);
-
-    auto mod = test::buildSaxpy(64);
-    Loopapalooza lp(*mod);
-    ASSERT_TRUE(lp.trace().truncated);
-    try {
-        lp.runReplayBatched(fullGrid());
-        FAIL() << "replaying a truncated trace in a batch must throw";
-    }
-    catch (const IoError &e) {
-        EXPECT_STREQ(e.codeName(), "LP_IO");
-    }
-}
-
-TEST_F(BatchTest, BatchRejectsAForeignTrace)
-{
-    auto saxpy = test::buildSaxpy(32);
-    auto sum = test::buildSumReduction(32);
-    Loopapalooza lpa(*saxpy);
-    Loopapalooza lpb(*sum);
-    EXPECT_THROW(rt::replayLimitStudyBatched(lpb.plan(), lpb.traceIndex(),
-                                             lpa.trace(), fullGrid(),
-                                             "mismatch"),
-                 IoError);
-}
-
 TEST_F(BatchTest, WalkerRejectsEveryStructuralDamage)
 {
     // Once a payload decodes, trace::replayDispatch is its only
     // structural check.  Each row damages one event of a real trace and
-    // re-encodes it under the module's own fingerprint and final cost,
-    // so the damage gets past the batch's entry checks; the replay must
-    // then fail with LP_IO and the walker's message for that damage.
+    // re-encodes it under the module's own fingerprint and final cost;
+    // the walk must then fail with LP_IO and the walker's message for
+    // that damage.
     using trace::BatchDispatchTable;
     using trace::Event;
     using trace::EventKind;
@@ -367,14 +334,32 @@ TEST_F(BatchTest, WalkerRejectsEveryStructuralDamage)
          "replayed clock disagrees with the recording"},
     };
 
+    /** Takes every resolved event and does nothing with it. */
+    struct NoopSink
+    {
+        void onFuncEnter(const ir::Function *) {}
+        void onFuncExit(std::uint64_t) {}
+        void onBlockEnter(std::uint64_t, const BatchDispatchTable::BlockInfo &,
+                          std::uint64_t, std::uint64_t, std::uint64_t)
+        {
+        }
+        void onPhi(const ir::Instruction *, std::uint64_t) {}
+        void onLoad(const ir::Instruction *, std::uint64_t, std::uint64_t)
+        {
+        }
+        void onStore(const ir::Instruction *, std::uint64_t, std::uint64_t)
+        {
+        }
+    };
     auto replay = [](const Loopapalooza &lp, const Events &ev,
                      std::uint64_t finalCost) {
         const trace::ModuleIndex &index = lp.traceIndex();
-        return rt::replayLimitStudyBatched(
-            lp.plan(), index,
+        NoopSink sink;
+        trace::replayDispatch(
+            lp.dispatchTable(),
             trace::encodeEvents(ev, finalCost, index.numFunctions(),
                                 index.numBlocks()),
-            fullGrid(), "damaged");
+            sink);
     };
     // Undamaged, both re-encoded fixtures replay cleanly.
     for (const Loopapalooza *lp : {&inst, &ext})

@@ -11,9 +11,9 @@
  *  - corpus: entries re-parse, sidecars carry the repro line, and
  *    every checked-in tests/fuzz_corpus entry re-runs clean
  *    (the regression tier of the corpus workflow);
- *  - runSweep trace fallback: a truncated recording or an injected
- *    replay fault degrades cells to interpreting with a byte-identical
- *    document and bumps sweep.trace_fallbacks.
+ *  - runSweep batch fallback: an injected replay fault fails a fused
+ *    batch, its cells re-run one by one, and the document stays
+ *    byte-identical.
  */
 
 #include <filesystem>
@@ -328,7 +328,7 @@ TEST_F(FuzzTest, CheckedInCorpusRegressionsStayClean)
     EXPECT_GE(entries, 1u) << "fuzz corpus should not be empty";
 }
 
-// ------------------------------------------------- runSweep trace fallback
+// ------------------------------------------------- runSweep batch fallback
 
 std::vector<core::BenchProgram>
 fallbackPrograms(std::uint64_t seed)
@@ -351,33 +351,6 @@ sweepDump(const std::vector<core::BenchProgram> &progs, bool traceReplay)
     core::SweepResult res = core::runSweep(progs, req);
     EXPECT_EQ(res.exitCode, 0);
     return res.document.dump(2);
-}
-
-TEST_F(FuzzTest, TruncatedTraceFallsBackToInterpretByteIdentically)
-{
-    auto progs = fallbackPrograms(6);
-    const std::string reference = sweepDump(progs, /*traceReplay=*/false);
-
-    // A 64-byte trace budget truncates every recording, so every
-    // replay cell must degrade to interpreting — with the document
-    // byte-identical to the interpret-only sweep.
-    guard::RunBudget b = guard::defaultBudget();
-    b.maxTraceBytes = 64;
-    guard::setBudgetOverride(b);
-    obs::setMetricsEnabled(true);
-    obs::Registry::instance().resetAll();
-    const std::string degraded = sweepDump(progs, /*traceReplay=*/true);
-    std::uint64_t fallbacks = obs::Registry::instance()
-                                  .counter("sweep.trace_fallbacks")
-                                  .value();
-    obs::setMetricsEnabled(false);
-    guard::clearBudgetOverride();
-
-    // Metrics-on adds the metrics/phases sections to the document, so
-    // compare the reports array only: re-run with metrics off.
-    EXPECT_GT(fallbacks, 0u);
-    const std::string degradedQuiet = sweepDump(progs, true);
-    EXPECT_EQ(reference, degradedQuiet);
 }
 
 TEST_F(FuzzTest, InjectedReplayFaultFallsBackByteIdentically)

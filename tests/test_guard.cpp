@@ -24,6 +24,7 @@
 #include "interp/memory.hpp"
 #include "ir/parser.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "rt/report.hpp"
 #include "support/error.hpp"
 
@@ -397,6 +398,45 @@ TEST_F(GuardTest, KeepGoingSuiteQuarantinesOneCellOthersComplete)
     EXPECT_EQ(row.at("ok").asU64(), 2u);
     EXPECT_EQ(row.at("failed").asU64(), 1u);
     EXPECT_GT(row.at("geomean_speedup").asDouble(), 0.0);
+
+    // The fused path's failure route, on one lane and on the 14-lane
+    // paper grid: the trapping program's batch traps once, each of its
+    // lanes re-runs alone and traps the same way, and the document is
+    // byte-identical to interpreting every cell.
+    for (const std::vector<core::NamedConfig> &grid :
+         {req.configs, core::paperConfigs()}) {
+        core::SweepRequest fusedReq = req;
+        fusedReq.configs = grid;
+        core::SweepRequest interpReq = fusedReq;
+        interpReq.traceReplay = false;
+        const std::string fused =
+            core::runSweep(progs, fusedReq, discard).document.dump(2);
+        EXPECT_EQ(fused,
+                  core::runSweep(progs, interpReq, discard).document.dump(2))
+            << grid.size() << " configuration(s)";
+
+        obs::setMetricsEnabled(true);
+        obs::Registry::instance().resetAll();
+        const obs::Json doc = core::runSweep(progs, fusedReq, discard).document;
+        EXPECT_EQ(obs::Registry::instance()
+                      .counter("sweep.batch_fallbacks")
+                      .value(),
+                  1u)
+            << grid.size() << " configuration(s)";
+        obs::setMetricsEnabled(false);
+
+        std::size_t failed = 0;
+        const obs::Json &reps = doc.at("reports");
+        for (std::size_t i = 0; i < reps.size(); ++i) {
+            if (reps.at(i).at("status").asString() != "failed")
+                continue;
+            ++failed;
+            EXPECT_EQ(reps.at(i).at("program").asString(), "trap.kernel");
+            EXPECT_EQ(reps.at(i).at("error_code").asString(), "LP_TRAP");
+            EXPECT_EQ(reps.at(i).at("attempts").asU64(), 1u);
+        }
+        EXPECT_EQ(failed, grid.size());
+    }
 
     // Strict mode over the same suite aborts, with the cell identity
     // stamped onto the error.

@@ -9,7 +9,7 @@
  *    lock-wait accumulator CellScope attribution is built on;
  *  - Collector: spec parsing, per-cell JSONL well-formedness and schema
  *    round-trip, per-worker timeline lane validity, epoch attribution
- *    from the interpret/record/replay hot loops;
+ *    from the interpreter's poll, once per run;
  *  - Determinism: a profiled sweep's reports are byte-identical to an
  *    unprofiled sweep's, serial and at --jobs 4 (ISSUE 6 acceptance).
  */
@@ -379,33 +379,70 @@ TEST_F(ProfSandbox, ParallelSweepQueueWaitStaysWithinRegionWall)
             << "lane " << lanes.at(i).at("worker").asU64();
 }
 
-TEST_F(ProfSandbox, EpochsAttributeInterpretRecordAndReplayTime)
+/** Epoch kinds seen on any worker of the last sweep. */
+std::set<std::string>
+epochKinds(const obs::Json &workers)
+{
+    std::set<std::string> kinds;
+    const obs::Json &lanes = workers.at("workers");
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+        const obs::Json &ep = lanes.at(i).at("epochs");
+        for (const std::string &kind : ep.keys()) {
+            kinds.insert(kind);
+            EXPECT_GT(ep.at(kind).at("instructions").asU64(), 0u) << kind;
+        }
+    }
+    return kinds;
+}
+
+/**
+ * Each worker's epochs cover disjoint stretches of its time inside the
+ * sweep region, so they cannot add up to more than the region: a run
+ * attributed twice (by two clocks) would.
+ */
+void
+expectEpochsWithinRegion(const obs::Json &workers)
+{
+    const std::uint64_t regionWall = workers.at("region_wall_ns").asU64();
+    const obs::Json &lanes = workers.at("workers");
+    ASSERT_GT(lanes.size(), 0u);
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+        const obs::Json &ep = lanes.at(i).at("epochs");
+        std::uint64_t wall = 0;
+        for (const std::string &kind : ep.keys())
+            wall += ep.at(kind).at("wall_ns").asU64();
+        EXPECT_LE(wall, regionWall)
+            << "worker " << lanes.at(i).at("worker").asU64();
+    }
+}
+
+TEST_F(ProfSandbox, EpochsAttributeFusedAndInterpretedRunsOnce)
 {
     prof::Collector &c = prof::Collector::instance();
     c.setEnabled(true);
 
-    // The default sweep records each program once (Record epochs) and
-    // replays it in batches (ReplayBatch epochs); interpreting every
-    // cell runs Interp epochs.
-    test::sweepDocument(smallPrograms(), {kHelix}, 1);
-    test::sweepDocument(smallPrograms(), {kHelix}, 1,
+    // The default sweep runs fused batches (ReplayBatch epochs, lanes x
+    // instructions) and records nothing.  One job keeps every run on
+    // the one worker the profile lists.
+    test::sweepDocument(smallPrograms(), kThreeModels, 1);
+    obs::Json serial = c.workersJson();
+    const std::set<std::string> fusedKinds = epochKinds(serial);
+    EXPECT_TRUE(fusedKinds.count("replay_batch"));
+    EXPECT_FALSE(fusedKinds.count("record"));
+    expectEpochsWithinRegion(serial);
+
+    c.reset();
+    test::sweepDocument(smallPrograms(), kThreeModels, 4);
+    expectEpochsWithinRegion(c.workersJson());
+
+    // Interpreting every cell runs Interp epochs.
+    c.reset();
+    test::sweepDocument(smallPrograms(), kThreeModels, 4,
                         /*traceReplay=*/false);
     c.setEnabled(false);
-
-    obs::Json workers = c.workersJson();
-    const obs::Json &lanes = workers.at("workers");
-    bool sawInterp = false, sawRecord = false, sawReplay = false;
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-        const obs::Json &ep = lanes.at(i).at("epochs");
-        sawInterp |= ep.contains("interp");
-        sawRecord |= ep.contains("record");
-        sawReplay |= ep.contains("replay_batch");
-        for (const std::string &kind : ep.keys())
-            EXPECT_GT(ep.at(kind).at("instructions").asU64(), 0u);
-    }
-    EXPECT_TRUE(sawInterp);
-    EXPECT_TRUE(sawRecord);
-    EXPECT_TRUE(sawReplay);
+    obs::Json interpreted = c.workersJson();
+    EXPECT_TRUE(epochKinds(interpreted).count("interp"));
+    expectEpochsWithinRegion(interpreted);
 }
 
 // ---------------------------------------------------------- determinism
