@@ -12,9 +12,13 @@
  *
  * Robustness (see docs/robustness.md):
  *   --keep-going / --strict          sweeps default to keep-going: a
- *                                    failing cell is quarantined as a
- *                                    status=failed report and its
- *                                    siblings finish (exit 0).  --strict
+ *                                    failing task (a program's fused
+ *                                    batch, or one interpreted cell) is
+ *                                    retried if the failure is
+ *                                    transient, else quarantined: each
+ *                                    of its cells becomes a
+ *                                    status=failed report and the other
+ *                                    tasks finish (exit 0).  --strict
  *                                    aborts on the first failure
  *                                    (exit 1).  Single runs are strict.
  *   --budget-instructions N          dynamic-IR-instruction fuel per run
@@ -81,9 +85,11 @@
  * Profiling (see docs/profiling.md):
  *   --profile[=json|chrome[:PATH]]   contention-aware profile of the
  *   (or LP_PROFILE=...)              run: per-site lock-wait telemetry,
+ *                                    one span per sweep task (a fused
+ *                                    batch, or one interpreted cell),
  *                                    per-worker utilization and
- *                                    load-imbalance, one record per
- *                                    sweep cell (json also streams
+ *                                    load-imbalance, one row per cell
+ *                                    (json also streams
  *                                    PATH.cells.jsonl).  chrome writes a
  *                                    Perfetto-loadable timeline instead.
  *                                    Run reports stay byte-identical
@@ -191,9 +197,9 @@ reportOne(const rt::ProgramReport &rep)
 }
 
 /**
- * Run one program/config inside a profiler region + cell, so single
- * runs show up in --profile reports and timelines just like sweep
- * cells do (one lane, one span).  A run that throws records as
+ * Run one program/config inside a profiler region as a one-cell task,
+ * so single runs show up in --profile reports and timelines just like
+ * sweep tasks do (one lane, one span).  A run that throws records as
  * status="failed" before the exception propagates.
  */
 template <typename Fn>
@@ -204,11 +210,12 @@ profiledSingleRun(const std::string &program, const std::string &suite,
     prof::Collector::instance().beginRegion();
     rt::ProgramReport rep;
     {
-        prof::CellScope cellProf(program, suite, config);
-        cellProf.setAttempts(1);
+        prof::TaskScope taskProf(program, suite);
+        taskProf.addCell(config);
+        taskProf.setAttempts(1);
         rep = run();
-        cellProf.setInstructions(rep.serialCost);
-        cellProf.setStatus("ok");
+        taskProf.setInstructions(rep.serialCost);
+        taskProf.setStatus("ok");
     }
     prof::Collector::instance().endRegion();
     return rep;

@@ -1,7 +1,6 @@
 #include "core/sweep.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -177,13 +176,14 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req,
                     ckpt->loadedCells(), ckpt->path().c_str());
 
     // The sweep is a flat list of (configuration, suite, program)
-    // cells — the unit of parallelism, of quarantine, of checkpointing
-    // and of sharding.  Results are stored by cell index, so the table
-    // and the JSON document come out identical whatever the worker
-    // count, and identical between a resumed and an uninterrupted run
-    // (resumed cells reuse their stored JSON verbatim).  Sharding
-    // leans on the same flatness: the list order is deterministic, so
-    // "cell index mod shard count" partitions it without coordination.
+    // cells — the unit of reporting, of checkpointing and of sharding
+    // (the unit of work is the task, below).  Results are stored by
+    // cell index, so the table and the JSON document come out identical
+    // whatever the worker count, and identical between a resumed and an
+    // uninterrupted run (resumed cells reuse their stored JSON
+    // verbatim).  Sharding leans on the same flatness: the list order is
+    // deterministic, so "cell index mod shard count" partitions it
+    // without coordination.
     struct Cell
     {
         const NamedConfig *config;
@@ -206,228 +206,166 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req,
                      obs::Json()});
             }
 
-    // Shard-summary counters (harmless in unsharded runs).
-    std::atomic<std::size_t> nResumed{0};
-
-    auto runCell = [&](std::size_t i) {
-        Cell &cell = cells[i];
-        const rt::LPConfig &cfg = cell.config->config;
-        prof::CellScope cellProf(cell.program, cell.suite,
-                                 cell.config->label);
-        if (!cell.prepared) {
-            // Program never prepared: the cell was not attempted.
-            // Synthesized fresh every run (never checkpointed), which
-            // is still deterministic — the prepare verdict is.
-            const PrepareFailure *pf = prepFailByName[cell.program];
-            rt::ProgramReport rep;
-            rep.program = cell.program;
-            rep.seed = cell.seed;
-            rep.config = cfg;
-            rep.status = rt::RunStatus::Skipped;
-            rep.errorCode = pf->verdict.codeName();
-            rep.errorMessage = "prepare failed: " + pf->verdict.message;
-            rep.attempts = static_cast<unsigned>(pf->verdict.attempts);
-            cell.json = rep.toJson(/*withObsSnapshot=*/false);
-            cellProf.setStatus("skipped");
-            return;
-        }
-        auto lintFail = lintFailByName.find(cell.program);
-        if (lintFail != lintFailByName.end()) {
-            // Quarantined by the lint gate; like prepare failures these
-            // cells are synthesized fresh every run, never checkpointed.
-            rt::ProgramReport rep;
-            rep.program = cell.program;
-            rep.seed = cell.seed;
-            rep.config = cfg;
-            rep.status = rt::RunStatus::Skipped;
-            rep.errorCode = errorCodeName(ErrorCode::Lint);
-            rep.errorMessage = lintFail->second;
-            cell.json = rep.toJson(/*withObsSnapshot=*/false);
-            cellProf.setStatus("skipped");
-            return;
-        }
-        const std::string key = guard::Checkpoint::cellKey(
-            cell.config->label, cell.suite, cell.program, cell.seed);
-        if (ckpt) {
-            if (const obs::Json *stored = ckpt->find(key)) {
-                cell.json = *stored;
-                cellProf.setStatus("resumed");
-                nResumed.fetch_add(1, std::memory_order_relaxed);
-                return;
-            }
-        }
-        // Run and checkpoint as one guarded unit: a transient failure
-        // retries the whole unit, so a cell is checkpointed iff it
-        // really finished.
-        auto work = [&] {
-            // Under --lint the consistency oracle rides along on every
-            // cell (the report gains its "oracle" section; reports of
-            // lint-free runs are unchanged, keeping checkpoint resume
-            // byte-identical).  With fused batches on, the cell runs
-            // as a one-lane batch.
-            const bool oracle = req.lintMode != 0;
-            rt::ProgramReport rep =
-                req.traceReplay
-                    ? (oracle ? cell.prepared->runReplayWithOracle(cfg)
-                              : cell.prepared->runReplay(cfg))
-                    : (oracle ? cell.prepared->runWithOracle(cfg)
-                              : cell.prepared->run(cfg));
-            rep.seed = cell.seed;
-            cellProf.setInstructions(rep.serialCost);
-            cell.json = rep.toJson(/*withObsSnapshot=*/false);
-            if (ckpt)
-                ckpt->record(key, cell.json);
-        };
-        if (!req.keepGoing) {
-            try {
-                cellProf.setAttempts(1);
-                work();
-                cellProf.setStatus("ok");
-            }
-            catch (Error &e) {
-                e.noteCell(cell.program, cell.suite, cell.config->label);
-                throw;
-            }
-            return;
-        }
-        guard::RunVerdict v = guard::guardedRun(
-            cell.program + " [" + cell.config->label + " " + cell.suite +
-                "]",
-            work);
-        cellProf.setAttempts(static_cast<unsigned>(v.attempts));
-        if (v.ok)
-            cellProf.setStatus("ok");
-        if (!v.ok) {
-            rt::ProgramReport rep;
-            rep.program = cell.program;
-            rep.seed = cell.seed;
-            rep.config = cfg;
-            rep.status = rt::RunStatus::Failed;
-            rep.errorCode = v.codeName();
-            rep.errorMessage = v.message;
-            rep.attempts = static_cast<unsigned>(v.attempts);
-            cell.json = rep.toJson(/*withObsSnapshot=*/false);
-            // Not checkpointed: a deterministic failure reproduces on
-            // resume, and a flaky one deserves the fresh attempt.
-        }
+    // A cell's report when it carries only a verdict (skipped or
+    // failed), no results.
+    auto verdictReport = [&](const Cell &cell, rt::RunStatus status,
+                             std::string code, std::string message,
+                             unsigned attempts) {
+        rt::ProgramReport rep;
+        rep.program = cell.program;
+        rep.seed = cell.seed;
+        rep.config = cell.config->config;
+        rep.status = status;
+        rep.errorCode = std::move(code);
+        rep.errorMessage = std::move(message);
+        rep.attempts = attempts;
+        return rep.toJson(/*withObsSnapshot=*/false);
+    };
+    auto cellKeyOf = [&](const Cell &cell) {
+        return guard::Checkpoint::cellKey(cell.config->label, cell.suite,
+                                          cell.program, cell.seed);
     };
 
     // This process owns every cell (unsharded) or the cells whose flat
     // index is congruent to shardIndex-1 mod shardCount — a
     // deterministic, coordination-free partition that also round-robins
     // each configuration's cheap and expensive programs across shards.
-    std::vector<std::size_t> owned;
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        if (!sharded || i % req.shardCount == req.shardIndex - 1)
-            owned.push_back(i);
-
-    auto cellKeyOf = [&](const Cell &cell) {
-        return guard::Checkpoint::cellKey(cell.config->label, cell.suite,
-                                          cell.program, cell.seed);
-    };
-
-    // Dispatch the owned cells.  Two phases, both inside the profiled
-    // region:
-    //
-    //  A. Fused batches (the default): the runnable cells are grouped
-    //     by program, one task per program in registration order, and
-    //     each task interprets its program once per 64 lanes with every
-    //     cell's configuration attached.  A batch that fails (a trap,
-    //     an injected fault, a deadline) is simply left to phase B.
-    //  B. The per-cell path for everything else: resumed cells,
-    //     prepare/lint-quarantined cells, lanes a failed batch demoted
-    //     (each run alone as a one-lane batch, under the retry and
-    //     quarantine policy), and the whole sweep under
-    //     --no-trace-replay.
-    std::vector<char> done(cells.size(), 0);
-    auto dispatchCells = [&] {
-        // Phase A: one fused batch per program over its runnable cells
-        // (not prepare-failed, not lint-gated, not checkpoint-resumed).
-        if (req.traceReplay) {
-            std::vector<std::pair<const PreparedProgram *,
-                                  std::vector<std::size_t>>>
-                tasks;
-            for (const auto &p : study.programs()) {
-                if (lintFailByName.count(p->name()))
-                    continue;
-                std::vector<std::size_t> lanes;
-                for (std::size_t i : owned)
-                    if (cells[i].prepared == p.get() &&
-                        !(ckpt && ckpt->find(cellKeyOf(cells[i]))))
-                        lanes.push_back(i);
-                if (!lanes.empty())
-                    tasks.emplace_back(p.get(), std::move(lanes));
-            }
-
-            exec::parallelFor(tasks.size(), [&](std::size_t k) {
-                const auto &[prog, idxs] = tasks[k];
-                std::vector<rt::LPConfig> cfgs;
-                cfgs.reserve(idxs.size());
-                for (std::size_t i : idxs)
-                    cfgs.push_back(cells[i].config->config);
-                std::vector<rt::ProgramReport> reps;
-                try {
-                    // Under --lint the consistency oracle rides along,
-                    // captured once per batch.
-                    reps = req.lintMode != 0
-                               ? prog->runReplayBatchedWithOracle(cfgs)
-                               : prog->runReplayBatched(cfgs);
-                }
-                catch (const Error &e) {
-                    // Whatever broke the batch is re-raised lane by
-                    // lane on the per-cell path, where the retry and
-                    // quarantine policy decide; reports stay
-                    // byte-identical.
-                    LP_LOG_WARN("fused batch failed for %s (%zu "
-                                "lane(s); %s: %s); running those cells "
-                                "individually",
-                                prog->name().c_str(), idxs.size(),
-                                e.codeName(), e.what());
-                    if (obs::metricsOn())
-                        obs::Registry::instance()
-                            .counter("sweep.batch_fallbacks")
-                            .add(1);
-                    return;
-                }
-                for (std::size_t l = 0; l < idxs.size(); ++l) {
-                    Cell &cell = cells[idxs[l]];
-                    rt::ProgramReport &rep = reps[l];
-                    rep.seed = cell.seed;
-                    {
-                        // One record per lane: the profile keeps its
-                        // per-cell rows (worker, status, instructions);
-                        // the batch's wall time shows up in the
-                        // replay_batch epochs rather than under any one
-                        // lane.
-                        prof::CellScope cellProf(cell.program,
-                                                 cell.suite,
-                                                 cell.config->label);
-                        cellProf.setAttempts(1);
-                        cellProf.setInstructions(rep.serialCost);
-                        cellProf.setStatus("ok");
-                    }
-                    cell.json = rep.toJson(/*withObsSnapshot=*/false);
-                    if (ckpt)
-                        ckpt->record(cellKeyOf(cell), cell.json);
-                    done[idxs[l]] = 1;
-                }
-            });
+    // Owned cells that need no run are filled in here; the rest are
+    // fresh.
+    std::vector<std::size_t> owned, fresh;
+    std::size_t nResumed = 0;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        if (sharded && i % req.shardCount != req.shardIndex - 1)
+            continue;
+        owned.push_back(i);
+        Cell &cell = cells[i];
+        std::string status = "skipped";
+        auto lintFail = lintFailByName.find(cell.program);
+        if (!cell.prepared) {
+            // Program never prepared: the cell was not attempted.
+            // Synthesized fresh every run (never checkpointed), which
+            // is still deterministic — the prepare verdict is.
+            const guard::RunVerdict &v =
+                prepFailByName[cell.program]->verdict;
+            cell.json = verdictReport(cell, rt::RunStatus::Skipped,
+                                      v.codeName(),
+                                      "prepare failed: " + v.message,
+                                      static_cast<unsigned>(v.attempts));
+        } else if (lintFail != lintFailByName.end()) {
+            // Quarantined by the lint gate; like prepare failures these
+            // cells are synthesized fresh every run, never checkpointed.
+            cell.json = verdictReport(cell, rt::RunStatus::Skipped,
+                                      errorCodeName(ErrorCode::Lint),
+                                      lintFail->second, 1);
+        } else if (const obs::Json *stored =
+                       ckpt ? ckpt->find(cellKeyOf(cell)) : nullptr) {
+            cell.json = *stored;
+            status = "resumed";
+            ++nResumed;
+        } else {
+            fresh.push_back(i);
+            continue;
         }
+        prof::Collector::instance().recordUnrunCell(
+            cell.program, cell.suite, cell.config->label, status);
+    }
 
-        // Phase B: everything not completed by a batch.
-        std::vector<std::size_t> pending;
-        for (std::size_t i : owned)
-            if (!done[i])
-                pending.push_back(i);
-        exec::parallelFor(pending.size(),
-                          [&](std::size_t k) { runCell(pending[k]); });
+    // The unit of work is the task: one program's fresh cells as one
+    // fused batch (one interpretation per 64 lanes drives every cell's
+    // configuration), in registration order, or one cell per task
+    // under --no-trace-replay.  A task is retried, quarantined and
+    // profiled whole.
+    std::vector<std::vector<std::size_t>> tasks;
+    if (req.traceReplay) {
+        for (const auto &p : study.programs()) {
+            std::vector<std::size_t> lanes;
+            for (std::size_t i : fresh)
+                if (cells[i].prepared == p.get())
+                    lanes.push_back(i);
+            if (!lanes.empty())
+                tasks.push_back(std::move(lanes));
+        }
+    } else {
+        for (std::size_t i : fresh)
+            tasks.push_back({i});
+    }
+
+    auto runTask = [&](std::size_t k) {
+        const std::vector<std::size_t> &lanes = tasks[k];
+        const Cell &first = cells[lanes.front()];
+        prof::TaskScope taskProf(first.program, first.suite);
+        for (std::size_t i : lanes)
+            taskProf.addCell(cells[i].config->label);
+        // Run and checkpoint as one guarded unit: a transient failure
+        // (LP_IO from an append too) retries the whole task, so the
+        // checkpoint only ever holds cells whose task really ran.
+        auto work = [&] {
+            // Under --lint the consistency oracle rides along (the
+            // reports gain their "oracle" section; reports of lint-free
+            // runs are unchanged, keeping checkpoint resume
+            // byte-identical), captured once per batch.
+            const bool oracle = req.lintMode != 0;
+            std::vector<rt::ProgramReport> reps;
+            if (req.traceReplay) {
+                std::vector<rt::LPConfig> cfgs;
+                cfgs.reserve(lanes.size());
+                for (std::size_t i : lanes)
+                    cfgs.push_back(cells[i].config->config);
+                reps = oracle
+                           ? first.prepared->runReplayBatchedWithOracle(cfgs)
+                           : first.prepared->runReplayBatched(cfgs);
+            } else {
+                const rt::LPConfig &cfg = first.config->config;
+                reps.push_back(oracle ? first.prepared->runWithOracle(cfg)
+                                      : first.prepared->run(cfg));
+            }
+            taskProf.setInstructions(reps.front().serialCost);
+            for (std::size_t l = 0; l < lanes.size(); ++l) {
+                Cell &cell = cells[lanes[l]];
+                reps[l].seed = cell.seed;
+                cell.json = reps[l].toJson(/*withObsSnapshot=*/false);
+                if (ckpt)
+                    ckpt->record(cellKeyOf(cell), cell.json);
+            }
+        };
+        if (!req.keepGoing) {
+            try {
+                taskProf.setAttempts(1);
+                work();
+                taskProf.setStatus("ok");
+            }
+            catch (Error &e) {
+                e.noteCell(first.program, first.suite, first.config->label);
+                throw;
+            }
+            return;
+        }
+        const std::string what =
+            lanes.size() == 1 ? first.config->label
+                              : std::to_string(lanes.size()) + " lanes";
+        guard::RunVerdict v = guard::guardedRun(
+            first.program + " [" + what + " " + first.suite + "]", work);
+        taskProf.setAttempts(static_cast<unsigned>(v.attempts));
+        if (v.ok) {
+            taskProf.setStatus("ok");
+            return;
+        }
+        // Quarantined: every cell of the task carries the verdict.  Not
+        // checkpointed: a deterministic failure reproduces on resume,
+        // and a flaky one deserves the fresh attempt.
+        for (std::size_t i : lanes)
+            cells[i].json =
+                verdictReport(cells[i], rt::RunStatus::Failed, v.codeName(),
+                              v.message, static_cast<unsigned>(v.attempts));
     };
+
+    // The profiled region is the task dispatch: queue-wait and worker
+    // utilization are measured against it.
+    prof::Collector::instance().beginRegion();
+    exec::parallelFor(tasks.size(), runTask);
+    prof::Collector::instance().endRegion();
 
     if (sharded) {
-        prof::Collector::instance().beginRegion();
-        dispatchCells();
-        prof::Collector::instance().endRegion();
-
         // No table, no aggregation: a shard sees only its slice, so any
         // per-(config, suite) geomean it printed would be wrong.  The
         // merge step owns reporting.
@@ -455,7 +393,7 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req,
             << ": " << owned.size() << " of " << cells.size()
             << " cell(s) — " << ok << " ok, " << failed
             << " failed, " << skipped << " skipped, "
-            << nResumed.load() << " resumed\n"
+            << nResumed << " resumed\n"
             << "checkpoint: " << ckpt->path() << "\n";
         if (oracleMismatches != 0)
             out << "oracle: " << oracleMismatches
@@ -467,12 +405,6 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req,
             oracleMismatches != 0 || verdictContradictions != 0 ? 1 : 0;
         return result;
     }
-
-    // The profiled region is the cell dispatch: queue-wait and worker
-    // utilization are measured against it.
-    prof::Collector::instance().beginRegion();
-    dispatchCells();
-    prof::Collector::instance().endRegion();
 
     obs::Json suitesJson = obs::Json::array();
     obs::Json reportsJson = obs::Json::array();

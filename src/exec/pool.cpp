@@ -210,48 +210,4 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn,
         std::rethrow_exception(firstError);
 }
 
-std::vector<std::exception_ptr>
-parallelForAll(std::size_t n, const std::function<void(std::size_t)> &fn,
-               unsigned jobs)
-{
-    std::vector<std::exception_ptr> errors(n);
-    if (n == 0)
-        return errors;
-    unsigned workers = resolveJobs(jobs);
-    if (workers > n)
-        workers = static_cast<unsigned>(n);
-
-    // Slot i is only ever written by the worker that claimed index i,
-    // and the pool joins before we return, so `errors` needs no lock.
-    auto runOne = [&](std::size_t i) {
-        try {
-            fn(i);
-        } catch (...) {
-            errors[i] = std::current_exception();
-        }
-    };
-
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            runOne(i);
-        return errors;
-    }
-
-    alignas(64) std::atomic<std::size_t> next{0};
-    auto drain = [&] {
-        for (;;) {
-            std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n)
-                return;
-            runOne(i);
-        }
-    };
-
-    ThreadPool pool(workers);
-    for (unsigned w = 0; w < workers; ++w)
-        pool.post(drain);
-    pool.wait();
-    return errors;
-}
-
 } // namespace lp::exec

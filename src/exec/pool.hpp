@@ -4,9 +4,13 @@
  *
  * The sweeps this framework exists for — the paper's Table II space of
  * models × predictors × thresholds over prepared programs — are
- * embarrassingly parallel: every program × configuration run is
- * independent once the module is built and analyzed.  This layer
- * provides the two pieces the sweep call sites need:
+ * embarrassingly parallel: once the modules are built and analyzed,
+ * every program's runs are independent of every other program's.
+ * core::runSweep hands parallelFor one task per program (a fused batch
+ * of its configuration lanes), or one per cell when it interprets each
+ * cell, and keeps a failing task from cancelling its siblings by
+ * running each inside guard::guardedRun.  This layer provides the two
+ * pieces the sweep call sites need:
  *
  *  - ThreadPool: a fixed set of workers draining one task queue;
  *  - parallelFor(n, fn[, jobs]): run fn(i) for every i in [0, n),
@@ -33,7 +37,6 @@
 #include <cstddef>
 #include <deque>
 #include <condition_variable>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -135,17 +138,5 @@ class ThreadPool
  */
 void parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn,
                  unsigned jobs = defaultJobs());
-
-/**
- * Like parallelFor, but a throwing index never cancels the others:
- * every i in [0, @p n) runs to completion and the exception each one
- * threw (if any) comes back in slot i of the result.  This is the
- * error-collection mode lp::guard's keep-going sweeps are built on —
- * one poisoned cell must not take the rest of the sweep down with it.
- * An all-null result vector means every index succeeded.
- */
-std::vector<std::exception_ptr>
-parallelForAll(std::size_t n, const std::function<void(std::size_t)> &fn,
-               unsigned jobs = defaultJobs());
 
 } // namespace lp::exec

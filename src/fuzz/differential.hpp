@@ -12,8 +12,8 @@
  * the reproducing seed and the exact CLI line to replay it.
  *
  * Fault-schedule composition (`lp_fuzz --fault-schedule site:nth`):
- * transient sites (io, replay) are healed by retry / the batch
- * fallback, so byte-identity must survive them — the pairs run
+ * transient sites (io, replay) are healed by retrying the failed
+ * task, so byte-identity must survive them — the pairs run
  * unchanged with the fault re-armed before each side.  Non-transient
  * sites kill cells outright at a process-wide nth hit, whose placement
  * is only deterministic serially; those schedules run a reduced

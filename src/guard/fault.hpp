@@ -14,14 +14,18 @@
  *   parser   ir::parseModule entry                ParseError
  *   verify   ir::verifyModuleOrDie entry          VerifyError
  *   interp   interp::Machine::run entry           InterpreterTrap
+ *            (in a fused sweep, one program's batch: all its lanes
+ *            are quarantined with the trap)
  *   io       guard::Checkpoint::record            IoError
+ *            (a sweep appends inside the task it checkpoints)
  *   replay   rt::runLimitStudyBatched entry       IoError
  *            (a fused batch, before its interpreter runs)
  *
  * A tripped fault disarms nothing: the counter simply moves past nth,
- * so a *retry* of the failed unit succeeds — which is exactly how the
- * tests prove the quarantine/retry machinery works.  Disabled sites
- * cost one relaxed atomic load and a compare.
+ * so a *retry* of the failed unit — in a sweep, the whole task —
+ * succeeds, which is exactly how the tests prove the quarantine/retry
+ * machinery works.  Disabled sites cost one relaxed atomic load and a
+ * compare.
  */
 
 #pragma once

@@ -175,9 +175,9 @@ ftoi(double v)
 
 template <typename Sink>
 std::uint64_t
-Machine::run(Sink &sink, prof::EpochKind kind, std::uint64_t lanes)
+Machine::run(Sink &sink)
 {
-    const LoweredFunction &main = beginRun(kind, lanes);
+    const LoweredFunction &main = beginRun();
     const std::uint64_t result = execute(main, sink);
     endRun();
     return result;

@@ -28,8 +28,7 @@ static_assert(mirrors(LoweredCode::FCmpGe, Opcode::FCmpGe) &&
  * Instructions between wall-clock deadline polls.  A clock read every
  * ~262k instructions is a few hundred reads per simulated second —
  * invisible next to the interpreter loop — while bounding deadline
- * overshoot to a few milliseconds.  The profiler piggybacks on the
- * same poll to flush its time epochs without adding a hot-loop branch.
+ * overshoot to a few milliseconds.
  */
 constexpr std::uint64_t kDeadlineStride = 1ULL << 18;
 
@@ -338,32 +337,10 @@ Machine::throwStackOverflow(const ir::Function *callee)
 }
 
 void
-Machine::flushEpoch()
-{
-    const auto now = std::chrono::steady_clock::now();
-    const std::uint64_t instructions =
-        (cost_ - epochStartCost_) * epochLanes_;
-    const auto ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            now - epochStartTime_)
-            .count();
-    if (instructions > 0 || ns > 0)
-        prof::Collector::instance().addEpoch(
-            epochKind_, instructions, static_cast<std::uint64_t>(ns));
-    epochStartCost_ = cost_;
-    epochStartTime_ = now;
-}
-
-void
 Machine::pollBudgets(const ir::Function *fn)
 {
     nextPollCost_ = cost_ + kDeadlineStride;
-    // Attribute before any deadline throw: an aborted run's time is
-    // still time spent.
-    if (profiling_)
-        flushEpoch();
-    if (wallLimitMs_ == 0 ||
-        std::chrono::steady_clock::now() <= deadline_)
+    if (std::chrono::steady_clock::now() <= deadline_)
         return;
     throw ResourceExhausted(
         ErrorCode::Deadline,
@@ -375,21 +352,15 @@ Machine::pollBudgets(const ir::Function *fn)
 }
 
 const LoweredFunction &
-Machine::beginRun(prof::EpochKind kind, std::uint64_t lanes)
+Machine::beginRun()
 {
     fatalIf(ran_, "Machine::run may only be called once");
     ran_ = true;
     guard::faultPoint("interp");
-    profiling_ = prof::profilingOn();
-    epochKind_ = kind;
-    epochLanes_ = lanes;
-    if (wallLimitMs_ != 0)
+    if (wallLimitMs_ != 0) {
         deadline_ = std::chrono::steady_clock::now() +
                     std::chrono::milliseconds(wallLimitMs_);
-    if (wallLimitMs_ != 0 || profiling_) {
         nextPollCost_ = 0; // first block reaches the cold poll
-        epochStartCost_ = cost_;
-        epochStartTime_ = std::chrono::steady_clock::now();
     }
 
     for (const auto &g : mod_.globals()) {
@@ -402,6 +373,10 @@ Machine::beginRun(prof::EpochKind kind, std::uint64_t lanes)
     const ir::Function *main = mod_.mainFunction();
     fatalIf(!main, "module has no main()");
     fatalIf(!main->args().empty(), "main() must take no arguments");
+    // Counted before main() starts, so a run that a trap or a budget
+    // aborts counts too.
+    if (obs::metricsOn())
+        obs::Registry::instance().counter("interp.runs").add(1);
     return *std::find_if(
         fns_.begin(), fns_.end(),
         [&](const LoweredFunction &lf) { return lf.fn == main; });
@@ -410,13 +385,8 @@ Machine::beginRun(prof::EpochKind kind, std::uint64_t lanes)
 void
 Machine::endRun()
 {
-    if (profiling_)
-        flushEpoch(); // attribute the tail of the final epoch
-    if (obs::metricsOn()) {
-        obs::Registry &reg = obs::Registry::instance();
-        reg.counter("interp.instructions").add(cost_);
-        reg.counter("interp.runs").add(1);
-    }
+    if (obs::metricsOn())
+        obs::Registry::instance().counter("interp.instructions").add(cost_);
 }
 
 std::uint64_t
@@ -424,10 +394,10 @@ Machine::run()
 {
     if (listener_) {
         ListenerSink sink{listener_};
-        return run(sink, prof::EpochKind::Interp);
+        return run(sink);
     }
     NullSink sink;
-    return run(sink, prof::EpochKind::Interp);
+    return run(sink);
 }
 
 std::uint64_t *

@@ -37,7 +37,6 @@
 #include "interp/events.hpp"
 #include "interp/memory.hpp"
 #include "ir/module.hpp"
-#include "prof/collector.hpp"
 
 namespace lp::interp {
 
@@ -82,14 +81,8 @@ class Machine
      * Module::functions() in order, each function's blocks in order
      * (trace::ModuleIndex assigns the same ids).  Phis fire right
      * after their block's blockEnter, before any other event.
-     *
-     * Profiling epochs of the run are charged to @p kind, as @p lanes
-     * times the instructions run: a run that drives several
-     * configuration lanes does that much lane work.
      */
-    template <typename Sink>
-    std::uint64_t run(Sink &sink, prof::EpochKind kind,
-                      std::uint64_t lanes = 1);
+    template <typename Sink> std::uint64_t run(Sink &sink);
 
     /** Dynamic IR instructions executed so far (the sequential clock). */
     std::uint64_t cost() const { return cost_; }
@@ -145,12 +138,11 @@ class Machine
     template <typename Sink>
     std::uint64_t execute(const LoweredFunction &main, Sink &sink);
     /**
-     * The sink-independent halves of a run: arm the budgets and the
-     * profiler, lay out globals and find main(); then attribute the
-     * last epoch and count the run.
+     * The sink-independent halves of a run: arm the budgets, count the
+     * run, lay out globals and find main(); then count the instructions
+     * of a run that returned.
      */
-    const LoweredFunction &beginRun(prof::EpochKind kind,
-                                    std::uint64_t lanes);
+    const LoweredFunction &beginRun();
     void endRun();
     /**
      * Place @p fn's register file at offset @p base (growing regs_ as
@@ -161,16 +153,11 @@ class Machine
     [[noreturn]] void throwFuelExhausted(const ir::Function *fn) const;
     [[noreturn]] static void throwStackOverflow(const ir::Function *callee);
     /**
-     * The unified cold poll, reached every ~262k instructions when a
-     * wall-clock deadline is armed or profiling is on (nextPollCost_ is
-     * UINT64_MAX otherwise, so the hot path stays one compare).  It
-     * attributes the elapsed epoch to the profiler, then checks the
-     * deadline — profiling an extra concern into an existing poll
-     * instead of adding a branch of its own.
+     * The cold deadline poll, reached every ~262k instructions when a
+     * wall-clock deadline is armed (nextPollCost_ is UINT64_MAX
+     * otherwise, so the hot path stays one compare).
      */
     void pollBudgets(const ir::Function *fn);
-    /** Attribute instructions/wall-ns since the last epoch mark. */
-    void flushEpoch();
 
     /** What a Ret restores: the caller and the clock state at the call. */
     struct Frame
@@ -191,11 +178,6 @@ class Machine
     std::uint64_t wallLimitMs_ = 0; ///< 0 = no deadline
     std::uint64_t nextPollCost_ = UINT64_MAX; ///< armed by run()
     std::chrono::steady_clock::time_point deadline_{};
-    bool profiling_ = false; ///< sampled once per run()
-    prof::EpochKind epochKind_ = prof::EpochKind::Interp;
-    std::uint64_t epochLanes_ = 1;
-    std::uint64_t epochStartCost_ = 0;
-    std::chrono::steady_clock::time_point epochStartTime_{};
     std::uint64_t curBlockSize_ = 0;
     std::uint64_t ipInBlock_ = 0;
     std::uint64_t sp_ = Memory::kStackBase;

@@ -23,8 +23,8 @@
  * contract, like PhaseTree::reset.
  *
  * Metric name catalog (see docs/observability.md):
- *   interp.instructions     dynamic IR instructions executed
- *   interp.runs             completed Machine::run() calls
+ *   interp.instructions     dynamic IR instructions of completed runs
+ *   interp.runs             Machine::run() calls (aborted ones too)
  *   tracker.mem_events      load/store events seen by the tracker
  *   tracker.conflicts       cross-iteration conflicts (memory + register)
  *   tracker.loop_instances  dynamic loop instances opened

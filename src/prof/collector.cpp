@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
+#include <tuple>
 
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sink.hpp"
 #include "support/text.hpp"
 
 namespace lp::prof {
@@ -20,17 +23,6 @@ steadyNanos()
             .count());
 }
 
-const char *
-epochKindName(std::size_t k)
-{
-    switch (k) {
-      case 0: return "interp";
-      case 1: return "record";
-      case 2: return "replay_batch";
-    }
-    return "?";
-}
-
 obs::Json
 cellToJson(const CellRecord &rec)
 {
@@ -38,11 +30,10 @@ cellToJson(const CellRecord &rec)
     j.set("program", rec.program);
     j.set("suite", rec.suite);
     j.set("config", rec.config);
+    j.set("task", rec.task >= 0 ? obs::Json(rec.task) : obs::Json());
     j.set("worker", rec.worker);
     j.set("start_ns", rec.startNs);
     j.set("wall_ns", rec.wallNs);
-    j.set("queue_wait_ns", rec.queueWaitNs);
-    j.set("lock_wait_ns", rec.lockWaitNs);
     j.set("instructions", rec.instructions);
     j.set("attempts", rec.attempts);
     j.set("status", rec.status);
@@ -51,16 +42,7 @@ cellToJson(const CellRecord &rec)
 
 } // namespace
 
-Collector::Collector() : epochNanos_(steadyNanos())
-{
-    for (std::atomic<std::uint64_t> &lane : laneIdleSinceNs_)
-        lane.store(0, std::memory_order_relaxed);
-    for (EpochSlot &slot : epochs_)
-        for (std::size_t k = 0; k < kEpochKinds; ++k) {
-            slot.instructions[k].store(0, std::memory_order_relaxed);
-            slot.wallNs[k].store(0, std::memory_order_relaxed);
-        }
-}
+Collector::Collector() : epochNanos_(steadyNanos()) {}
 
 Collector &
 Collector::instance()
@@ -135,29 +117,18 @@ Collector::reset()
 {
     {
         std::lock_guard<TimedMutex> lock(cellMu_);
+        tasks_.clear();
         cells_.clear();
         cellStream_.reset();
     }
     regionStartNs_.store(0, std::memory_order_relaxed);
     regionWallNs_.store(0, std::memory_order_relaxed);
-    for (std::atomic<std::uint64_t> &lane : laneIdleSinceNs_)
-        lane.store(0, std::memory_order_relaxed);
-    for (EpochSlot &slot : epochs_)
-        for (std::size_t k = 0; k < kEpochKinds; ++k) {
-            slot.instructions[k].store(0, std::memory_order_relaxed);
-            slot.wallNs[k].store(0, std::memory_order_relaxed);
-        }
     LockSiteTable::instance().resetAll();
 }
 
 void
 Collector::beginRegion()
 {
-    // A new region means every lane is idle-since-region-start: clear
-    // the per-lane markers so the first cell on each lane measures its
-    // gap from the region start, not from some previous region's cell.
-    for (std::atomic<std::uint64_t> &lane : laneIdleSinceNs_)
-        lane.store(0, std::memory_order_relaxed);
     regionStartNs_.store(nowNs(), std::memory_order_relaxed);
 }
 
@@ -172,35 +143,100 @@ Collector::endRegion()
 }
 
 void
-Collector::recordCell(const CellRecord &rec)
+Collector::recordUnrunCell(const std::string &program,
+                           const std::string &suite,
+                           const std::string &config,
+                           const std::string &status)
 {
-    // Format outside the lock (the same discipline obs::JsonlSink
-    // follows): the critical section is one vector append and one
-    // preformatted line write.
-    std::string line;
-    {
-        // Streaming only happens in json mode; skip the dump otherwise.
-        if (cellStream_)
-            line = cellToJson(rec).dump();
-    }
+    if (!profilingOn())
+        return;
+    CellRecord rec;
+    rec.program = program;
+    rec.suite = suite;
+    rec.config = config;
+    rec.worker = obs::threadLane();
+    rec.startNs = nowNs();
+    rec.status = status;
     std::lock_guard<TimedMutex> lock(cellMu_);
-    cells_.push_back(rec);
-    if (cellStream_) {
-        *cellStream_ << line << '\n';
-        cellStream_->flush();
-    }
+    appendCells({std::move(rec)});
 }
 
 void
-Collector::addEpoch(EpochKind kind, std::uint64_t instructions,
-                    std::uint64_t wallNs)
+Collector::recordTask(TaskRecord task,
+                      const std::vector<std::string> &configs,
+                      std::uint64_t instructions)
 {
-    EpochSlot &slot =
-        epochs_[obs::threadLane() & (kMaxLanes - 1)];
-    const std::size_t k = static_cast<std::size_t>(kind);
-    slot.instructions[k].fetch_add(instructions,
-                                   std::memory_order_relaxed);
-    slot.wallNs[k].fetch_add(wallNs, std::memory_order_relaxed);
+    // Each cell gets an equal lane share of the task's wall time (the
+    // remainder spread over the first lanes), laid end to end from the
+    // task's start, so the shares sum to the wall exactly.
+    std::vector<CellRecord> cells(configs.size());
+    const std::uint64_t n = std::max<std::uint64_t>(configs.size(), 1);
+    std::uint64_t at = task.startNs;
+    for (std::size_t l = 0; l < cells.size(); ++l) {
+        CellRecord &c = cells[l];
+        c.program = task.program;
+        c.suite = task.suite;
+        c.config = configs[l];
+        c.worker = task.worker;
+        c.startNs = at;
+        c.wallNs = task.wallNs / n + (l < task.wallNs % n ? 1 : 0);
+        c.instructions = instructions;
+        c.attempts = task.attempts;
+        c.status = task.status;
+        at += c.wallNs;
+    }
+    task.lanes = static_cast<unsigned>(configs.size());
+
+    std::lock_guard<TimedMutex> lock(cellMu_);
+    task.firstCell = cells_.size();
+    for (CellRecord &c : cells)
+        c.task = static_cast<std::int64_t>(tasks_.size());
+    tasks_.push_back(std::move(task));
+    appendCells(std::move(cells));
+}
+
+void
+Collector::appendCells(std::vector<CellRecord> cells)
+{
+    // Rows are formatted under the lock because they carry the task
+    // index it assigns; one task's rows cost microseconds against a
+    // task of milliseconds.
+    for (CellRecord &c : cells) {
+        if (cellStream_)
+            *cellStream_ << cellToJson(c).dump() << '\n';
+        cells_.push_back(std::move(c));
+    }
+    if (cellStream_)
+        cellStream_->flush();
+}
+
+std::vector<std::uint64_t>
+Collector::queueWaits() const
+{
+    // Walk each worker's tasks in start order: a task waited from the
+    // end of the worker's previous task in the same region (or the
+    // region start, for its first) to its own start.  One worker's gaps
+    // are disjoint, so they sum to at most the region wall.
+    std::vector<std::size_t> order(tasks_.size());
+    for (std::size_t k = 0; k < order.size(); ++k)
+        order[k] = k;
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        return std::tie(tasks_[a].worker, tasks_[a].startNs) <
+               std::tie(tasks_[b].worker, tasks_[b].startNs);
+    });
+    std::vector<std::uint64_t> waits(tasks_.size(), 0);
+    const TaskRecord *prev = nullptr;
+    for (std::size_t k : order) {
+        const TaskRecord &t = tasks_[k];
+        std::uint64_t from = t.regionStartNs;
+        if (prev && prev->worker == t.worker &&
+            prev->regionStartNs == t.regionStartNs)
+            from = std::max(from, prev->startNs + prev->wallNs);
+        if (t.regionStartNs != 0 && t.startNs > from)
+            waits[k] = t.startNs - from;
+        prev = &t;
+    }
+    return waits;
 }
 
 obs::Json
@@ -244,6 +280,7 @@ Collector::workersJson() const
 {
     struct Worker
     {
+        std::uint64_t tasks = 0;
         std::uint64_t cells = 0;
         std::uint64_t busyNs = 0;
         std::uint64_t queueWaitNs = 0;
@@ -253,13 +290,17 @@ Collector::workersJson() const
     std::map<unsigned, Worker> workers;
     {
         std::lock_guard<TimedMutex> lock(cellMu_);
-        for (const CellRecord &c : cells_) {
-            Worker &w = workers[c.worker];
-            w.cells += 1;
-            w.busyNs += c.wallNs;
-            w.queueWaitNs += c.queueWaitNs;
-            w.lockWaitNs += c.lockWaitNs;
-            w.instructions += c.instructions;
+        const std::vector<std::uint64_t> waits = queueWaits();
+        for (std::size_t k = 0; k < tasks_.size(); ++k) {
+            const TaskRecord &t = tasks_[k];
+            Worker &w = workers[t.worker];
+            w.tasks += 1;
+            w.cells += t.lanes;
+            w.busyNs += t.wallNs;
+            w.queueWaitNs += waits[k];
+            w.lockWaitNs += t.lockWaitNs;
+            for (std::size_t c = 0; c < t.lanes; ++c)
+                w.instructions += cells_[t.firstCell + c].instructions;
         }
     }
     const std::uint64_t regionWall =
@@ -278,34 +319,15 @@ Collector::workersJson() const
 
         obs::Json one = obs::Json::object();
         one.set("worker", lane);
+        one.set("tasks", w.tasks);
         one.set("cells", w.cells);
         one.set("busy_ns", w.busyNs);
         one.set("idle_ns",
                 regionWall > w.busyNs ? regionWall - w.busyNs : 0);
-        // Per-cell gaps on one lane are disjoint, so this sum cannot
-        // logically exceed the region wall; the clamp guards against
-        // clock skew between the region edges and the cell scopes ever
-        // resurrecting the impossible 23s-wait-in-a-1.6s-region reports.
-        one.set("queue_wait_ns", std::min(w.queueWaitNs, regionWall));
+        one.set("queue_wait_ns", w.queueWaitNs);
         one.set("lock_wait_ns", w.lockWaitNs);
         one.set("instructions", w.instructions);
         one.set("utilization", util);
-        // Epoch attribution for this lane, if any was collected.
-        const EpochSlot &slot = epochs_[lane & (kMaxLanes - 1)];
-        obs::Json ep = obs::Json::object();
-        for (std::size_t k = 0; k < kEpochKinds; ++k) {
-            std::uint64_t instr =
-                slot.instructions[k].load(std::memory_order_relaxed);
-            std::uint64_t ns =
-                slot.wallNs[k].load(std::memory_order_relaxed);
-            if (instr == 0 && ns == 0)
-                continue;
-            obs::Json kind = obs::Json::object();
-            kind.set("instructions", instr);
-            kind.set("wall_ns", ns);
-            ep.set(epochKindName(k), std::move(kind));
-        }
-        one.set("epochs", std::move(ep));
         arr.push(std::move(one));
     }
 
@@ -324,6 +346,31 @@ Collector::workersJson() const
             meanBusy > 0.0 ? static_cast<double>(maxBusy) / meanBusy
                            : 1.0);
     return out;
+}
+
+obs::Json
+Collector::tasksJson() const
+{
+    std::lock_guard<TimedMutex> lock(cellMu_);
+    const std::vector<std::uint64_t> waits = queueWaits();
+    obs::Json arr = obs::Json::array();
+    for (std::size_t k = 0; k < tasks_.size(); ++k) {
+        const TaskRecord &t = tasks_[k];
+        obs::Json j = obs::Json::object();
+        j.set("task", static_cast<std::uint64_t>(k));
+        j.set("program", t.program);
+        j.set("suite", t.suite);
+        j.set("lanes", t.lanes);
+        j.set("worker", t.worker);
+        j.set("start_ns", t.startNs);
+        j.set("wall_ns", t.wallNs);
+        j.set("queue_wait_ns", waits[k]);
+        j.set("lock_wait_ns", t.lockWaitNs);
+        j.set("attempts", t.attempts);
+        j.set("status", t.status);
+        arr.push(std::move(j));
+    }
+    return arr;
 }
 
 obs::Json
@@ -348,9 +395,10 @@ Collector::toJson() const
 {
     obs::Json doc = obs::Json::object();
     doc.set("profile", "lp_prof");
-    doc.set("v", 1);
+    doc.set("v", 2);
     doc.set("contention", contentionJson());
     doc.set("workers", workersJson());
+    doc.set("tasks", tasksJson());
     doc.set("cells", cellsJson());
     return doc;
 }
@@ -358,51 +406,34 @@ Collector::toJson() const
 obs::Json
 Collector::chromeDocument() const
 {
-    // Reuse the Chrome trace_event shape the obs sink emits: one "X"
-    // (complete) span per sweep cell on its worker's lane, timestamps
-    // in microseconds against the collector's epoch.
-    obs::Json events = obs::Json::array();
+    // One span per task on its worker's lane, timestamps in
+    // microseconds against the collector's epoch; contention and
+    // utilization ride along as the lp_prof.summary event.
+    obs::ChromeTraceSink sink(path_);
+    const obs::Json tasks = tasksJson();
     {
         std::lock_guard<TimedMutex> lock(cellMu_);
-        for (const CellRecord &c : cells_) {
+        for (std::size_t k = 0; k < tasks_.size(); ++k) {
+            const TaskRecord &t = tasks_[k];
+            const obs::Json &row = tasks.at(k);
             obs::Json args = obs::Json::object();
-            args.set("suite", c.suite);
-            args.set("queue_wait_ns", c.queueWaitNs);
-            args.set("lock_wait_ns", c.lockWaitNs);
-            args.set("instructions", c.instructions);
-            args.set("attempts", c.attempts);
-            args.set("status", c.status);
-
-            obs::Json e = obs::Json::object();
-            e.set("name", c.program + " [" + c.config + "]");
-            e.set("cat", "cell");
-            e.set("ph", "X");
-            e.set("ts", static_cast<double>(c.startNs) / 1000.0);
-            e.set("dur", static_cast<double>(c.wallNs) / 1000.0);
-            e.set("pid", 1);
-            e.set("tid", c.worker);
-            e.set("args", std::move(args));
-            events.push(std::move(e));
+            for (const char *key : {"suite", "lanes", "queue_wait_ns",
+                                    "lock_wait_ns", "attempts", "status"})
+                args.set(key, row.at(key));
+            const std::string what =
+                t.lanes == 1 ? cells_[t.firstCell].config
+                             : std::to_string(t.lanes) + " lanes";
+            sink.span(t.program + " [" + what + "]",
+                      static_cast<double>(t.startNs) / 1000.0,
+                      static_cast<double>(t.wallNs) / 1000.0,
+                      std::move(args), t.worker);
         }
     }
-    // Contention and utilization ride along as process-scoped metadata.
-    obs::Json meta = obs::Json::object();
-    meta.set("name", "lp_prof.summary");
-    meta.set("ph", "i");
-    meta.set("ts", 0.0);
-    meta.set("pid", 1);
-    meta.set("tid", 0);
-    meta.set("s", "p");
-    obs::Json args = obs::Json::object();
-    args.set("contention", contentionJson());
-    args.set("workers", workersJson());
-    meta.set("args", std::move(args));
-    events.push(std::move(meta));
-
-    obs::Json doc = obs::Json::object();
-    doc.set("traceEvents", std::move(events));
-    doc.set("displayTimeUnit", "ms");
-    return doc;
+    obs::Json summary = obs::Json::object();
+    summary.set("contention", contentionJson());
+    summary.set("workers", workersJson());
+    sink.event("lp_prof.summary", std::move(summary));
+    return sink.document();
 }
 
 bool
@@ -434,10 +465,9 @@ Collector::finish()
     return true;
 }
 
-// ------------------------------------------------------------ CellScope
+// ------------------------------------------------------------ TaskScope
 
-CellScope::CellScope(const std::string &program, const std::string &suite,
-                     const std::string &config)
+TaskScope::TaskScope(const std::string &program, const std::string &suite)
     : active_(profilingOn())
 {
     if (!active_)
@@ -445,56 +475,46 @@ CellScope::CellScope(const std::string &program, const std::string &suite,
     Collector &c = Collector::instance();
     rec_.program = program;
     rec_.suite = suite;
-    rec_.config = config;
     rec_.worker = obs::threadLane();
+    rec_.regionStartNs = c.regionStartNs_.load(std::memory_order_relaxed);
     rec_.startNs = c.nowNs();
-    // Queue-wait is the lane's idle gap before this cell: from its
-    // previous cell's end — or the region start, for the lane's first
-    // cell — to now.  Time the lane spent busy on earlier cells is
-    // work, not waiting; billing it here is what once summed a 1.6 s
-    // region's queue-wait to 23 s.
-    std::uint64_t region =
-        c.regionStartNs_.load(std::memory_order_relaxed);
-    std::uint64_t idleSince =
-        c.laneIdleSinceNs_[rec_.worker & (Collector::kMaxLanes - 1)].load(
-            std::memory_order_relaxed);
-    std::uint64_t waitBase = idleSince != 0 ? idleSince : region;
-    rec_.queueWaitNs = region != 0 && rec_.startNs > waitBase
-                           ? rec_.startNs - waitBase
-                           : 0;
-    rec_.status = "failed"; // an unwound scope records a failed cell
+    rec_.status = "failed"; // an unwound scope records a failed task
     lockWait0_ = threadLockWaitNs();
 }
 
-CellScope::~CellScope()
+TaskScope::~TaskScope()
 {
     if (!active_)
         return;
     Collector &c = Collector::instance();
-    std::uint64_t end = c.nowNs();
-    rec_.wallNs = end - rec_.startNs;
+    rec_.wallNs = c.nowNs() - rec_.startNs;
     rec_.lockWaitNs = threadLockWaitNs() - lockWait0_;
-    c.laneIdleSinceNs_[rec_.worker & (Collector::kMaxLanes - 1)].store(
-        end, std::memory_order_relaxed);
-    c.recordCell(rec_);
+    c.recordTask(std::move(rec_), configs_, instructions_);
 }
 
 void
-CellScope::setInstructions(std::uint64_t n)
+TaskScope::addCell(const std::string &config)
 {
     if (active_)
-        rec_.instructions = n;
+        configs_.push_back(config);
 }
 
 void
-CellScope::setAttempts(unsigned n)
+TaskScope::setInstructions(std::uint64_t n)
+{
+    if (active_)
+        instructions_ = n;
+}
+
+void
+TaskScope::setAttempts(unsigned n)
 {
     if (active_)
         rec_.attempts = n;
 }
 
 void
-CellScope::setStatus(const std::string &status)
+TaskScope::setStatus(const std::string &status)
 {
     if (active_)
         rec_.status = status;

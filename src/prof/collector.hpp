@@ -1,36 +1,40 @@
 /**
  * @file
- * The profiling collector (`lp::prof`): per-cell sweep telemetry,
- * per-worker timelines, and epoch-based time attribution, layered on
+ * The profiling collector (`lp::prof`): one span per sweep task, each
+ * cell's lane share of its task, and per-worker timelines, layered on
  * lp::obs (docs/profiling.md).
  *
  * One process has one Collector.  It is configured from a profile spec
  * (`run_study --profile[=json|chrome[:PATH]]` or `LP_PROFILE`) and
- * records three kinds of evidence while prof::profilingOn():
+ * records two kinds of evidence while prof::profilingOn():
  *
  *  - lock-site contention, recorded by every prof::TimedMutex in the
  *    process (timed_mutex.hpp) — the collector only snapshots it;
- *  - sweep-cell records: one structured record per (program,
- *    configuration) cell with its worker lane, wall time, instruction
- *    count, queue-wait, lock-wait, attempts and status.  In json mode
- *    each record is also streamed to `<PATH>.cells.jsonl` the moment
- *    the cell finishes, so a killed sweep still leaves its telemetry;
- *  - execution epochs: the interpret/record/replay hot loops attribute
- *    (instructions, wall-ns) chunks to the calling worker every ~262k
- *    instructions, piggybacking on the existing budget poll.
+ *  - sweep tasks: one span per task core::runSweep dispatches (one
+ *    program's fused batch, or one cell under --no-trace-replay) with
+ *    its worker lane, start, wall time, lock wait, lane count, attempts
+ *    and status, plus one row per cell of the task carrying the cell's
+ *    lane share of the task's wall time.  Cells that need no run
+ *    (prepare-failed, lint-gated, resumed) get a row with no task and
+ *    no time.  In json mode each row is also streamed to
+ *    `<PATH>.cells.jsonl` the moment its task finishes, so a killed
+ *    sweep still leaves its telemetry.
  *
- * finish() rolls everything into the profile outputs: a JSON document
- * (contention + per-worker utilization/imbalance + per-cell records) or
- * a Chrome trace whose thread lanes are worker lanes and whose spans
- * are sweep cells (open in ui.perfetto.dev).
+ * Everything else is derived from the spans: a worker's busy time is
+ * the sum of its tasks' walls, and a task's queue wait is the idle gap
+ * on its worker before it started.
+ *
+ * finish() writes the profile: a JSON document (contention, per-worker
+ * utilization/imbalance, tasks, cells) or a Chrome trace with one span
+ * per task on its worker's lane, rendered through obs::ChromeTraceSink
+ * (open it in ui.perfetto.dev).
  *
  * The collector never touches run reports: sweeps produce byte-identical
  * report JSON with profiling on or off (tests/test_prof.cpp holds this).
  *
- * Thread-safety: recordCell/addEpoch are safe from lp::exec workers
- * (cell records append under an instrumented mutex — formatted outside
- * it — and epochs are per-lane relaxed atomics).  configure, reset,
- * beginRegion/endRegion and finish are quiescent-only, like
+ * Thread-safety: TaskScope and recordUnrunCell are safe from lp::exec
+ * workers (records append under an instrumented mutex).  configure,
+ * reset, beginRegion/endRegion and finish are quiescent-only, like
  * obs::Session::configure.
  */
 
@@ -51,31 +55,36 @@ namespace lp::prof {
 /** Profile output mode. */
 enum class Mode { Off, Json, Chrome };
 
-/** One finished sweep cell, as recorded for the profile. */
+/** One finished sweep task: a fused batch, or one interpreted cell. */
+struct TaskRecord
+{
+    std::string program;
+    std::string suite;
+    unsigned worker = 0;           ///< obs::threadLane() of the worker
+    std::uint64_t regionStartNs = 0; ///< region it ran in; 0 = none
+    std::uint64_t startNs = 0;     ///< collector timebase
+    std::uint64_t wallNs = 0;
+    std::uint64_t lockWaitNs = 0;  ///< contended TimedMutex wait inside
+    unsigned lanes = 0;            ///< cells the task ran
+    unsigned attempts = 0;
+    std::string status = "ok";     ///< ok | failed
+    std::size_t firstCell = 0;     ///< its cells' rows start here
+};
+
+/** One sweep cell: a lane share of its task, or a cell with no run. */
 struct CellRecord
 {
     std::string program;
     std::string suite;
-    std::string config;  ///< configuration label ("reduc1-dep1-fn2 helix")
-    unsigned worker = 0; ///< obs::threadLane() of the executing worker
-    std::uint64_t startNs = 0;     ///< collector timebase
-    std::uint64_t wallNs = 0;
-    /** Idle gap on this worker's lane before the cell started: from
-     *  the lane's previous cell end (or the region start, for its
-     *  first cell) to this cell's start.  Gaps on one lane are
-     *  disjoint, so a lane's total queue-wait can never exceed the
-     *  region wall — unlike the old "region start -> cell start"
-     *  definition, which billed every already-busy nanosecond to each
-     *  later cell and summed to many times the region. */
-    std::uint64_t queueWaitNs = 0;
-    std::uint64_t lockWaitNs = 0;  ///< contended TimedMutex wait inside
+    std::string config; ///< configuration label ("reduc1-dep1-fn2 helix")
+    std::int64_t task = -1; ///< index into the tasks; -1 = needed no run
+    unsigned worker = 0;
+    std::uint64_t startNs = 0;
+    std::uint64_t wallNs = 0; ///< lane share; a task's shares sum to its wall
     std::uint64_t instructions = 0;
     unsigned attempts = 0;
     std::string status = "ok"; ///< ok | failed | skipped | resumed
 };
-
-/** What an epoch of attributed execution time was spent doing. */
-enum class EpochKind { Interp = 0, Record = 1, ReplayBatch = 2 };
 
 class Collector
 {
@@ -99,23 +108,25 @@ class Collector
     /** Drop all evidence, including every lock site.  Quiescent-only. */
     void reset();
 
-    /** Nanoseconds since the collector's epoch (cell timebase). */
+    /** Nanoseconds since the collector's epoch (span timebase). */
     std::uint64_t nowNs() const;
 
     /**
      * Mark the start/end of one sweep region (the parallelFor over
-     * cells).  Queue-wait and per-worker utilization are measured
+     * tasks).  Queue-wait and per-worker utilization are measured
      * against the region; regions accumulate.
      */
     void beginRegion();
     void endRegion();
 
-    /** Append one finished cell (streams JSONL in json mode). */
-    void recordCell(const CellRecord &rec);
-
-    /** Attribute @p instructions / @p wallNs to the calling worker. */
-    void addEpoch(EpochKind kind, std::uint64_t instructions,
-                  std::uint64_t wallNs);
+    /**
+     * Record a cell that needed no run (prepare-failed, lint-gated or
+     * resumed) with @p status: a row with no task and no time.  A no-op
+     * while profiling is off.
+     */
+    void recordUnrunCell(const std::string &program,
+                         const std::string &suite, const std::string &config,
+                         const std::string &status);
 
     /// @name Snapshots (quiescent-only, like obs::Registry::toJson)
     /// @{
@@ -124,11 +135,15 @@ class Collector
      *  sites sorted by wait-ns, most contended first. */
     obs::Json contentionJson() const;
 
-    /** {"region_wall_ns", "workers":[{lane, cells, busy_ns,
-     *   utilization, ...}], "utilization_mean", "load_imbalance"}. */
+    /** {"region_wall_ns", "workers":[{worker, tasks, cells, busy_ns,
+     *   idle_ns, utilization, ...}], "utilization_mean",
+     *   "load_imbalance"}. */
     obs::Json workersJson() const;
 
-    /** Every cell record as a JSON array (insertion order). */
+    /** Every task span as a JSON array (insertion order). */
+    obs::Json tasksJson() const;
+
+    /** Every cell row as a JSON array (insertion order). */
     obs::Json cellsJson() const;
 
     /** The whole profile document (json mode's output). */
@@ -149,62 +164,61 @@ class Collector
     bool finish();
 
   private:
-    friend class CellScope; // reads regionStartNs_ for queue-wait
+    friend class TaskScope; // records tasks, reads regionStartNs_
 
     Collector();
 
-    static constexpr std::size_t kEpochKinds = 3;
-    struct alignas(64) EpochSlot
-    {
-        std::atomic<std::uint64_t> instructions[kEpochKinds];
-        std::atomic<std::uint64_t> wallNs[kEpochKinds];
-    };
-    static constexpr std::size_t kMaxLanes = 64;
+    /** Append @p task and one lane-share row per @p configs entry. */
+    void recordTask(TaskRecord task, const std::vector<std::string> &configs,
+                    std::uint64_t instructions);
+    /** Append @p cells, streaming them in json mode; lock held. */
+    void appendCells(std::vector<CellRecord> cells);
+    /** Each task's queue wait, indexed like tasks_; lock held. */
+    std::vector<std::uint64_t> queueWaits() const;
 
     Mode mode_ = Mode::Off;
     std::string path_;
     std::uint64_t epochNanos_ = 0; ///< steady-clock origin
 
     mutable TimedMutex cellMu_{"prof.cells"};
+    std::vector<TaskRecord> tasks_;
     std::vector<CellRecord> cells_;
     std::unique_ptr<std::ofstream> cellStream_; ///< json mode JSONL
 
     std::atomic<std::uint64_t> regionStartNs_{0}; ///< 0 = outside
     std::atomic<std::uint64_t> regionWallNs_{0};  ///< accumulated
-
-    /** When each lane last went idle inside the current region (its
-     *  previous cell's end); 0 = no cell yet this region.  Only the
-     *  owning lane writes, so relaxed atomics suffice. */
-    std::atomic<std::uint64_t> laneIdleSinceNs_[kMaxLanes];
-
-    EpochSlot epochs_[kMaxLanes];
 };
 
 /**
- * RAII measurement of one sweep cell.  Construct at cell start (inside
- * the worker); the destructor records the cell.  Every accessor is a
- * no-op while profiling is off, so call sites need no guards.
+ * RAII measurement of one sweep task.  Construct at task start (inside
+ * the worker) and name its cells with addCell(); the destructor records
+ * the task span and its cells' lane shares.  Every accessor is a no-op
+ * while profiling is off, so call sites need no guards.
  *
  * The status defaults to "failed": a scope unwound by an exception
- * records the cell as failed unless the caller reached setStatus().
+ * records the task as failed unless the caller reached setStatus().
  */
-class CellScope
+class TaskScope
 {
   public:
-    CellScope(const std::string &program, const std::string &suite,
-              const std::string &config);
-    ~CellScope();
+    TaskScope(const std::string &program, const std::string &suite);
+    ~TaskScope();
 
-    CellScope(const CellScope &) = delete;
-    CellScope &operator=(const CellScope &) = delete;
+    TaskScope(const TaskScope &) = delete;
+    TaskScope &operator=(const TaskScope &) = delete;
 
+    /** One more cell (lane) of the task, by configuration label. */
+    void addCell(const std::string &config);
+    /** Instructions each of the task's cells ran. */
     void setInstructions(std::uint64_t n);
     void setAttempts(unsigned n);
     void setStatus(const std::string &status);
 
   private:
     bool active_;
-    CellRecord rec_;
+    TaskRecord rec_;
+    std::vector<std::string> configs_;
+    std::uint64_t instructions_ = 0;
     std::uint64_t lockWait0_ = 0;
 };
 

@@ -12,8 +12,8 @@
  * uncontended try_lock fast path (no clock read); only the *contended*
  * path reads the steady clock around the blocking acquire and records
  * the wait into the site's sharded stats and into a thread-local
- * wait-ns accumulator (prof::CellScope diffs the latter to attribute
- * lock-wait to individual sweep cells).
+ * wait-ns accumulator (prof::TaskScope diffs the latter to attribute
+ * lock-wait to individual sweep tasks).
  *
  * This header is deliberately free of lp::obs includes: lp::obs itself
  * adopts TimedMutex for its sink and registry mutexes, so the
@@ -49,8 +49,8 @@ inline std::atomic<bool> g_profilingEnabled{false};
 
 /**
  * Lock-wait nanoseconds this thread has accumulated across every
- * contended TimedMutex acquire.  CellScope reads it at cell start and
- * end to attribute lock-wait to the cell.
+ * contended TimedMutex acquire.  TaskScope reads it at task start and
+ * end to attribute lock-wait to the task.
  */
 inline thread_local std::uint64_t t_lockWaitNs = 0;
 

@@ -135,7 +135,7 @@ class BatchReplayer
     void
     functionEnter(const ir::Function *)
     {
-        // Mirrors feedFunctionEnter: reuse dead frames above the live
+        // Mirrors onFunctionEnter: reuse dead frames above the live
         // prefix.
         if (frameDepth_ == eframes_.size())
             eframes_.emplace_back();
@@ -152,7 +152,7 @@ class BatchReplayer
     void
     functionExit(const ir::Function *)
     {
-        // Mirrors feedFunctionExit: close instances an early return left
+        // Mirrors onFunctionExit: close instances an early return left
         // open, then propagate the frame's savings to the parent.
         const std::uint64_t now = m_.cost();
         EFrame &f = eframes_[frameDepth_ - 1];
@@ -171,7 +171,7 @@ class BatchReplayer
     void
     blockEnter(const ir::BasicBlock *bb, std::uint32_t blockId)
     {
-        // Mirrors feedBlockEnter: pop every instance that does not
+        // Mirrors onBlockEnter: pop every instance that does not
         // contain this block.
         const std::uint64_t nowBefore = m_.blockEntryCost();
         EFrame &f = eframes_[frameDepth_ - 1];
@@ -224,7 +224,7 @@ class BatchReplayer
         PhiState &st = phiState(phi);
         if (!st.activeMask && st.oracleSlot < 0)
             return; // neither dep2-tracked in any lane nor watched
-        // Mirrors feedPhiResolved: only the top-of-stack instance of
+        // Mirrors onPhiResolved: only the top-of-stack instance of
         // the phi's own loop observes the resolution.
         EFrame &f = eframes_[frameDepth_ - 1];
         if (instStack_.size() <= f.loopLo)
@@ -884,7 +884,7 @@ runLimitStudyBatched(const ModulePlan &plan, const BlockFacts &facts,
             // run fills the capture for every chunk.
             BatchReplayer engine(plan, facts, lanes,
                                  lo == 0 ? oracle : nullptr, machine);
-            machine.run(engine, prof::EpochKind::ReplayBatch, n);
+            machine.run(engine);
             engine.finish();
             cost = machine.cost();
             phase.addInstructions(cost * static_cast<std::uint64_t>(n));

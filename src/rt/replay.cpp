@@ -67,7 +67,7 @@ recordTrace(const ir::Module &mod, const trace::ModuleIndex &index,
     interp::Machine machine(mod);
     machine.setBudget(budget);
     RecordingSink sink{rec, machine};
-    machine.run(sink, prof::EpochKind::Record);
+    machine.run(sink);
     phase.addInstructions(machine.cost());
     return rec.finish(machine.cost());
 }

@@ -137,18 +137,6 @@ LoopRuntime::recycleInstance(Instance &&inst)
 void
 LoopRuntime::onFunctionEnter(const ir::Function *fn)
 {
-    feedFunctionEnter(fn);
-}
-
-void
-LoopRuntime::onFunctionExit(const ir::Function *fn)
-{
-    feedFunctionExit(fn, machine_->cost());
-}
-
-void
-LoopRuntime::feedFunctionEnter(const ir::Function *fn)
-{
     // Reuse dead frames above the live prefix: their loopStack
     // capacity survives, so call-heavy programs stop allocating here.
     if (frameDepth_ == frames_.size())
@@ -160,8 +148,9 @@ LoopRuntime::feedFunctionEnter(const ir::Function *fn)
 }
 
 void
-LoopRuntime::feedFunctionExit(const ir::Function *fn, std::uint64_t now)
+LoopRuntime::onFunctionExit(const ir::Function *fn)
 {
+    const std::uint64_t now = machine_->cost();
     panicIf(frameDepth_ == 0 || curFrame().fp->fn != fn,
             "function exit does not match runtime frame stack");
     FrameCtx &frame = curFrame();
@@ -197,14 +186,11 @@ LoopRuntime::addSavingsToCurrentContext(std::uint64_t s)
 void
 LoopRuntime::onBlockEnter(const BasicBlock *bb)
 {
-    feedBlockEnter(bb, machine_->cost() - bb->instructions().size(),
-                   machine_->stackPointer());
-}
-
-void
-LoopRuntime::feedBlockEnter(const BasicBlock *bb, std::uint64_t nowBefore,
-                            std::uint64_t sp)
-{
+    // The clock excluding bb's charge, and the stack pointer at entry
+    // (used for header blocks).
+    const std::uint64_t nowBefore =
+        machine_->cost() - bb->instructions().size();
+    const std::uint64_t sp = machine_->stackPointer();
     const int ord = plan_.headerOrdinal(bb);
     RunLoopInfo *headerRli = ord >= 0 ? &runLoops_[ord] : nullptr;
     const auto &watchPlan = plan_.defWatchPlan();
@@ -450,12 +436,6 @@ LoopRuntime::closeInstance(Instance &inst, std::uint64_t now)
 void
 LoopRuntime::onPhiResolved(const Instruction *phi, std::uint64_t bits)
 {
-    feedPhiResolved(phi, bits);
-}
-
-void
-LoopRuntime::feedPhiResolved(const Instruction *phi, std::uint64_t bits)
-{
     const int ord = plan_.headerOrdinal(phi->parent());
     if (ord < 0)
         return;
@@ -570,13 +550,7 @@ LoopRuntime::noteMemConflict(Instance &inst, const WriteRec &rec,
 void
 LoopRuntime::onLoad(const Instruction *instr, std::uint64_t addr)
 {
-    feedLoad(instr, addr, machine_->preciseCost());
-}
-
-void
-LoopRuntime::feedLoad(const Instruction *instr, std::uint64_t addr,
-                      std::uint64_t preciseNow)
-{
+    const std::uint64_t preciseNow = machine_->preciseCost();
     if (metrics_)
         memEventsCtr_->add(1);
     const std::uint64_t granule = addr >> 3;
@@ -602,13 +576,7 @@ LoopRuntime::feedLoad(const Instruction *instr, std::uint64_t addr,
 void
 LoopRuntime::onStore(const Instruction *instr, std::uint64_t addr)
 {
-    feedStore(instr, addr, machine_->preciseCost());
-}
-
-void
-LoopRuntime::feedStore(const Instruction *instr, std::uint64_t addr,
-                       std::uint64_t preciseNow)
-{
+    const std::uint64_t preciseNow = machine_->preciseCost();
     if (metrics_)
         memEventsCtr_->add(1);
     const std::uint64_t granule = addr >> 3;

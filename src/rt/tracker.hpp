@@ -79,25 +79,9 @@ class LoopRuntime : public interp::ExecListener
     ProgramReport finishAt(const std::string &programName,
                            std::uint64_t serialCost);
 
-    /// @name Event feed
-    /// The runtime's real front end.  Clock and stack-pointer samples
-    /// arrive as explicit arguments; the live listener call-backs below
-    /// sample them from the attached machine.
-    /// @{
-    void feedFunctionEnter(const ir::Function *fn);
-    void feedFunctionExit(const ir::Function *fn, std::uint64_t now);
-    /** @param nowBefore clock excluding @p bb's charge
-     *  @param sp stack pointer at entry (used for header blocks) */
-    void feedBlockEnter(const ir::BasicBlock *bb, std::uint64_t nowBefore,
-                        std::uint64_t sp);
-    void feedPhiResolved(const ir::Instruction *phi, std::uint64_t bits);
-    void feedLoad(const ir::Instruction *instr, std::uint64_t addr,
-                  std::uint64_t preciseNow);
-    void feedStore(const ir::Instruction *instr, std::uint64_t addr,
-                   std::uint64_t preciseNow);
-    /// @}
-
-    /// @name ExecListener interface (live-machine front end)
+    /// @name ExecListener interface
+    /// The runtime's front end: each call-back samples the clock and
+    /// stack pointer it needs from the attached machine.
     /// @{
     void onBlockEnter(const ir::BasicBlock *bb) override;
     void onPhiResolved(const ir::Instruction *phi,
@@ -116,7 +100,7 @@ class LoopRuntime : public interp::ExecListener
      * each lane's per-loop reports, savings, predictor stats and
      * covered intervals directly, then hands the lanes back for the
      * normal finishAt().  That requires reaching the per-run state the
-     * feed* methods would otherwise populate.
+     * on* call-backs would otherwise populate.
      */
     friend class BatchReplayer;
 

@@ -119,44 +119,6 @@ TEST(ParallelFor, StopsIssuingAfterFailure)
     EXPECT_LT(ran.load(), 100'000);
 }
 
-// -------------------------------------------------------- parallelForAll
-
-TEST(ParallelForAll, RunsEveryIndexDespiteFailures)
-{
-    for (unsigned jobs : {1u, 4u}) {
-        std::vector<std::atomic<int>> hits(64);
-        auto errors = exec::parallelForAll(
-            hits.size(),
-            [&](std::size_t i) {
-                hits[i].fetch_add(1);
-                if (i % 5 == 0)
-                    throw std::runtime_error("boom " + std::to_string(i));
-            },
-            jobs);
-        ASSERT_EQ(errors.size(), hits.size());
-        for (std::size_t i = 0; i < hits.size(); ++i) {
-            // One poisoned index cancels nothing: every index ran.
-            EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-            EXPECT_EQ(static_cast<bool>(errors[i]), i % 5 == 0)
-                << "index " << i;
-        }
-        try {
-            std::rethrow_exception(errors[5]);
-        } catch (const std::runtime_error &e) {
-            EXPECT_STREQ(e.what(), "boom 5"); // slot i holds i's error
-        }
-    }
-}
-
-TEST(ParallelForAll, AllNullOnSuccessAndEmptyOnZero)
-{
-    EXPECT_TRUE(exec::parallelForAll(0, [](std::size_t) {}, 4).empty());
-    auto errors =
-        exec::parallelForAll(32, [](std::size_t) {}, 4);
-    for (const std::exception_ptr &e : errors)
-        EXPECT_FALSE(e);
-}
-
 TEST(ParallelFor, ParseJobsTakesCountsZeroAndAutoOnly)
 {
     // The one validator behind --jobs and LP_JOBS.

@@ -11,9 +11,9 @@
  *  - corpus: entries re-parse, sidecars carry the repro line, and
  *    every checked-in tests/fuzz_corpus entry re-runs clean
  *    (the regression tier of the corpus workflow);
- *  - runSweep batch fallback: an injected replay fault fails a fused
- *    batch, its cells re-run one by one, and the document stays
- *    byte-identical.
+ *  - runSweep batch retry: an injected replay fault fails a fused
+ *    batch, the retry runs the whole batch again, and the document
+ *    stays byte-identical.
  */
 
 #include <filesystem>
@@ -161,7 +161,7 @@ TEST_F(FuzzTest, DifferentialPairsCleanOnSampleSeeds)
 TEST_F(FuzzTest, DifferentialSurvivesTransientReplayFaultSchedule)
 {
     // A fault schedule on a transient site must not break byte-
-    // identity: the replay fallback / retry heals every armed run.
+    // identity: retrying the failed batch heals every armed run.
     fuzz::DiffOptions opts;
     opts.jobsN = 2;
     opts.shards = 2;
@@ -328,10 +328,10 @@ TEST_F(FuzzTest, CheckedInCorpusRegressionsStayClean)
     EXPECT_GE(entries, 1u) << "fuzz corpus should not be empty";
 }
 
-// ------------------------------------------------- runSweep batch fallback
+// ---------------------------------------------------- runSweep batch retry
 
 std::vector<core::BenchProgram>
-fallbackPrograms(std::uint64_t seed)
+generatedPrograms(std::uint64_t seed)
 {
     core::BenchProgram p;
     p.name = fuzz::programName(seed);
@@ -353,9 +353,9 @@ sweepDump(const std::vector<core::BenchProgram> &progs, bool traceReplay)
     return res.document.dump(2);
 }
 
-TEST_F(FuzzTest, InjectedReplayFaultFallsBackByteIdentically)
+TEST_F(FuzzTest, InjectedReplayFaultRetriesByteIdentically)
 {
-    auto progs = fallbackPrograms(8);
+    auto progs = generatedPrograms(8);
     const std::string reference = sweepDump(progs, false);
     guard::setFault("replay", 1);
     const std::string healed = sweepDump(progs, true);
@@ -367,7 +367,7 @@ TEST_F(FuzzTest, SeedIsThreadedIntoReportsAndCellKeys)
 {
     EXPECT_EQ(guard::Checkpoint::cellKey("cfg", "fuzz", "random-9", 9),
               "cfg|fuzz|random-9|9");
-    auto progs = fallbackPrograms(9);
+    auto progs = generatedPrograms(9);
     const std::string dump = sweepDump(progs, true);
     EXPECT_NE(dump.find("\"seed\": 9"), std::string::npos);
     // Hand-written programs (seed 0) keep their historical reports:

@@ -400,9 +400,9 @@ TEST_F(GuardTest, KeepGoingSuiteQuarantinesOneCellOthersComplete)
     EXPECT_GT(row.at("geomean_speedup").asDouble(), 0.0);
 
     // The fused path's failure route, on one lane and on the 14-lane
-    // paper grid: the trapping program's batch traps once, each of its
-    // lanes re-runs alone and traps the same way, and the document is
-    // byte-identical to interpreting every cell.
+    // paper grid: the trapping program's batch traps once and is
+    // quarantined whole, every lane carrying its verdict, and the
+    // document is byte-identical to interpreting every cell.
     for (const std::vector<core::NamedConfig> &grid :
          {req.configs, core::paperConfigs()}) {
         core::SweepRequest fusedReq = req;
@@ -418,10 +418,12 @@ TEST_F(GuardTest, KeepGoingSuiteQuarantinesOneCellOthersComplete)
         obs::setMetricsEnabled(true);
         obs::Registry::instance().resetAll();
         const obs::Json doc = core::runSweep(progs, fusedReq, discard).document;
-        EXPECT_EQ(obs::Registry::instance()
-                      .counter("sweep.batch_fallbacks")
-                      .value(),
-                  1u)
+        obs::Registry &reg = obs::Registry::instance();
+        EXPECT_EQ(reg.counter("guard.quarantined").value(), 1u)
+            << grid.size() << " configuration(s)";
+        // One interpretation per program: the trapping batch ran once,
+        // not once more per lane.
+        EXPECT_EQ(reg.counter("interp.runs").value(), progs.size())
             << grid.size() << " configuration(s)";
         obs::setMetricsEnabled(false);
 
@@ -450,6 +452,44 @@ TEST_F(GuardTest, KeepGoingSuiteQuarantinesOneCellOthersComplete)
         EXPECT_EQ(e.context().program, "trap.kernel");
         EXPECT_EQ(e.context().suite, "guard-suite");
     }
+}
+
+TEST_F(GuardTest, CheckpointAppendFaultRetriesTheBatch)
+{
+    // A transient LP_IO from a checkpoint append, on the first, third
+    // and a later batch's append, retries the append's whole task: the
+    // sweep finishes with the report of an unfaulted sweep.
+    std::vector<core::BenchProgram> progs = {
+        healthyProgram("ok.one"), healthyProgram("ok.two"),
+        healthyProgram("ok.three")};
+    const std::string ckPath = ::testing::TempDir() + "lp_guard_io.jsonl";
+    core::SweepRequest req; // the 14-lane paper grid, keep-going
+    req.checkpointPath = ckPath;
+    req.wantJson = true;
+    std::ostream discard(nullptr);
+    const std::string clean =
+        core::runSweep(progs, req, discard).document.dump(2);
+
+    const std::uint64_t lanes = req.configs.size();
+    for (std::uint64_t k : {std::uint64_t{1}, std::uint64_t{3}, lanes + 2}) {
+        guard::setFault("io", k);
+        EXPECT_EQ(core::runSweep(progs, req, discard).document.dump(2),
+                  clean)
+            << "io:" << k;
+
+        // Again with metrics on (their section keeps this document from
+        // matching): exactly one retry healed it.
+        guard::setFault("io", k);
+        obs::setMetricsEnabled(true);
+        obs::Registry::instance().resetAll();
+        core::runSweep(progs, req, discard);
+        obs::Registry &reg = obs::Registry::instance();
+        EXPECT_EQ(reg.counter("guard.retries").value(), 1u) << "io:" << k;
+        EXPECT_EQ(reg.counter("guard.quarantined").value(), 0u)
+            << "io:" << k;
+        obs::setMetricsEnabled(false);
+    }
+    std::remove(ckPath.c_str());
 }
 
 TEST_F(GuardTest, KeepGoingStudyQuarantinesFailedPrepare)

@@ -6,12 +6,14 @@
  * Shape of the suite:
  *  - TimedMutex: disabled cost model (no stats recorded), uncontended
  *    fast path, forced contention producing wait-ns and the per-thread
- *    lock-wait accumulator CellScope attribution is built on;
- *  - Collector: spec parsing, per-cell JSONL well-formedness and schema
- *    round-trip, per-worker timeline lane validity, epoch attribution
- *    from the interpreter's poll, once per run;
+ *    lock-wait accumulator TaskScope attribution is built on;
+ *  - Collector: spec parsing, task and cell JSONL well-formedness and
+ *    schema round-trip, per-worker timeline lane validity, and the
+ *    task model on the default all-suite sweep: workers' busy and idle
+ *    time add up to the region, cells' lane shares add up to their
+ *    task, one task per program (fused) or per cell (interpreted);
  *  - Determinism: a profiled sweep's reports are byte-identical to an
- *    unprofiled sweep's, serial and at --jobs 4 (ISSUE 6 acceptance).
+ *    unprofiled sweep's, serial and at --jobs 4.
  */
 
 #include <atomic>
@@ -29,6 +31,7 @@
 #include "prof/collector.hpp"
 #include "prof/timed_mutex.hpp"
 #include "rt/config.hpp"
+#include "suites/registry.hpp"
 
 namespace lp {
 namespace {
@@ -113,7 +116,7 @@ TEST_F(ProfSandbox, ForcedContentionRecordsWaitAndThreadAccumulator)
     EXPECT_EQ(m.stats().contended(), 1u);
     EXPECT_GT(m.stats().waitNs(), 0u);
     // The contended wait landed in the waiting thread's accumulator —
-    // this is what CellScope diffs to attribute lock-wait to cells.
+    // this is what TaskScope diffs to attribute lock-wait to tasks.
     EXPECT_EQ(waiterLockWaitNs, m.stats().waitNs());
 }
 
@@ -176,7 +179,7 @@ TEST_F(ProfSandbox, ConfigureParsesSpecsAndRejectsUnknownModes)
     EXPECT_FALSE(prof::profilingOn());
 }
 
-TEST_F(ProfSandbox, CellRecordsRoundTripThroughJsonlAndReport)
+TEST_F(ProfSandbox, TaskRecordsRoundTripThroughJsonlAndReport)
 {
     prof::Collector &c = prof::Collector::instance();
     const std::string path = tempPath("lp_prof_cells.json");
@@ -184,22 +187,27 @@ TEST_F(ProfSandbox, CellRecordsRoundTripThroughJsonlAndReport)
 
     c.beginRegion();
     {
-        prof::CellScope cell("164.gzip-like", "cint2000",
-                             "reduc1-dep1-fn2 helix");
-        cell.setInstructions(12345);
-        cell.setAttempts(2);
-        cell.setStatus("ok");
+        prof::TaskScope task("164.gzip-like", "cint2000");
+        task.addCell("reduc1-dep1-fn2 helix");
+        task.addCell("reduc0-dep0-fn0 DOALL");
+        task.setInstructions(12345);
+        task.setAttempts(2);
+        task.setStatus("ok");
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
     {
-        prof::CellScope cell("175.vpr-like", "cint2000",
-                             "reduc1-dep1-fn2 helix");
+        prof::TaskScope task("175.vpr-like", "cint2000");
+        task.addCell("reduc1-dep1-fn2 helix");
         // No setStatus: an unwound scope records as failed.
     }
+    c.recordUnrunCell("181.mcf-like", "cint2000", "reduc1-dep1-fn2 helix",
+                      "resumed");
     c.endRegion();
-    EXPECT_EQ(c.cellCount(), 2u);
+    EXPECT_EQ(c.tasksJson().size(), 2u);
+    EXPECT_EQ(c.cellCount(), 4u);
     ASSERT_TRUE(c.finish()); // writes both outputs, disables profiling
 
-    // The streamed JSONL: one well-formed object per line, schema keys
+    // The streamed JSONL: one well-formed object per cell, schema keys
     // present, values round-tripping.
     std::ifstream jsonl(path + ".cells.jsonl");
     ASSERT_TRUE(jsonl.good());
@@ -210,13 +218,12 @@ TEST_F(ProfSandbox, CellRecordsRoundTripThroughJsonlAndReport)
         obs::Json rec = obs::Json::parse(line, &err);
         ASSERT_TRUE(err.empty()) << err << " in: " << line;
         for (const char *key :
-             {"program", "suite", "config", "worker", "start_ns",
-              "wall_ns", "queue_wait_ns", "lock_wait_ns", "instructions",
-              "attempts", "status"})
+             {"program", "suite", "config", "task", "worker", "start_ns",
+              "wall_ns", "instructions", "attempts", "status"})
             EXPECT_TRUE(rec.contains(key)) << key;
         ++lines;
     }
-    EXPECT_EQ(lines, 2u);
+    EXPECT_EQ(lines, 4u);
 
     // The rolled-up profile document agrees with the stream.
     std::ifstream profFile(path);
@@ -226,16 +233,34 @@ TEST_F(ProfSandbox, CellRecordsRoundTripThroughJsonlAndReport)
     std::string err;
     obs::Json doc = obs::Json::parse(buf.str(), &err);
     ASSERT_TRUE(err.empty()) << err;
-    ASSERT_TRUE(doc.contains("cells"));
-    ASSERT_EQ(doc.at("cells").size(), 2u);
-    const obs::Json &first = doc.at("cells").at(0);
-    EXPECT_EQ(first.at("program").asString(), "164.gzip-like");
-    EXPECT_EQ(first.at("instructions").asU64(), 12345u);
-    EXPECT_EQ(first.at("attempts").asU64(), 2u);
-    EXPECT_EQ(first.at("status").asString(), "ok");
-    EXPECT_EQ(doc.at("cells").at(1).at("status").asString(), "failed");
     ASSERT_TRUE(doc.contains("contention"));
     ASSERT_TRUE(doc.contains("workers"));
+    const obs::Json &tasks = doc.at("tasks");
+    const obs::Json &cells = doc.at("cells");
+    ASSERT_EQ(tasks.size(), 2u);
+    ASSERT_EQ(cells.size(), 4u);
+    EXPECT_EQ(tasks.at(0).at("program").asString(), "164.gzip-like");
+    EXPECT_EQ(tasks.at(0).at("lanes").asU64(), 2u);
+    EXPECT_EQ(tasks.at(0).at("attempts").asU64(), 2u);
+    EXPECT_EQ(tasks.at(0).at("status").asString(), "ok");
+    EXPECT_EQ(tasks.at(1).at("status").asString(), "failed");
+    // The first task's two lane shares tile its span exactly.
+    const obs::Json &a = cells.at(0), &b = cells.at(1);
+    EXPECT_EQ(a.at("task").asU64(), 0u);
+    EXPECT_EQ(b.at("task").asU64(), 0u);
+    EXPECT_EQ(a.at("config").asString(), "reduc1-dep1-fn2 helix");
+    EXPECT_EQ(a.at("instructions").asU64(), 12345u);
+    EXPECT_EQ(a.at("attempts").asU64(), 2u);
+    EXPECT_EQ(a.at("wall_ns").asU64() + b.at("wall_ns").asU64(),
+              tasks.at(0).at("wall_ns").asU64());
+    EXPECT_EQ(a.at("start_ns").asU64(), tasks.at(0).at("start_ns").asU64());
+    EXPECT_EQ(b.at("start_ns").asU64(),
+              a.at("start_ns").asU64() + a.at("wall_ns").asU64());
+    EXPECT_EQ(cells.at(2).at("status").asString(), "failed");
+    // A cell that needed no run has a row but no task and no time.
+    EXPECT_TRUE(cells.at(3).at("task").isNull());
+    EXPECT_EQ(cells.at(3).at("status").asString(), "resumed");
+    EXPECT_EQ(cells.at(3).at("wall_ns").asU64(), 0u);
 
     std::remove(path.c_str());
     std::remove((path + ".cells.jsonl").c_str());
@@ -282,12 +307,13 @@ TEST_F(ProfSandbox, WorkerTimelinesHaveValidLanesAndUtilization)
     const obs::Json &lanes = workers.at("workers");
     ASSERT_GT(lanes.size(), 0u);
     std::set<std::uint64_t> seenLanes;
-    std::uint64_t cellsTotal = 0;
+    std::uint64_t tasksTotal = 0, cellsTotal = 0;
     for (std::size_t i = 0; i < lanes.size(); ++i) {
         const obs::Json &w = lanes.at(i);
         // Each lane appears once and carries internally consistent
         // spans: busy + idle == the region wall it is measured against.
         EXPECT_TRUE(seenLanes.insert(w.at("worker").asU64()).second);
+        tasksTotal += w.at("tasks").asU64();
         cellsTotal += w.at("cells").asU64();
         const double util = w.at("utilization").asDouble();
         EXPECT_GE(util, 0.0);
@@ -295,24 +321,25 @@ TEST_F(ProfSandbox, WorkerTimelinesHaveValidLanesAndUtilization)
         EXPECT_EQ(w.at("busy_ns").asU64() + w.at("idle_ns").asU64(),
                   workers.at("region_wall_ns").asU64());
     }
+    EXPECT_EQ(tasksTotal, c.tasksJson().size());
     EXPECT_EQ(cellsTotal, c.cellCount());
     EXPECT_GE(workers.at("load_imbalance").asDouble(), 1.0 - 1e-9);
 
-    // The Chrome view of the same evidence: every cell span sits on its
-    // recorded worker's lane.
+    // The Chrome view of the same evidence: one span per task, each on
+    // its recorded worker's lane.
     obs::Json chrome = c.chromeDocument();
     const obs::Json &events = chrome.at("traceEvents");
-    std::size_t cellEvents = 0;
+    std::size_t taskEvents = 0;
     for (std::size_t i = 0; i < events.size(); ++i) {
         const obs::Json &e = events.at(i);
         if (e.at("ph").asString() != "X")
             continue;
-        ++cellEvents;
+        ++taskEvents;
         EXPECT_TRUE(seenLanes.count(e.at("tid").asU64()))
             << "span on unknown lane";
         EXPECT_GE(e.at("dur").asDouble(), 0.0);
     }
-    EXPECT_EQ(cellEvents, c.cellCount());
+    EXPECT_EQ(taskEvents, c.tasksJson().size());
 
     quiesce();
     std::remove((path + ".cells.jsonl").c_str());
@@ -320,21 +347,21 @@ TEST_F(ProfSandbox, WorkerTimelinesHaveValidLanesAndUtilization)
 
 TEST_F(ProfSandbox, QueueWaitIsLaneIdleGapNotRegionOffset)
 {
-    // Regression: queue-wait used to be "region start -> cell start",
+    // Regression: queue-wait used to be "region start -> span start",
     // which billed a lane's entire busy history to each of its later
-    // cells — a 1.6 s region once reported 23 s of queue-wait.  The
-    // fixed definition (lane idle gap before the cell) sums to at most
+    // spans — a 1.6 s region once reported 23 s of queue-wait.  The
+    // fixed definition (lane idle gap before the task) sums to at most
     // the region wall, because one lane's gaps are disjoint.
     prof::Collector &c = prof::Collector::instance();
     c.setEnabled(true);
 
     c.beginRegion();
     for (int i = 0; i < 50; ++i) {
-        prof::CellScope cell("p" + std::to_string(i), "prof-test",
-                             "cfg");
-        cell.setStatus("ok");
-        // Busy time inside the cell: under the old definition each
-        // later cell inherited all of it as "queue wait".
+        prof::TaskScope task("p" + std::to_string(i), "prof-test");
+        task.addCell("cfg");
+        task.setStatus("ok");
+        // Busy time inside the task: under the old definition each
+        // later task inherited all of it as "queue wait".
         std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
     c.endRegion();
@@ -345,11 +372,11 @@ TEST_F(ProfSandbox, QueueWaitIsLaneIdleGapNotRegionOffset)
         workers.at("region_wall_ns").asU64();
     ASSERT_GT(regionWall, 0u);
 
-    obs::Json cells = c.cellsJson();
-    ASSERT_EQ(cells.size(), 50u);
+    obs::Json tasks = c.tasksJson();
+    ASSERT_EQ(tasks.size(), 50u);
     std::uint64_t totalWait = 0;
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        totalWait += cells.at(i).at("queue_wait_ns").asU64();
+    for (std::size_t i = 0; i < tasks.size(); ++i)
+        totalWait += tasks.at(i).at("queue_wait_ns").asU64();
     // The old definition summed to ~125x the region wall here.
     EXPECT_LE(totalWait, regionWall);
 
@@ -379,70 +406,75 @@ TEST_F(ProfSandbox, ParallelSweepQueueWaitStaysWithinRegionWall)
             << "lane " << lanes.at(i).at("worker").asU64();
 }
 
-/** Epoch kinds seen on any worker of the last sweep. */
-std::set<std::string>
-epochKinds(const obs::Json &workers)
-{
-    std::set<std::string> kinds;
-    const obs::Json &lanes = workers.at("workers");
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-        const obs::Json &ep = lanes.at(i).at("epochs");
-        for (const std::string &kind : ep.keys()) {
-            kinds.insert(kind);
-            EXPECT_GT(ep.at(kind).at("instructions").asU64(), 0u) << kind;
-        }
-    }
-    return kinds;
-}
-
 /**
- * Each worker's epochs cover disjoint stretches of its time inside the
- * sweep region, so they cannot add up to more than the region: a run
- * attributed twice (by two clocks) would.
+ * The task model's bookkeeping on the profile of the last sweep: every
+ * worker's busy and idle time add up to the region wall, each task's
+ * cells' lane shares add up to its wall, and every cell has a row.
+ * @return the number of tasks
  */
-void
-expectEpochsWithinRegion(const obs::Json &workers)
+std::size_t
+expectTasksAddUp(const prof::Collector &c, std::size_t cells)
 {
+    const obs::Json workers = c.workersJson();
     const std::uint64_t regionWall = workers.at("region_wall_ns").asU64();
     const obs::Json &lanes = workers.at("workers");
-    ASSERT_GT(lanes.size(), 0u);
+    EXPECT_GT(lanes.size(), 0u);
     for (std::size_t i = 0; i < lanes.size(); ++i) {
-        const obs::Json &ep = lanes.at(i).at("epochs");
-        std::uint64_t wall = 0;
-        for (const std::string &kind : ep.keys())
-            wall += ep.at(kind).at("wall_ns").asU64();
-        EXPECT_LE(wall, regionWall)
-            << "worker " << lanes.at(i).at("worker").asU64();
+        const obs::Json &w = lanes.at(i);
+        EXPECT_EQ(w.at("busy_ns").asU64() + w.at("idle_ns").asU64(),
+                  regionWall)
+            << "worker " << w.at("worker").asU64();
     }
+
+    const obs::Json tasks = c.tasksJson();
+    const obs::Json rows = c.cellsJson();
+    EXPECT_EQ(rows.size(), cells);
+    std::vector<std::uint64_t> shares(tasks.size(), 0);
+    std::vector<std::uint64_t> lanesSeen(tasks.size(), 0);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const std::uint64_t t = rows.at(i).at("task").asU64();
+        EXPECT_LT(t, tasks.size());
+        if (t >= tasks.size())
+            continue;
+        shares[t] += rows.at(i).at("wall_ns").asU64();
+        lanesSeen[t] += 1;
+    }
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+        EXPECT_EQ(shares[t], tasks.at(t).at("wall_ns").asU64()) << t;
+        EXPECT_EQ(lanesSeen[t], tasks.at(t).at("lanes").asU64()) << t;
+        EXPECT_EQ(tasks.at(t).at("status").asString(), "ok") << t;
+    }
+    return tasks.size();
 }
 
-TEST_F(ProfSandbox, EpochsAttributeFusedAndInterpretedRunsOnce)
+TEST_F(ProfSandbox, AllSuiteSweepIsProfiledTaskByTask)
 {
     prof::Collector &c = prof::Collector::instance();
     c.setEnabled(true);
+    const std::vector<core::BenchProgram> &programs = suites::allPrograms();
+    core::SweepRequest req;
+    req.wantJson = true;
+    std::ostream discard(nullptr);
+    exec::setJobsOverride(4);
 
-    // The default sweep runs fused batches (ReplayBatch epochs, lanes x
-    // instructions) and records nothing.  One job keeps every run on
-    // the one worker the profile lists.
-    test::sweepDocument(smallPrograms(), kThreeModels, 1);
-    obs::Json serial = c.workersJson();
-    const std::set<std::string> fusedKinds = epochKinds(serial);
-    EXPECT_TRUE(fusedKinds.count("replay_batch"));
-    EXPECT_FALSE(fusedKinds.count("record"));
-    expectEpochsWithinRegion(serial);
+    // The default sweep: one fused batch per program, so one task per
+    // program, and the workers are busy with them nearly all the time
+    // (the cell-as-task profile once read a utilization of 1e-5).
+    core::runSweep(programs, req, discard);
+    const std::size_t cells = programs.size() * req.configs.size();
+    EXPECT_EQ(expectTasksAddUp(c, cells), programs.size());
+    EXPECT_GT(c.workersJson().at("utilization_mean").asDouble(), 0.5);
 
+    // Interpreting every cell: one one-lane task per cell (one
+    // configuration keeps the all-suite run cheap).
     c.reset();
-    test::sweepDocument(smallPrograms(), kThreeModels, 4);
-    expectEpochsWithinRegion(c.workersJson());
+    req.configs.resize(1);
+    req.traceReplay = false;
+    core::runSweep(programs, req, discard);
+    EXPECT_EQ(expectTasksAddUp(c, programs.size()), programs.size());
 
-    // Interpreting every cell runs Interp epochs.
-    c.reset();
-    test::sweepDocument(smallPrograms(), kThreeModels, 4,
-                        /*traceReplay=*/false);
+    exec::setJobsOverride(0);
     c.setEnabled(false);
-    obs::Json interpreted = c.workersJson();
-    EXPECT_TRUE(epochKinds(interpreted).count("interp"));
-    expectEpochsWithinRegion(interpreted);
 }
 
 // ---------------------------------------------------------- determinism
