@@ -23,7 +23,6 @@
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
 #include "predict/predictor.hpp"
-#include "rt/tracker.hpp"
 #include "suites/kernels.hpp"
 
 namespace {
@@ -123,8 +122,9 @@ BM_KernelConstruction(benchmark::State &state)
 BENCHMARK(BM_KernelConstruction)->Unit(benchmark::kMillisecond);
 
 /**
- * Interpret-every-cell, sweep-shaped: one program under all of the
- * paper's configurations, serially, a fresh driver per iteration.
+ * One-lane batches, sweep-shaped: one program under all of the paper's
+ * configurations, one run per configuration, serially, a fresh driver
+ * per iteration.
  */
 void
 BM_ConfigSweepPerProgram(benchmark::State &state)
@@ -178,8 +178,9 @@ measurePhase(int reps, Body body)
 /**
  * BENCH_framework.json: the repo's perf baseline.  Interpret and track
  * phases are measured with observability fully disabled (the default
- * configuration whose cost the ≤2% budget guards); one extra
- * instrumented run then populates the metrics snapshot.
+ * configuration whose cost the ≤2% budget guards); "track" times
+ * one-lane batches.  One extra instrumented run then populates the
+ * metrics snapshot.
  */
 void
 writeBenchBaseline()
@@ -212,9 +213,9 @@ writeBenchBaseline()
     }));
 
     // Fused batches: the 14-config grid over one suite, serial, fresh
-    // drivers per measurement.  "speedup_batched" is the ratio of
-    // interpret-every-cell to the one-interpretation SoA batch
-    // runSweep uses.
+    // drivers per measurement.  "interpret" runs one one-lane batch per
+    // configuration; "speedup_batched" is its ratio to the
+    // one-interpretation SoA batch runSweep uses.
     {
         std::vector<std::unique_ptr<ir::Module>> mods;
         for (const auto &prog : suites::nonNumericPrograms())

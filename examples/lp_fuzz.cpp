@@ -3,11 +3,12 @@
  * lp_fuzz — the differential torture harness CLI.
  *
  * Walks a seed range, generating a random loop-nest program per seed
- * and pushing it through every path pair the framework promises is
- * byte-identical (interpret vs replay, 1 worker vs N, sharded-merged
- * vs unsharded, kill-and-resume vs straight-through, lint static vs
- * dynamic oracle, PDG verdicts vs the dynamic tracker, linted replay
- * vs linted interpret).
+ * and pushing it through every oracle pair: the spec evaluator vs the
+ * engine on every cell of the plain and --lint sweeps, then the path
+ * pairs the framework promises are byte-identical (1 worker vs N,
+ * sharded-merged vs unsharded, kill-and-resume vs straight-through),
+ * lint static vs dynamic oracle, and PDG verdicts vs the dynamic
+ * tracker.
  *
  *   lp_fuzz                               # default: seeds [0, 20)
  *   lp_fuzz --seed-range 0:500            # a 500-seed campaign
@@ -43,7 +44,8 @@ usage()
            "                       arm guard::fault before every run\n"
            "                       (io/replay: byte-identity must\n"
            "                       survive; others: repeat-determinism)\n"
-           "  --no-lint            skip the lint / oracle pairs\n"
+           "  --no-lint            skip the --lint sweep: its spec\n"
+           "                       check and the lint / oracle pairs\n"
            "  --minimize           shrink failures, write corpus entries\n"
            "  --corpus DIR         corpus directory (default\n"
            "                       tests/fuzz_corpus under the source\n"

@@ -13,8 +13,7 @@
  * Robustness (see docs/robustness.md):
  *   --keep-going / --strict          sweeps default to keep-going: a
  *                                    failing task (a program's fused
- *                                    batch, or one interpreted cell) is
- *                                    retried if the failure is
+ *                                    batch) is retried if the failure is
  *                                    transient, else quarantined: each
  *                                    of its cells becomes a
  *                                    status=failed report and the other
@@ -26,17 +25,10 @@
  *   --budget-heap-bytes N            simulated heap cap per run
  *                                    (or LP_BUDGET_* env; flags win)
  *
- * Performance (see docs/performance.md):
- *   --trace-replay / --no-trace-replay
- *   (or LP_TRACE_REPLAY=on|off)      fused sweeps: interpret each
- *                                    program once per 64 of its
- *                                    configuration cells, applying
- *                                    every event to all of them in one
- *                                    SoA pass.  Default on for sweeps
- *                                    (--lint too); off interprets every
- *                                    cell on its own.  Reports are
- *                                    byte-identical either way.
- *                                    Single runs always interpret.
+ * Performance (see docs/performance.md): a sweep interprets each
+ * program once per 64 of its configuration cells, applying every event
+ * to all of them in one SoA pass (--lint too); a single run is a
+ * one-cell batch.
  *   --checkpoint PATH                append one JSONL line per finished
  *                                    sweep cell to PATH
  *   --resume                         reuse cells already in the
@@ -85,8 +77,8 @@
  * Profiling (see docs/profiling.md):
  *   --profile[=json|chrome[:PATH]]   contention-aware profile of the
  *   (or LP_PROFILE=...)              run: per-site lock-wait telemetry,
- *                                    one span per sweep task (a fused
- *                                    batch, or one interpreted cell),
+ *                                    one span per sweep task (a
+ *                                    program's fused batch),
  *                                    per-worker utilization and
  *                                    load-imbalance, one row per cell
  *                                    (json also streams
@@ -142,17 +134,6 @@ parseLintMode(const std::string &s)
     if (s == "error")
         return 2;
     if (s == "off" || s == "0" || s.empty())
-        return 0;
-    return -1;
-}
-
-/** Parse an on/off spelling; -1 when not understood. */
-int
-parseOnOff(const std::string &s)
-{
-    if (s == "on" || s == "1" || s == "true")
-        return 1;
-    if (s == "off" || s == "0" || s == "false")
         return 0;
     return -1;
 }
@@ -314,18 +295,6 @@ main(int argc, char **argv)
     }
 
     core::SweepRequest sweep;
-    if (const char *env = std::getenv("LP_TRACE_REPLAY")) {
-        int v = parseOnOff(env);
-        if (v < 0)
-            obs::logMessage(obs::Level::Error,
-                            std::string("LP_TRACE_REPLAY value not "
-                                        "understood: ") +
-                                env + " (want on|off); trace replay "
-                                      "stays on",
-                            /*force=*/true);
-        else
-            sweep.traceReplay = v == 1;
-    }
     // LP_PROFILE: same one-time-warning contract as LP_LOG/LP_TRACE/
     // LP_JOBS — an unrecognized value warns once and profiling stays
     // off; the --profile flag (parsed below) wins over the environment.
@@ -440,14 +409,6 @@ main(int argc, char **argv)
                     fatal("bad --profile value (want json|chrome[:PATH] "
                           "or off): " +
                           spec);
-                continue;
-            }
-            if (a == "--trace-replay") {
-                sweep.traceReplay = true;
-                continue;
-            }
-            if (a == "--no-trace-replay") {
-                sweep.traceReplay = false;
                 continue;
             }
             if (a == "--jobs") {

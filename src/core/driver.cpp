@@ -45,9 +45,7 @@ Loopapalooza::Loopapalooza(const ir::Module &mod) : mod_(mod)
 rt::ProgramReport
 Loopapalooza::run(const rt::LPConfig &cfg) const
 {
-    LP_LOG_DEBUG("running %s under %s", mod_.name().c_str(),
-                 cfg.str().c_str());
-    return rt::runLimitStudy(mod_, *plan_, cfg, mod_.name());
+    return std::move(runReplayBatched({cfg}).front());
 }
 
 rt::ProgramReport
@@ -60,13 +58,7 @@ Loopapalooza::runWithOracle(const rt::LPConfig &cfg) const
 rt::ProgramReport
 Loopapalooza::run(const rt::LPConfig &cfg, rt::OracleCapture &cap) const
 {
-    LP_LOG_DEBUG("running %s under %s (oracle attached)",
-                 mod_.name().c_str(), cfg.str().c_str());
-    rt::ProgramReport rep =
-        rt::runLimitStudy(mod_, *plan_, cfg, mod_.name(), &cap);
-    lint::applyOracle(cap, rep);
-    lint::applyVerdictOracle(staticVerdicts(), rep);
-    return rep;
+    return std::move(runReplayBatched({cfg}, cap).front());
 }
 
 const std::vector<analysis::LoopVerdictSummary> &

@@ -5,7 +5,7 @@
  * Wraps the full pipeline of the paper:
  *   1. verify the module (structural + SSA);
  *   2. compile-time component: analyses + instrumentation plan;
- *   3. run-time component: interpret with the tracker attached;
+ *   3. run-time component: interpret with the lane engine attached;
  *   4. report speedup, coverage, per-loop stats and the census.
  */
 
@@ -24,7 +24,6 @@
 #include "rt/oracle_capture.hpp"
 #include "rt/plan.hpp"
 #include "rt/report.hpp"
-#include "rt/tracker.hpp"
 #include "trace/batch.hpp"
 #include "trace/format.hpp"
 #include "trace/index.hpp"
@@ -44,11 +43,12 @@ class Loopapalooza
     explicit Loopapalooza(const ir::Module &mod);
 
     /**
-     * Execute the program under @p cfg and produce the report.
+     * Execute the program under @p cfg and produce the report: a
+     * one-lane batch (rt::runLimitStudyBatched).
      *
      * Thread-safe: run() only reads the module and the plan and builds
-     * all run state (Machine, LoopRuntime) locally, so any number of
-     * lp::exec workers may call it concurrently on one driver.
+     * all run state (Machine, lanes) locally, so any number of lp::exec
+     * workers may call it concurrently on one driver.
      */
     rt::ProgramReport run(const rt::LPConfig &cfg) const;
 
@@ -76,7 +76,7 @@ class Loopapalooza
      * pass (rt::runLimitStudyBatched).  Reports come back in @p cfgs
      * order, each byte-identical to run() on that configuration.  Same
      * thread-safety as run().  A failing run (trap, fuel, ...) fails
-     * every lane of its batch.
+     * every lane of its batch.  run() is this call with one lane.
      */
     std::vector<rt::ProgramReport>
     runReplayBatched(const std::vector<rt::LPConfig> &cfgs) const;
@@ -92,8 +92,8 @@ class Loopapalooza
                      rt::OracleCapture &cap) const;
 
     /**
-     * The recorded event trace, recording it on first use (no sweep
-     * path records; the sweep benchmark's layer probes do).  Recording
+     * The recorded event trace, recording it on first use (no run
+     * records; the sweep benchmark's layer probes do).  Recording
      * failures that are deterministic (trap, fuel, ...) are cached and
      * rethrown on every later call; transient ones (wall-clock deadline)
      * are not, so a retry re-records.

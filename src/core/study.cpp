@@ -41,29 +41,25 @@ PreparedProgram::PreparedProgram(const BenchProgram &prog) : prog_(prog)
 rt::ProgramReport
 PreparedProgram::run(const rt::LPConfig &cfg) const
 {
-    rt::ProgramReport rep = lp_->run(cfg);
-    rep.program = prog_.name;
-    return rep;
+    return std::move(runReplayBatched({cfg}).front());
 }
 
 rt::ProgramReport
 PreparedProgram::runWithOracle(const rt::LPConfig &cfg) const
 {
-    rt::ProgramReport rep = lp_->runWithOracle(cfg);
-    rep.program = prog_.name;
-    return rep;
+    return std::move(runReplayBatchedWithOracle({cfg}).front());
 }
 
 rt::ProgramReport
 PreparedProgram::runReplay(const rt::LPConfig &cfg) const
 {
-    return std::move(runReplayBatched({cfg}).front());
+    return run(cfg);
 }
 
 rt::ProgramReport
 PreparedProgram::runReplayWithOracle(const rt::LPConfig &cfg) const
 {
-    return std::move(runReplayBatchedWithOracle({cfg}).front());
+    return runWithOracle(cfg);
 }
 
 std::vector<rt::ProgramReport>

@@ -46,19 +46,19 @@ class PreparedProgram
     const std::string &name() const { return prog_.name; }
     const std::string &suite() const { return prog_.suite; }
 
-    /** Run under @p cfg; also self-checks the program output once. */
+    /**
+     * Run under @p cfg: a one-lane batch (runReplayBatched).  The
+     * program's self-check ran once, when it was prepared.
+     */
     rt::ProgramReport run(const rt::LPConfig &cfg) const;
 
     /** As run(), with the consistency oracle attached and judged. */
     rt::ProgramReport runWithOracle(const rt::LPConfig &cfg) const;
 
-    /**
-     * As run(), as a one-lane fused batch (runReplayBatched).
-     * Byte-identical reports to run().
-     */
+    /** The same call as run(). */
     rt::ProgramReport runReplay(const rt::LPConfig &cfg) const;
 
-    /** As runWithOracle(), as a one-lane fused batch. */
+    /** The same call as runWithOracle(). */
     rt::ProgramReport runReplayWithOracle(const rt::LPConfig &cfg) const;
 
     /**

@@ -272,22 +272,16 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req,
 
     // The unit of work is the task: one program's fresh cells as one
     // fused batch (one interpretation per 64 lanes drives every cell's
-    // configuration), in registration order, or one cell per task
-    // under --no-trace-replay.  A task is retried, quarantined and
-    // profiled whole.
+    // configuration), in registration order.  A task is retried,
+    // quarantined and profiled whole.
     std::vector<std::vector<std::size_t>> tasks;
-    if (req.traceReplay) {
-        for (const auto &p : study.programs()) {
-            std::vector<std::size_t> lanes;
-            for (std::size_t i : fresh)
-                if (cells[i].prepared == p.get())
-                    lanes.push_back(i);
-            if (!lanes.empty())
-                tasks.push_back(std::move(lanes));
-        }
-    } else {
+    for (const auto &p : study.programs()) {
+        std::vector<std::size_t> lanes;
         for (std::size_t i : fresh)
-            tasks.push_back({i});
+            if (cells[i].prepared == p.get())
+                lanes.push_back(i);
+        if (!lanes.empty())
+            tasks.push_back(std::move(lanes));
     }
 
     auto runTask = [&](std::size_t k) {
@@ -304,21 +298,14 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req,
             // reports gain their "oracle" section; reports of lint-free
             // runs are unchanged, keeping checkpoint resume
             // byte-identical), captured once per batch.
-            const bool oracle = req.lintMode != 0;
-            std::vector<rt::ProgramReport> reps;
-            if (req.traceReplay) {
-                std::vector<rt::LPConfig> cfgs;
-                cfgs.reserve(lanes.size());
-                for (std::size_t i : lanes)
-                    cfgs.push_back(cells[i].config->config);
-                reps = oracle
-                           ? first.prepared->runReplayBatchedWithOracle(cfgs)
-                           : first.prepared->runReplayBatched(cfgs);
-            } else {
-                const rt::LPConfig &cfg = first.config->config;
-                reps.push_back(oracle ? first.prepared->runWithOracle(cfg)
-                                      : first.prepared->run(cfg));
-            }
+            std::vector<rt::LPConfig> cfgs;
+            cfgs.reserve(lanes.size());
+            for (std::size_t i : lanes)
+                cfgs.push_back(cells[i].config->config);
+            std::vector<rt::ProgramReport> reps =
+                req.lintMode != 0
+                    ? first.prepared->runReplayBatchedWithOracle(cfgs)
+                    : first.prepared->runReplayBatched(cfgs);
             taskProf.setInstructions(reps.front().serialCost);
             for (std::size_t l = 0; l < lanes.size(); ++l) {
                 Cell &cell = cells[lanes[l]];

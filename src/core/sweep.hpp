@@ -6,13 +6,14 @@
  *
  * A sweep is a flat list of (configuration, suite, program) cells —
  * the unit of reporting, of checkpointing and of sharding.  The unit
- * of work is the task: one program's fresh cells as one fused batch,
- * or one cell under --no-trace-replay.  Each task runs its
- * interpretation and its checkpoint appends as one guarded unit, so a
- * transient failure retries the task and a quarantined task writes its
- * verdict into each of its cells; the profiler records one span per
- * task.  Cells that need no run (prepare-failed, lint-gated, resumed)
- * are filled in before dispatch.  runSweep() runs the list, prints the
+ * of work is the task: one program's fresh cells as one fused batch
+ * (one interpretation per 64 of its configuration lanes, --lint
+ * included).  Each task runs its interpretation and its checkpoint
+ * appends as one guarded unit, so a transient failure retries the task
+ * and a quarantined task writes its verdict into each of its cells; the
+ * profiler records one span per task.  Cells that need no run
+ * (prepare-failed, lint-gated, resumed) are filled in before
+ * dispatch.  runSweep() runs the list, prints the
  * standard table, and returns the machine-readable document; its
  * report is byte-identical whatever the worker count, and identical
  * between a resumed and an uninterrupted run.
@@ -60,20 +61,6 @@ struct SweepRequest
     std::vector<NamedConfig> configs = paperConfigs();
 
     bool keepGoing = true; ///< quarantine failures (vs --strict)
-    /**
-     * Fused batches (--trace-replay / LP_TRACE_REPLAY).  Defaults on: a
-     * sweep visits every program under many configurations, so it
-     * interprets each program once per 64 of its configuration lanes,
-     * every event applied to all of them in one SoA pass
-     * (rt::runLimitStudyBatched), under --lint too.  Reports are
-     * byte-identical either way (tests/test_batch.cpp, fuzz
-     * differential pairs 1 and 7), failures included: a batch is
-     * retried and quarantined whole, and a program-level failure gives
-     * every lane the verdict a per-cell run reports.  Off interprets
-     * every cell with its own LoopRuntime, one task per cell: the
-     * reference path.
-     */
-    bool traceReplay = true;
 
     /**
      * Lint mode (--lint / LP_LINT): 0 = off, 1 = on (gate on

@@ -2,11 +2,13 @@
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <ostream>
 
 #include "core/driver.hpp"
 #include "core/sweep.hpp"
 #include "exec/pool.hpp"
+#include "fuzz/spec.hpp"
 #include "guard/fault.hpp"
 #include "support/error.hpp"
 
@@ -95,6 +97,66 @@ comparePair(const PairContext &ctx, const std::string &oracle,
                              reproLineFor(ctx.seed)});
 }
 
+/**
+ * The spec evaluator's verdict on every cell of one sweep outcome
+ * (spec-vs-engine): an ok cell must match the evaluator's report for
+ * its configuration field by field, a failed cell must fail as the
+ * evaluator's run of the program did.  A skipped cell never ran.  One
+ * failure per document names its first differing cell.  @p spec is
+ * null when the evaluator's run threw @p specError.
+ */
+void
+checkAgainstSpec(const PairContext &ctx, const std::string &outcome,
+                 const SpecEvaluator *spec, const std::string &specError,
+                 bool withOracle)
+{
+    auto fail = [&](const std::string &detail) {
+        ctx.failures->push_back(
+            {ctx.seed, "spec-vs-engine", detail, reproLineFor(ctx.seed)});
+    };
+    const std::size_t nl = outcome.find('\n');
+    const obs::Json doc = nl == std::string::npos
+                              ? obs::Json()
+                              : obs::Json::parse(outcome.substr(nl + 1));
+    if (!doc.isObject()) {
+        fail("the sweep produced no document: " + outcome.substr(0, nl));
+        return;
+    }
+    std::string first;
+    std::size_t bad = 0;
+    const obs::Json &reports = doc.at("reports");
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+        const obs::Json &cell = reports.at(i);
+        const std::string &status = cell.at("status").asString();
+        std::string diff;
+        if (status == "skipped") {
+            continue;
+        } else if (status == "failed" || !spec) {
+            const std::string &code = cell.at("error_code").asString();
+            if (spec || code != specError)
+                diff = "engine " + status + " " + code + ", spec " +
+                       (spec ? "ok" : specError);
+        } else {
+            rt::ProgramReport rep = spec->evaluate(
+                configFromJson(cell.at("config")),
+                cell.at("program").asString(), withOracle);
+            rep.seed = ctx.seed;
+            std::vector<std::string> diffs = specDifferences(
+                cell, rep.toJson(/*withObsSnapshot=*/false));
+            if (!diffs.empty())
+                diff = diffs.front() + " (" + std::to_string(diffs.size()) +
+                       " field(s))";
+        }
+        if (diff.empty())
+            continue;
+        if (bad++ == 0)
+            first = "[" + cell.at("config").at("label").asString() +
+                    (withOracle ? ", --lint" : "") + "] " + diff;
+    }
+    if (bad != 0)
+        fail(first + "; " + std::to_string(bad) + " cell(s) differ");
+}
+
 void
 removeSweepFiles(const std::string &ckPath, unsigned shards)
 {
@@ -147,13 +209,11 @@ runDifferential(std::uint64_t seed, const DiffOptions &opts)
         // whose placement is only deterministic serially: run the
         // reduced repeat-determinism oracle instead of the cross-path
         // pairs (see header).
-        core::SweepRequest req = base;
-        req.traceReplay = true;
         exec::setJobsOverride(1);
         std::string a =
-            sweepOutcome(progs, req, opts.faultSite, opts.faultNth);
+            sweepOutcome(progs, base, opts.faultSite, opts.faultNth);
         std::string b =
-            sweepOutcome(progs, req, opts.faultSite, opts.faultNth);
+            sweepOutcome(progs, base, opts.faultSite, opts.faultNth);
         exec::setJobsOverride(0);
         guard::setFault("", 0);
         comparePair(ctx, "fault-repeat-determinism", a, b);
@@ -162,24 +222,38 @@ runDifferential(std::uint64_t seed, const DiffOptions &opts)
 
     exec::setJobsOverride(1);
 
-    // Pair 1: interpret every cell vs fused batches.
-    core::SweepRequest interp = base;
-    interp.traceReplay = false;
-    core::SweepRequest replay = base;
-    replay.traceReplay = true;
-    std::string interpOut =
-        sweepOutcome(progs, interp, opts.faultSite, opts.faultNth);
-    std::string replayOut =
-        sweepOutcome(progs, replay, opts.faultSite, opts.faultNth);
-    comparePair(ctx, "interp-vs-replay", interpOut, replayOut);
+    // The reference sweep, on one worker.  Pair 1 (spec-vs-engine)
+    // checks its cells, and the --lint sweep's below, against the spec
+    // evaluator's run of the same program.
+    std::string sweepOut =
+        sweepOutcome(progs, base, opts.faultSite, opts.faultNth);
+    std::unique_ptr<SpecEvaluator> spec;
+    std::unique_ptr<ir::Module> specMod;
+    std::unique_ptr<core::Loopapalooza> specLp;
+    std::string specError;
+    try {
+        specMod = generateProgram(seed, opts.gen);
+        specLp = std::make_unique<core::Loopapalooza>(*specMod);
+        spec = std::make_unique<SpecEvaluator>(specLp->plan());
+    }
+    catch (const Error &e) {
+        specError = e.codeName();
+    }
+    catch (const std::exception &e) {
+        failures.push_back({seed, "spec-vs-engine",
+                            std::string("the spec evaluator crashed: ") +
+                                e.what(),
+                            reproLineFor(seed)});
+    }
+    checkAgainstSpec(ctx, sweepOut, spec.get(), specError,
+                     /*withOracle=*/false);
 
-    // Pair 2: one worker vs many.  The jobs-1 side is the replay run
-    // above; rerun with the override raised.
+    // Pair 2: one worker vs many.
     exec::setJobsOverride(opts.jobsN);
     std::string jobsNOut =
-        sweepOutcome(progs, replay, opts.faultSite, opts.faultNth);
+        sweepOutcome(progs, base, opts.faultSite, opts.faultNth);
     exec::setJobsOverride(1);
-    comparePair(ctx, "jobs1-vs-jobsN", replayOut, jobsNOut);
+    comparePair(ctx, "jobs1-vs-jobsN", sweepOut, jobsNOut);
 
     // Scratch for the checkpoint-backed pairs.
     fs::path scratch = opts.scratchDir.empty()
@@ -196,7 +270,6 @@ runDifferential(std::uint64_t seed, const DiffOptions &opts)
         removeSweepFiles(ck, opts.shards);
         for (unsigned i = 1; i <= opts.shards; ++i) {
             core::SweepRequest shard = base;
-            shard.traceReplay = true;
             shard.wantJson = false;
             shard.checkpointPath = ck;
             shard.shardIndex = i;
@@ -204,13 +277,12 @@ runDifferential(std::uint64_t seed, const DiffOptions &opts)
             sweepOutcome(progs, shard, opts.faultSite, opts.faultNth);
         }
         core::SweepRequest merge = base;
-        merge.traceReplay = true;
         merge.checkpointPath = ck;
         merge.shardCount = opts.shards;
         merge.merge = true;
         std::string mergedOut =
             sweepOutcome(progs, merge, opts.faultSite, opts.faultNth);
-        comparePair(ctx, "sharded-vs-unsharded", replayOut, mergedOut);
+        comparePair(ctx, "sharded-vs-unsharded", sweepOut, mergedOut);
         removeSweepFiles(ck, opts.shards);
     }
 
@@ -224,7 +296,6 @@ runDifferential(std::uint64_t seed, const DiffOptions &opts)
             (scratch / ("resume_" + seedTag + ".jsonl")).string();
         removeSweepFiles(ck, 0);
         core::SweepRequest ckpt = base;
-        ckpt.traceReplay = true;
         ckpt.checkpointPath = ck;
         sweepOutcome(progs, ckpt, opts.faultSite, opts.faultNth);
         std::error_code tec;
@@ -235,7 +306,7 @@ runDifferential(std::uint64_t seed, const DiffOptions &opts)
         resume.resume = true;
         std::string resumedOut =
             sweepOutcome(progs, resume, opts.faultSite, opts.faultNth);
-        comparePair(ctx, "resume-vs-straight", replayOut, resumedOut);
+        comparePair(ctx, "resume-vs-straight", sweepOut, resumedOut);
         removeSweepFiles(ck, 0);
     }
 
@@ -243,12 +314,13 @@ runDifferential(std::uint64_t seed, const DiffOptions &opts)
     // consistency oracle rides on every cell and any error-level
     // mismatch makes runSweep exit nonzero, so the check is the
     // outcome's exit code (compared against the expected-clean form).
-    core::SweepRequest lint = base;
-    lint.traceReplay = true;
-    lint.lintMode = 1;
-    std::string lintOut;
+    // Pair 1 checks the same --lint document's cells, oracle and
+    // static-verdict sections included, against the spec evaluator.
     if (opts.lintOracle) {
-        lintOut = sweepOutcome(progs, lint, opts.faultSite, opts.faultNth);
+        core::SweepRequest lint = base;
+        lint.lintMode = 1;
+        std::string lintOut =
+            sweepOutcome(progs, lint, opts.faultSite, opts.faultNth);
         if (lintOut.rfind("exit:0\n", 0) != 0)
             failures.push_back(
                 {seed, "lint-static-vs-dynamic",
@@ -256,6 +328,8 @@ runDifferential(std::uint64_t seed, const DiffOptions &opts)
                      " (static classification disagrees with the "
                      "dynamic oracle, or the lint sweep crashed)",
                  reproLineFor(seed)});
+        checkAgainstSpec(ctx, lintOut, spec.get(), specError,
+                         /*withOracle=*/true);
     }
 
     // Pair 6: the PDG's whole-loop verdict vs the dynamic tracker.  A
@@ -291,21 +365,6 @@ runDifferential(std::uint64_t seed, const DiffOptions &opts)
                                 std::string("crashed: ") + e.what(),
                                 reproLineFor(seed)});
         }
-    }
-
-    // Pair 7: the --lint sweep replayed vs interpreted.  Pair 5's
-    // replay side batches every cell and fills one consistency-oracle
-    // capture per batch from the shared replay state; the interpret
-    // side attaches a capture to each cell's live run.  The documents,
-    // oracle and static-verdict sections included, must match byte for
-    // byte (pair 1 is the same oracle without lint).
-    if (opts.lintOracle) {
-        core::SweepRequest lintInterp = lint;
-        lintInterp.traceReplay = false;
-        std::string lintInterpOut = sweepOutcome(
-            progs, lintInterp, opts.faultSite, opts.faultNth);
-        comparePair(ctx, "lint-replay-vs-interpret", lintOut,
-                    lintInterpOut);
     }
 
     exec::setJobsOverride(0);

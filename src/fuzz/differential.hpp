@@ -2,14 +2,16 @@
  * @file
  * Differential oracles (`lp::fuzz`).
  *
- * The framework promises that one program produces byte-identical
- * reports whichever way it is driven: interpret vs fused batches (with
- * and without --lint's consistency oracle), one worker vs many,
- * sharded-and-merged vs unsharded, killed-and-resumed vs
- * straight-through — and that lint's static classification agrees
- * with the dynamic oracle.  Each generated program is pushed
- * through every pair and any divergence is a harness failure carrying
- * the reproducing seed and the exact CLI line to replay it.
+ * The framework promises that every report is what the execution
+ * models define — every cell of a sweep, with and without --lint's
+ * consistency oracle, agrees field by field with the spec evaluator
+ * (fuzz/spec.hpp; pair spec-vs-engine) — and that one program produces
+ * byte-identical reports whichever way it is driven: one worker vs
+ * many, sharded-and-merged vs unsharded, killed-and-resumed vs
+ * straight-through; and that lint's static classification agrees with
+ * the dynamic oracle.  Each generated program is pushed through every
+ * pair and any divergence is a harness failure carrying the
+ * reproducing seed and the exact CLI line to replay it.
  *
  * Fault-schedule composition (`lp_fuzz --fault-schedule site:nth`):
  * transient sites (io, replay) are healed by retrying the failed
@@ -35,7 +37,7 @@ namespace lp::fuzz {
 struct DiffFailure
 {
     std::uint64_t seed = 0;
-    std::string oracle; ///< "interp-vs-replay", "jobs1-vs-jobsN", ...
+    std::string oracle; ///< "spec-vs-engine", "jobs1-vs-jobsN", ...
     std::string detail; ///< first divergence, error text, ...
     /** One-command reproduction, e.g. "lp_fuzz --seed=7 --minimize". */
     std::string reproLine;
@@ -49,7 +51,8 @@ struct DiffOptions
     unsigned shards = 3; ///< shard count of the sharded pair
     /** Scratch directory for checkpoint/shard files ("" = temp dir). */
     std::string scratchDir;
-    bool lintOracle = true; ///< run the lint / oracle pairs (5, 6, 7)
+    /** Run the lint / oracle pairs: 5, 6, and pair 1's --lint half. */
+    bool lintOracle = true;
     /** Fault schedule: site to arm before every run ("" = none). */
     std::string faultSite;
     std::uint64_t faultNth = 0;

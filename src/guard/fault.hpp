@@ -19,7 +19,8 @@
  *   io       guard::Checkpoint::record            IoError
  *            (a sweep appends inside the task it checkpoints)
  *   replay   rt::runLimitStudyBatched entry       IoError
- *            (a fused batch, before its interpreter runs)
+ *            (every run's entry — a sweep's fused batch and a single
+ *            run alike — before its interpreter runs)
  *
  * A tripped fault disarms nothing: the counter simply moves past nth,
  * so a *retry* of the failed unit — in a sweep, the whole task —

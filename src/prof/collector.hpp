@@ -11,14 +11,13 @@
  *  - lock-site contention, recorded by every prof::TimedMutex in the
  *    process (timed_mutex.hpp) — the collector only snapshots it;
  *  - sweep tasks: one span per task core::runSweep dispatches (one
- *    program's fused batch, or one cell under --no-trace-replay) with
- *    its worker lane, start, wall time, lock wait, lane count, attempts
- *    and status, plus one row per cell of the task carrying the cell's
- *    lane share of the task's wall time.  Cells that need no run
- *    (prepare-failed, lint-gated, resumed) get a row with no task and
- *    no time.  In json mode each row is also streamed to
- *    `<PATH>.cells.jsonl` the moment its task finishes, so a killed
- *    sweep still leaves its telemetry.
+ *    program's fused batch) with its worker lane, start, wall time,
+ *    lock wait, lane count, attempts and status, plus one row per cell
+ *    of the task carrying the cell's lane share of the task's wall
+ *    time.  Cells that need no run (prepare-failed, lint-gated,
+ *    resumed) get a row with no task and no time.  In json mode each
+ *    row is also streamed to `<PATH>.cells.jsonl` the moment its task
+ *    finishes, so a killed sweep still leaves its telemetry.
  *
  * Everything else is derived from the spans: a worker's busy time is
  * the sum of its tasks' walls, and a task's queue wait is the idle gap
@@ -55,7 +54,8 @@ namespace lp::prof {
 /** Profile output mode. */
 enum class Mode { Off, Json, Chrome };
 
-/** One finished sweep task: a fused batch, or one interpreted cell. */
+/** One finished task: a program's fused batch (a single run is one
+ *  lane). */
 struct TaskRecord
 {
     std::string program;

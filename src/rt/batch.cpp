@@ -1,26 +1,25 @@
 /**
  * @file
- * The lane engine of fused batches: one interpretation, N lanes.
+ * The lane engine: one interpretation, N configuration lanes.
  *
- * BatchReplayer is the interpreter's sink for a fused batch
+ * BatchReplayer is the interpreter's sink for every limit-study run
  * (rt/batch.hpp).  It maintains the shared dynamic structure — frame
  * stack, loop-instance stack, iteration counters, register-def
  * timestamps, one shadow write-map per instance — exactly once, while
- * the per-lane model state (savings, slowest-iteration accumulators,
- * conflict flags, HELIX deltas) lives in parallel arrays indexed
- * [instanceSlot * L + lane].  Each event is one direct call from the
- * interpreter loop; the per-lane work only triggers at boundaries,
- * conflicts and phi resolutions.
+ * the per-lane model state (savings, covered lengths, slowest-iteration
+ * accumulators, conflict flags, HELIX deltas) lives in parallel arrays
+ * indexed [instanceSlot * L + lane].  Each event is one direct call
+ * from the interpreter loop; the per-lane work only triggers at
+ * boundaries, conflicts and phi resolutions.  What a lane's report is
+ * assembled from — its per-loop rows, predictor statistics, savings and
+ * covered totals — is the plain Lane struct below.
  *
- * Byte-identity contract: for every lane, the per-loop reports, covered
- * intervals, predictor statistics and total savings written here are
- * exactly what the live LoopRuntime (runLimitStudy) produces for that
- * configuration, and an attached OracleCapture receives exactly the
- * evidence the live runtime would gather (tests/test_batch.cpp proves
- * it across the whole grid; fuzz differential pairs 1 and 7 torture
- * it).  Comments of the form "mirrors <member>" tie each step to the
- * live code in tracker.cpp; any change there needs a matching change
- * here.
+ * The model semantics (DESIGN.md §3 and §6) are written once, here.
+ * The reference they are checked against is the spec evaluator
+ * (src/fuzz/spec.*): a naive evaluator written from the same text that
+ * must agree with every lane field by field (tests/test_spec.cpp, fuzz
+ * pair spec-vs-engine).  A lane's report does not depend on the other
+ * lanes of its batch (tests/test_batch.cpp).
  *
  * Shared-state soundness argument (why one copy suffices):
  *  - frame/instance structure, entry/iteration timestamps, curIter and
@@ -42,14 +41,17 @@
 
 #include <algorithm>
 #include <bit>
+#include <cctype>
 #include <memory>
 #include <unordered_map>
 
 #include "guard/fault.hpp"
 #include "interp/execute.hpp"
 #include "obs/log.hpp"
+#include "obs/metrics.hpp"
 #include "obs/timer.hpp"
-#include "rt/tracker.hpp"
+#include "predict/predictor.hpp"
+#include "rt/shadow.hpp"
 #include "support/error.hpp"
 #include "support/text.hpp"
 
@@ -57,19 +59,170 @@ namespace lp::rt {
 
 using ir::Instruction;
 
+namespace {
+
 /**
- * Applies one interpretation's events to up to 64 LoopRuntime lanes:
- * the interp::Machine::run sink of a fused batch, reading the clock and
+ * One configuration lane: everything its report is assembled from.
+ * The engine writes the per-loop rows as instances close and the
+ * totals and register-LCD counts when the run returns; report() then
+ * builds the lane's ProgramReport.
+ */
+struct Lane
+{
+    Lane(const ModulePlan &plan, const LPConfig &config);
+
+    /** The lane's report, once the run that fed it returned. */
+    ProgramReport report(const ModulePlan &plan, const std::string &name,
+                         std::uint64_t serialCost) const;
+
+    LPConfig cfg;
+    /** Per static loop, by LoopPlan::ordinal; staticReason is the
+     *  configuration's static verdict (None = eligible). */
+    std::vector<LoopReport> loops;
+    /** The (un)predictable register-LCD counts of the census. */
+    Census regLcds;
+    std::uint64_t savings = 0; ///< whole-program parallel savings
+    std::uint64_t covered = 0; ///< instructions in parallelized instances
+    obs::Counter *squashes = nullptr; ///< model.squashes.<model>; null for HELIX
+};
+
+Lane::Lane(const ModulePlan &plan, const LPConfig &config) : cfg(config)
+{
+    cfg.validate();
+    if (cfg.model != ExecModel::Helix) { // non-speculative: no squashes
+        std::string model = execModelName(cfg.model);
+        for (char &c : model)
+            c = static_cast<char>(
+                std::tolower(static_cast<unsigned char>(c)));
+        squashes =
+            &obs::Registry::instance().counter("model.squashes." + model);
+    }
+    loops.resize(plan.numLoops());
+    for (const auto &fp : plan.functionPlans()) {
+        for (const LoopPlan &lplan : fp->loopPlans) {
+            LoopReport &lr = loops[lplan.ordinal];
+            lr.label = lplan.loop ? lplan.loop->label() : "<?>";
+            lr.depth = lplan.loop ? lplan.loop->depth() : 0;
+            lr.staticReason = staticVerdict(lplan, *fp, plan, cfg);
+        }
+    }
+}
+
+ProgramReport
+Lane::report(const ModulePlan &plan, const std::string &name,
+             std::uint64_t serialCost) const
+{
+    ProgramReport rep;
+    rep.program = name;
+    rep.config = cfg;
+    rep.serialCost = serialCost;
+    rep.parallelCost = serialCost - savings;
+    rep.coverage = serialCost == 0 ? 0.0
+                                   : static_cast<double>(covered) /
+                                         static_cast<double>(serialCost);
+
+    Census &c = rep.census;
+    c = regLcds;
+    for (unsigned ord = 0; ord < plan.numLoops(); ++ord) {
+        const LoopPlan &lplan = plan.loopByOrdinal(ord);
+        if (!lplan.loop)
+            continue;
+        c.staticLoops += 1;
+        if (lplan.loop->isCanonical())
+            c.canonicalLoops += 1;
+        c.computableIvs += lplan.computablePhis.size();
+        c.reductions += lplan.reductions.size();
+        if (lplan.hasCalls())
+            c.loopsWithCalls += 1;
+
+        const LoopReport &lr = loops[ord];
+        if (lr.memConflicts > 0 && lr.iterations > 0) {
+            double frac = static_cast<double>(lr.conflictIterations) /
+                          static_cast<double>(lr.iterations);
+            if (frac > 0.05)
+                c.frequentMemLcdLoops += 1;
+            else
+                c.infrequentMemLcdLoops += 1;
+        }
+    }
+
+    // Per-loop reports (only loops that actually executed).
+    for (const LoopReport &lr : loops)
+        if (lr.instances > 0)
+            rep.loops.push_back(lr);
+    std::sort(rep.loops.begin(), rep.loops.end(),
+              [](const LoopReport &a, const LoopReport &b) {
+                  return a.serialCost > b.serialCost;
+              });
+    if (obs::metricsOn())
+        obs::Registry::instance()
+            .counter("report.loops_reported")
+            .add(rep.loops.size());
+    return rep;
+}
+
+/** The consistency-oracle watches of one loop's header phis. */
+struct LoopOracleWatches
+{
+    struct Slot
+    {
+        unsigned watch; ///< OracleCapture watch index
+        unsigned depth; ///< difference order - 1
+    };
+    std::vector<Slot> slots;
+    /** Phi -> index into slots. */
+    std::unordered_map<const ir::Instruction *, unsigned> index;
+};
+
+/**
+ * Register the oracle watches of every loop of @p plan with @p cap and
+ * seal it: each SCEV-claimed phi at its claimed AddRec depth, and each
+ * tracked LCD at depth 1 (unclaimed unless OracleCapture::forceClaim
+ * named it, so the oracle can also spot *missed* IVs).  The claims are
+ * config-independent, so every lane shares the watches.
+ * @return each loop's watches, indexed by LoopPlan::ordinal
+ */
+std::vector<LoopOracleWatches>
+watchOraclePhis(const ModulePlan &plan, OracleCapture &cap)
+{
+    std::vector<LoopOracleWatches> out(plan.numLoops());
+    for (unsigned ord = 0; ord < plan.numLoops(); ++ord) {
+        const LoopPlan &lplan = plan.loopByOrdinal(ord);
+        if (!lplan.loop)
+            continue;
+        LoopOracleWatches &lw = out[ord];
+        auto watch = [&](const Instruction *phi, unsigned depth,
+                         bool claimed) {
+            if (phi->type() != ir::Type::I64 &&
+                phi->type() != ir::Type::Ptr)
+                return; // differencing f64 bits is meaningless
+            unsigned w = cap.addWatch(
+                {phi, lplan.loop->label(), phi->name(), depth, claimed});
+            lw.index[phi] = static_cast<unsigned>(lw.slots.size());
+            lw.slots.push_back({w, depth});
+        };
+        for (unsigned i = 0; i < lplan.computablePhis.size(); ++i)
+            watch(lplan.computablePhis[i], lplan.computableDepths[i], true);
+        for (const TrackedPhi &tp : lplan.nonComputable)
+            watch(tp.phi, 1, cap.isForcedClaim(tp.phi));
+    }
+    cap.seal();
+    return out;
+}
+
+/**
+ * Applies one interpretation's events to up to 64 lanes: the
+ * interp::Machine::run sink of a batch, reading the clock and
  * stack-pointer samples from the machine it is attached to.
  */
 class BatchReplayer
 {
   public:
     BatchReplayer(const ModulePlan &plan, const BlockFacts &facts,
-                  std::vector<std::unique_ptr<LoopRuntime>> &lanes,
-                  OracleCapture *oracle, const interp::Machine &machine)
+                  std::vector<Lane> &lanes, OracleCapture *oracle,
+                  const interp::Machine &machine)
         : plan_(plan), facts_(facts), lanes_(lanes), m_(machine),
-          L_(lanes.size()), metrics_(lanes[0]->metrics_), oracle_(oracle)
+          L_(lanes.size()), metrics_(obs::metricsOn()), oracle_(oracle)
     {
         panicIf(L_ == 0 || L_ > 64, "batch lane count out of range");
         if (oracle_)
@@ -93,11 +246,11 @@ class BatchReplayer
         lanePdoallThr_.resize(L_);
         laneSquashes_.resize(L_);
         for (std::size_t l = 0; l < L_; ++l) {
-            const LPConfig &cfg = lanes_[l]->cfg_;
+            const LPConfig &cfg = lanes_[l].cfg;
             const std::uint64_t bit = std::uint64_t{1} << l;
             laneModel_[l] = cfg.model;
             lanePdoallThr_[l] = cfg.pdoallSerialThreshold;
-            laneSquashes_[l] = lanes_[l]->squashesCtr_;
+            laneSquashes_[l] = lanes_[l].squashes;
             switch (cfg.model) {
               case ExecModel::DoAll:        doallMask_ |= bit; break;
               case ExecModel::PartialDoAll: pdoallMask_ |= bit; break;
@@ -112,22 +265,27 @@ class BatchReplayer
             if (cfg.singleSyncDoacross)
                 singleSyncMask_ |= bit;
             for (std::size_t ord = 0; ord < numLoops; ++ord) {
-                auto &rli = lanes_[l]->runLoops_[ord];
-                if (rli.verdict == SerialReason::None)
+                LoopReport &row = lanes_[l].loops[ord];
+                if (row.staticReason == SerialReason::None)
                     eligMask_[ord] |= bit;
-                laneTracked_[ord * L_ + l] = rli.trackedCount;
-                reportPtr_[ord * L_ + l] = &rli.report;
+                // Reductions join the tracked LCDs only under reduc0.
+                laneTracked_[ord * L_ + l] =
+                    cfg.reduc == 0 ? trackedAllCount_[ord] : ncCount_[ord];
+                reportPtr_[ord * L_ + l] = &row;
             }
         }
-        // The unqualified metric handles are the same registry objects
-        // in every lane; grab lane 0's (mirrors the ctor caching).
-        memEventsCtr_ = lanes_[0]->memEventsCtr_;
-        conflictsCtr_ = lanes_[0]->conflictsCtr_;
-        instancesCtr_ = lanes_[0]->instancesCtr_;
-        tripCountHist_ = lanes_[0]->tripCountHist_;
+        obs::Registry &reg = obs::Registry::instance();
+        memEventsCtr_ = &reg.counter("tracker.mem_events");
+        conflictsCtr_ = &reg.counter("tracker.conflicts");
+        instancesCtr_ = &reg.counter("tracker.loop_instances");
+        // Roughly geometric trip-count buckets: tight loops vs. long
+        // streams.
+        tripCountHist_ = &reg.histogram(
+            "tracker.trip_count", {0, 1, 4, 16, 64, 256, 1024, 4096, 16384,
+                                   65536, 262144, 1048576});
 
-        laneTotal_.assign(L_, 0);
         savingUp_.resize(L_);
+        coveredUp_.resize(L_);
     }
 
     /// @name Sink interface of interp::Machine::run
@@ -135,25 +293,26 @@ class BatchReplayer
     void
     functionEnter(const ir::Function *)
     {
-        // Mirrors onFunctionEnter: reuse dead frames above the live
-        // prefix.
+        // Reuse dead frames above the live prefix.
         if (frameDepth_ == eframes_.size())
             eframes_.emplace_back();
         EFrame &f = eframes_[frameDepth_++];
         f.loopLo = instStack_.size();
         f.savingsBase = (frameDepth_ - 1) * L_;
-        if (frameSavings_.size() < frameDepth_ * L_)
+        if (frameSavings_.size() < frameDepth_ * L_) {
             frameSavings_.resize(frameDepth_ * L_);
-        std::fill_n(frameSavings_.begin() +
-                        static_cast<std::ptrdiff_t>(f.savingsBase),
-                    L_, std::uint64_t{0});
+            frameCovered_.resize(frameDepth_ * L_);
+        }
+        const auto at = static_cast<std::ptrdiff_t>(f.savingsBase);
+        std::fill_n(frameSavings_.begin() + at, L_, std::uint64_t{0});
+        std::fill_n(frameCovered_.begin() + at, L_, std::uint64_t{0});
     }
 
     void
     functionExit(const ir::Function *)
     {
-        // Mirrors onFunctionExit: close instances an early return left
-        // open, then propagate the frame's savings to the parent.
+        // Close instances an early return left open, then hand the
+        // frame's savings and covered length to the caller's context.
         const std::uint64_t now = m_.cost();
         EFrame &f = eframes_[frameDepth_ - 1];
         while (instStack_.size() > f.loopLo)
@@ -161,18 +320,19 @@ class BatchReplayer
         const std::size_t sb = f.savingsBase;
         --frameDepth_;
         if (frameDepth_ == 0) {
-            for (std::size_t l = 0; l < L_; ++l)
-                laneTotal_[l] = frameSavings_[sb + l];
+            for (std::size_t l = 0; l < L_; ++l) {
+                lanes_[l].savings = frameSavings_[sb + l];
+                lanes_[l].covered = frameCovered_[sb + l];
+            }
         } else {
-            addSavings(&frameSavings_[sb]);
+            addToContext(&frameSavings_[sb], &frameCovered_[sb]);
         }
     }
 
     void
     blockEnter(const ir::BasicBlock *bb, std::uint32_t blockId)
     {
-        // Mirrors onBlockEnter: pop every instance that does not
-        // contain this block.
+        // Close every instance that does not contain this block.
         const std::uint64_t nowBefore = m_.blockEntryCost();
         EFrame &f = eframes_[frameDepth_ - 1];
         while (instStack_.size() > f.loopLo &&
@@ -218,14 +378,14 @@ class BatchReplayer
     void
     phiResolved(const Instruction *phi, std::uint64_t bits)
     {
-        // LoopRuntime ignores every phi but a loop header's.
+        // Only a loop header's phis carry register LCDs.
         if (!inHeader_)
             return;
         PhiState &st = phiState(phi);
         if (!st.activeMask && st.oracleSlot < 0)
             return; // neither dep2-tracked in any lane nor watched
-        // Mirrors onPhiResolved: only the top-of-stack instance of
-        // the phi's own loop observes the resolution.
+        // Only the top-of-stack instance of the phi's own loop
+        // observes the resolution.
         EFrame &f = eframes_[frameDepth_ - 1];
         if (instStack_.size() <= f.loopLo)
             return;
@@ -243,13 +403,13 @@ class BatchReplayer
             return;
 
         const bool carried = inst.curIter >= 1;
-        predict::HybridOutcome out = st.pred.predictAndTrain(bits);
+        predict::HybridOutcome out = st.pred->predictAndTrain(bits);
         if (!carried)
             return; // first resolution is the pre-loop initial value
-        st.stats.predictions += 1;
+        st.predictions += 1;
         if (out.anyCorrect)
             return;
-        st.stats.mispredicts += 1;
+        st.mispredicts += 1;
 
         const std::size_t B = inst.base;
         std::uint64_t hm = st.activeMask & helixMask_;
@@ -318,21 +478,27 @@ class BatchReplayer
     /// @}
 
     /**
-     * Install the accumulated per-lane totals into the lanes; call
-     * after the machine's run returned, before each lane's finishAt().
+     * Hand each lane its tracked phis' prediction counters (loop rows
+     * and census); call after the machine's run returned, before the
+     * lanes' report().
      */
     void
     finish()
     {
-        for (std::size_t l = 0; l < L_; ++l)
-            lanes_[l]->totalSavings_ = laneTotal_[l];
         for (const auto &[phi, st] : phiStates_) {
-            if (st->stats.predictions == 0)
-                continue; // per-cell stats entries need a carried event
+            if (st->predictions == 0)
+                continue; // a phi counts once it carried a value
+            const double hit = 1.0 - static_cast<double>(st->mispredicts) /
+                                         static_cast<double>(st->predictions);
             for (std::uint64_t m = st->activeMask; m; m &= m - 1) {
-                const unsigned l =
-                    static_cast<unsigned>(std::countr_zero(m));
-                lanes_[l]->predStats_[phi] = st->stats;
+                Lane &lane = lanes_[static_cast<unsigned>(std::countr_zero(m))];
+                LoopReport &row = lane.loops[st->ord];
+                row.regPredictions += st->predictions;
+                row.regMispredicts += st->mispredicts;
+                if (hit >= lane.cfg.predictableThreshold)
+                    lane.regLcds.predictableRegLcds += 1;
+                else
+                    lane.regLcds.unpredictableRegLcds += 1;
             }
         }
     }
@@ -341,7 +507,7 @@ class BatchReplayer
     struct EFrame
     {
         std::size_t loopLo = 0;      ///< instStack_ depth at entry
-        std::size_t savingsBase = 0; ///< into frameSavings_
+        std::size_t savingsBase = 0; ///< into frameSavings_/frameCovered_
     };
 
     /** One dynamic loop instance (shared across lanes). */
@@ -363,15 +529,17 @@ class BatchReplayer
         std::size_t oracleBase = 0; ///< into oracleStates_
     };
 
-    /** Shared predictor + stats for one dep2-tracked phi. */
+    /** Shared predictor + counters for one dep2-tracked phi. */
     struct PhiState
     {
         std::uint64_t activeMask = 0; ///< dep2 ∩ eligible ∩ in-prefix
         unsigned ord = 0; ///< the header's loop (when it is one)
         unsigned idx = 0; ///< index into trackedAll / the reg arena
         int oracleSlot = -1; ///< into the loop's oracle watches, or -1
-        predict::HybridPredictor pred;
-        LoopRuntime::PredStats stats;
+        /** Only for an active phi: a predictor's FCM table is 64 KiB. */
+        std::unique_ptr<predict::HybridPredictor> pred;
+        std::uint64_t predictions = 0;
+        std::uint64_t mispredicts = 0;
     };
 
     PhiState &
@@ -395,6 +563,8 @@ class BatchReplayer
                     m &= reduc0Mask_;
                 st->activeMask = m;
                 st->idx = ti->second;
+                if (m)
+                    st->pred = std::make_unique<predict::HybridPredictor>();
             }
             if (oracle_) {
                 const LoopOracleWatches &lw = oracleWatches_[st->ord];
@@ -421,31 +591,39 @@ class BatchReplayer
         return shadowPool_.back().get();
     }
 
-    /** Per-lane savings land on the innermost open context (mirrors
-     *  addSavingsToCurrentContext; resolved once, applied per lane). */
+    /**
+     * A closed region's per-lane savings and covered lengths land on
+     * the innermost open context: the current iteration of the top
+     * instance in this frame, else the frame itself.  Resolved once,
+     * applied per lane.
+     */
     void
-    addSavings(const std::uint64_t *src)
+    addToContext(const std::uint64_t *savings, const std::uint64_t *covered)
     {
         EFrame &f = eframes_[frameDepth_ - 1];
-        std::uint64_t *dst =
-            instStack_.size() > f.loopLo
-                ? &ciSavings_[instStack_.back().base]
-                : &frameSavings_[f.savingsBase];
-        for (std::size_t l = 0; l < L_; ++l)
-            dst[l] += src[l];
+        const bool inLoop = instStack_.size() > f.loopLo;
+        const std::size_t at =
+            inLoop ? instStack_.back().base : f.savingsBase;
+        std::uint64_t *sDst = inLoop ? &ciSavings_[at] : &frameSavings_[at];
+        std::uint64_t *cDst = inLoop ? &ciCovered_[at] : &frameCovered_[at];
+        for (std::size_t l = 0; l < L_; ++l) {
+            sDst[l] += savings[l];
+            cDst[l] += covered[l];
+        }
     }
 
     void
     openInstance(unsigned ord, std::uint64_t now, std::uint64_t sp)
     {
-        // Mirrors openInstance: unconditional — even loops every lane
-        // deems sequential get instance/iteration accounting.
+        // Unconditional: even loops every lane deems sequential get
+        // instance/iteration accounting.
         const LoopPlan &lp = plan_.loopByOrdinal(ord);
         const std::size_t slot = instStack_.size();
         if ((slot + 1) * L_ > ciSavings_.size()) {
             const std::size_t n = (slot + 1) * L_;
             ciSavings_.resize(n);
             tcSavings_.resize(n);
+            ciCovered_.resize(n);
             iterSlow_.resize(n);
             phaseSlow_.resize(n);
             pAccum_.resize(n);
@@ -481,7 +659,7 @@ class BatchReplayer
             regDefSeen_[r] = 0;
         }
         if (oracle_) {
-            // Mirrors the live runtime's per-instance oracle states.
+            // Per-instance difference states, stacked like the regs.
             inst.oracleBase = oracleTop_;
             oracleTop_ += oracleWatches_[ord].slots.size();
             if (oracleStates_.size() < oracleTop_)
@@ -500,6 +678,7 @@ class BatchReplayer
         for (std::size_t l = 0; l < L_; ++l) {
             ciSavings_[B + l] = 0;
             tcSavings_[B + l] = 0;
+            ciCovered_[B + l] = 0;
             iterSlow_[B + l] = 0;
             phaseSlow_[B + l] = 0;
             pAccum_[B + l] = 0;
@@ -520,7 +699,7 @@ class BatchReplayer
             instancesCtr_->add(static_cast<std::uint64_t>(L_));
     }
 
-    /** Mirrors registerConflict for one lane. */
+    /** A register LCD manifests in one lane's current iteration. */
     void
     registerConflictLane(BInst &inst, unsigned l)
     {
@@ -539,7 +718,8 @@ class BatchReplayer
         }
     }
 
-    /** Mirrors noteMemConflict, fanned out over the eligible lanes. */
+    /** A cross-iteration memory RAW, fanned out over the eligible
+     *  lanes: PDOALL restarts a phase, HELIX records a sync. */
     void
     noteMemConflict(BInst &inst, const WriteRec &rec,
                     std::uint64_t consumerOffset)
@@ -582,7 +762,7 @@ class BatchReplayer
         }
     }
 
-    /** Mirrors iterationBoundary on the top-of-stack instance. */
+    /** Close the top-of-stack instance's iteration, open the next. */
     void
     iterationBoundary(std::uint64_t now, std::uint64_t sp)
     {
@@ -650,7 +830,12 @@ class BatchReplayer
         }
     }
 
-    /** Mirrors closeInstance (pop first: savings go to the parent). */
+    /**
+     * Close the top-of-stack instance: apply each lane's model, fold
+     * the instance into the lane's loop row, and hand the parent
+     * context the lane's saving and covered length (pop first, so they
+     * reach the parent).
+     */
     void
     closeTop(std::uint64_t now)
     {
@@ -748,17 +933,20 @@ class BatchReplayer
             rep.conflictIterations += cIters_[B + l];
             if (!parallelized)
                 rep.serializedInstances += 1;
-            if (parallelized)
-                lanes_[l]->covered_.emplace_back(inst.entryTs, now);
 
+            // Everything saved inside this region, plus the model's own
+            // saving, flows to the enclosing context; so does its
+            // covered length: the whole extent when parallelized, else
+            // what its children covered.
             savingUp_[l] = rawSerial - parallel;
+            coveredUp_[l] = parallelized ? rawSerial : ciCovered_[B + l];
         }
-        addSavings(savingUp_.data());
+        addToContext(savingUp_.data(), coveredUp_.data());
     }
 
     const ModulePlan &plan_;
     const BlockFacts &facts_;
-    std::vector<std::unique_ptr<LoopRuntime>> &lanes_;
+    std::vector<Lane> &lanes_;
     const interp::Machine &m_;
     const std::size_t L_;
     const bool metrics_;
@@ -795,12 +983,15 @@ class BatchReplayer
     std::size_t frameDepth_ = 0;
     std::vector<BInst> instStack_;
     std::vector<std::uint64_t> frameSavings_; ///< [frame * L_ + lane]
-    std::vector<std::uint64_t> laneTotal_;
-    std::vector<std::uint64_t> savingUp_; ///< scratch, one per lane
+    std::vector<std::uint64_t> frameCovered_; ///< [frame * L_ + lane]
+    std::vector<std::uint64_t> savingUp_;  ///< scratch, one per lane
+    std::vector<std::uint64_t> coveredUp_; ///< scratch, one per lane
 
     // Per-instance-slot, per-lane model state ([slot * L_ + lane]).
     std::vector<std::uint64_t> ciSavings_; ///< curIterSavings
     std::vector<std::uint64_t> tcSavings_; ///< totalChildSavings
+    /** Covered by the instance's closed children, all iterations. */
+    std::vector<std::uint64_t> ciCovered_;
     std::vector<std::uint64_t> iterSlow_;
     std::vector<std::uint64_t> phaseSlow_;
     std::vector<std::uint64_t> pAccum_;
@@ -829,6 +1020,8 @@ class BatchReplayer
     std::unordered_map<const Instruction *, std::unique_ptr<PhiState>>
         phiStates_;
 };
+
+} // namespace
 
 BlockFacts
 buildBlockFacts(const ModulePlan &plan)
@@ -868,13 +1061,12 @@ runLimitStudyBatched(const ModulePlan &plan, const BlockFacts &facts,
     reports.reserve(cfgs.size());
     for (std::size_t lo = 0; lo < cfgs.size(); lo += 64) {
         const std::size_t n = std::min<std::size_t>(64, cfgs.size() - lo);
-        std::vector<std::unique_ptr<LoopRuntime>> lanes;
+        std::vector<Lane> lanes;
         lanes.reserve(n);
         {
             obs::ScopedPhase phase("plan");
             for (std::size_t i = 0; i < n; ++i)
-                lanes.push_back(std::make_unique<LoopRuntime>(
-                    plan, cfgs[lo + i], nullptr));
+                lanes.emplace_back(plan, cfgs[lo + i]);
         }
         std::uint64_t cost = 0;
         {
@@ -890,8 +1082,8 @@ runLimitStudyBatched(const ModulePlan &plan, const BlockFacts &facts,
             phase.addInstructions(cost * static_cast<std::uint64_t>(n));
         }
         obs::ScopedPhase phase("report");
-        for (std::size_t i = 0; i < n; ++i)
-            reports.push_back(lanes[i]->finishAt(name, cost));
+        for (const Lane &lane : lanes)
+            reports.push_back(lane.report(plan, name, cost));
     }
     LP_LOG_INFO("%s (fused batch): %zu lane(s), %zu interpretation(s)",
                 name.c_str(), cfgs.size(), (cfgs.size() + 63) / 64);

@@ -5,12 +5,12 @@
  *
  * The compile-time component claims some header phis are SCEV-computable
  * (pure functions of the iteration index).  When a capture is attached,
- * rt::LoopRuntime streams every resolved value of the watched phis
- * through an order-(depth+1) finite-difference check: a phi whose
- * evolution really is a degree-depth polynomial recurrence has an
- * identically-zero (depth+1)-th difference (all arithmetic mod 2^64,
- * matching the interpreter).  The check is O(1) memory per instance and
- * covers the full run, not a sampled prefix.
+ * the lane engine (rt/batch.hpp) streams every resolved value of the
+ * watched phis through an order-(depth+1) finite-difference check: a
+ * phi whose evolution really is a degree-depth polynomial recurrence
+ * has an identically-zero (depth+1)-th difference (all arithmetic mod
+ * 2^64, matching the interpreter).  The check is O(1) memory per
+ * instance and covers the full run, not a sampled prefix.
  *
  * The capture only gathers evidence; the verdicts (LINT_ORACLE_*) are
  * produced by lp::lint::checkOracle so the rt layer stays lint-free.
@@ -133,7 +133,7 @@ class OracleCapture
     const Stats &stats(unsigned i) const { return stats_[i]; }
 
     /**
-     * Test hook: make LoopRuntime register @p phi — normally a tracked,
+     * Test hook: make the run register @p phi — normally a tracked,
      * non-computable LCD — as *claimed computable* (depth 1), so a run
      * over a genuinely unpredictable phi forces an oracle mismatch
      * end-to-end.

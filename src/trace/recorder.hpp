@@ -20,7 +20,7 @@
  *
  * Filtering.  Only events the run-time component consumes are
  * recorded: phi resolutions are kept for loop-header blocks only
- * (LoopRuntime ignores all others), and call sites are kept for
+ * (the lane engine ignores all others), and call sites are kept for
  * external calls only (they carry cost; internal calls contribute
  * through their callee's block stream).
  */

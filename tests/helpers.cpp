@@ -245,17 +245,55 @@ buildLoopWithCalls(std::int64_t n, CalleeKind kind)
     return mod;
 }
 
+std::vector<std::pair<std::string, std::unique_ptr<ir::Module>>>
+allShapes()
+{
+    std::vector<std::pair<std::string, std::unique_ptr<ir::Module>>> out;
+    out.emplace_back("saxpy", buildSaxpy(64));
+    out.emplace_back("sum", buildSumReduction(64));
+    out.emplace_back("chase", buildPointerChase(48));
+    out.emplace_back("chase-shuffled", buildPointerChaseShuffled(64));
+    out.emplace_back("hist", buildHistogram(64, 8));
+    out.emplace_back("calls", buildLoopWithCalls(32, CalleeKind::Pure));
+    out.emplace_back("calls-inst",
+                     buildLoopWithCalls(32, CalleeKind::Instrumented));
+    return out;
+}
+
+std::vector<rt::LPConfig>
+fullGrid()
+{
+    using rt::ExecModel;
+    using rt::LPConfig;
+    std::vector<LPConfig> grid;
+    for (const core::NamedConfig &named : core::paperConfigs())
+        grid.push_back(named.config);
+    LPConfig ss = LPConfig::parse("reduc0-dep1-fn2", ExecModel::Helix);
+    ss.singleSyncDoacross = true;
+    grid.push_back(ss);
+    ss = LPConfig::parse("reduc1-dep1-fn2", ExecModel::Helix);
+    ss.singleSyncDoacross = true;
+    grid.push_back(ss);
+    grid.push_back(LPConfig::parse("reduc0-dep2-fn2", ExecModel::Helix));
+    grid.push_back(
+        LPConfig::parse("reduc1-dep3-fn3", ExecModel::PartialDoAll));
+    for (double threshold : {0.05, 1.0}) {
+        LPConfig th = core::bestPdoall();
+        th.pdoallSerialThreshold = threshold;
+        grid.push_back(th);
+    }
+    return grid;
+}
+
 obs::Json
 sweepDocument(const std::vector<core::BenchProgram> &programs,
-              const std::vector<rt::LPConfig> &configs, unsigned jobs,
-              bool traceReplay)
+              const std::vector<rt::LPConfig> &configs, unsigned jobs)
 {
     core::SweepRequest req;
     req.configs.clear();
     for (const rt::LPConfig &cfg : configs)
         req.configs.push_back({cfg.str(), cfg});
     req.keepGoing = false;
-    req.traceReplay = traceReplay;
     req.wantJson = true;
     exec::setJobsOverride(jobs);
     std::ostream discard(nullptr);

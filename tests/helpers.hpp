@@ -8,6 +8,8 @@
 #pragma once
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/sweep.hpp"
@@ -62,13 +64,28 @@ std::unique_ptr<ir::Module> buildLoopWithCalls(std::int64_t n,
                                                CalleeKind kind);
 
 /**
+ * Every fixture shape above by name (calls with a pure and with an
+ * instrumented helper), plus the shuffled chase (unpredictable carried
+ * value — the predictor-heavy case).
+ */
+std::vector<std::pair<std::string, std::unique_ptr<ir::Module>>>
+allShapes();
+
+/**
+ * The full paper grid plus single-sync HELIX variants, HELIX dep2,
+ * PDOALL dep3-fn3 and PDOALL at both ends of the serialization
+ * threshold ablation (0.05, 1.0) — every model, every dep/reduc/fn
+ * axis, both DOACROSS synchronization modes.
+ */
+std::vector<rt::LPConfig> fullGrid();
+
+/**
  * A strict core::runSweep of @p configs (each labelled by its
  * LPConfig::str()) over @p programs on @p jobs workers, its table
- * discarded; @p traceReplay picks batched replay or interpret-every-
- * cell.  Returns the sweep document.
+ * discarded.  Returns the sweep document.
  */
 obs::Json sweepDocument(const std::vector<core::BenchProgram> &programs,
                         const std::vector<rt::LPConfig> &configs,
-                        unsigned jobs, bool traceReplay = true);
+                        unsigned jobs);
 
 } // namespace lp::test

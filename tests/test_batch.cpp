@@ -1,15 +1,16 @@
 /**
  * @file
  * Tests for fused batches (src/rt/batch.* + the core front ends).  The
- * load-bearing property: one interpretation driving N configuration
- * lanes in a single SoA pass produces reports *byte-identical* — as
- * serialized JSON — to interpreting each configuration on its own (the
- * live LoopRuntime is the reference), with and without the consistency
- * oracle, for every program shape, every model, every ablation axis,
- * and every lane count including the 64-lane chunk boundary.  Also
- * covered: every stream the trace walker (src/trace/batch.*) rejects
- * raises LP_IO, and the sweep driver's batch path agrees with
- * interpret-every-cell byte for byte, --lint included.
+ * load-bearing property is lane independence: one interpretation
+ * driving N configuration lanes in a single SoA pass produces reports
+ * *byte-identical* — as serialized JSON — to one-lane batches of each
+ * configuration (run()), with and without the consistency oracle, for
+ * every program shape, every model, every ablation axis, and every
+ * lane count including the 64-lane chunk boundary.  Whether a lane's
+ * numbers are right is test_spec's question (the spec evaluator).
+ * Also covered: every stream the trace walker (src/trace/batch.*)
+ * rejects raises LP_IO, and every cell of a sweep, --lint included,
+ * equals the one-lane run of its program and configuration.
  */
 
 #include <gtest/gtest.h>
@@ -46,65 +47,18 @@ class BatchTest : public ::testing::Test
     void TearDown() override { guard::clearBudgetOverride(); }
 };
 
-/** Every fixture shape the trace tests exercise, plus the shuffled
- *  chase (unpredictable carried value — the predictor-heavy case). */
-std::vector<std::pair<std::string, std::unique_ptr<ir::Module>>>
-allShapes()
-{
-    std::vector<std::pair<std::string, std::unique_ptr<ir::Module>>> out;
-    out.emplace_back("saxpy", test::buildSaxpy(64));
-    out.emplace_back("sum", test::buildSumReduction(64));
-    out.emplace_back("chase", test::buildPointerChase(48));
-    out.emplace_back("chase-shuffled", test::buildPointerChaseShuffled(64));
-    out.emplace_back("hist", test::buildHistogram(64, 8));
-    out.emplace_back("calls",
-                     test::buildLoopWithCalls(32,
-                                              test::CalleeKind::Pure));
-    out.emplace_back(
-        "calls-inst",
-        test::buildLoopWithCalls(32, test::CalleeKind::Instrumented));
-    return out;
-}
-
-/** The full paper grid plus single-sync HELIX variants and PDOALL at
- *  non-default serialization thresholds — every model, every
- *  dep/reduc/fn axis, both DOACROSS synchronization modes, and both
- *  ends of the threshold ablation. */
-std::vector<LPConfig>
-fullGrid()
-{
-    std::vector<LPConfig> grid;
-    for (const core::NamedConfig &named : core::paperConfigs())
-        grid.push_back(named.config);
-    LPConfig ss = LPConfig::parse("reduc0-dep1-fn2", ExecModel::Helix);
-    ss.singleSyncDoacross = true;
-    grid.push_back(ss);
-    ss = LPConfig::parse("reduc1-dep1-fn2", ExecModel::Helix);
-    ss.singleSyncDoacross = true;
-    grid.push_back(ss);
-    grid.push_back(LPConfig::parse("reduc0-dep2-fn2", ExecModel::Helix));
-    grid.push_back(
-        LPConfig::parse("reduc1-dep3-fn3", ExecModel::PartialDoAll));
-    for (double threshold : {0.05, 1.0}) {
-        LPConfig th = core::bestPdoall();
-        th.pdoallSerialThreshold = threshold;
-        grid.push_back(th);
-    }
-    return grid;
-}
-
 std::string
 dump(const rt::ProgramReport &rep)
 {
     return rep.toJson(/*withObsSnapshot=*/false).dump(2);
 }
 
-// ------------------------------------------------- batched == interpret
+// --------------------------------------------- N lanes == one lane each
 
 TEST_F(BatchTest, BatchedReplayIsByteIdenticalAcrossShapesAndGrid)
 {
-    const std::vector<LPConfig> grid = fullGrid();
-    for (auto &[name, mod] : allShapes()) {
+    const std::vector<LPConfig> grid = test::fullGrid();
+    for (auto &[name, mod] : test::allShapes()) {
         Loopapalooza lp(*mod);
         std::vector<rt::ProgramReport> batched =
             lp.runReplayBatched(grid);
@@ -125,7 +79,7 @@ TEST_F(BatchTest, BatchedReplayIsByteIdenticalAcrossShapesAndGrid)
 
 TEST_F(BatchTest, BatchedReplayMatchesOnRandomPrograms)
 {
-    const std::vector<LPConfig> grid = fullGrid();
+    const std::vector<LPConfig> grid = test::fullGrid();
     for (std::uint64_t seed : {1u, 7u, 23u, 51u, 94u}) {
         auto mod = fuzz::generateProgram(seed);
         Loopapalooza lp(*mod);
@@ -139,17 +93,6 @@ TEST_F(BatchTest, BatchedReplayMatchesOnRandomPrograms)
     }
 }
 
-TEST_F(BatchTest, SingleLaneBatchMatchesInterpret)
-{
-    auto mod = test::buildHistogram(64, 8);
-    Loopapalooza lp(*mod);
-    const LPConfig cfg =
-        LPConfig::parse("reduc1-dep1-fn2", ExecModel::Helix);
-    std::vector<rt::ProgramReport> batched = lp.runReplayBatched({cfg});
-    ASSERT_EQ(batched.size(), 1u);
-    EXPECT_EQ(dump(batched[0]), dump(lp.run(cfg)));
-}
-
 TEST_F(BatchTest, ChunkBoundaryAt64LanesIsSeamless)
 {
     // 5 x 20 = 100 lanes: the second chunk starts mid-repetition, so any
@@ -158,7 +101,7 @@ TEST_F(BatchTest, ChunkBoundaryAt64LanesIsSeamless)
     // the boundary.
     auto mod = test::buildPointerChaseShuffled(64);
     Loopapalooza lp(*mod);
-    const std::vector<LPConfig> grid = fullGrid();
+    const std::vector<LPConfig> grid = test::fullGrid();
     std::vector<LPConfig> many;
     for (int rep = 0; rep < 5; ++rep)
         many.insert(many.end(), grid.begin(), grid.end());
@@ -404,30 +347,42 @@ TEST_F(BatchTest, DispatchTableCoversTheWholeModule)
 
 // --------------------------------------------- sweep-level batch path
 
-TEST_F(BatchTest, SweepBatchPathMatchesInterpretByteForByte)
+TEST_F(BatchTest, SweepCellsMatchOneLaneRuns)
 {
-    auto sweepDoc = [&](bool replay, int lintMode) {
-        std::vector<core::BenchProgram> progs;
-        progs.push_back(
-            {"saxpy", "unit", [] { return test::buildSaxpy(32); }});
-        progs.push_back(
-            {"hist", "unit", [] { return test::buildHistogram(48, 8); }});
-        progs.push_back({"chase", "unit",
-                         [] { return test::buildPointerChase(32); }});
+    std::vector<core::BenchProgram> progs;
+    progs.push_back({"saxpy", "unit", [] { return test::buildSaxpy(32); }});
+    progs.push_back(
+        {"hist", "unit", [] { return test::buildHistogram(48, 8); }});
+    progs.push_back(
+        {"chase", "unit", [] { return test::buildPointerChase(32); }});
+    std::vector<std::unique_ptr<core::PreparedProgram>> prepared;
+    for (const core::BenchProgram &prog : progs)
+        prepared.push_back(std::make_unique<core::PreparedProgram>(prog));
+    // --lint batches too: one oracle capture per batch, judged into
+    // every lane, must reproduce each one-lane run's own capture.
+    for (int lintMode : {0, 1}) {
         core::SweepRequest req;
         req.suite = "unit";
         req.wantJson = true;
-        req.traceReplay = replay;
         req.lintMode = lintMode;
         core::SweepResult res = core::runSweep(progs, req);
         EXPECT_EQ(res.exitCode, 0);
-        EXPECT_TRUE(res.hasDocument);
-        return res.document.dump(2);
-    };
-    EXPECT_EQ(sweepDoc(true, 0), sweepDoc(false, 0));
-    // --lint batches too: one oracle capture per batch, judged into
-    // every lane, must reproduce the per-cell interpreted captures.
-    EXPECT_EQ(sweepDoc(true, 1), sweepDoc(false, 1));
+        ASSERT_TRUE(res.hasDocument);
+        const obs::Json &reports = res.document.at("reports");
+        ASSERT_EQ(reports.size(), progs.size() * req.configs.size());
+        std::size_t i = 0;
+        for (const core::NamedConfig &named : req.configs) {
+            for (const auto &p : prepared) {
+                const rt::ProgramReport one =
+                    lintMode ? p->runWithOracle(named.config)
+                             : p->run(named.config);
+                EXPECT_EQ(reports.at(i++).dump(2),
+                          one.toJson(/*withObsSnapshot=*/false).dump(2))
+                    << p->name() << " under " << named.label
+                    << (lintMode ? " with --lint" : "");
+            }
+        }
+    }
 }
 
 } // namespace

@@ -295,12 +295,10 @@ smallPrograms()
     };
 }
 
-/**
- * One sweep over smallPrograms() at @p jobs workers, its document
- * dumped; @p traceReplay picks batched replay or interpret-every-cell.
- */
+/** One sweep over smallPrograms() at @p jobs workers, its document
+ *  dumped. */
 std::string
-sweepFingerprint(unsigned jobs, bool traceReplay)
+sweepFingerprint(unsigned jobs)
 {
     using rt::ExecModel;
     using rt::LPConfig;
@@ -312,25 +310,22 @@ sweepFingerprint(unsigned jobs, bool traceReplay)
                 LPConfig::parse("reduc1-dep2-fn2", ExecModel::PartialDoAll),
                 LPConfig::parse("reduc0-dep0-fn2", ExecModel::Helix),
                 LPConfig::parse("reduc1-dep1-fn2", ExecModel::Helix)},
-               jobs, traceReplay)
+               jobs)
         .dump();
 }
 
 TEST(Determinism, ParallelSweepMatchesSerialByteForByte)
 {
-    for (bool traceReplay : {false, true}) {
-        std::string serial = sweepFingerprint(1, traceReplay);
-        ASSERT_FALSE(serial.empty());
-        EXPECT_EQ(serial, sweepFingerprint(4, traceReplay))
-            << (traceReplay ? "batched" : "interpreted");
-    }
+    std::string serial = sweepFingerprint(1);
+    ASSERT_FALSE(serial.empty());
+    EXPECT_EQ(serial, sweepFingerprint(4));
 }
 
 TEST(Determinism, RepeatedParallelSweepsAgree)
 {
     // Run-to-run: stateful externals (rand) are copied per Machine, so
     // results cannot depend on scheduling order across repetitions.
-    EXPECT_EQ(sweepFingerprint(4, false), sweepFingerprint(4, false));
+    EXPECT_EQ(sweepFingerprint(4), sweepFingerprint(4));
 }
 
 TEST(Determinism, StudyPreparationParallelMatchesSerial)

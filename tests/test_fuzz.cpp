@@ -4,8 +4,10 @@
  *
  *  - generator: determinism, delegate compatibility, the dependence-
  *    class mix knob, option validation;
- *  - differential: the seven oracle pairs are clean on sample seeds,
- *    failures carry the one-command repro line;
+ *  - differential: the oracle pairs (the spec evaluator vs the engine
+ *    on every plain and --lint cell, then jobs, shards, resume, lint
+ *    and PDG verdicts) are clean on sample seeds, failures carry the
+ *    one-command repro line;
  *  - minimizer: shrinks to the predicate's minimal option set and
  *    respects its evaluation budget;
  *  - corpus: entries re-parse, sidecars carry the repro line, and
@@ -237,7 +239,7 @@ TEST_F(FuzzTest, CorpusEntryRoundTrips)
     fuzz::GenOptions small;
     small.maxPhases = small.minPhases = 1;
     std::string lir = fuzz::writeCorpusEntry(
-        dir, "sample", 3, small, "interp-vs-replay", "synthetic entry");
+        dir, "sample", 3, small, "spec-vs-engine", "synthetic entry");
     ASSERT_TRUE(fs::exists(lir));
 
     // The .lir re-parses to the byte-identical module.
@@ -342,11 +344,10 @@ generatedPrograms(std::uint64_t seed)
 }
 
 std::string
-sweepDump(const std::vector<core::BenchProgram> &progs, bool traceReplay)
+sweepDump(const std::vector<core::BenchProgram> &progs)
 {
     core::SweepRequest req;
     req.suite = "fuzz";
-    req.traceReplay = traceReplay;
     req.wantJson = true;
     core::SweepResult res = core::runSweep(progs, req);
     EXPECT_EQ(res.exitCode, 0);
@@ -356,9 +357,9 @@ sweepDump(const std::vector<core::BenchProgram> &progs, bool traceReplay)
 TEST_F(FuzzTest, InjectedReplayFaultRetriesByteIdentically)
 {
     auto progs = generatedPrograms(8);
-    const std::string reference = sweepDump(progs, false);
+    const std::string reference = sweepDump(progs);
     guard::setFault("replay", 1);
-    const std::string healed = sweepDump(progs, true);
+    const std::string healed = sweepDump(progs);
     guard::setFault("", 0);
     EXPECT_EQ(reference, healed);
 }
@@ -368,7 +369,7 @@ TEST_F(FuzzTest, SeedIsThreadedIntoReportsAndCellKeys)
     EXPECT_EQ(guard::Checkpoint::cellKey("cfg", "fuzz", "random-9", 9),
               "cfg|fuzz|random-9|9");
     auto progs = generatedPrograms(9);
-    const std::string dump = sweepDump(progs, true);
+    const std::string dump = sweepDump(progs);
     EXPECT_NE(dump.find("\"seed\": 9"), std::string::npos);
     // Hand-written programs (seed 0) keep their historical reports:
     // no seed key at all.

@@ -8,8 +8,8 @@
  * final cost, event count and payload; and the JSON documents of the
  * default all-suite sweep and of the --lint sweep.  Those documents are
  * the bytes `run_study --json` writes: md5
- * 923a8a0b980b739e72d193805e1c14b7 (default, also with
- * --no-trace-replay) and 6ca28115ef9337ff203307ad2ceaffaf (--lint).
+ * 923a8a0b980b739e72d193805e1c14b7 (default) and
+ * 6ca28115ef9337ff203307ad2ceaffaf (--lint).
  * The values were recorded with the pointer-IR evaluator, before the
  * interpreter ran lowered code, and both produce them bit for bit.
  *

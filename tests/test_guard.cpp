@@ -399,22 +399,14 @@ TEST_F(GuardTest, KeepGoingSuiteQuarantinesOneCellOthersComplete)
     EXPECT_EQ(row.at("failed").asU64(), 1u);
     EXPECT_GT(row.at("geomean_speedup").asDouble(), 0.0);
 
-    // The fused path's failure route, on one lane and on the 14-lane
-    // paper grid: the trapping program's batch traps once and is
-    // quarantined whole, every lane carrying its verdict, and the
-    // document is byte-identical to interpreting every cell.
+    // The failure route, on one lane and on the 14-lane paper grid: the
+    // trapping program's batch traps once and is quarantined whole,
+    // every lane carrying the verdict the one-lane run above reports.
+    const std::string trapMessage = reports.at(1).at("error").asString();
     for (const std::vector<core::NamedConfig> &grid :
          {req.configs, core::paperConfigs()}) {
         core::SweepRequest fusedReq = req;
         fusedReq.configs = grid;
-        core::SweepRequest interpReq = fusedReq;
-        interpReq.traceReplay = false;
-        const std::string fused =
-            core::runSweep(progs, fusedReq, discard).document.dump(2);
-        EXPECT_EQ(fused,
-                  core::runSweep(progs, interpReq, discard).document.dump(2))
-            << grid.size() << " configuration(s)";
-
         obs::setMetricsEnabled(true);
         obs::Registry::instance().resetAll();
         const obs::Json doc = core::runSweep(progs, fusedReq, discard).document;
@@ -435,6 +427,7 @@ TEST_F(GuardTest, KeepGoingSuiteQuarantinesOneCellOthersComplete)
             ++failed;
             EXPECT_EQ(reps.at(i).at("program").asString(), "trap.kernel");
             EXPECT_EQ(reps.at(i).at("error_code").asString(), "LP_TRAP");
+            EXPECT_EQ(reps.at(i).at("error").asString(), trapMessage);
             EXPECT_EQ(reps.at(i).at("attempts").asU64(), 1u);
         }
         EXPECT_EQ(failed, grid.size());

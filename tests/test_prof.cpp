@@ -11,7 +11,7 @@
  *    schema round-trip, per-worker timeline lane validity, and the
  *    task model on the default all-suite sweep: workers' busy and idle
  *    time add up to the region, cells' lane shares add up to their
- *    task, one task per program (fused) or per cell (interpreted);
+ *    task, one task per program;
  *  - Determinism: a profiled sweep's reports are byte-identical to an
  *    unprofiled sweep's, serial and at --jobs 4.
  */
@@ -464,14 +464,6 @@ TEST_F(ProfSandbox, AllSuiteSweepIsProfiledTaskByTask)
     const std::size_t cells = programs.size() * req.configs.size();
     EXPECT_EQ(expectTasksAddUp(c, cells), programs.size());
     EXPECT_GT(c.workersJson().at("utilization_mean").asDouble(), 0.5);
-
-    // Interpreting every cell: one one-lane task per cell (one
-    // configuration keeps the all-suite run cheap).
-    c.reset();
-    req.configs.resize(1);
-    req.traceReplay = false;
-    core::runSweep(programs, req, discard);
-    EXPECT_EQ(expectTasksAddUp(c, programs.size()), programs.size());
 
     exec::setJobsOverride(0);
     c.setEnabled(false);

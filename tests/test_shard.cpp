@@ -9,9 +9,9 @@
  * Shape of the suite:
  *  - partitioning: shardCheckpointPath naming, every cell owned by
  *    exactly one shard, shard runs produce no report document;
- *  - differential: merged vs unsharded byte-identity, plain and under
- *    crash recovery and lint, and batched (decode-once) shards vs an
- *    interpret-every-cell unsharded reference;
+ *  - differential: merged vs unsharded byte-identity, plain (each
+ *    program's lanes split over the shards' batches) and under crash
+ *    recovery and lint;
  *  - validation: the config errors runSweep promises (missing
  *    checkpoint, index out of range, --json on a shard run, a
  *    repeated configuration label).
@@ -109,6 +109,9 @@ TEST(ShardSweep, ShardCheckpointPathEncodesIndexAndCount)
 
 TEST(ShardSweep, MergedReportIsByteIdenticalToUnsharded)
 {
+    // Each shard batches only its own cells, so a program's lanes are
+    // spread over three batches, where the unsharded reference runs
+    // them as one: batching and sharding together change nothing.
     const std::string reference = unshardedDump();
     const std::string base = cleanBase("lp_shard_plain.jsonl", 3);
 
@@ -222,35 +225,6 @@ TEST(ShardSweep, MergedLintSweepMatchesUnshardedIncludingOracle)
     EXPECT_EQ(merged.document.dump(2), reference);
 
     cleanBase("lp_shard_lint.jsonl", 2);
-}
-
-TEST(ShardSweep, BatchedShardedMergeMatchesInterpretedUnsharded)
-{
-    // Cross-axis byte-identity: each shard below runs with batched
-    // replay on (the default), splitting its slice into decode-once
-    // lane batches, while the reference sweep interprets every cell.
-    // Sharding and batching together must change nothing in the
-    // merged report.
-    std::string reference;
-    {
-        core::SweepRequest req;
-        req.wantJson = true;
-        req.traceReplay = false;
-        core::SweepResult res = core::runSweep(shardPrograms(), req);
-        EXPECT_EQ(res.exitCode, 0);
-        EXPECT_TRUE(res.hasDocument);
-        reference = res.document.dump(2);
-    }
-
-    const std::string base = cleanBase("lp_shard_batch.jsonl", 3);
-    for (unsigned i = 1; i <= 3; ++i)
-        EXPECT_EQ(runShard(i, 3, base).exitCode, 0);
-    core::SweepResult merged = runMerge(3, base);
-    EXPECT_EQ(merged.exitCode, 0);
-    ASSERT_TRUE(merged.hasDocument);
-    EXPECT_EQ(merged.document.dump(2), reference);
-
-    cleanBase("lp_shard_batch.jsonl", 3);
 }
 
 TEST(ShardSweep, InvalidShardRequestsAreConfigErrors)

@@ -1,0 +1,150 @@
+/**
+ * @file
+ * The engine against the spec evaluator (src/fuzz/spec.*), field by
+ * field.
+ *
+ * The spec evaluator is a naive, independent implementation of the
+ * execution models written from DESIGN.md §3 and §6.  Every report the
+ * lane engine produces must agree with it: per loop row (instances,
+ * iterations, serial, adjusted and parallel cost, memory conflicts,
+ * conflict iterations, serialized instances, register predictions and
+ * mispredicts, static verdict) and per program (serial and parallel
+ * cost, coverage, the census, and under the consistency oracle the
+ * "oracle" and "static_verdict" sections).  Inputs: the seven fixture
+ * shapes and all 30 suite programs under the full configuration grid
+ * (paper grid, DOACROSS, HELIX dep2, PDOALL dep3-fn3 and both
+ * serialization-threshold ablation ends), and fuzz seeds 0-63.
+ */
+
+#include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
+
+#include "core/driver.hpp"
+#include "fuzz/generator.hpp"
+#include "fuzz/spec.hpp"
+#include "helpers.hpp"
+#include "suites/registry.hpp"
+
+namespace lp {
+namespace {
+
+using rt::LPConfig;
+
+/**
+ * Every configuration of @p grid, with and without the oracle, through
+ * the engine's batches and through the spec evaluator.  Returns the
+ * number of (configuration, oracle) reports compared.
+ */
+std::size_t
+expectEngineMatchesSpec(const ir::Module &mod, const std::string &what,
+                        const std::vector<LPConfig> &grid)
+{
+    core::Loopapalooza lp(mod);
+    const std::vector<rt::ProgramReport> plain = lp.runReplayBatched(grid);
+    rt::OracleCapture cap;
+    const std::vector<rt::ProgramReport> linted =
+        lp.runReplayBatched(grid, cap);
+    const fuzz::SpecEvaluator spec(lp.plan());
+
+    std::size_t compared = 0;
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        for (bool oracle : {false, true}) {
+            const rt::ProgramReport &engine = oracle ? linted[i] : plain[i];
+            const rt::ProgramReport expected =
+                spec.evaluate(grid[i], engine.program, oracle);
+            const std::vector<std::string> diffs = fuzz::specDifferences(
+                engine.toJson(/*withObsSnapshot=*/false),
+                expected.toJson(/*withObsSnapshot=*/false));
+            ++compared;
+            if (diffs.empty())
+                continue;
+            std::string detail;
+            for (std::size_t d = 0; d < diffs.size() && d < 5; ++d)
+                detail += "\n  " + diffs[d];
+            ADD_FAILURE() << what << " under " << grid[i].str()
+                          << (oracle ? " with the oracle" : "") << ": "
+                          << diffs.size() << " difference(s)" << detail;
+        }
+    }
+    return compared;
+}
+
+TEST(SpecEvaluator, FixtureShapesMatchTheEngine)
+{
+    const std::vector<LPConfig> grid = test::fullGrid();
+    for (auto &[name, mod] : test::allShapes())
+        EXPECT_EQ(expectEngineMatchesSpec(*mod, name, grid),
+                  2 * grid.size());
+}
+
+TEST(SpecEvaluator, SuiteProgramsMatchTheEngine)
+{
+    const std::vector<LPConfig> grid = test::fullGrid();
+    const std::vector<core::BenchProgram> &programs = suites::allPrograms();
+    ASSERT_EQ(programs.size(), 30u);
+    for (const core::BenchProgram &prog : programs) {
+        auto mod = prog.build();
+        expectEngineMatchesSpec(*mod, prog.suite + "/" + prog.name, grid);
+    }
+}
+
+TEST(SpecEvaluator, FuzzSeedsMatchTheEngine)
+{
+    const std::vector<LPConfig> grid = test::fullGrid();
+    for (std::uint64_t seed = 0; seed < 64; ++seed) {
+        auto mod = fuzz::generateProgram(seed);
+        expectEngineMatchesSpec(*mod, "seed " + std::to_string(seed), grid);
+    }
+}
+
+TEST(SpecEvaluator, TheComparisonSeesEveryField)
+{
+    // A differing per-loop field, top-level field, census entry or
+    // oracle finding is reported; so is a loop only one side has.
+    auto mod = test::buildSaxpy(64);
+    core::Loopapalooza lp(*mod);
+    const LPConfig cfg = core::bestPdoall();
+    rt::OracleCapture cap;
+    rt::ProgramReport rep = lp.run(cfg, cap);
+    ASSERT_FALSE(rep.loops.empty());
+    ASSERT_GT(rep.coverage, 0.0);
+    const obs::Json ref = rep.toJson(/*withObsSnapshot=*/false);
+    EXPECT_TRUE(fuzz::specDifferences(ref, ref).empty());
+
+    auto differs = [&](auto &&mutate) {
+        rt::ProgramReport other = rep;
+        mutate(other);
+        return fuzz::specDifferences(
+                   ref, other.toJson(/*withObsSnapshot=*/false))
+            .size();
+    };
+    EXPECT_EQ(differs([](rt::ProgramReport &r) {
+                  r.loops.back().conflictIterations += 1;
+              }),
+              1u);
+    EXPECT_EQ(differs([](rt::ProgramReport &r) { r.coverage /= 2; }), 1u);
+    EXPECT_EQ(differs([](rt::ProgramReport &r) {
+                  r.census.infrequentMemLcdLoops += 1;
+              }),
+              1u);
+    EXPECT_EQ(differs([](rt::ProgramReport &r) { r.oracleMismatches += 1; }),
+              1u);
+    EXPECT_EQ(differs([](rt::ProgramReport &r) { r.loops.pop_back(); }), 1u);
+}
+
+TEST(SpecEvaluator, ReadsTheConfigurationBackFromAReport)
+{
+    for (const LPConfig &cfg : test::fullGrid()) {
+        rt::ProgramReport rep;
+        rep.config = cfg;
+        EXPECT_EQ(fuzz::configFromJson(
+                      rep.toJson(/*withObsSnapshot=*/false).at("config")),
+                  cfg)
+            << cfg.str();
+    }
+}
+
+} // namespace
+} // namespace lp
