@@ -38,7 +38,7 @@
  *
  * Static diagnostics (see docs/static_analysis.md):
  *   --lint | --lint=error            lint every module before the sweep
- *   (or LP_LINT=on|error)            (modules with error-level findings
+ *                                    (modules with error-level findings
  *                                    are quarantined as skipped/LP_LINT
  *                                    cells, or abort under --strict) and
  *                                    attach the static-vs-dynamic
@@ -47,11 +47,12 @@
  *                                    mismatches fail the sweep (exit 1).
  *
  * Observability (see docs/observability.md):
- *   --json PATH (or LP_REPORT=PATH)  write the machine-readable run
- *                                    report(s) as JSON
+ *   --json PATH                      write the machine-readable run
+ *                                    report(s) as JSON; it carries the
+ *                                    metrics and phase timings only
+ *                                    when LP_METRICS=1
  *   LP_LOG=off|error|warn|info|debug diagnostics level
- *   LP_TRACE=chrome:t.json           Chrome trace (Perfetto-loadable)
- *   LP_TRACE=jsonl:events.jsonl      streaming JSONL events
+ *   LP_METRICS=1                     record metrics
  *
  * Parallelism (see docs/parallel_execution.md):
  *   --jobs N (or LP_JOBS=N)          sweep with N worker threads
@@ -75,17 +76,21 @@
  *                                    document are byte-identical.
  *
  * Profiling (see docs/profiling.md):
- *   --profile[=json|chrome[:PATH]]   contention-aware profile of the
- *   (or LP_PROFILE=...)              run: per-site lock-wait telemetry,
- *                                    one span per sweep task (a
- *                                    program's fused batch),
- *                                    per-worker utilization and
- *                                    load-imbalance, one row per cell
- *                                    (json also streams
- *                                    PATH.cells.jsonl).  chrome writes a
- *                                    Perfetto-loadable timeline instead.
- *                                    Run reports stay byte-identical
- *                                    with profiling on or off.
+ *   --profile[=json|chrome[:PATH]]   profile of the run from its span
+ *                                    log: every layer's span (a task,
+ *                                    its batch, its report JSON, its
+ *                                    checkpoint appends, ...) on one
+ *                                    clock, per-site lock-wait
+ *                                    telemetry, per-worker utilization
+ *                                    and load-imbalance, one row per
+ *                                    task and per cell (json also
+ *                                    streams PATH.spans.jsonl).  chrome
+ *                                    writes a Perfetto-loadable
+ *                                    timeline of the same spans
+ *                                    instead.  The profile is written
+ *                                    even when the run fails; run
+ *                                    reports stay byte-identical with
+ *                                    profiling on or off.
  */
 
 #include <cstdlib>
@@ -106,7 +111,8 @@
 #include "lint/engine.hpp"
 #include "obs/json.hpp"
 #include "obs/log.hpp"
-#include "prof/collector.hpp"
+#include "obs/timer.hpp"
+#include "prof/profile.hpp"
 #include "suites/registry.hpp"
 #include "support/error.hpp"
 #include "support/text.hpp"
@@ -115,13 +121,13 @@ using namespace lp;
 
 namespace {
 
-/** --json PATH, or LP_REPORT, or empty. */
+/** --json PATH, or empty. */
 std::string g_reportPath;
 
 /**
- * Lint mode (--lint / LP_LINT): 0 = off, 1 = on (gate on error-level
- * findings, attach the consistency oracle), 2 = "error" (additionally
- * promote warnings to errors).
+ * Lint mode (--lint): 0 = off, 1 = on (gate on error-level findings,
+ * attach the consistency oracle), 2 = "error" (additionally promote
+ * warnings to errors).
  */
 int g_lintMode = 0;
 
@@ -170,36 +176,31 @@ maybeWriteReport(const obs::Json &doc)
     return 0;
 }
 
-int
-reportOne(const rt::ProgramReport &rep)
-{
-    rep.print(std::cout, /*perLoop=*/true);
-    return maybeWriteReport(rep.toJson());
-}
-
 /**
- * Run one program/config inside a profiler region as a one-cell task,
- * so single runs show up in --profile reports and timelines just like
- * sweep tasks do (one lane, one span).  A run that throws records as
- * status="failed" before the exception propagates.
+ * Run one program under @p cfg, print its report and write its JSON.
+ * A single run is a one-lane task: it gets the `exec.region` and
+ * `core.task` spans a sweep task gets, so --profile shows it the same
+ * way (a run that throws records as status "failed").
  */
 template <typename Fn>
-rt::ProgramReport
-profiledSingleRun(const std::string &program, const std::string &suite,
-                  const std::string &config, Fn &&run)
+int
+reportOne(const std::string &program, const std::string &suite,
+          const rt::LPConfig &cfg, Fn &&run)
 {
-    prof::Collector::instance().beginRegion();
     rt::ProgramReport rep;
     {
-        prof::TaskScope taskProf(program, suite);
-        taskProf.addCell(config);
-        taskProf.setAttempts(1);
+        obs::ScopedPhase region("exec.region");
+        obs::ScopedPhase task("core.task");
+        core::labelTask(task, program, suite, {cfg.str()});
+        task.set("attempts", 1);
         rep = run();
-        taskProf.setInstructions(rep.serialCost);
-        taskProf.setStatus("ok");
+        task.set("instructions", rep.serialCost);
+        task.set("status", "ok");
     }
-    prof::Collector::instance().endRegion();
-    return rep;
+    rep.print(std::cout, /*perLoop=*/true);
+    obs::Json doc = rep.toJson();
+    core::addObsSnapshot(doc);
+    return maybeWriteReport(doc);
 }
 
 int
@@ -226,9 +227,9 @@ runFile(const std::string &path, const std::string &flags,
     }
     core::Loopapalooza lp(*mod);
     rt::LPConfig cfg = rt::LPConfig::parse(flags, parseModel(model));
-    return reportOne(profiledSingleRun(path, "file", flags, [&] {
+    return reportOne(path, "file", cfg, [&] {
         return g_lintMode != 0 ? lp.runWithOracle(cfg) : lp.run(cfg);
-    }));
+    });
 }
 
 int
@@ -250,10 +251,10 @@ runSingle(const std::string &name, const std::string &flags,
             }
         }
         rt::LPConfig cfg = rt::LPConfig::parse(flags, parseModel(model));
-        return reportOne(profiledSingleRun(name, prog.suite, flags, [&] {
+        return reportOne(name, prog.suite, cfg, [&] {
             return g_lintMode != 0 ? prepared.runWithOracle(cfg)
                                    : prepared.run(cfg);
-        }));
+        });
     }
     std::cerr << "unknown benchmark: " << name << "\n";
     return 1;
@@ -280,36 +281,15 @@ sweepSuites(const std::string &onlySuite, core::SweepRequest sweep)
 int
 main(int argc, char **argv)
 {
-    if (const char *env = std::getenv("LP_REPORT"))
-        g_reportPath = env;
-    if (const char *env = std::getenv("LP_LINT")) {
-        int mode = parseLintMode(env);
-        if (mode < 0)
-            obs::logMessage(obs::Level::Error,
-                            std::string("LP_LINT value not understood: ") +
-                                env + " (want on|error|off); lint stays "
-                                      "off",
-                            /*force=*/true);
-        else
-            g_lintMode = mode;
-    }
-
     core::SweepRequest sweep;
-    // LP_PROFILE: same one-time-warning contract as LP_LOG/LP_TRACE/
-    // LP_JOBS — an unrecognized value warns once and profiling stays
-    // off; the --profile flag (parsed below) wins over the environment.
-    if (const char *env = std::getenv("LP_PROFILE")) {
-        if (!prof::Collector::instance().configure(env))
-            obs::logMessage(obs::Level::Error,
-                            std::string("LP_PROFILE value not "
-                                        "understood: ") +
-                                env +
-                                " (want json|chrome[:PATH] or off); "
-                                "profiling stays off",
-                            /*force=*/true);
-    }
     guard::RunBudget budget = guard::defaultBudget();
     bool budgetTouched = false;
+
+    // Write the profile (if one was requested) whatever the verb and
+    // whatever the outcome: a failed run's spans are evidence too.
+    auto finishProfile = [](int rc) {
+        return prof::finish() ? rc : rc != 0 ? rc : 1;
+    };
 
     // Extract the option flags anywhere on the command line.
     std::vector<std::string> args;
@@ -405,7 +385,7 @@ main(int argc, char **argv)
                                        ? "json"
                                        : a.substr(sizeof("--profile=") -
                                                   1);
-                if (!prof::Collector::instance().configure(spec))
+                if (!prof::configure(spec))
                     fatal("bad --profile value (want json|chrome[:PATH] "
                           "or off): " +
                           spec);
@@ -443,13 +423,6 @@ main(int argc, char **argv)
         if (budgetTouched)
             guard::setBudgetOverride(budget);
 
-        // Write the profile (if one was requested) whatever the verb:
-        // even a failing run's contention evidence is evidence.
-        auto finishProfile = [](int rc) {
-            return prof::Collector::instance().finish() ? rc
-                   : rc != 0                            ? rc
-                                                        : 1;
-        };
         // A word too many or too few (a forgotten model, two suites)
         // must not fall through to sweeping every suite.
         const bool file = !args.empty() && args[0] == "--file";
@@ -465,6 +438,6 @@ main(int argc, char **argv)
               "<model> | run_study --file <path.lir> <flags> <model>");
     } catch (const FatalError &e) {
         std::cerr << "error: " << e.what() << "\n";
-        return 1;
+        return finishProfile(1);
     }
 }

@@ -16,7 +16,7 @@ namespace lp::core {
 Loopapalooza::Loopapalooza(const ir::Module &mod) : mod_(mod)
 {
     {
-        obs::ScopedPhase phase("verify");
+        obs::ScopedPhase phase("ir.verify");
         ir::verifyModuleOrDie(mod);
         ir::VerifyResult ssa = analysis::verifySSA(mod);
         if (!ssa.ok())
@@ -24,7 +24,7 @@ Loopapalooza::Loopapalooza(const ir::Module &mod) : mod_(mod)
                               ssa.message());
     }
     {
-        obs::ScopedPhase phase("analyze");
+        obs::ScopedPhase phase("rt.plan");
         plan_ = std::make_unique<rt::ModulePlan>(mod);
         index_ = std::make_unique<trace::ModuleIndex>(mod);
         blockFacts_ = rt::buildBlockFacts(*plan_);
@@ -65,10 +65,12 @@ const std::vector<analysis::LoopVerdictSummary> &
 Loopapalooza::staticVerdicts() const
 {
     std::lock_guard<prof::TimedMutex> lock(verdictMu_);
-    if (!verdicts_)
+    if (!verdicts_) {
+        obs::ScopedPhase phase("analysis.verdicts");
         verdicts_ =
             std::make_unique<std::vector<analysis::LoopVerdictSummary>>(
                 analysis::classifyModuleVerdicts(mod_));
+    }
     return *verdicts_;
 }
 

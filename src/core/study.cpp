@@ -13,11 +13,12 @@ namespace lp::core {
 
 PreparedProgram::PreparedProgram(const BenchProgram &prog) : prog_(prog)
 {
-    obs::ScopedPhase phase("prepare");
+    obs::ScopedPhase phase("core.prepare");
+    phase.set("program", prog_.name);
     LP_LOG_DEBUG("preparing program %s (%s)", prog_.name.c_str(),
                  prog_.suite.c_str());
     {
-        obs::ScopedPhase buildPhase("build");
+        obs::ScopedPhase buildPhase("ir.build");
         mod_ = prog_.build();
     }
     fatalIf(!mod_, "program " + prog_.name + " built no module");
@@ -27,7 +28,7 @@ PreparedProgram::PreparedProgram(const BenchProgram &prog) : prog_(prog)
         // Self-check: a plain, uninstrumented run must produce the value
         // the kernel author recorded.  Guards against kernels silently
         // computing garbage (e.g. dead loops an optimizer would remove).
-        obs::ScopedPhase checkPhase("self-check");
+        obs::ScopedPhase checkPhase("interp.self_check");
         interp::Machine machine(*mod_);
         std::uint64_t got = machine.run();
         fatalIf(got != prog_.expected,

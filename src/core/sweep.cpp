@@ -13,7 +13,6 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
-#include "prof/collector.hpp"
 #include "support/error.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -24,6 +23,8 @@ namespace lp::core {
 lint::LintResult
 lintAndPrint(const ir::Module &mod, int lintMode, std::ostream &out)
 {
+    obs::ScopedPhase span("lint.module");
+    span.set("module", mod.name());
     lint::LintOptions lo;
     lo.warningsAsErrors = lintMode == 2;
     lint::LintResult res = lint::lintModule(mod, lo);
@@ -36,6 +37,28 @@ lintAndPrint(const ir::Module &mod, int lintMode, std::ostream &out)
     for (const lint::Diagnostic &d : res.diags)
         out << "lint: " << d.str() << "\n";
     return res;
+}
+
+void
+labelTask(obs::ScopedPhase &span, const std::string &program,
+          const std::string &suite, const std::vector<std::string> &configs)
+{
+    obs::Json cells = obs::Json::array();
+    for (const std::string &c : configs)
+        cells.push(c);
+    span.set("program", program);
+    span.set("suite", suite);
+    span.set("cells", std::move(cells));
+    span.set("status", "failed");
+}
+
+void
+addObsSnapshot(obs::Json &doc)
+{
+    if (!obs::metricsOn())
+        return;
+    doc.set("metrics", obs::Registry::instance().toJson());
+    doc.set("phases", obs::PhaseTree::instance().toJson());
 }
 
 std::string
@@ -102,13 +125,12 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req,
     for (const auto &f : study.prepareFailures())
         prepFailByName[f.program] = &f;
 
-    // Pre-sweep lint gate (--lint / LP_LINT): every prepared module is
-    // linted once, before any cell runs.  A module with error-level
-    // findings never executes — strict mode aborts the sweep, keep-going
+    // Pre-sweep lint gate (--lint): every prepared module is linted
+    // once, before any cell runs.  A module with error-level findings
+    // never executes — strict mode aborts the sweep, keep-going
     // quarantines all its cells as status=skipped / LP_LINT.
     std::map<std::string, std::string> lintFailByName;
     if (req.lintMode != 0) {
-        obs::ScopedPhase phase("lint");
         for (const auto &p : study.programs()) {
             lint::LintResult res =
                 lintAndPrint(p->driver().module(), req.lintMode, out);
@@ -219,7 +241,7 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req,
         rep.errorCode = std::move(code);
         rep.errorMessage = std::move(message);
         rep.attempts = attempts;
-        return rep.toJson(/*withObsSnapshot=*/false);
+        return rep.toJson();
     };
     auto cellKeyOf = [&](const Cell &cell) {
         return guard::Checkpoint::cellKey(cell.config->label, cell.suite,
@@ -230,8 +252,8 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req,
     // index is congruent to shardIndex-1 mod shardCount — a
     // deterministic, coordination-free partition that also round-robins
     // each configuration's cheap and expensive programs across shards.
-    // Owned cells that need no run are filled in here; the rest are
-    // fresh.
+    // Owned cells that need no run are filled in here, each profiled
+    // as a core.cell instant; the rest are fresh.
     std::vector<std::size_t> owned, fresh;
     std::size_t nResumed = 0;
     for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -266,8 +288,11 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req,
             fresh.push_back(i);
             continue;
         }
-        prof::Collector::instance().recordUnrunCell(
-            cell.program, cell.suite, cell.config->label, status);
+        obs::instant("core.cell", obs::Json::object()
+                                      .set("program", cell.program)
+                                      .set("suite", cell.suite)
+                                      .set("config", cell.config->label)
+                                      .set("status", status));
     }
 
     // The unit of work is the task: one program's fresh cells as one
@@ -287,9 +312,11 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req,
     auto runTask = [&](std::size_t k) {
         const std::vector<std::size_t> &lanes = tasks[k];
         const Cell &first = cells[lanes.front()];
-        prof::TaskScope taskProf(first.program, first.suite);
+        obs::ScopedPhase span("core.task");
+        std::vector<std::string> labels;
         for (std::size_t i : lanes)
-            taskProf.addCell(cells[i].config->label);
+            labels.push_back(cells[i].config->label);
+        labelTask(span, first.program, first.suite, labels);
         // Run and checkpoint as one guarded unit: a transient failure
         // (LP_IO from an append too) retries the whole task, so the
         // checkpoint only ever holds cells whose task really ran.
@@ -306,20 +333,25 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req,
                 req.lintMode != 0
                     ? first.prepared->runReplayBatchedWithOracle(cfgs)
                     : first.prepared->runReplayBatched(cfgs);
-            taskProf.setInstructions(reps.front().serialCost);
-            for (std::size_t l = 0; l < lanes.size(); ++l) {
-                Cell &cell = cells[lanes[l]];
-                reps[l].seed = cell.seed;
-                cell.json = reps[l].toJson(/*withObsSnapshot=*/false);
-                if (ckpt)
-                    ckpt->record(cellKeyOf(cell), cell.json);
+            span.set("instructions", reps.front().serialCost);
+            {
+                obs::ScopedPhase json("rt.report_json");
+                for (std::size_t l = 0; l < lanes.size(); ++l) {
+                    reps[l].seed = cells[lanes[l]].seed;
+                    cells[lanes[l]].json = reps[l].toJson();
+                }
+            }
+            if (ckpt) {
+                obs::ScopedPhase append("guard.checkpoint_append");
+                for (std::size_t i : lanes)
+                    ckpt->record(cellKeyOf(cells[i]), cells[i].json);
             }
         };
         if (!req.keepGoing) {
             try {
-                taskProf.setAttempts(1);
+                span.set("attempts", 1);
                 work();
-                taskProf.setStatus("ok");
+                span.set("status", "ok");
             }
             catch (Error &e) {
                 e.noteCell(first.program, first.suite, first.config->label);
@@ -332,9 +364,9 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req,
                               : std::to_string(lanes.size()) + " lanes";
         guard::RunVerdict v = guard::guardedRun(
             first.program + " [" + what + " " + first.suite + "]", work);
-        taskProf.setAttempts(static_cast<unsigned>(v.attempts));
+        span.set("attempts", v.attempts);
         if (v.ok) {
-            taskProf.setStatus("ok");
+            span.set("status", "ok");
             return;
         }
         // Quarantined: every cell of the task carries the verdict.  Not
@@ -346,11 +378,12 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req,
                               v.message, static_cast<unsigned>(v.attempts));
     };
 
-    // The profiled region is the task dispatch: queue-wait and worker
+    // The dispatch is the profile's region: queue-wait and worker
     // utilization are measured against it.
-    prof::Collector::instance().beginRegion();
-    exec::parallelFor(tasks.size(), runTask);
-    prof::Collector::instance().endRegion();
+    {
+        obs::ScopedPhase region("exec.region");
+        exec::parallelFor(tasks.size(), runTask);
+    }
 
     if (sharded) {
         // No table, no aggregation: a shard sees only its slice, so any
@@ -492,14 +525,7 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req,
         obs::Json doc = obs::Json::object();
         doc.set("suites", std::move(suitesJson));
         doc.set("reports", std::move(reportsJson));
-        // Metrics and phase timings hold wall-clock values, which would
-        // break the resume guarantee (a resumed run's report must be
-        // byte-identical to an uninterrupted one); they join the sweep
-        // document only when metrics are explicitly on.
-        if (obs::metricsOn()) {
-            doc.set("metrics", obs::Registry::instance().toJson());
-            doc.set("phases", obs::PhaseTree::instance().toJson());
-        }
+        addObsSnapshot(doc);
         result.hasDocument = true;
         result.document = std::move(doc);
     }

@@ -10,8 +10,8 @@
  * (one interpretation per 64 of its configuration lanes, --lint
  * included).  Each task runs its interpretation and its checkpoint
  * appends as one guarded unit, so a transient failure retries the task
- * and a quarantined task writes its verdict into each of its cells; the
- * profiler records one span per task.  Cells that need no run
+ * and a quarantined task writes its verdict into each of its cells;
+ * each task is one `core.task` span.  Cells that need no run
  * (prepare-failed, lint-gated, resumed) are filled in before
  * dispatch.  runSweep() runs the list, prints the
  * standard table, and returns the machine-readable document; its
@@ -46,6 +46,10 @@
 #include "lint/engine.hpp"
 #include "obs/json.hpp"
 
+namespace lp::obs {
+class ScopedPhase;
+}
+
 namespace lp::core {
 
 /** Everything the sweep driver needs: the grid and the run options. */
@@ -63,7 +67,7 @@ struct SweepRequest
     bool keepGoing = true; ///< quarantine failures (vs --strict)
 
     /**
-     * Lint mode (--lint / LP_LINT): 0 = off, 1 = on (gate on
+     * Lint mode (--lint): 0 = off, 1 = on (gate on
      * error-level findings, attach the consistency oracle), 2 =
      * "error" (additionally promote warnings to errors).
      */
@@ -90,16 +94,36 @@ struct SweepResult
     obs::Json document;
 };
 
+/**
+ * Add the metrics snapshot and the phase tree to run-report document
+ * @p doc when metrics are on.  They hold wall-clock values, which would
+ * break byte-identity (a resumed sweep's report must equal an
+ * uninterrupted one's, two identical single runs' reports must be
+ * equal), so a document carries them only when metrics were asked for.
+ */
+void addObsSnapshot(obs::Json &doc);
+
 /** The checkpoint file shard @p index of @p count appends to. */
 std::string shardCheckpointPath(const std::string &base, unsigned index,
                                 unsigned count);
 
 /**
  * Lint @p mod under @p lintMode (SweepRequest::lintMode), print every
- * finding to @p out, and bump the lint counters.
+ * finding to @p out, and bump the lint counters, inside a `lint.module`
+ * span.
  */
 lint::LintResult lintAndPrint(const ir::Module &mod, int lintMode,
                               std::ostream &out);
+
+/**
+ * Label @p span, a `core.task` span, as the task that runs @p program's
+ * cells under the configuration labels @p configs.  Its status reads
+ * "failed" until the task sets "ok", so a task an error unwinds
+ * profiles as failed.
+ */
+void labelTask(obs::ScopedPhase &span, const std::string &program,
+               const std::string &suite,
+               const std::vector<std::string> &configs);
 
 /**
  * Run the sweep described by @p req over @p programs (the caller

@@ -141,8 +141,8 @@ checkAgainstSpec(const PairContext &ctx, const std::string &outcome,
                 configFromJson(cell.at("config")),
                 cell.at("program").asString(), withOracle);
             rep.seed = ctx.seed;
-            std::vector<std::string> diffs = specDifferences(
-                cell, rep.toJson(/*withObsSnapshot=*/false));
+            std::vector<std::string> diffs =
+                specDifferences(cell, rep.toJson());
             if (!diffs.empty())
                 diff = diffs.front() + " (" + std::to_string(diffs.size()) +
                        " field(s))";

@@ -6,7 +6,6 @@
 
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timer.hpp"
 #include "support/text.hpp"
 
 namespace lp::guard {
@@ -20,7 +19,6 @@ guardedRun(const std::string &what, const std::function<void()> &fn,
     for (int attempt = 1;; ++attempt) {
         v.attempts = attempt;
         try {
-            obs::ScopedPhase phase("guard");
             fn();
             v.ok = true;
             return v;

@@ -16,10 +16,10 @@
  *    running.  With keepGoing=false the original exception is rethrown
  *    after the verdict is recorded (strict mode).
  *
- * Observability (docs/robustness.md): each attempt runs under a "guard"
- * phase timer; retries bump guard.retries, quarantines bump
- * guard.quarantined and guard.failures.<CODE>, and both log WARN lines,
- * so a degraded sweep is visible in metrics, traces and logs.
+ * Observability (docs/robustness.md): retries bump guard.retries,
+ * quarantines bump guard.quarantined and guard.failures.<CODE>, and
+ * both log WARN lines, so a degraded sweep is visible in metrics and
+ * logs; a sweep task's attempts and status are its `core.task` span's.
  */
 
 #pragma once

@@ -5,7 +5,6 @@
 #include <mutex>
 
 #include "obs/metrics.hpp"
-#include "obs/sink.hpp"
 
 namespace lp::obs {
 
@@ -84,27 +83,15 @@ logMessage(Level l, const std::string &msg, bool force)
 {
     if (!force && !logOn(l))
         return;
-    {
-        std::lock_guard<std::mutex> lock(g_streamMu);
-        std::ostream &os = g_stream ? *g_stream : std::cerr;
-        os << "[lp:" << levelName(l) << "] " << msg << '\n';
-    }
-    if (traceOn()) {
-        Json body = Json::object();
-        body.set("level", levelName(l));
-        body.set("msg", msg);
-        Session::instance().sink()->event("log", std::move(body));
-    }
+    std::lock_guard<std::mutex> lock(g_streamMu);
+    std::ostream &os = g_stream ? *g_stream : std::cerr;
+    os << "[lp:" << levelName(l) << "] " << msg << '\n';
 }
 
 void
 initFromEnv()
 {
     (void)g_envInit; // silence unused warning; forces the TU's init
-
-    // Touch the registry before the session so static destruction runs
-    // session-first (the session snapshot reads the registry on close).
-    Registry::instance();
 
     if (const char *lvl = std::getenv("LP_LOG")) {
         if (*lvl && !isLevelName(lvl)) {
@@ -124,24 +111,8 @@ initFromEnv()
     }
 
     const char *metrics = std::getenv("LP_METRICS");
-    const char *legacy = std::getenv("LP_OBS");
-    if ((metrics && *metrics && std::string(metrics) != "0") ||
-        (legacy && *legacy && std::string(legacy) != "0"))
+    if (metrics && *metrics && std::string(metrics) != "0")
         setMetricsEnabled(true);
-
-    if (const char *trace = std::getenv("LP_TRACE")) {
-        if (!Session::instance().configure(trace)) {
-            static const bool warned = [&] {
-                logMessage(Level::Error,
-                           std::string("LP_TRACE spec not understood: ") +
-                               trace +
-                               " (want chrome:PATH or jsonl:PATH)",
-                           /*force=*/true);
-                return true;
-            }();
-            (void)warned;
-        }
-    }
 }
 
 } // namespace lp::obs

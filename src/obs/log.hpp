@@ -8,13 +8,11 @@
  * is an inline relaxed read of one atomic, so a disabled log site costs
  * one predictable branch — cheap enough for per-run (not
  * per-instruction) call sites.  Messages go to stderr (or a
- * test-installed stream) and are mirrored as structured events into the
- * active JSONL sink, if any.
+ * test-installed stream).
  *
- * Thread-safety: logMessage serializes its text output behind a mutex
- * and the sink mirror is itself thread-safe, so lp::exec workers may
- * log concurrently; lines never interleave.  setLogLevel/setLogStream
- * are quiescent-only.
+ * Thread-safety: logMessage serializes its text output behind a mutex,
+ * so lp::exec workers may log concurrently; lines never interleave.
+ * setLogLevel/setLogStream are quiescent-only.
  *
  * The LP_LOG* macros evaluate their format arguments only when the level
  * is enabled:
@@ -73,11 +71,11 @@ void logMessage(Level l, const std::string &msg, bool force = false);
 void setLogStream(std::ostream *os);
 
 /**
- * Parse LP_LOG / LP_METRICS / LP_TRACE and configure the whole obs
- * layer.  Idempotent; runs automatically before main() but is safe to
- * call again after the environment changed.  Unrecognized LP_LOG or
- * LP_TRACE values emit a one-time warning naming the accepted values
- * instead of being dropped silently.
+ * Parse LP_LOG / LP_METRICS and configure the whole obs layer.
+ * Idempotent; runs automatically before main() but is safe to call
+ * again after the environment changed.  An unrecognized LP_LOG value
+ * emits a one-time warning naming the accepted values instead of being
+ * dropped silently.
  */
 void initFromEnv();
 

@@ -3,11 +3,10 @@
  * Process-wide metrics registry: named counters, gauges, and
  * fixed-bucket histograms.
  *
- * Recording is off by default (`LP_METRICS=1`, `LP_OBS=1`, or any
- * `LP_TRACE` sink turns it on).  Hot-path call sites cache the metric
- * pointer once and guard each update with metricsOn(), which inlines to
- * a single relaxed atomic-bool test — with metrics disabled the whole
- * update is one well-predicted branch.
+ * Recording is off by default (`LP_METRICS=1` turns it on).  Hot-path
+ * call sites cache the metric pointer once and guard each update with
+ * metricsOn(), which inlines to a single relaxed atomic-bool test —
+ * with metrics disabled the whole update is one well-predicted branch.
  *
  * Thread-safety (see docs/observability.md): every update path is safe
  * under concurrent use by lp::exec workers.  Counters and histograms
@@ -25,10 +24,12 @@
  * Metric name catalog (see docs/observability.md):
  *   interp.instructions     dynamic IR instructions of completed runs
  *   interp.runs             Machine::run() calls (aborted ones too)
- *   tracker.mem_events      load/store events seen by the tracker
+ *   tracker.mem_events      load/store events seen by the lane engine
  *   tracker.conflicts       cross-iteration conflicts (memory + register)
  *   tracker.loop_instances  dynamic loop instances opened
  *   tracker.trip_count      histogram of per-instance trip counts
+ *                           (the lane engine, rt/batch.cpp, bumps every
+ *                           tracker.* metric)
  *   plan.loops_analyzed     static loops planned by the compile-time side
  *   model.squashes.<model>  speculative iterations squashed (pdoall/doall)
  *   report.loops_reported   per-loop reports emitted
@@ -67,8 +68,8 @@ void setMetricsEnabled(bool on);
 
 /**
  * Small dense id of the calling thread, assigned on first use (the main
- * thread is normally lane 0).  Counters shard by it; phase timers tag
- * trace events with it so Chrome traces show per-worker lanes.
+ * thread is normally lane 0).  Counters shard by it; span records carry
+ * it as their worker, so Chrome traces show per-worker lanes.
  */
 inline unsigned
 threadLane()

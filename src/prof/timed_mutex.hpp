@@ -4,7 +4,7 @@
  * profiling subsystem.
  *
  * A TimedMutex is a drop-in std::mutex replacement bound to a named
- * *lock site* ("core.trace_record", "obs.sink", ...).  With profiling
+ * *lock site* ("core.trace_record", "obs.spans", ...).  With profiling
  * off (the default) lock() is a plain std::mutex::lock behind one
  * relaxed atomic-bool test — the same inline guard discipline
  * obs::metricsOn() uses, so adopting a TimedMutex costs nothing until
@@ -12,14 +12,14 @@
  * uncontended try_lock fast path (no clock read); only the *contended*
  * path reads the steady clock around the blocking acquire and records
  * the wait into the site's sharded stats and into a thread-local
- * wait-ns accumulator (prof::TaskScope diffs the latter to attribute
- * lock-wait to individual sweep tasks).
+ * wait-ns accumulator (obs::ScopedPhase diffs the latter to attribute
+ * lock-wait to each span).
  *
  * This header is deliberately free of lp::obs includes: lp::obs itself
- * adopts TimedMutex for its sink and registry mutexes, so the
+ * adopts TimedMutex for its span-log and registry mutexes, so the
  * dependency must point obs -> prof at the header level only
- * (everything here is header-only inline; the profiling *collector*
- * lives in prof/collector.hpp and does link against lp_obs).
+ * (everything here is header-only inline; the profile view lives in
+ * prof/profile.hpp and does link against lp_obs).
  *
  * Thread-safety: lock()/try_lock()/unlock() are safe from any thread
  * (it is a mutex).  Site stats are sharded across cache-line-padded
@@ -49,8 +49,8 @@ inline std::atomic<bool> g_profilingEnabled{false};
 
 /**
  * Lock-wait nanoseconds this thread has accumulated across every
- * contended TimedMutex acquire.  TaskScope reads it at task start and
- * end to attribute lock-wait to the task.
+ * contended TimedMutex acquire.  obs::ScopedPhase reads it when a
+ * span opens and closes to attribute lock-wait to the span.
  */
 inline thread_local std::uint64_t t_lockWaitNs = 0;
 

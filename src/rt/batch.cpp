@@ -1056,6 +1056,8 @@ runLimitStudyBatched(const ModulePlan &plan, const BlockFacts &facts,
                      const std::string &name, OracleCapture *oracle)
 {
     guard::faultPoint("replay");
+    obs::ScopedPhase phase("rt.batch");
+    phase.set("lanes", cfgs.size());
 
     std::vector<ProgramReport> reports;
     reports.reserve(cfgs.size());
@@ -1063,25 +1065,17 @@ runLimitStudyBatched(const ModulePlan &plan, const BlockFacts &facts,
         const std::size_t n = std::min<std::size_t>(64, cfgs.size() - lo);
         std::vector<Lane> lanes;
         lanes.reserve(n);
-        {
-            obs::ScopedPhase phase("plan");
-            for (std::size_t i = 0; i < n; ++i)
-                lanes.emplace_back(plan, cfgs[lo + i]);
-        }
-        std::uint64_t cost = 0;
-        {
-            obs::ScopedPhase phase("replay_batch");
-            interp::Machine machine(plan.module());
-            // The evidence is config-independent: the first chunk's
-            // run fills the capture for every chunk.
-            BatchReplayer engine(plan, facts, lanes,
-                                 lo == 0 ? oracle : nullptr, machine);
-            machine.run(engine);
-            engine.finish();
-            cost = machine.cost();
-            phase.addInstructions(cost * static_cast<std::uint64_t>(n));
-        }
-        obs::ScopedPhase phase("report");
+        for (std::size_t i = 0; i < n; ++i)
+            lanes.emplace_back(plan, cfgs[lo + i]);
+        interp::Machine machine(plan.module());
+        // The evidence is config-independent: the first chunk's run
+        // fills the capture for every chunk.
+        BatchReplayer engine(plan, facts, lanes, lo == 0 ? oracle : nullptr,
+                             machine);
+        machine.run(engine);
+        engine.finish();
+        const std::uint64_t cost = machine.cost();
+        phase.addInstructions(cost * static_cast<std::uint64_t>(n));
         for (const Lane &lane : lanes)
             reports.push_back(lane.report(plan, name, cost));
     }

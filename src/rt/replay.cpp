@@ -62,7 +62,7 @@ trace::Trace
 recordTrace(const ir::Module &mod, const trace::ModuleIndex &index,
             const ModulePlan &plan, const guard::RunBudget &budget)
 {
-    obs::ScopedPhase phase("record");
+    obs::ScopedPhase phase("interp.record");
     trace::Recorder rec(index, headerBlockFlags(plan, index));
     interp::Machine machine(mod);
     machine.setBudget(budget);

@@ -1,7 +1,5 @@
 #include "rt/report.hpp"
 
-#include "obs/metrics.hpp"
-#include "obs/timer.hpp"
 #include "support/table.hpp"
 #include "support/text.hpp"
 
@@ -77,7 +75,7 @@ ProgramReport::print(std::ostream &os, bool perLoop) const
 }
 
 obs::Json
-ProgramReport::toJson(bool withObsSnapshot) const
+ProgramReport::toJson() const
 {
     using obs::Json;
 
@@ -192,10 +190,6 @@ ProgramReport::toJson(bool withObsSnapshot) const
         }
         sv.set("findings", std::move(findings));
         out.set("static_verdict", std::move(sv));
-    }
-    if (withObsSnapshot) {
-        out.set("metrics", obs::Registry::instance().toJson());
-        out.set("phases", obs::PhaseTree::instance().toJson());
     }
     return out;
 }

@@ -169,11 +169,17 @@ struct ProgramReport
 
     /**
      * Machine-readable export of everything print() shows and more:
-     * config echo, totals, census, per-loop reports, and — when
-     * @p withObsSnapshot — the process-wide metrics and phase-timing
-     * snapshots at export time.
+     * config echo, totals, census and per-loop reports.  A pure
+     * function of the report: two equal reports export equal bytes.
      */
-    obs::Json toJson(bool withObsSnapshot = true) const;
+    obs::Json toJson() const;
+
+    /**
+     * The same; the flag is ignored.  perfbench/ still passes the
+     * retired process-snapshot flag (always false), so this overload
+     * stays until perfbench drops the argument.
+     */
+    obs::Json toJson(bool) const { return toJson(); }
 };
 
 } // namespace lp::rt

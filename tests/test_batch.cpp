@@ -50,7 +50,7 @@ class BatchTest : public ::testing::Test
 std::string
 dump(const rt::ProgramReport &rep)
 {
-    return rep.toJson(/*withObsSnapshot=*/false).dump(2);
+    return rep.toJson().dump(2);
 }
 
 // --------------------------------------------- N lanes == one lane each
@@ -135,10 +135,10 @@ TEST_F(BatchTest, ChunkBoundaryAt64LanesIsSeamless)
             EXPECT_EQ(cap.stats(w).instances, oneCap.stats(w).instances);
         }
         const std::string oneOracle =
-            one.toJson(/*withObsSnapshot=*/false).at("oracle").dump();
+            one.toJson().at("oracle").dump();
         for (std::size_t i = 0; i < many.size(); ++i)
             EXPECT_EQ(batched[i]
-                          .toJson(/*withObsSnapshot=*/false)
+                          .toJson()
                           .at("oracle")
                           .dump(),
                       oneOracle)
@@ -377,7 +377,7 @@ TEST_F(BatchTest, SweepCellsMatchOneLaneRuns)
                     lintMode ? p->runWithOracle(named.config)
                              : p->run(named.config);
                 EXPECT_EQ(reports.at(i++).dump(2),
-                          one.toJson(/*withObsSnapshot=*/false).dump(2))
+                          one.toJson().dump(2))
                     << p->name() << " under " << named.label
                     << (lintMode ? " with --lint" : "");
             }

@@ -516,14 +516,14 @@ TEST_F(GuardTest, FailedReportJsonCarriesStatusAndCode)
     rep.errorCode = "LP_FUEL";
     rep.errorMessage = "out of fuel";
     rep.attempts = 2;
-    obs::Json j = rep.toJson(/*withObsSnapshot=*/false);
+    obs::Json j = rep.toJson();
     EXPECT_EQ(j.at("status").asString(), "failed");
     EXPECT_EQ(j.at("error_code").asString(), "LP_FUEL");
     EXPECT_EQ(j.at("error").asString(), "out of fuel");
     EXPECT_EQ(j.at("attempts").asInt(), 2);
 
     rt::ProgramReport ok;
-    obs::Json jok = ok.toJson(/*withObsSnapshot=*/false);
+    obs::Json jok = ok.toJson();
     EXPECT_EQ(jok.at("status").asString(), "ok");
     EXPECT_EQ(jok.at("error_code").asString(), "");
     EXPECT_FALSE(jok.contains("error"));
@@ -541,7 +541,7 @@ TEST_F(GuardTest, CheckpointRoundTripsCellsByteIdentically)
     rep.program = "saxpy";
     rep.serialCost = m.cost();
     rep.coverage = 0.123456789012345678; // exercise %.17g round-trip
-    obs::Json cell = rep.toJson(/*withObsSnapshot=*/false);
+    obs::Json cell = rep.toJson();
     std::string key =
         guard::Checkpoint::cellKey("reduc1-dep1-fn2 HELIX", "s", "saxpy");
 

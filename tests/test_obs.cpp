@@ -1,19 +1,23 @@
 /**
  * @file
  * Tests of the lp::obs observability layer: JSON round-trips, metric
- * arithmetic, timer nesting, sink output formats, and LP_LOG filtering.
+ * arithmetic, timer nesting, the span log and its Chrome rendering, and
+ * LP_LOG filtering.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <thread>
 
 #include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sink.hpp"
 #include "obs/timer.hpp"
+#include "prof/profile.hpp"
 #include "support/text.hpp" // strf, used by the LP_LOG_* macros
 
 namespace lp::obs {
@@ -32,7 +36,6 @@ class ObsSandbox
     }
     ~ObsSandbox()
     {
-        Session::instance().attach(nullptr);
         setMetricsEnabled(savedMetrics_);
         setLogLevel(savedLevel_);
         setLogStream(nullptr);
@@ -189,109 +192,194 @@ TEST(Timers, NestingBuildsATree)
               100u);
 }
 
-// ---------------------------------------------------------------- sinks
+// ------------------------------------------------------------- span log
 
-TEST(Sinks, JsonlLinesAreValidJson)
+/** RAII: record spans into an emptied log; stop and empty it after. */
+class SpanSandbox
+{
+  public:
+    SpanSandbox()
+    {
+        SpanLog::instance().reset();
+        prof::setEnabled(true);
+    }
+    ~SpanSandbox()
+    {
+        prof::setEnabled(false);
+        SpanLog::instance().reset();
+    }
+};
+
+const SpanRecord &
+named(const std::vector<SpanRecord> &records, const std::string &name)
+{
+    for (const SpanRecord &r : records)
+        if (r.name == name)
+            return r;
+    ADD_FAILURE() << "no span named " << name;
+    return records.front();
+}
+
+TEST(Spans, PhasesRecordNestedSpansOnOneClock)
 {
     ObsSandbox sandbox;
-    std::ostringstream buf;
+    SpanSandbox spans;
     {
-        auto sink = std::make_unique<JsonlSink>(buf);
-        sink->event("log", Json::object().set("msg", "hello"));
-        sink->span("interpret", 10.0, 32.5,
-                   Json::object().set("instructions", 1234), /*tid=*/0);
-        sink->flush();
+        ScopedPhase outer("outer");
+        outer.set("program", "p");
+        {
+            ScopedPhase inner("inner");
+            inner.addInstructions(7);
+            instant("mark", Json::object().set("k", 1));
+        }
     }
+    const std::vector<SpanRecord> records = SpanLog::instance().records();
+    ASSERT_EQ(records.size(), 3u);
+    // Close order: the instant, then the inner span, then the outer.
+    EXPECT_EQ(records[0].name, "mark");
+    EXPECT_EQ(records[1].name, "inner");
+    EXPECT_EQ(records[2].name, "outer");
 
-    std::istringstream lines(buf.str());
+    const SpanRecord &outer = records[2], &inner = records[1],
+                     &mark = records[0];
+    EXPECT_EQ(outer.parent, 0u);
+    EXPECT_EQ(inner.parent, outer.id);
+    EXPECT_EQ(mark.parent, inner.id);
+    EXPECT_LT(outer.id, inner.id); // ids follow open order
+    for (const SpanRecord &r : records)
+        EXPECT_EQ(r.worker, threadLane());
+
+    // A child lies inside its parent on the one clock.
+    EXPECT_LE(outer.startNs, inner.startNs);
+    EXPECT_LE(inner.startNs + inner.wallNs, outer.startNs + outer.wallNs);
+    EXPECT_LE(inner.startNs, mark.startNs);
+    EXPECT_LE(mark.startNs, inner.startNs + inner.wallNs);
+    EXPECT_TRUE(mark.instant);
+    EXPECT_EQ(mark.wallNs, 0u);
+    EXPECT_FALSE(inner.instant);
+
+    EXPECT_EQ(outer.args.at("program").asString(), "p");
+    EXPECT_EQ(inner.args.at("instructions").asU64(), 7u);
+    EXPECT_EQ(mark.args.at("k").asInt(), 1);
+    EXPECT_TRUE(outer.toJson().at("parent").isNull());
+    EXPECT_EQ(inner.toJson().at("parent").asU64(), outer.id);
+
+    // The same phases fed the phase tree.
+    const PhaseNode &root = PhaseTree::instance().root();
+    ASSERT_EQ(root.children.size(), 1u);
+    EXPECT_EQ(root.children[0]->name, "outer");
+    EXPECT_EQ(root.children[0]->children[0]->instructions, 7u);
+}
+
+TEST(Spans, NothingIsRecordedWhileNoProfileRecords)
+{
+    ObsSandbox sandbox;
+    SpanLog::instance().reset();
+    {
+        ScopedPhase phase("unrecorded");
+        phase.set("ignored", 1); // a no-op, not an error
+        instant("unrecorded.instant", Json::object());
+    }
+    EXPECT_TRUE(SpanLog::instance().records().empty());
+    // The phase tree is always on.
+    EXPECT_EQ(PhaseTree::instance().root().children.size(), 1u);
+}
+
+TEST(Spans, WorkersNestOnTheirOwnLanes)
+{
+    ObsSandbox sandbox;
+    SpanSandbox spans;
+    auto work = [] {
+        ScopedPhase task("task");
+        ScopedPhase batch("batch");
+    };
+    {
+        ScopedPhase region("region");
+        std::thread a(work), b(work);
+        a.join();
+        b.join();
+    }
+    const std::vector<SpanRecord> records = SpanLog::instance().records();
+    ASSERT_EQ(records.size(), 5u);
+    std::set<unsigned> taskWorkers;
+    for (const SpanRecord &r : records) {
+        if (r.name == "task") {
+            // A worker's spans root at its own top level, never under
+            // the span another thread has open.
+            EXPECT_EQ(r.parent, 0u);
+            EXPECT_NE(r.worker, named(records, "region").worker);
+            taskWorkers.insert(r.worker);
+        }
+        if (r.name != "batch")
+            continue;
+        bool found = false;
+        for (const SpanRecord &p : records)
+            if (p.id == r.parent) {
+                found = true;
+                EXPECT_EQ(p.name, "task");
+                EXPECT_EQ(p.worker, r.worker);
+            }
+        EXPECT_TRUE(found);
+    }
+    EXPECT_EQ(taskWorkers.size(), 2u);
+}
+
+TEST(Spans, StreamCarriesOneLinePerRecord)
+{
+    ObsSandbox sandbox;
+    SpanSandbox spans;
+    const std::string path = testing::TempDir() + "lp_obs_spans.jsonl";
+    ASSERT_TRUE(SpanLog::instance().reset(path));
+    {
+        ScopedPhase a("a");
+        ScopedPhase b("b");
+    }
+    instant("c", Json::object());
+    SpanLog::instance().closeStream();
+
+    const std::vector<SpanRecord> records = SpanLog::instance().records();
+    std::ifstream in(path);
     std::string line;
-    int n = 0;
-    while (std::getline(lines, line)) {
+    std::size_t n = 0;
+    while (std::getline(in, line)) {
         std::string err;
         Json rec = Json::parse(line, &err);
         ASSERT_TRUE(err.empty()) << err << " in line: " << line;
-        ASSERT_TRUE(rec.contains("kind"));
+        ASSERT_LT(n, records.size());
+        EXPECT_EQ(rec.dump(), records[n].toJson().dump());
         ++n;
     }
-    EXPECT_EQ(n, 2);
-
-    Json second = Json::parse(buf.str().substr(buf.str().find('\n') + 1));
-    EXPECT_EQ(second.at("kind").asString(), "phase");
-    EXPECT_EQ(second.at("name").asString(), "interpret");
-    EXPECT_DOUBLE_EQ(second.at("dur_us").asDouble(), 32.5);
+    EXPECT_EQ(n, 3u);
+    std::remove(path.c_str());
 }
 
-TEST(Sinks, ChromeTraceDocumentShape)
+TEST(Spans, ChromeTraceDocumentShape)
 {
-    ObsSandbox sandbox;
-    std::string path = testing::TempDir() + "lp_obs_trace.json";
-    {
-        ChromeTraceSink sink(path);
-        sink.span("interpret", 5.0, 100.0, Json::object(), /*tid=*/0);
-        sink.event("metrics", Json::object().set("x", 1));
-        sink.flush();
-    }
+    SpanRecord span;
+    span.name = "rt.batch";
+    span.worker = 3;
+    span.startNs = 5000;
+    span.wallNs = 100000;
+    span.args.set("lanes", 14);
+    SpanRecord mark;
+    mark.name = "core.cell";
+    mark.startNs = 7000;
+    mark.instant = true;
 
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::stringstream buf;
-    buf << in.rdbuf();
+    Json doc = chromeTrace({span, mark});
     std::string err;
-    Json doc = Json::parse(buf.str(), &err);
+    Json back = Json::parse(doc.dump(2), &err);
     ASSERT_TRUE(err.empty()) << err;
-
-    const Json &events = doc.at("traceEvents");
+    const Json &events = back.at("traceEvents");
     ASSERT_EQ(events.size(), 2u);
-    EXPECT_EQ(events.at(0).at("name").asString(), "interpret");
+    EXPECT_EQ(events.at(0).at("name").asString(), "rt.batch");
     EXPECT_EQ(events.at(0).at("ph").asString(), "X");
+    EXPECT_EQ(events.at(0).at("tid").asU64(), 3u);
     EXPECT_DOUBLE_EQ(events.at(0).at("ts").asDouble(), 5.0);
     EXPECT_DOUBLE_EQ(events.at(0).at("dur").asDouble(), 100.0);
+    EXPECT_EQ(events.at(0).at("args").at("lanes").asU64(), 14u);
     EXPECT_EQ(events.at(1).at("ph").asString(), "i");
-}
-
-TEST(Sinks, SessionConfigureParsesSpecs)
-{
-    ObsSandbox sandbox;
-    Session &s = Session::instance();
-    EXPECT_FALSE(s.configure("bogus"));
-    EXPECT_EQ(s.sink(), nullptr);
-    EXPECT_FALSE(s.configure("chrome:"));
-    std::string path = testing::TempDir() + "lp_obs_session.json";
-    EXPECT_TRUE(s.configure("chrome:" + path));
-    EXPECT_NE(s.sink(), nullptr);
-    EXPECT_TRUE(traceOn());
-    EXPECT_TRUE(metricsOn()); // a trace sink implies metrics
-    s.attach(nullptr);
-    EXPECT_FALSE(traceOn());
-}
-
-TEST(Sinks, ScopedPhaseEmitsTraceSpan)
-{
-    ObsSandbox sandbox;
-    std::string path = testing::TempDir() + "lp_obs_phase_trace.json";
-    Session::instance().configure("chrome:" + path);
-    {
-        ScopedPhase phase("unit-test-phase");
-    }
-    Session::instance().close(); // flush + final metrics snapshot
-
-    std::ifstream in(path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    std::string err;
-    Json doc = Json::parse(buf.str(), &err);
-    ASSERT_TRUE(err.empty()) << err;
-    bool sawPhase = false;
-    bool sawMetrics = false;
-    for (std::size_t i = 0; i < doc.at("traceEvents").size(); ++i) {
-        const Json &e = doc.at("traceEvents").at(i);
-        if (e.at("name").asString() == "unit-test-phase")
-            sawPhase = true;
-        if (e.at("name").asString() == "metrics")
-            sawMetrics = true;
-    }
-    EXPECT_TRUE(sawPhase);
-    EXPECT_TRUE(sawMetrics);
+    EXPECT_FALSE(events.at(1).contains("dur"));
 }
 
 // -------------------------------------------------------------- logging
@@ -326,32 +414,6 @@ TEST(Log, LevelFiltersMessages)
     EXPECT_EQ(out.find("d1"), std::string::npos);
     EXPECT_EQ(out.find("e2"), std::string::npos);
     EXPECT_NE(out.find("forced"), std::string::npos);
-}
-
-TEST(Log, MessagesMirrorIntoJsonlSink)
-{
-    ObsSandbox sandbox;
-    std::ostringstream text;
-    setLogStream(&text);
-    std::string path = testing::TempDir() + "lp_obs_log.jsonl";
-    Session::instance().configure("jsonl:" + path);
-
-    setLogLevel(Level::Info);
-    LP_LOG_INFO("structured %d", 7);
-    Session::instance().close();
-
-    std::ifstream in(path);
-    std::string line;
-    bool found = false;
-    while (std::getline(in, line)) {
-        std::string err;
-        Json rec = Json::parse(line, &err);
-        ASSERT_TRUE(err.empty()) << err;
-        if (rec.at("kind").asString() == "log" &&
-            rec.at("data").at("msg").asString() == "structured 7")
-            found = true;
-    }
-    EXPECT_TRUE(found);
 }
 
 } // namespace

@@ -340,11 +340,10 @@ TEST(Pipeline, ReportJsonRoundTripsCensusAndPerLoopNumbers)
         EXPECT_DOUBLE_EQ(l.at("speedup").asDouble(), lr.speedup());
     }
 
-    // The default export carries the obs snapshot sections.
-    EXPECT_TRUE(json.contains("metrics"));
-    EXPECT_TRUE(json.contains("phases"));
-    EXPECT_FALSE(rep.toJson(/*withObsSnapshot=*/false)
-                     .contains("metrics"));
+    // The export is the report alone: no process-wide metrics or
+    // phase-timing snapshot (run_study adds those when metrics are on).
+    EXPECT_FALSE(json.contains("metrics"));
+    EXPECT_FALSE(json.contains("phases"));
 }
 
 } // namespace

@@ -1,34 +1,40 @@
 /**
  * @file
- * lp::prof: instrumented locks, the profiling collector, and the
- * profiled-runs-change-nothing guarantee (docs/profiling.md).
+ * lp::prof: instrumented locks, the profile view over the obs span
+ * log, and the profiled-runs-change-nothing guarantee
+ * (docs/profiling.md).
  *
  * Shape of the suite:
  *  - TimedMutex: disabled cost model (no stats recorded), uncontended
  *    fast path, forced contention producing wait-ns and the per-thread
- *    lock-wait accumulator TaskScope attribution is built on;
- *  - Collector: spec parsing, task and cell JSONL well-formedness and
- *    schema round-trip, per-worker timeline lane validity, and the
- *    task model on the default all-suite sweep: workers' busy and idle
- *    time add up to the region, cells' lane shares add up to their
- *    task, one task per program;
+ *    lock-wait accumulator a span's lock_wait_ns is built on;
+ *  - the view: spec parsing, the span stream and the v3 document
+ *    round-trip, per-worker timeline lane validity, and the task model
+ *    on the default all-suite sweep: one core.task span per program,
+ *    every span inside its parent on its worker, workers' busy and idle
+ *    time adding up to the region, cells' lane shares adding up to
+ *    their task, and the layer spans each kind of sweep shows;
  *  - Determinism: a profiled sweep's reports are byte-identical to an
  *    unprofiled sweep's, serial and at --jobs 4.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <thread>
 
 #include <gtest/gtest.h>
 
+#include "core/sweep.hpp"
 #include "exec/pool.hpp"
 #include "helpers.hpp"
 #include "obs/json.hpp"
-#include "prof/collector.hpp"
+#include "obs/timer.hpp"
+#include "prof/profile.hpp"
 #include "prof/timed_mutex.hpp"
 #include "rt/config.hpp"
 #include "suites/registry.hpp"
@@ -42,8 +48,8 @@ class ProfSandbox : public ::testing::Test
   public:
     static void quiesce()
     {
-        prof::Collector::instance().configure("off");
-        prof::Collector::instance().reset();
+        prof::configure("off");
+        prof::reset();
     }
 
   protected:
@@ -74,14 +80,14 @@ TEST_F(ProfSandbox, DisabledMutexRecordsNothing)
 TEST_F(ProfSandbox, UncontendedAcquisitionsCountWithoutWait)
 {
     prof::TimedMutex m("test.prof.uncontended");
-    prof::Collector::instance().setEnabled(true);
+    prof::setEnabled(true);
     for (int i = 0; i < 10; ++i) {
         m.lock();
         m.unlock();
     }
     EXPECT_TRUE(m.try_lock());
     m.unlock();
-    prof::Collector::instance().setEnabled(false);
+    prof::setEnabled(false);
     EXPECT_EQ(m.stats().acquisitions(), 11u);
     EXPECT_EQ(m.stats().contended(), 0u);
     EXPECT_EQ(m.stats().waitNs(), 0u);
@@ -90,7 +96,7 @@ TEST_F(ProfSandbox, UncontendedAcquisitionsCountWithoutWait)
 TEST_F(ProfSandbox, ForcedContentionRecordsWaitAndThreadAccumulator)
 {
     prof::TimedMutex m("test.prof.contended");
-    prof::Collector::instance().setEnabled(true);
+    prof::setEnabled(true);
 
     // Hold the lock while a second thread provably blocks on it.
     std::atomic<bool> waiterStarted{false};
@@ -110,21 +116,20 @@ TEST_F(ProfSandbox, ForcedContentionRecordsWaitAndThreadAccumulator)
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     m.unlock();
     waiter.join();
-    prof::Collector::instance().setEnabled(false);
+    prof::setEnabled(false);
 
     EXPECT_EQ(m.stats().acquisitions(), 2u);
     EXPECT_EQ(m.stats().contended(), 1u);
     EXPECT_GT(m.stats().waitNs(), 0u);
     // The contended wait landed in the waiting thread's accumulator —
-    // this is what TaskScope diffs to attribute lock-wait to tasks.
+    // this is what a span diffs for its lock_wait_ns.
     EXPECT_EQ(waiterLockWaitNs, m.stats().waitNs());
 }
 
 TEST_F(ProfSandbox, ContentionSnapshotRanksSites)
 {
-    prof::Collector &c = prof::Collector::instance();
     prof::TimedMutex hot("test.prof.rank_hot");
-    c.setEnabled(true);
+    prof::setEnabled(true);
     std::thread t([&] {
         for (int i = 0; i < 200; ++i) {
             hot.lock();
@@ -136,9 +141,9 @@ TEST_F(ProfSandbox, ContentionSnapshotRanksSites)
         hot.unlock();
     }
     t.join();
-    c.setEnabled(false);
+    prof::setEnabled(false);
 
-    obs::Json contention = c.contentionJson();
+    obs::Json contention = prof::contentionJson();
     EXPECT_EQ(contention.at("total_acquisitions").asU64(),
               hot.stats().acquisitions());
     bool found = false;
@@ -155,86 +160,105 @@ TEST_F(ProfSandbox, ContentionSnapshotRanksSites)
     EXPECT_TRUE(found);
 }
 
-// ------------------------------------------------------------ Collector
+// ---------------------------------------------------------------- view
 
 TEST_F(ProfSandbox, ConfigureParsesSpecsAndRejectsUnknownModes)
 {
-    prof::Collector &c = prof::Collector::instance();
-
-    EXPECT_FALSE(c.configure("perf"));
-    EXPECT_EQ(c.mode(), prof::Mode::Off);
-    EXPECT_FALSE(prof::profilingOn());
+    for (const char *bad : {"perf", "1", "on"}) {
+        EXPECT_FALSE(prof::configure(bad)) << bad;
+        EXPECT_EQ(prof::mode(), prof::Mode::Off);
+        EXPECT_FALSE(prof::profilingOn());
+    }
 
     std::string path = tempPath("lp_prof_cfg.json");
-    EXPECT_TRUE(c.configure("json:" + path));
-    EXPECT_EQ(c.mode(), prof::Mode::Json);
-    EXPECT_EQ(c.outputPath(), path);
+    EXPECT_TRUE(prof::configure("json:" + path));
+    EXPECT_EQ(prof::mode(), prof::Mode::Json);
+    EXPECT_EQ(prof::outputPath(), path);
     EXPECT_TRUE(prof::profilingOn());
+    EXPECT_TRUE(std::ifstream(path + ".spans.jsonl").good());
 
-    EXPECT_TRUE(c.configure("chrome:" + path));
-    EXPECT_EQ(c.mode(), prof::Mode::Chrome);
+    EXPECT_TRUE(prof::configure("chrome:" + path));
+    EXPECT_EQ(prof::mode(), prof::Mode::Chrome);
 
-    EXPECT_TRUE(c.configure("off"));
-    EXPECT_EQ(c.mode(), prof::Mode::Off);
+    EXPECT_TRUE(prof::configure("off"));
+    EXPECT_EQ(prof::mode(), prof::Mode::Off);
     EXPECT_FALSE(prof::profilingOn());
+    std::remove((path + ".spans.jsonl").c_str());
 }
 
-TEST_F(ProfSandbox, TaskRecordsRoundTripThroughJsonlAndReport)
+obs::Json
+readJson(const std::string &path)
 {
-    prof::Collector &c = prof::Collector::instance();
-    const std::string path = tempPath("lp_prof_cells.json");
-    ASSERT_TRUE(c.configure("json:" + path));
+    std::ifstream in(path);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    std::string err;
+    obs::Json doc = obs::Json::parse(buf.str(), &err);
+    EXPECT_TRUE(err.empty()) << path << ": " << err;
+    return doc;
+}
 
-    c.beginRegion();
-    {
-        prof::TaskScope task("164.gzip-like", "cint2000");
-        task.addCell("reduc1-dep1-fn2 helix");
-        task.addCell("reduc0-dep0-fn0 DOALL");
-        task.setInstructions(12345);
-        task.setAttempts(2);
-        task.setStatus("ok");
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-    {
-        prof::TaskScope task("175.vpr-like", "cint2000");
-        task.addCell("reduc1-dep1-fn2 helix");
-        // No setStatus: an unwound scope records as failed.
-    }
-    c.recordUnrunCell("181.mcf-like", "cint2000", "reduc1-dep1-fn2 helix",
-                      "resumed");
-    c.endRegion();
-    EXPECT_EQ(c.tasksJson().size(), 2u);
-    EXPECT_EQ(c.cellCount(), 4u);
-    ASSERT_TRUE(c.finish()); // writes both outputs, disables profiling
+TEST_F(ProfSandbox, TaskSpansRoundTripThroughStreamAndReport)
+{
+    const std::string path = tempPath("lp_prof_tasks.json");
+    ASSERT_TRUE(prof::configure("json:" + path));
 
-    // The streamed JSONL: one well-formed object per cell, schema keys
-    // present, values round-tripping.
-    std::ifstream jsonl(path + ".cells.jsonl");
-    ASSERT_TRUE(jsonl.good());
+    {
+        obs::ScopedPhase region("exec.region");
+        {
+            obs::ScopedPhase task("core.task");
+            core::labelTask(task, "164.gzip-like", "cint2000",
+                            {"reduc1-dep1-fn2 HELIX",
+                             "reduc0-dep0-fn0 DOALL"});
+            task.set("instructions", 12345);
+            task.set("attempts", 2);
+            task.set("status", "ok");
+            obs::ScopedPhase batch("rt.batch");
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+        {
+            obs::ScopedPhase task("core.task");
+            core::labelTask(task, "175.vpr-like", "cint2000",
+                            {"reduc1-dep1-fn2 HELIX"});
+            // No status "ok": the task records as failed.
+        }
+        obs::instant("core.cell",
+                     obs::Json::object()
+                         .set("program", "181.mcf-like")
+                         .set("suite", "cint2000")
+                         .set("config", "reduc1-dep1-fn2 HELIX")
+                         .set("status", "resumed"));
+    }
+    ASSERT_TRUE(prof::finish()); // writes the profile, stops recording
+    EXPECT_FALSE(prof::profilingOn());
+
+    const obs::Json doc = readJson(path);
+    EXPECT_EQ(doc.at("profile").asString(), "lp_prof");
+    EXPECT_EQ(doc.at("v").asU64(), 3u);
+    ASSERT_TRUE(doc.contains("contention"));
+    ASSERT_TRUE(doc.contains("workers"));
+
+    // The streamed spans: one well-formed line per record, equal to the
+    // profile's spans section.
+    const obs::Json &spans = doc.at("spans");
+    ASSERT_EQ(spans.size(), 5u);
+    std::ifstream stream(path + ".spans.jsonl");
+    ASSERT_TRUE(stream.good());
     std::string line;
     std::size_t lines = 0;
-    while (std::getline(jsonl, line)) {
+    while (std::getline(stream, line)) {
         std::string err;
         obs::Json rec = obs::Json::parse(line, &err);
         ASSERT_TRUE(err.empty()) << err << " in: " << line;
-        for (const char *key :
-             {"program", "suite", "config", "task", "worker", "start_ns",
-              "wall_ns", "instructions", "attempts", "status"})
+        ASSERT_LT(lines, spans.size());
+        EXPECT_EQ(rec.dump(), spans.at(lines).dump());
+        for (const char *key : {"id", "parent", "name", "worker",
+                                "start_ns", "wall_ns", "instant", "args"})
             EXPECT_TRUE(rec.contains(key)) << key;
         ++lines;
     }
-    EXPECT_EQ(lines, 4u);
+    EXPECT_EQ(lines, spans.size());
 
-    // The rolled-up profile document agrees with the stream.
-    std::ifstream profFile(path);
-    ASSERT_TRUE(profFile.good());
-    std::stringstream buf;
-    buf << profFile.rdbuf();
-    std::string err;
-    obs::Json doc = obs::Json::parse(buf.str(), &err);
-    ASSERT_TRUE(err.empty()) << err;
-    ASSERT_TRUE(doc.contains("contention"));
-    ASSERT_TRUE(doc.contains("workers"));
     const obs::Json &tasks = doc.at("tasks");
     const obs::Json &cells = doc.at("cells");
     ASSERT_EQ(tasks.size(), 2u);
@@ -248,7 +272,7 @@ TEST_F(ProfSandbox, TaskRecordsRoundTripThroughJsonlAndReport)
     const obs::Json &a = cells.at(0), &b = cells.at(1);
     EXPECT_EQ(a.at("task").asU64(), 0u);
     EXPECT_EQ(b.at("task").asU64(), 0u);
-    EXPECT_EQ(a.at("config").asString(), "reduc1-dep1-fn2 helix");
+    EXPECT_EQ(a.at("config").asString(), "reduc1-dep1-fn2 HELIX");
     EXPECT_EQ(a.at("instructions").asU64(), 12345u);
     EXPECT_EQ(a.at("attempts").asU64(), 2u);
     EXPECT_EQ(a.at("wall_ns").asU64() + b.at("wall_ns").asU64(),
@@ -262,8 +286,20 @@ TEST_F(ProfSandbox, TaskRecordsRoundTripThroughJsonlAndReport)
     EXPECT_EQ(cells.at(3).at("status").asString(), "resumed");
     EXPECT_EQ(cells.at(3).at("wall_ns").asU64(), 0u);
 
+    // One worker, busy for both tasks, idle for the rest of the region.
+    const obs::Json &workers = doc.at("workers");
+    ASSERT_EQ(workers.at("workers").size(), 1u);
+    const obs::Json &w = workers.at("workers").at(0);
+    EXPECT_EQ(w.at("tasks").asU64(), 2u);
+    EXPECT_EQ(w.at("cells").asU64(), 3u);
+    EXPECT_EQ(w.at("instructions").asU64(), 2u * 12345u);
+    EXPECT_EQ(w.at("busy_ns").asU64(), tasks.at(0).at("wall_ns").asU64() +
+                                           tasks.at(1).at("wall_ns").asU64());
+    EXPECT_EQ(w.at("busy_ns").asU64() + w.at("idle_ns").asU64(),
+              workers.at("region_wall_ns").asU64());
+
     std::remove(path.c_str());
-    std::remove((path + ".cells.jsonl").c_str());
+    std::remove((path + ".spans.jsonl").c_str());
 }
 
 std::vector<core::BenchProgram>
@@ -293,16 +329,21 @@ const std::vector<rt::LPConfig> kThreeModels = {
     kHelix,
 };
 
+std::vector<obs::SpanRecord>
+spans()
+{
+    return obs::SpanLog::instance().records();
+}
+
 TEST_F(ProfSandbox, WorkerTimelinesHaveValidLanesAndUtilization)
 {
-    prof::Collector &c = prof::Collector::instance();
-    const std::string path = tempPath("lp_prof_lanes.json");
-    ASSERT_TRUE(c.configure("json:" + path));
-
-    // runSweep profiles its cell dispatch as one region.
+    prof::setEnabled(true);
+    // runSweep profiles its task dispatch as one region.
     test::sweepDocument(smallPrograms(), {kHelix}, 4);
+    prof::setEnabled(false);
 
-    obs::Json workers = c.workersJson();
+    const std::vector<obs::SpanRecord> log = spans();
+    obs::Json workers = prof::workersJson(log);
     EXPECT_GT(workers.at("region_wall_ns").asU64(), 0u);
     const obs::Json &lanes = workers.at("workers");
     ASSERT_GT(lanes.size(), 0u);
@@ -321,28 +362,33 @@ TEST_F(ProfSandbox, WorkerTimelinesHaveValidLanesAndUtilization)
         EXPECT_EQ(w.at("busy_ns").asU64() + w.at("idle_ns").asU64(),
                   workers.at("region_wall_ns").asU64());
     }
-    EXPECT_EQ(tasksTotal, c.tasksJson().size());
-    EXPECT_EQ(cellsTotal, c.cellCount());
+    EXPECT_EQ(tasksTotal, prof::tasksJson(log).size());
+    EXPECT_EQ(cellsTotal, prof::cellsJson(log).size());
     EXPECT_GE(workers.at("load_imbalance").asDouble(), 1.0 - 1e-9);
 
-    // The Chrome view of the same evidence: one span per task, each on
-    // its recorded worker's lane.
-    obs::Json chrome = c.chromeDocument();
+    // The Chrome view of the same log: one complete event per span,
+    // each task on its recorded worker's lane, plus the summary.
+    obs::Json chrome = prof::chromeProfile(log);
     const obs::Json &events = chrome.at("traceEvents");
-    std::size_t taskEvents = 0;
+    std::size_t complete = 0, taskEvents = 0;
+    bool summary = false;
     for (std::size_t i = 0; i < events.size(); ++i) {
         const obs::Json &e = events.at(i);
-        if (e.at("ph").asString() != "X")
+        if (e.at("ph").asString() != "X") {
+            summary |= e.at("name").asString() == "lp_prof.summary";
+            continue;
+        }
+        ++complete;
+        EXPECT_GE(e.at("dur").asDouble(), 0.0);
+        if (e.at("name").asString() != "core.task")
             continue;
         ++taskEvents;
         EXPECT_TRUE(seenLanes.count(e.at("tid").asU64()))
-            << "span on unknown lane";
-        EXPECT_GE(e.at("dur").asDouble(), 0.0);
+            << "task on unknown lane";
     }
-    EXPECT_EQ(taskEvents, c.tasksJson().size());
-
-    quiesce();
-    std::remove((path + ".cells.jsonl").c_str());
+    EXPECT_EQ(complete, log.size());
+    EXPECT_EQ(taskEvents, prof::tasksJson(log).size());
+    EXPECT_TRUE(summary);
 }
 
 TEST_F(ProfSandbox, QueueWaitIsLaneIdleGapNotRegionOffset)
@@ -352,27 +398,28 @@ TEST_F(ProfSandbox, QueueWaitIsLaneIdleGapNotRegionOffset)
     // spans — a 1.6 s region once reported 23 s of queue-wait.  The
     // fixed definition (lane idle gap before the task) sums to at most
     // the region wall, because one lane's gaps are disjoint.
-    prof::Collector &c = prof::Collector::instance();
-    c.setEnabled(true);
-
-    c.beginRegion();
-    for (int i = 0; i < 50; ++i) {
-        prof::TaskScope task("p" + std::to_string(i), "prof-test");
-        task.addCell("cfg");
-        task.setStatus("ok");
-        // Busy time inside the task: under the old definition each
-        // later task inherited all of it as "queue wait".
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    prof::setEnabled(true);
+    {
+        obs::ScopedPhase region("exec.region");
+        for (int i = 0; i < 50; ++i) {
+            obs::ScopedPhase task("core.task");
+            core::labelTask(task, "p" + std::to_string(i), "prof-test",
+                            {"cfg"});
+            task.set("status", "ok");
+            // Busy time inside the task: under the old definition each
+            // later task inherited all of it as "queue wait".
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
     }
-    c.endRegion();
-    c.setEnabled(false);
+    prof::setEnabled(false);
 
-    obs::Json workers = c.workersJson();
+    const std::vector<obs::SpanRecord> log = spans();
+    obs::Json workers = prof::workersJson(log);
     const std::uint64_t regionWall =
         workers.at("region_wall_ns").asU64();
     ASSERT_GT(regionWall, 0u);
 
-    obs::Json tasks = c.tasksJson();
+    obs::Json tasks = prof::tasksJson(log);
     ASSERT_EQ(tasks.size(), 50u);
     std::uint64_t totalWait = 0;
     for (std::size_t i = 0; i < tasks.size(); ++i)
@@ -390,13 +437,11 @@ TEST_F(ProfSandbox, ParallelSweepQueueWaitStaysWithinRegionWall)
     // The same invariant under a real parallel sweep: whatever the
     // worker count, no lane can have waited longer than the region
     // lasted.
-    prof::Collector &c = prof::Collector::instance();
-    c.setEnabled(true);
-
+    prof::setEnabled(true);
     test::sweepDocument(smallPrograms(), kThreeModels, 4);
-    c.setEnabled(false);
+    prof::setEnabled(false);
 
-    obs::Json workers = c.workersJson();
+    obs::Json workers = prof::workersJson(spans());
     const std::uint64_t regionWall =
         workers.at("region_wall_ns").asU64();
     const obs::Json &lanes = workers.at("workers");
@@ -407,15 +452,33 @@ TEST_F(ProfSandbox, ParallelSweepQueueWaitStaysWithinRegionWall)
 }
 
 /**
- * The task model's bookkeeping on the profile of the last sweep: every
+ * The task model's bookkeeping on the span log of the last sweep:
+ * every span lies inside its parent on the parent's worker, every
  * worker's busy and idle time add up to the region wall, each task's
  * cells' lane shares add up to its wall, and every cell has a row.
  * @return the number of tasks
  */
 std::size_t
-expectTasksAddUp(const prof::Collector &c, std::size_t cells)
+expectTasksAddUp(const std::vector<obs::SpanRecord> &log, std::size_t cells)
 {
-    const obs::Json workers = c.workersJson();
+    std::map<std::uint64_t, const obs::SpanRecord *> byId;
+    for (const obs::SpanRecord &r : log)
+        byId[r.id] = &r;
+    for (const obs::SpanRecord &r : log) {
+        if (r.parent == 0)
+            continue;
+        if (!byId.count(r.parent)) {
+            ADD_FAILURE() << r.name << " has no parent record";
+            continue;
+        }
+        const obs::SpanRecord &p = *byId[r.parent];
+        EXPECT_EQ(p.worker, r.worker) << r.name << " in " << p.name;
+        EXPECT_LE(p.startNs, r.startNs) << r.name << " in " << p.name;
+        EXPECT_LE(r.startNs + r.wallNs, p.startNs + p.wallNs)
+            << r.name << " in " << p.name;
+    }
+
+    const obs::Json workers = prof::workersJson(log);
     const std::uint64_t regionWall = workers.at("region_wall_ns").asU64();
     const obs::Json &lanes = workers.at("workers");
     EXPECT_GT(lanes.size(), 0u);
@@ -426,8 +489,8 @@ expectTasksAddUp(const prof::Collector &c, std::size_t cells)
             << "worker " << w.at("worker").asU64();
     }
 
-    const obs::Json tasks = c.tasksJson();
-    const obs::Json rows = c.cellsJson();
+    const obs::Json tasks = prof::tasksJson(log);
+    const obs::Json rows = prof::cellsJson(log);
     EXPECT_EQ(rows.size(), cells);
     std::vector<std::uint64_t> shares(tasks.size(), 0);
     std::vector<std::uint64_t> lanesSeen(tasks.size(), 0);
@@ -447,10 +510,19 @@ expectTasksAddUp(const prof::Collector &c, std::size_t cells)
     return tasks.size();
 }
 
+/** How many spans of @p log are named @p name. */
+std::size_t
+countNamed(const std::vector<obs::SpanRecord> &log, const std::string &name)
+{
+    return std::count_if(log.begin(), log.end(),
+                         [&](const obs::SpanRecord &r) {
+                             return r.name == name;
+                         });
+}
+
 TEST_F(ProfSandbox, AllSuiteSweepIsProfiledTaskByTask)
 {
-    prof::Collector &c = prof::Collector::instance();
-    c.setEnabled(true);
+    prof::setEnabled(true);
     const std::vector<core::BenchProgram> &programs = suites::allPrograms();
     core::SweepRequest req;
     req.wantJson = true;
@@ -461,31 +533,89 @@ TEST_F(ProfSandbox, AllSuiteSweepIsProfiledTaskByTask)
     // program, and the workers are busy with them nearly all the time
     // (the cell-as-task profile once read a utilization of 1e-5).
     core::runSweep(programs, req, discard);
-    const std::size_t cells = programs.size() * req.configs.size();
-    EXPECT_EQ(expectTasksAddUp(c, cells), programs.size());
-    EXPECT_GT(c.workersJson().at("utilization_mean").asDouble(), 0.5);
-
     exec::setJobsOverride(0);
-    c.setEnabled(false);
+    prof::setEnabled(false);
+
+    const std::vector<obs::SpanRecord> log = spans();
+    const std::size_t cells = programs.size() * req.configs.size();
+    EXPECT_EQ(expectTasksAddUp(log, cells), programs.size());
+    EXPECT_EQ(countNamed(log, "core.task"), programs.size());
+    EXPECT_GT(prof::workersJson(log).at("utilization_mean").asDouble(),
+              0.5);
+    // Every layer the sweep runs has its span; no retired name is left.
+    for (const char *layer :
+         {"exec.region", "core.prepare", "ir.build", "ir.verify", "rt.plan",
+          "rt.batch", "rt.report_json"})
+        EXPECT_GT(countNamed(log, layer), 0u) << layer;
+    for (const char *retired :
+         {"guard", "prepare", "plan", "replay_batch", "report"})
+        EXPECT_EQ(countNamed(log, retired), 0u) << retired;
+    // Each batch and its report JSON ran inside a task on its worker.
+    for (const obs::SpanRecord &r : log)
+        if (r.name == "rt.batch" || r.name == "rt.report_json") {
+            const auto task = std::find_if(
+                log.begin(), log.end(), [&](const obs::SpanRecord &t) {
+                    return t.name == "core.task" && t.id == r.parent;
+                });
+            EXPECT_NE(task, log.end()) << r.name;
+        }
+}
+
+TEST_F(ProfSandbox, LintedCheckpointedSweepShowsItsLayers)
+{
+    const std::string ckpt = tempPath("lp_prof_layers.ckpt.jsonl");
+    std::remove(ckpt.c_str());
+    core::SweepRequest req;
+    req.configs.clear();
+    for (const rt::LPConfig &cfg : kThreeModels)
+        req.configs.push_back({cfg.str(), cfg});
+    req.lintMode = 1;
+    req.checkpointPath = ckpt;
+    std::ostream discard(nullptr);
+
+    prof::setEnabled(true);
+    core::runSweep(smallPrograms(), req, discard);
+    prof::setEnabled(false);
+
+    const std::vector<obs::SpanRecord> log = spans();
+    const std::size_t programs = smallPrograms().size();
+    EXPECT_EQ(countNamed(log, "lint.module"), programs);
+    EXPECT_EQ(countNamed(log, "analysis.verdicts"), programs);
+    EXPECT_EQ(countNamed(log, "guard.checkpoint_append"), programs);
+    expectTasksAddUp(log, programs * kThreeModels.size());
+
+    // Resumed, every cell needs no run: each is one core.cell instant.
+    req.resume = true;
+    prof::reset();
+    prof::setEnabled(true);
+    core::runSweep(smallPrograms(), req, discard);
+    prof::setEnabled(false);
+    const obs::Json rows = prof::cellsJson(spans());
+    ASSERT_EQ(rows.size(), programs * kThreeModels.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_TRUE(rows.at(i).at("task").isNull());
+        EXPECT_EQ(rows.at(i).at("status").asString(), "resumed");
+    }
+    EXPECT_EQ(countNamed(spans(), "core.task"), 0u);
+    std::remove(ckpt.c_str());
 }
 
 // ---------------------------------------------------------- determinism
 
-/** One sweep's report document, with the profiler on or off. */
+/** One sweep's report document, with the profile on or off. */
 std::string
 sweepFingerprint(unsigned jobs, bool profiled)
 {
+    const std::string path = tempPath("lp_prof_identity.json");
     if (profiled) {
-        EXPECT_TRUE(prof::Collector::instance().configure(
-            "json:" + tempPath("lp_prof_identity.json")));
+        EXPECT_TRUE(prof::configure("json:" + path));
     } else {
         ProfSandbox::quiesce();
     }
     std::string out =
         test::sweepDocument(smallPrograms(), kThreeModels, jobs).dump();
     ProfSandbox::quiesce();
-    std::remove((tempPath("lp_prof_identity.json") + ".cells.jsonl")
-                    .c_str());
+    std::remove((path + ".spans.jsonl").c_str());
     return out;
 }
 

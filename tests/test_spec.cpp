@@ -55,8 +55,8 @@ expectEngineMatchesSpec(const ir::Module &mod, const std::string &what,
             const rt::ProgramReport expected =
                 spec.evaluate(grid[i], engine.program, oracle);
             const std::vector<std::string> diffs = fuzz::specDifferences(
-                engine.toJson(/*withObsSnapshot=*/false),
-                expected.toJson(/*withObsSnapshot=*/false));
+                engine.toJson(),
+                expected.toJson());
             ++compared;
             if (diffs.empty())
                 continue;
@@ -110,14 +110,14 @@ TEST(SpecEvaluator, TheComparisonSeesEveryField)
     rt::ProgramReport rep = lp.run(cfg, cap);
     ASSERT_FALSE(rep.loops.empty());
     ASSERT_GT(rep.coverage, 0.0);
-    const obs::Json ref = rep.toJson(/*withObsSnapshot=*/false);
+    const obs::Json ref = rep.toJson();
     EXPECT_TRUE(fuzz::specDifferences(ref, ref).empty());
 
     auto differs = [&](auto &&mutate) {
         rt::ProgramReport other = rep;
         mutate(other);
         return fuzz::specDifferences(
-                   ref, other.toJson(/*withObsSnapshot=*/false))
+                   ref, other.toJson())
             .size();
     };
     EXPECT_EQ(differs([](rt::ProgramReport &r) {
@@ -140,7 +140,7 @@ TEST(SpecEvaluator, ReadsTheConfigurationBackFromAReport)
         rt::ProgramReport rep;
         rep.config = cfg;
         EXPECT_EQ(fuzz::configFromJson(
-                      rep.toJson(/*withObsSnapshot=*/false).at("config")),
+                      rep.toJson().at("config")),
                   cfg)
             << cfg.str();
     }

@@ -80,9 +80,9 @@ TEST_F(TraceTest, ReplayReportsAreByteIdenticalAcrossTheGrid)
         ASSERT_EQ(replay.size(), grid.size()) << name;
         for (std::size_t i = 0; i < grid.size(); ++i) {
             std::string interp =
-                lp.run(grid[i]).toJson(/*withObsSnapshot=*/false).dump(2);
+                lp.run(grid[i]).toJson().dump(2);
             EXPECT_EQ(interp,
-                      replay[i].toJson(/*withObsSnapshot=*/false).dump(2))
+                      replay[i].toJson().dump(2))
                 << name << " under " << grid[i].str();
         }
     }
@@ -98,10 +98,10 @@ TEST_F(TraceTest, ReplayWithOracleIsByteIdentical)
     ASSERT_EQ(replay.size(), grid.size());
     for (std::size_t i = 0; i < grid.size(); ++i) {
         std::string interp = lp.runWithOracle(grid[i])
-                                 .toJson(/*withObsSnapshot=*/false)
+                                 .toJson()
                                  .dump(2);
         EXPECT_EQ(interp,
-                  replay[i].toJson(/*withObsSnapshot=*/false).dump(2))
+                  replay[i].toJson().dump(2))
             << grid[i].str();
     }
 }
