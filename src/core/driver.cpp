@@ -27,7 +27,7 @@ Loopapalooza::Loopapalooza(const ir::Module &mod) : mod_(mod)
         obs::ScopedPhase phase("rt.plan");
         plan_ = std::make_unique<rt::ModulePlan>(mod);
         index_ = std::make_unique<trace::ModuleIndex>(mod);
-        blockFacts_ = rt::buildBlockFacts(*plan_);
+        tables_ = rt::ProgramTables(*plan_);
         dispatch_ = trace::buildBatchDispatchTable(*index_);
     }
 
@@ -113,7 +113,7 @@ Loopapalooza::runReplayBatched(const std::vector<rt::LPConfig> &cfgs) const
 {
     LP_LOG_DEBUG("running %s across %zu configuration(s)",
                  mod_.name().c_str(), cfgs.size());
-    return rt::runLimitStudyBatched(*plan_, blockFacts_, cfgs,
+    return rt::runLimitStudyBatched(*plan_, tables_, cfgs,
                                     mod_.name());
 }
 
@@ -125,7 +125,7 @@ Loopapalooza::runReplayBatched(const std::vector<rt::LPConfig> &cfgs,
                  "attached)",
                  mod_.name().c_str(), cfgs.size());
     std::vector<rt::ProgramReport> reps = rt::runLimitStudyBatched(
-        *plan_, blockFacts_, cfgs, mod_.name(), &cap);
+        *plan_, tables_, cfgs, mod_.name(), &cap);
     for (rt::ProgramReport &rep : reps) {
         lint::applyOracle(cap, rep);
         lint::applyVerdictOracle(staticVerdicts(), rep);

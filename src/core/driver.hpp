@@ -130,8 +130,8 @@ class Loopapalooza
     const ir::Module &mod_;
     std::unique_ptr<rt::ModulePlan> plan_;
     std::unique_ptr<trace::ModuleIndex> index_;
-    /** The fused batches' per-block facts, shared by every batch. */
-    rt::BlockFacts blockFacts_;
+    /** The plan by dense event id, shared by every batch. */
+    rt::ProgramTables tables_;
     trace::BatchDispatchTable dispatch_;
 
     mutable prof::TimedMutex traceMu_{"core.trace_record"};

@@ -8,13 +8,20 @@
  * the events those call-backs would deliver — block (and hence loop)
  * boundaries, header-phi values, memory access addresses, call sites and
  * function entry/exit — while the dynamic IR instruction counter advances.
+ *
+ * A Machine built with an Instrumentation compiles the call-backs into
+ * its lowered code the way the paper's passes insert them: loop entry,
+ * iteration and exit on the CFG edges that cross loop boundaries, and
+ * only the block entries, phis, loads and stores the plan selects.
  */
 
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "ir/function.hpp"
+#include "ir/module.hpp"
 
 namespace lp::interp {
 
@@ -47,6 +54,56 @@ class ExecListener
 
     /** A function body is returning. */
     virtual void onFunctionExit(const ir::Function *) {}
+};
+
+/**
+ * The dense ids the sink interface passes.  Blocks, phis and memory
+ * operations (loads and stores) are each numbered in
+ * Module::functions() order, each function's blocks in order and each
+ * block's instructions in order.
+ */
+struct EventIds
+{
+    EventIds() = default;
+    explicit EventIds(const ir::Module &mod);
+
+    std::vector<const ir::BasicBlock *> blocks;  ///< by block id
+    std::vector<const ir::Instruction *> phis;   ///< by phi id
+    std::vector<const ir::Instruction *> memOps; ///< by memory-op id
+    /** Per function (functions() order): its first block, phi and
+     *  memory-op id. */
+    std::vector<std::uint32_t> blockBase, phiBase, memBase;
+};
+
+/**
+ * A module's loop forest by dense id: what a lowering classifies CFG
+ * edges against.  Loops are numbered densely (the instrumentation's
+ * loop ordinals); every loop is a natural loop, so its header
+ * dominates its blocks and two loops are nested or disjoint.
+ */
+struct LoopForest
+{
+    std::vector<std::int32_t> blockLoop; ///< by block id: innermost, -1 none
+    std::vector<std::int32_t> parent;    ///< by loop: enclosing, -1 none
+    std::vector<std::uint32_t> depth;    ///< by loop: 1 = outermost
+    std::vector<std::uint32_t> header;   ///< by loop: its header's block id
+};
+
+/**
+ * What a Machine's lowering compiles into its code.  Each CFG edge is
+ * classified against @p loops: it leaves k loops (loopExit(k)), then
+ * either starts an iteration of the loop whose header it reaches
+ * (loopIterate(), a back edge) or enters that loop from outside
+ * (loopEnter(ordinal)).  A branch from an inner loop straight to its
+ * outer loop's header is loopExit(1) then loopIterate().  The other
+ * events fire only where selected, by dense id.
+ */
+struct Instrumentation
+{
+    const LoopForest *loops = nullptr;
+    std::vector<bool> blocks; ///< blockEnter, by block id
+    std::vector<bool> phis;   ///< phiResolved, by phi id
+    std::vector<bool> memOps; ///< load / store, by memory-op id
 };
 
 } // namespace lp::interp

@@ -27,8 +27,10 @@ namespace lp::interp {
 
 /**
  * Operations of the lowered form: ir::Opcode's, in the same order so
- * lowering converts with a cast, and Panic for malformed IR reached at
- * run time.  PtrAdd runs as Add; Phi never runs (phis are edge copies).
+ * lowering converts with a cast, Panic for malformed IR reached at run
+ * time, and the loads and stores whose events the Instrumentation does
+ * not select.  PtrAdd runs as Add; Phi never runs (phis are edge
+ * copies).
  */
 enum class LoweredCode : std::uint8_t {
     Add, Sub, Mul, SDiv, SRem, And, Or, Xor, Shl, AShr,
@@ -37,7 +39,7 @@ enum class LoweredCode : std::uint8_t {
     FCmpEq, FCmpNe, FCmpLt, FCmpLe, FCmpGt, FCmpGe,
     Select, IToF, FToI, Alloca, Load, Store, PtrAdd, Phi,
     Call, CallExt, Br, Jmp, Ret,
-    Panic,
+    Panic, QuietLoad, QuietStore,
 };
 
 /**
@@ -46,9 +48,10 @@ enum class LoweredCode : std::uint8_t {
  * dst the result register.  c is Select's third source; Load, Store,
  * Call, CallExt and Ret keep their in-block position there instead,
  * which is what preciseCost() counts.  aux is Jmp's edge, Br's taken
- * edge (c its fall-through edge), a call's call site or a Panic's
- * message.  Store reads its value from a and its address from b; Ret
- * returns a (a zero register for a void return).
+ * edge (c its fall-through edge), a call's call site, a load's or
+ * store's memory-op id or a Panic's message.  Store reads its value
+ * from a and its address from b; Ret returns a (a zero register for a
+ * void return).
  */
 struct LoweredOp
 {
@@ -58,7 +61,7 @@ struct LoweredOp
     std::uint32_t b = 0;
     std::uint32_t c = 0;
     std::uint32_t aux = 0;
-    const ir::Instruction *instr = nullptr; ///< event payload
+    const ir::Instruction *instr = nullptr; ///< a call's, for callSite
 };
 
 /**
@@ -68,20 +71,26 @@ struct LoweredOp
  */
 struct LoweredFunction
 {
+    /** An edge's loop call-back after its exits (Instrumentation). */
+    enum class LoopEvent : std::uint8_t { None, Enter, Iterate };
     /**
      * Entering a block along one CFG edge; edge 0 is the function
-     * entry.  The phis' parallel copy is ordered into moves, after
-     * which the block's phis fire in order.  An edge that reaches
-     * malformed phis resumes at a Panic op and fires none.
+     * entry.  The edge fires its loop events and the block entry, the
+     * phis' parallel copy (ordered into moves) runs, then the selected
+     * phis fire in order.  An edge that reaches malformed phis resumes
+     * at a Panic op and fires no phi.
      */
     struct Edge
     {
-        const ir::BasicBlock *block = nullptr;
-        std::uint32_t blockId = 0; ///< module-wide (see Machine::run)
+        std::uint32_t blockId = 0; ///< EventIds block id
         std::uint32_t size = 0;    ///< block's IR size: its clock charge
         std::uint32_t resume = 0;  ///< first op after the phis
         std::uint32_t movesBegin = 0, movesEnd = 0;
-        std::uint32_t phisBegin = 0, phisEnd = 0;
+        std::uint32_t phisBegin = 0, phisEnd = 0; ///< the phis that fire
+        std::uint32_t loop = 0;    ///< the loop a LoopEvent::Enter enters
+        std::uint16_t exits = 0;   ///< loops the edge leaves
+        LoopEvent loopEvent = LoopEvent::None;
+        bool announce = false;     ///< fires blockEnter
     };
     struct Move
     {
@@ -90,7 +99,7 @@ struct LoweredFunction
     struct Phi
     {
         std::uint32_t reg;
-        const ir::Instruction *instr;
+        std::uint32_t id; ///< EventIds phi id
     };
     /** Callee (function or ExternalFunction::index()) and arguments. */
     struct Call
@@ -196,8 +205,9 @@ Machine::execute(const LoweredFunction &main, Sink &sink)
     const LoweredFunction::Edge *e = &main.edges[0];
 
     for (;;) {
-        // Enter e's block: charge all of it, check the budgets, then
-        // resolve its phis (the copy runs before any phi fires).
+        // Enter e's block: charge all of it, check the budgets, fire
+        // the edge's events, then resolve its phis (the copy runs
+        // before any phi fires).
         cost_ += e->size;
         curBlockSize_ = e->size;
         ipInBlock_ = 0;
@@ -205,11 +215,18 @@ Machine::execute(const LoweredFunction &main, Sink &sink)
             throwFuelExhausted(f->fn);
         if (cost_ >= nextPollCost_) [[unlikely]]
             pollBudgets(f->fn);
-        sink.blockEnter(e->block, e->blockId);
+        if (e->exits)
+            sink.loopExit(e->exits);
+        if (e->loopEvent == LoweredFunction::LoopEvent::Enter)
+            sink.loopEnter(e->loop);
+        else if (e->loopEvent == LoweredFunction::LoopEvent::Iterate)
+            sink.loopIterate();
+        if (e->announce)
+            sink.blockEnter(e->blockId);
         for (std::uint32_t i = e->movesBegin; i < e->movesEnd; ++i)
             regs[f->moves[i].dst] = regs[f->moves[i].src];
         for (std::uint32_t i = e->phisBegin; i < e->phisEnd; ++i)
-            sink.phiResolved(f->phis[i].instr, regs[f->phis[i].reg]);
+            sink.phiResolved(f->phis[i].id, regs[f->phis[i].reg]);
         const LoweredOp *pc = f->ops.data() + e->resume;
 
         // Run ops until control leaves the block: each case either
@@ -261,14 +278,16 @@ Machine::execute(const LoweredFunction &main, Sink &sink)
                 continue;
               case Load:
                 ipInBlock_ = op.c;
-                sink.load(op.instr, x);
+                sink.load(op.aux, x);
                 out = mem_.load64(x);
                 continue;
+              case QuietLoad: out = mem_.load64(x); continue;
               case Store:
                 ipInBlock_ = op.c;
-                sink.store(op.instr, y);
+                sink.store(op.aux, y);
                 mem_.store64(y, x);
                 continue;
+              case QuietStore: mem_.store64(y, x); continue;
 
               case Call: {
                 ipInBlock_ = op.c;

@@ -86,13 +86,50 @@ incomingFrom(const Instruction &phi, const ir::BasicBlock *from)
 using FunctionIndex = std::unordered_map<const ir::Function *, std::uint32_t>;
 
 /**
- * Lower @p fn (finalized, with a body) once.  Blocks are lowered in
- * order; branch edges are numbered as they appear and built afterwards,
- * when every block's first op is known.
+ * Classify the edge into block @p to from block @p from (-1: the
+ * function's entry) against @p loops, the way the block stream's rule
+ * does: every open loop that does not hold @p to closes, then reaching
+ * a header iterates its loop if that loop is still open, else enters
+ * it.  The open loops at a block are exactly the loops holding it
+ * (natural loops are entered through their headers), so the loops that
+ * close are those between @p from's innermost loop and the innermost
+ * loop holding both ends.
+ */
+void
+classifyEdge(const LoopForest &loops, std::int64_t from, std::uint32_t to,
+             LoweredFunction::Edge &e)
+{
+    auto depth = [&](std::int32_t l) { return l < 0 ? 0u : loops.depth[l]; };
+    const std::int32_t target = loops.blockLoop[to];
+    std::int32_t common = from < 0 ? -1 : loops.blockLoop[from];
+    const std::uint32_t fromDepth = depth(common);
+    for (std::int32_t other = target; common != other;) {
+        if (depth(common) >= depth(other))
+            common = loops.parent[common];
+        else
+            other = loops.parent[other];
+    }
+    const std::uint32_t exits = fromDepth - depth(common);
+    panicIf(exits > UINT16_MAX, "loop nest too deep to instrument");
+    e.exits = static_cast<std::uint16_t>(exits);
+    if (target >= 0 && loops.header[target] == to) {
+        e.loopEvent = common == target ? LoweredFunction::LoopEvent::Iterate
+                                       : LoweredFunction::LoopEvent::Enter;
+        e.loop = static_cast<std::uint32_t>(target);
+    }
+}
+
+/**
+ * Lower @p fn (finalized, with a body; function @p fi of the module)
+ * once.  Blocks are lowered in order; branch edges are numbered as they
+ * appear and built afterwards, when every block's first op is known.
+ * Without @p events every block entry, phi, load and store fires and
+ * no loop event does.
  */
 LoweredFunction
-lowerFunction(const ir::Function &fn, const FunctionIndex &fnIndex,
-              std::uint32_t blockBase)
+lowerFunction(const ir::Function &fn, std::uint32_t fi,
+              const FunctionIndex &fnIndex, const EventIds &ids,
+              const Instrumentation *events)
 {
     fatalIf(fn.blocks().empty(), "@" + fn.name() + " has no body");
     LoweredFunction lf;
@@ -143,17 +180,27 @@ lowerFunction(const ir::Function &fn, const FunctionIndex &fnIndex,
         return static_cast<std::uint32_t>(edgeEnds.size() - 1);
     };
 
+    // Every phi of each block, for the edge copies; lf.phis keeps the
+    // ones that fire.
+    std::vector<const Instruction *> blockPhis;
+    std::uint32_t phiId = ids.phiBase[fi], memId = ids.memBase[fi];
     const std::size_t numBlocks = fn.blocks().size();
     std::vector<std::uint32_t> firstOp(numBlocks), phisBegin(numBlocks),
-        phisEnd(numBlocks);
+        phisEnd(numBlocks), firedBegin(numBlocks), firedEnd(numBlocks);
     for (std::size_t b = 0; b < numBlocks; ++b) {
         const ir::BasicBlock &bb = *fn.blocks()[b];
         const auto &instrs = bb.instructions();
         std::size_t ip = 0;
-        phisBegin[b] = static_cast<std::uint32_t>(lf.phis.size());
-        for (; ip < instrs.size() && instrs[ip]->isPhi(); ++ip)
-            lf.phis.push_back({instrs[ip]->localId(), instrs[ip].get()});
-        phisEnd[b] = static_cast<std::uint32_t>(lf.phis.size());
+        phisBegin[b] = static_cast<std::uint32_t>(blockPhis.size());
+        firedBegin[b] = static_cast<std::uint32_t>(lf.phis.size());
+        for (; ip < instrs.size() && instrs[ip]->isPhi(); ++ip, ++phiId) {
+            assert(ids.phis[phiId] == instrs[ip].get());
+            blockPhis.push_back(instrs[ip].get());
+            if (!events || events->phis[phiId])
+                lf.phis.push_back({instrs[ip]->localId(), phiId});
+        }
+        phisEnd[b] = static_cast<std::uint32_t>(blockPhis.size());
+        firedEnd[b] = static_cast<std::uint32_t>(lf.phis.size());
         firstOp[b] = static_cast<std::uint32_t>(lf.ops.size());
 
         for (; ip < instrs.size(); ++ip) {
@@ -168,6 +215,7 @@ lowerFunction(const ir::Function &fn, const FunctionIndex &fnIndex,
             switch (instr.opcode()) {
               case Opcode::Phi:
                 panicOp("phi after non-phi in block " + bb.name());
+                ++phiId;
                 continue;
               case Opcode::Call:
               case Opcode::CallExt: {
@@ -195,6 +243,19 @@ lowerFunction(const ir::Function &fn, const FunctionIndex &fnIndex,
               case Opcode::Ret:
                 op.a = n == 1 ? r(0) : constant(0);
                 break;
+              case Opcode::Load:
+              case Opcode::Store:
+                assert(ids.memOps[memId] == &instr);
+                op.a = r(0);
+                if (n > 1)
+                    op.b = r(1);
+                op.aux = memId;
+                if (events && !events->memOps[memId])
+                    op.code = instr.opcode() == Opcode::Load
+                                  ? LoweredCode::QuietLoad
+                                  : LoweredCode::QuietStore;
+                ++memId;
+                break;
               default:
                 if (n > 0)
                     op.a = r(0);
@@ -215,22 +276,29 @@ lowerFunction(const ir::Function &fn, const FunctionIndex &fnIndex,
                 "@" + fn.name() + " branches to another function's block");
         const std::size_t b = to->index();
         LoweredFunction::Edge e;
-        e.block = to;
-        e.blockId = blockBase + static_cast<std::uint32_t>(b);
+        e.blockId = ids.blockBase[fi] + static_cast<std::uint32_t>(b);
         e.size = static_cast<std::uint32_t>(to->instructions().size());
         e.resume = firstOp[b];
         e.movesBegin = static_cast<std::uint32_t>(lf.moves.size());
-        e.phisBegin = phisBegin[b];
-        e.phisEnd = phisEnd[b];
+        e.phisBegin = firedBegin[b];
+        e.phisEnd = firedEnd[b];
+        e.announce = !events || events->blocks[e.blockId];
+        if (events) {
+            const std::int64_t fromId =
+                from ? static_cast<std::int64_t>(ids.blockBase[fi] +
+                                                 from->index())
+                     : -1;
+            classifyEdge(*events->loops, fromId, e.blockId, e);
+        }
         std::vector<LoweredFunction::Move> copies;
         std::string bad;
         for (std::uint32_t k = phisBegin[b]; k < phisEnd[b] && bad.empty();
              ++k) {
-            const LoweredFunction::Phi &phi = lf.phis[k];
+            const Instruction &phi = *blockPhis[k];
             if (!from)
                 bad = "phi in entry block of @" + fn.name();
-            else if (const ir::Value *in = incomingFrom(*phi.instr, from))
-                copies.push_back({phi.reg, reg(in)});
+            else if (const ir::Value *in = incomingFrom(phi, from))
+                copies.push_back({phi.localId(), reg(in)});
             else
                 bad = "phi has no incoming value for block " + from->name();
         }
@@ -253,54 +321,100 @@ struct NullSink
 {
     void functionEnter(const ir::Function *) {}
     void functionExit(const ir::Function *) {}
-    void blockEnter(const ir::BasicBlock *, std::uint32_t) {}
-    void phiResolved(const Instruction *, std::uint64_t) {}
-    void load(const Instruction *, std::uint64_t) {}
-    void store(const Instruction *, std::uint64_t) {}
+    void loopExit(std::uint32_t) {}
+    void loopEnter(std::uint32_t) {}
+    void loopIterate() {}
+    void blockEnter(std::uint32_t) {}
+    void phiResolved(std::uint32_t, std::uint64_t) {}
+    void load(std::uint32_t, std::uint64_t) {}
+    void store(std::uint32_t, std::uint64_t) {}
     void callSite(const Instruction *) {}
 };
 
-/** Virtual dispatch to an ExecListener, one call per event. */
+/**
+ * Virtual dispatch to an ExecListener, one call per event.  A
+ * listener's Machine has no Instrumentation, so no loop event fires.
+ */
 struct ListenerSink
 {
     ExecListener *l;
+    const EventIds &ids;
 
     void functionEnter(const ir::Function *fn) { l->onFunctionEnter(fn); }
     void functionExit(const ir::Function *fn) { l->onFunctionExit(fn); }
-    void blockEnter(const ir::BasicBlock *bb, std::uint32_t)
+    void loopExit(std::uint32_t) {}
+    void loopEnter(std::uint32_t) {}
+    void loopIterate() {}
+    void blockEnter(std::uint32_t b) { l->onBlockEnter(ids.blocks[b]); }
+    void phiResolved(std::uint32_t phi, std::uint64_t bits)
     {
-        l->onBlockEnter(bb);
+        l->onPhiResolved(ids.phis[phi], bits);
     }
-    void phiResolved(const Instruction *phi, std::uint64_t bits)
+    void load(std::uint32_t i, std::uint64_t a) { l->onLoad(ids.memOps[i], a); }
+    void store(std::uint32_t i, std::uint64_t a)
     {
-        l->onPhiResolved(phi, bits);
+        l->onStore(ids.memOps[i], a);
     }
-    void load(const Instruction *i, std::uint64_t a) { l->onLoad(i, a); }
-    void store(const Instruction *i, std::uint64_t a) { l->onStore(i, a); }
     void callSite(const Instruction *i) { l->onCallSite(i); }
 };
 
 } // namespace
 
+EventIds::EventIds(const ir::Module &mod)
+{
+    for (const auto &fn : mod.functions()) {
+        blockBase.push_back(static_cast<std::uint32_t>(blocks.size()));
+        phiBase.push_back(static_cast<std::uint32_t>(phis.size()));
+        memBase.push_back(static_cast<std::uint32_t>(memOps.size()));
+        for (const auto &bb : fn->blocks()) {
+            blocks.push_back(bb.get());
+            for (const auto &instr : bb->instructions()) {
+                if (instr->isPhi())
+                    phis.push_back(instr.get());
+                else if (instr->opcode() == Opcode::Load ||
+                         instr->opcode() == Opcode::Store)
+                    memOps.push_back(instr.get());
+            }
+        }
+    }
+}
+
 Machine::Machine(const ir::Module &mod, ExecListener *listener)
-    : mod_(mod), listener_(listener)
+    : mod_(mod), listener_(listener), ids_(mod)
+{
+    lower(nullptr);
+}
+
+Machine::Machine(const ir::Module &mod, const Instrumentation &events)
+    : mod_(mod), ids_(mod)
+{
+    panicIf(!events.loops ||
+                events.loops->blockLoop.size() != ids_.blocks.size() ||
+                events.blocks.size() != ids_.blocks.size() ||
+                events.phis.size() != ids_.phis.size() ||
+                events.memOps.size() != ids_.memOps.size(),
+            "instrumentation does not match the module");
+    lower(&events);
+}
+
+void
+Machine::lower(const Instrumentation *events)
 {
     FunctionIndex index;
-    for (const auto &fn : mod.functions()) {
+    for (const auto &fn : mod_.functions()) {
         fatalIf(!fn->finalized(),
                 "module not finalized before interpretation");
         index.emplace(fn.get(), static_cast<std::uint32_t>(index.size()));
     }
-    fns_.reserve(mod.functions().size());
-    std::uint32_t blockBase = 0;
-    for (const auto &fn : mod.functions()) {
-        fns_.push_back(lowerFunction(*fn, index, blockBase));
-        blockBase += static_cast<std::uint32_t>(fn->blocks().size());
-    }
+    fns_.reserve(mod_.functions().size());
+    for (const auto &fn : mod_.functions())
+        fns_.push_back(lowerFunction(
+            *fn, static_cast<std::uint32_t>(fns_.size()), index, ids_,
+            events));
     // Copy the external impls so stateful ones (rand's LCG) restart per
     // run and never share mutable state across concurrent Machines.
-    extImpls_.reserve(mod.externals().size());
-    for (const auto &ext : mod.externals())
+    extImpls_.reserve(mod_.externals().size());
+    for (const auto &ext : mod_.externals())
         extImpls_.push_back(ext->impl());
     setBudget(guard::defaultBudget());
 }
@@ -393,7 +507,7 @@ std::uint64_t
 Machine::run()
 {
     if (listener_) {
-        ListenerSink sink{listener_};
+        ListenerSink sink{listener_, ids_};
         return run(sink);
     }
     NullSink sink;

@@ -12,8 +12,10 @@
  * global addresses are preloaded into registers after the locals),
  * phis become parallel-copy lists on the CFG edges, and each edge
  * carries what entering its target block costs on the block-granular
- * clock.  The sinks still receive the ir:: instructions and blocks the
- * events are about.
+ * clock and which call-backs it fires.  Built with an Instrumentation,
+ * the lowering classifies every edge against the loop forest and
+ * compiles in only the selected events; the sinks receive dense ids
+ * (interp::EventIds), which ids() maps back to the IR.
  *
  * To make that guarantee hold run-to-run (and to let lp::exec run many
  * Machines over one module concurrently), each Machine copies the
@@ -52,6 +54,11 @@ class Machine
      * @param listener optional instrumentation sink (not owned)
      */
     explicit Machine(const ir::Module &mod, ExecListener *listener = nullptr);
+    /**
+     * A Machine whose lowering compiles in @p events (read only while
+     * constructing), for run(Sink &).
+     */
+    Machine(const ir::Module &mod, const Instrumentation &events);
     ~Machine();
 
     /**
@@ -69,20 +76,29 @@ class Machine
      *
      *   void functionEnter(const ir::Function *fn);
      *   void functionExit(const ir::Function *fn);
-     *   void blockEnter(const ir::BasicBlock *bb, std::uint32_t blockId);
-     *   void phiResolved(const ir::Instruction *phi, std::uint64_t bits);
-     *   void load(const ir::Instruction *i, std::uint64_t addr);
-     *   void store(const ir::Instruction *i, std::uint64_t addr);
+     *   void loopExit(std::uint32_t k);
+     *   void loopEnter(std::uint32_t loop);
+     *   void loopIterate();
+     *   void blockEnter(std::uint32_t block);
+     *   void phiResolved(std::uint32_t phi, std::uint64_t bits);
+     *   void load(std::uint32_t memOp, std::uint64_t addr);
+     *   void store(std::uint32_t memOp, std::uint64_t addr);
      *   void callSite(const ir::Instruction *i);
      *
      * and reads the clock samples it needs from the Machine inside the
      * call-back (cost(), blockEntryCost(), preciseCost(),
-     * stackPointer()).  blockId numbers the module's blocks densely:
-     * Module::functions() in order, each function's blocks in order
-     * (trace::ModuleIndex assigns the same ids).  Phis fire right
-     * after their block's blockEnter, before any other event.
+     * stackPointer()).  Block, phi and memory-op ids are EventIds'; loop
+     * ids are the Instrumentation's LoopForest ordinals.  Entering a
+     * block fires its edge's loop events (exits first), then
+     * blockEnter, then the block's phis in order, before any other
+     * event.  Without an Instrumentation no loop event fires and every
+     * block entry, phi, load and store does; loops left open by a
+     * return are the sink's to close at functionExit.
      */
     template <typename Sink> std::uint64_t run(Sink &sink);
+
+    /** The dense ids the sink interface passes. */
+    const EventIds &ids() const { return ids_; }
 
     /** Dynamic IR instructions executed so far (the sequential clock). */
     std::uint64_t cost() const { return cost_; }
@@ -170,8 +186,14 @@ class Machine
         std::uint64_t ip;
     };
 
+    /**
+     * Lower every function once (compiling in @p events when given),
+     * copy the external impls and apply the default budget.
+     */
+    void lower(const Instrumentation *events);
+
     const ir::Module &mod_;
-    ExecListener *listener_;
+    ExecListener *listener_ = nullptr;
     Memory mem_;
     std::uint64_t cost_ = 0;
     std::uint64_t costLimit_ = 50'000'000'000ULL;
@@ -190,6 +212,7 @@ class Machine
     std::vector<Frame> frames_;
     /** Argument scratch for external calls (their Impl takes a vector). */
     std::vector<std::uint64_t> extArgs_;
+    EventIds ids_;
     /**
      * Per-run copies of external impls (run isolation; see @file),
      * indexed by ExternalFunction::index().  Last member: cold relative

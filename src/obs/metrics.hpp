@@ -24,7 +24,8 @@
  * Metric name catalog (see docs/observability.md):
  *   interp.instructions     dynamic IR instructions of completed runs
  *   interp.runs             Machine::run() calls (aborted ones too)
- *   tracker.mem_events      load/store events seen by the lane engine
+ *   tracker.mem_events      load/store events delivered to the lane
+ *                           engine (a batch's selected ones), x lanes
  *   tracker.conflicts       cross-iteration conflicts (memory + register)
  *   tracker.loop_instances  dynamic loop instances opened
  *   tracker.trip_count      histogram of per-instance trip counts

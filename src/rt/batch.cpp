@@ -213,16 +213,17 @@ watchOraclePhis(const ModulePlan &plan, OracleCapture &cap)
 /**
  * Applies one interpretation's events to up to 64 lanes: the
  * interp::Machine::run sink of a batch, reading the clock and
- * stack-pointer samples from the machine it is attached to.
+ * stack-pointer samples from the machine it is attached to.  Its
+ * events() are what that machine compiles in: the loop events, and
+ * only the block entries, phis, loads and stores some lane can use.
  */
 class BatchReplayer
 {
   public:
-    BatchReplayer(const ModulePlan &plan, const BlockFacts &facts,
-                  std::vector<Lane> &lanes, OracleCapture *oracle,
-                  const interp::Machine &machine)
-        : plan_(plan), facts_(facts), lanes_(lanes), m_(machine),
-          L_(lanes.size()), metrics_(obs::metricsOn()), oracle_(oracle)
+    BatchReplayer(const ModulePlan &plan, const ProgramTables &tables,
+                  std::vector<Lane> &lanes, OracleCapture *oracle)
+        : plan_(plan), tables_(tables), lanes_(lanes), L_(lanes.size()),
+          metrics_(obs::metricsOn()), oracle_(oracle)
     {
         panicIf(L_ == 0 || L_ > 64, "batch lane count out of range");
         if (oracle_)
@@ -286,7 +287,36 @@ class BatchReplayer
 
         savingUp_.resize(L_);
         coveredUp_.resize(L_);
+
+        // The shared state of every header phi, by phi id: the lanes
+        // tracking it under dep2 and its oracle slot.
+        phiStates_.resize(tables_.phiLoop.size());
+        for (std::size_t p = 0; p < phiStates_.size(); ++p) {
+            if (tables_.phiLoop[p] < 0)
+                continue;
+            PhiState &st = phiStates_[p];
+            st.ord = static_cast<unsigned>(tables_.phiLoop[p]);
+            if (tables_.phiTracked[p] >= 0) {
+                st.idx = static_cast<unsigned>(tables_.phiTracked[p]);
+                st.activeMask = eligMask_[st.ord] & dep2Mask_;
+                if (st.idx >= ncCount_[st.ord])
+                    st.activeMask &= reduc0Mask_;
+            }
+            if (oracle_) {
+                const LoopOracleWatches &lw = oracleWatches_[st.ord];
+                auto oi = lw.index.find(tables_.ids.phis[p]);
+                if (oi != lw.index.end())
+                    st.oracleSlot = static_cast<int>(oi->second);
+            }
+        }
+        chooseEvents();
     }
+
+    /** The events this batch's Machine compiles in. */
+    const interp::Instrumentation &events() const { return events_; }
+
+    /** Bind the machine built from events(), before it runs. */
+    void attach(const interp::Machine &machine) { m_ = &machine; }
 
     /// @name Sink interface of interp::Machine::run
     /// @{
@@ -313,7 +343,7 @@ class BatchReplayer
     {
         // Close instances an early return left open, then hand the
         // frame's savings and covered length to the caller's context.
-        const std::uint64_t now = m_.cost();
+        const std::uint64_t now = m_->cost();
         EFrame &f = eframes_[frameDepth_ - 1];
         while (instStack_.size() > f.loopLo)
             closeTop(now);
@@ -330,69 +360,56 @@ class BatchReplayer
     }
 
     void
-    blockEnter(const ir::BasicBlock *bb, std::uint32_t blockId)
+    loopExit(std::uint32_t k)
     {
-        // Close every instance that does not contain this block.
-        const std::uint64_t nowBefore = m_.blockEntryCost();
+        const std::uint64_t now = m_->blockEntryCost();
+        for (; k > 0; --k)
+            closeTop(now);
+    }
+
+    void
+    loopEnter(std::uint32_t ord)
+    {
+        openInstance(ord, m_->blockEntryCost(), m_->stackPointer());
+    }
+
+    void
+    loopIterate()
+    {
+        iterationBoundary(m_->blockEntryCost(), m_->stackPointer());
+    }
+
+    /** Entering a block with def watches. */
+    void
+    blockEnter(std::uint32_t block)
+    {
+        const std::uint64_t now = m_->blockEntryCost();
         EFrame &f = eframes_[frameDepth_ - 1];
-        while (instStack_.size() > f.loopLo &&
-               !instStack_.back().lplan->loop->contains(bb))
-            closeTop(nowBefore);
-
-        const BlockFacts::PerBlock &bf = facts_.blocks[blockId];
-        inHeader_ = bf.headerOrdinal >= 0;
-        if (inHeader_) {
-            const std::uint64_t sp = m_.stackPointer();
-            const auto ord = static_cast<unsigned>(bf.headerOrdinal);
-            if (instStack_.size() > f.loopLo &&
-                instStack_.back().ord == ord)
-                iterationBoundary(nowBefore, sp);
-            else
-                openInstance(ord, nowBefore, sp);
-        }
-
-        if (bf.watches) {
-            for (const PlannedDefWatch &w : *bf.watches) {
-                // Per-cell gate: eligible loop AND slot inside the
-                // lane's tracked prefix.  The written value is
-                // config-independent and lanes failing the gate never
-                // read the slot, so one write serves every passing lane.
-                std::uint64_t m = eligMask_[w.loopOrdinal];
-                if (w.regIndex >= ncCount_[w.loopOrdinal])
-                    m &= reduc0Mask_;
-                if (!m || w.regIndex >= trackedAllCount_[w.loopOrdinal])
-                    continue;
-                for (std::size_t i = instStack_.size(); i > f.loopLo;) {
-                    BInst &inst = instStack_[--i];
-                    if (inst.ord == w.loopOrdinal) {
-                        regLastDef_[inst.regsBase + w.regIndex] =
-                            nowBefore + w.offsetInBlock;
-                        regDefSeen_[inst.regsBase + w.regIndex] = 1;
-                        break;
-                    }
+        for (const PlannedDefWatch &def : *tables_.watches[block]) {
+            // The written value is config-independent and lanes failing
+            // the gate never read the slot, so one write serves every
+            // passing lane.
+            if (!watchLanes(def))
+                continue;
+            for (std::size_t i = instStack_.size(); i > f.loopLo;) {
+                BInst &inst = instStack_[--i];
+                if (inst.ord == def.loopOrdinal) {
+                    regLastDef_[inst.regsBase + def.regIndex] =
+                        now + def.offsetInBlock;
+                    regDefSeen_[inst.regsBase + def.regIndex] = 1;
+                    break;
                 }
             }
         }
     }
 
     void
-    phiResolved(const Instruction *phi, std::uint64_t bits)
+    phiResolved(std::uint32_t phi, std::uint64_t bits)
     {
-        // Only a loop header's phis carry register LCDs.
-        if (!inHeader_)
-            return;
-        PhiState &st = phiState(phi);
-        if (!st.activeMask && st.oracleSlot < 0)
-            return; // neither dep2-tracked in any lane nor watched
-        // Only the top-of-stack instance of the phi's own loop
-        // observes the resolution.
-        EFrame &f = eframes_[frameDepth_ - 1];
-        if (instStack_.size() <= f.loopLo)
-            return;
+        // A selected phi heads a loop, so its block's entry just opened
+        // or iterated that loop's instance: the top of the stack.
+        PhiState &st = phiStates_[phi];
         BInst &inst = instStack_.back();
-        if (inst.ord != st.ord)
-            return;
-
         if (st.oracleSlot >= 0) {
             const auto slot = static_cast<std::size_t>(st.oracleSlot);
             OracleCapture::observe(
@@ -401,6 +418,8 @@ class BatchReplayer
         }
         if (!st.activeMask)
             return;
+        if (!st.pred)
+            st.pred = std::make_unique<predict::HybridPredictor>();
 
         const bool carried = inst.curIter >= 1;
         predict::HybridOutcome out = st.pred->predictAndTrain(bits);
@@ -432,9 +451,9 @@ class BatchReplayer
     }
 
     void
-    load(const Instruction *instr, std::uint64_t addr)
+    load(std::uint32_t mem, std::uint64_t addr)
     {
-        const std::uint64_t preciseNow = m_.preciseCost();
+        const std::uint64_t preciseNow = m_->preciseCost();
         if (metrics_)
             memEventsCtr_->add(static_cast<std::uint64_t>(L_));
         const std::uint64_t granule = addr >> 3;
@@ -444,7 +463,7 @@ class BatchReplayer
                 continue; // no lane tracks this loop
             if (isStack && addr >= inst.spAtIterStart)
                 continue; // iteration-private frame (cactus stack)
-            if (inst.lplan->untrackedMem.count(instr))
+            if (tables_.untracked(mem, inst.ord))
                 continue; // statically proven conflict-free
             const WriteRec *rec = inst.shadow->lookup(granule);
             if (rec && rec->iter < inst.curIter)
@@ -454,9 +473,9 @@ class BatchReplayer
     }
 
     void
-    store(const Instruction *instr, std::uint64_t addr)
+    store(std::uint32_t mem, std::uint64_t addr)
     {
-        const std::uint64_t preciseNow = m_.preciseCost();
+        const std::uint64_t preciseNow = m_->preciseCost();
         if (metrics_)
             memEventsCtr_->add(static_cast<std::uint64_t>(L_));
         const std::uint64_t granule = addr >> 3;
@@ -466,7 +485,7 @@ class BatchReplayer
                 continue;
             if (isStack && addr >= inst.spAtIterStart)
                 continue;
-            if (inst.lplan->untrackedMem.count(instr))
+            if (tables_.untracked(mem, inst.ord))
                 continue;
             inst.shadow->record(granule, inst.curIter,
                                 preciseNow - inst.iterStartTs);
@@ -485,16 +504,16 @@ class BatchReplayer
     void
     finish()
     {
-        for (const auto &[phi, st] : phiStates_) {
-            if (st->predictions == 0)
+        for (const PhiState &st : phiStates_) {
+            if (st.predictions == 0)
                 continue; // a phi counts once it carried a value
-            const double hit = 1.0 - static_cast<double>(st->mispredicts) /
-                                         static_cast<double>(st->predictions);
-            for (std::uint64_t m = st->activeMask; m; m &= m - 1) {
+            const double hit = 1.0 - static_cast<double>(st.mispredicts) /
+                                         static_cast<double>(st.predictions);
+            for (std::uint64_t m = st.activeMask; m; m &= m - 1) {
                 Lane &lane = lanes_[static_cast<unsigned>(std::countr_zero(m))];
-                LoopReport &row = lane.loops[st->ord];
-                row.regPredictions += st->predictions;
-                row.regMispredicts += st->mispredicts;
+                LoopReport &row = lane.loops[st.ord];
+                row.regPredictions += st.predictions;
+                row.regMispredicts += st.mispredicts;
                 if (hit >= lane.cfg.predictableThreshold)
                     lane.regLcds.predictableRegLcds += 1;
                 else
@@ -513,7 +532,6 @@ class BatchReplayer
     /** One dynamic loop instance (shared across lanes). */
     struct BInst
     {
-        const LoopPlan *lplan = nullptr;
         unsigned ord = 0;
         std::uint64_t entryTs = 0;
         std::uint64_t iterStartTs = 0;
@@ -529,53 +547,67 @@ class BatchReplayer
         std::size_t oracleBase = 0; ///< into oracleStates_
     };
 
-    /** Shared predictor + counters for one dep2-tracked phi. */
+    /** Shared predictor + counters for one header phi. */
     struct PhiState
     {
         std::uint64_t activeMask = 0; ///< dep2 ∩ eligible ∩ in-prefix
-        unsigned ord = 0; ///< the header's loop (when it is one)
+        unsigned ord = 0; ///< the header's loop
         unsigned idx = 0; ///< index into trackedAll / the reg arena
         int oracleSlot = -1; ///< into the loop's oracle watches, or -1
-        /** Only for an active phi: a predictor's FCM table is 64 KiB. */
+        /** Made at an active phi's first resolution: a predictor's FCM
+         *  table is 64 KiB. */
         std::unique_ptr<predict::HybridPredictor> pred;
         std::uint64_t predictions = 0;
         std::uint64_t mispredicts = 0;
     };
 
-    PhiState &
-    phiState(const Instruction *phi)
+    /** The lanes whose gate @p w passes: its loop is eligible and its
+     *  slot inside the lane's tracked prefix. */
+    std::uint64_t
+    watchLanes(const PlannedDefWatch &w) const
     {
-        auto it = phiStates_.find(phi);
-        if (it != phiStates_.end())
-            return *it->second;
-        auto st = std::make_unique<PhiState>();
-        const int ord = plan_.headerOrdinal(phi->parent());
-        if (ord >= 0) {
-            const LoopPlan &lp =
-                plan_.loopByOrdinal(static_cast<unsigned>(ord));
-            st->ord = static_cast<unsigned>(ord);
-            auto ti = lp.trackedIndex.find(phi);
-            if (ti != lp.trackedIndex.end()) {
-                std::uint64_t m =
-                    eligMask_[static_cast<std::size_t>(ord)] & dep2Mask_;
-                if (ti->second >=
-                    ncCount_[static_cast<std::size_t>(ord)])
-                    m &= reduc0Mask_;
-                st->activeMask = m;
-                st->idx = ti->second;
-                if (m)
-                    st->pred = std::make_unique<predict::HybridPredictor>();
-            }
-            if (oracle_) {
-                const LoopOracleWatches &lw = oracleWatches_[st->ord];
-                auto oi = lw.index.find(phi);
-                if (oi != lw.index.end())
-                    st->oracleSlot = static_cast<int>(oi->second);
-            }
+        std::uint64_t m = eligMask_[w.loopOrdinal];
+        if (w.regIndex >= ncCount_[w.loopOrdinal])
+            m &= reduc0Mask_;
+        return w.regIndex < trackedAllCount_[w.loopOrdinal] ? m : 0;
+    }
+
+    /**
+     * Fill events_: the def-watch blocks some watch gate passes, the
+     * header phis some lane tracks or the oracle watches, and the loads
+     * and stores some open instance could track.  An access is tracked
+     * by the instances of its own function's loops that hold it, unless
+     * the loop filters it, and by every instance in a caller's frame.
+     */
+    void
+    chooseEvents()
+    {
+        const interp::LoopForest &forest = tables_.forest;
+        events_.loops = &forest;
+        events_.blocks.assign(tables_.watches.size(), false);
+        for (std::size_t b = 0; b < tables_.watches.size(); ++b)
+            if (const auto *ws = tables_.watches[b])
+                for (const PlannedDefWatch &w : *ws)
+                    if (watchLanes(w))
+                        events_.blocks[b] = true;
+
+        events_.phis.resize(phiStates_.size());
+        for (std::size_t p = 0; p < phiStates_.size(); ++p)
+            events_.phis[p] =
+                phiStates_[p].activeMask || phiStates_[p].oracleSlot >= 0;
+
+        const std::size_t numMem = tables_.memFunction.size();
+        events_.memOps.resize(numMem);
+        for (std::uint32_t m = 0; m < numMem; ++m) {
+            bool use = false;
+            for (std::uint32_t l : tables_.callerLoops[tables_.memFunction[m]])
+                use |= eligMask_[l] != 0;
+            for (std::int32_t l = tables_.memLoop[m]; !use && l >= 0;
+                 l = forest.parent[static_cast<std::size_t>(l)])
+                use = eligMask_[static_cast<std::size_t>(l)] &&
+                      !tables_.untracked(m, static_cast<unsigned>(l));
+            events_.memOps[m] = use;
         }
-        PhiState &ref = *st;
-        phiStates_.emplace(phi, std::move(st));
-        return ref;
     }
 
     ShadowWriteMap *
@@ -637,7 +669,6 @@ class BatchReplayer
         }
 
         BInst inst;
-        inst.lplan = &lp;
         inst.ord = ord;
         inst.entryTs = now;
         inst.iterStartTs = now;
@@ -945,9 +976,9 @@ class BatchReplayer
     }
 
     const ModulePlan &plan_;
-    const BlockFacts &facts_;
+    const ProgramTables &tables_;
     std::vector<Lane> &lanes_;
-    const interp::Machine &m_;
+    const interp::Machine *m_ = nullptr;
     const std::size_t L_;
     const bool metrics_;
     OracleCapture *const oracle_; ///< null = no consistency oracle
@@ -977,8 +1008,9 @@ class BatchReplayer
     obs::Counter *instancesCtr_;
     obs::Histogram *tripCountHist_;
 
+    interp::Instrumentation events_;
+
     // Shared dynamic structure.
-    bool inHeader_ = false; ///< the block just entered heads a loop
     std::vector<EFrame> eframes_;
     std::size_t frameDepth_ = 0;
     std::vector<BInst> instStack_;
@@ -1017,41 +1049,120 @@ class BatchReplayer
     std::vector<std::unique_ptr<ShadowWriteMap>> shadowPool_;
     std::vector<ShadowWriteMap *> shadowFree_;
 
-    std::unordered_map<const Instruction *, std::unique_ptr<PhiState>>
-        phiStates_;
+    std::vector<PhiState> phiStates_; ///< by phi id
 };
 
 } // namespace
 
-BlockFacts
-buildBlockFacts(const ModulePlan &plan)
+ProgramTables::ProgramTables(const ModulePlan &plan)
+    : ids(plan.module()), numLoops_(plan.numLoops())
 {
-    // Number the blocks as interp::Machine does: Module::functions()
-    // in order, each function's blocks in order.
-    std::unordered_map<const ir::Function *, std::uint32_t> blockBase;
-    std::uint32_t numBlocks = 0;
-    for (const auto &fn : plan.module().functions()) {
-        blockBase.emplace(fn.get(), numBlocks);
-        numBlocks += static_cast<std::uint32_t>(fn->blocks().size());
-    }
-    auto idOf = [&](const ir::BasicBlock *bb) {
-        return blockBase.at(bb->parent()) + bb->index();
+    const ir::Module &mod = plan.module();
+    std::unordered_map<const ir::Function *, std::uint32_t> fnIndex;
+    for (const auto &fn : mod.functions())
+        fnIndex.emplace(fn.get(), static_cast<std::uint32_t>(fnIndex.size()));
+    auto blockId = [&](const ir::BasicBlock *bb) {
+        return ids.blockBase[fnIndex.at(bb->parent())] + bb->index();
     };
 
-    BlockFacts facts;
-    facts.blocks.resize(numBlocks);
-    for (const auto &fp : plan.functionPlans())
-        for (const LoopPlan &lplan : fp->loopPlans)
-            if (lplan.loop)
-                facts.blocks[idOf(lplan.loop->header())].headerOrdinal =
-                    static_cast<std::int32_t>(lplan.ordinal);
+    forest.blockLoop.assign(ids.blocks.size(), -1);
+    forest.parent.assign(numLoops_, -1);
+    forest.depth.assign(numLoops_, 0);
+    forest.header.assign(numLoops_, 0);
+    for (const auto &fp : plan.functionPlans()) {
+        for (const LoopPlan &lplan : fp->loopPlans) {
+            if (!lplan.loop)
+                continue;
+            const unsigned ord = lplan.ordinal;
+            if (const analysis::Loop *outer = lplan.loop->parent())
+                forest.parent[ord] = static_cast<std::int32_t>(
+                    fp->loopPlans[outer->id()].ordinal);
+            forest.depth[ord] = lplan.loop->depth();
+            forest.header[ord] = blockId(lplan.loop->header());
+            // Each block keeps the deepest loop holding it.
+            for (const ir::BasicBlock *bb : lplan.loop->blocks()) {
+                std::int32_t &inner = forest.blockLoop[blockId(bb)];
+                if (inner < 0 || forest.depth[inner] < forest.depth[ord])
+                    inner = static_cast<std::int32_t>(ord);
+            }
+        }
+    }
+
+    std::vector<std::vector<std::uint32_t>> callees(fnIndex.size());
+    for (const auto &fn : mod.functions())
+        for (const auto &bb : fn->blocks())
+            for (const auto &instr : bb->instructions())
+                if (instr->opcode() == ir::Opcode::Call)
+                    callees[fnIndex.at(fn.get())].push_back(
+                        fnIndex.at(instr->callee()));
+    callerLoops.resize(fnIndex.size());
+    for (unsigned ord = 0; ord < numLoops_; ++ord) {
+        std::vector<std::uint32_t> work;
+        for (const Instruction *call : plan.loopByOrdinal(ord).callSites)
+            if (call->opcode() == ir::Opcode::Call)
+                work.push_back(fnIndex.at(call->callee()));
+        std::vector<bool> seen(work.empty() ? 0 : fnIndex.size());
+        while (!work.empty()) {
+            const std::uint32_t fn = work.back();
+            work.pop_back();
+            if (seen[fn])
+                continue;
+            seen[fn] = true;
+            callerLoops[fn].push_back(ord);
+            work.insert(work.end(), callees[fn].begin(), callees[fn].end());
+        }
+    }
+
+    watches.assign(ids.blocks.size(), nullptr);
     for (const auto &[bb, ws] : plan.defWatchPlan())
-        facts.blocks[idOf(bb)].watches = &ws;
-    return facts;
+        watches[blockId(bb)] = &ws;
+
+    phiLoop.assign(ids.phis.size(), -1);
+    phiTracked.assign(ids.phis.size(), -1);
+    for (std::size_t p = 0; p < ids.phis.size(); ++p) {
+        const int ord = plan.headerOrdinal(ids.phis[p]->parent());
+        if (ord < 0)
+            continue;
+        phiLoop[p] = ord;
+        const LoopPlan &lplan = plan.loopByOrdinal(static_cast<unsigned>(ord));
+        auto t = lplan.trackedIndex.find(ids.phis[p]);
+        if (t != lplan.trackedIndex.end())
+            phiTracked[p] = static_cast<std::int32_t>(t->second);
+    }
+
+    // A loop filters only accesses in its own blocks: those of the
+    // loops holding the access's block.
+    memFunction.resize(ids.memOps.size());
+    memLoop.resize(ids.memOps.size());
+    untracked_.assign((ids.memOps.size() * numLoops_ + 63) / 64, 0);
+    for (std::uint32_t m = 0; m < ids.memOps.size(); ++m) {
+        const ir::BasicBlock *bb = ids.memOps[m]->parent();
+        memFunction[m] = fnIndex.at(bb->parent());
+        memLoop[m] = forest.blockLoop[blockId(bb)];
+        for (std::int32_t l = memLoop[m]; l >= 0; l = forest.parent[l]) {
+            const auto ord = static_cast<unsigned>(l);
+            if (!plan.loopByOrdinal(ord).untrackedMem.count(ids.memOps[m]))
+                continue;
+            const std::size_t bit = std::size_t{m} * numLoops_ + ord;
+            untracked_[bit >> 6] |= std::uint64_t{1} << (bit & 63);
+        }
+    }
+}
+
+interp::Instrumentation
+selectEvents(const ModulePlan &plan, const ProgramTables &tables,
+             const std::vector<LPConfig> &cfgs, bool withOracle)
+{
+    std::vector<Lane> lanes;
+    for (const LPConfig &cfg : cfgs)
+        lanes.emplace_back(plan, cfg);
+    OracleCapture cap;
+    return BatchReplayer(plan, tables, lanes, withOracle ? &cap : nullptr)
+        .events();
 }
 
 std::vector<ProgramReport>
-runLimitStudyBatched(const ModulePlan &plan, const BlockFacts &facts,
+runLimitStudyBatched(const ModulePlan &plan, const ProgramTables &tables,
                      const std::vector<LPConfig> &cfgs,
                      const std::string &name, OracleCapture *oracle)
 {
@@ -1067,11 +1178,11 @@ runLimitStudyBatched(const ModulePlan &plan, const BlockFacts &facts,
         lanes.reserve(n);
         for (std::size_t i = 0; i < n; ++i)
             lanes.emplace_back(plan, cfgs[lo + i]);
-        interp::Machine machine(plan.module());
         // The evidence is config-independent: the first chunk's run
         // fills the capture for every chunk.
-        BatchReplayer engine(plan, facts, lanes, lo == 0 ? oracle : nullptr,
-                             machine);
+        BatchReplayer engine(plan, tables, lanes, lo == 0 ? oracle : nullptr);
+        interp::Machine machine(plan.module(), engine.events());
+        engine.attach(machine);
         machine.run(engine);
         engine.finish();
         const std::uint64_t cost = machine.cost();

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "interp/events.hpp"
 #include "rt/config.hpp"
 #include "rt/oracle_capture.hpp"
 #include "rt/plan.hpp"
@@ -38,25 +39,60 @@
 namespace lp::rt {
 
 /**
- * Per-block facts of the lane engine, indexed by the module-wide block
- * id the interpreter passes with each block entry (see
- * interp::Machine::run): does the block head a loop (its plan ordinal)
- * and which planned def watches fire there.  Everything in here is
- * configuration-independent, so one table — built once per program —
+ * The lane engine's per-program tables: the plan's facts by the dense
+ * ids the interpreter passes (interp::EventIds), so every per-event
+ * lookup is an array index.  Everything in here is
+ * configuration-independent, so one table, built once per program,
  * serves every batch read-only.
  */
-struct BlockFacts
+struct ProgramTables
 {
-    struct PerBlock
+    ProgramTables() = default;
+    explicit ProgramTables(const ModulePlan &plan);
+
+    interp::EventIds ids;
+    /** The plan's loops, by LoopPlan::ordinal. */
+    interp::LoopForest forest;
+    /** By block id: the def watches sampled there (ModulePlan's), or
+     *  null. */
+    std::vector<const std::vector<PlannedDefWatch> *> watches;
+    /** By phi id: the ordinal of the loop it heads (-1: not a header
+     *  phi) and its LoopPlan::trackedIndex (-1: never tracked). */
+    std::vector<std::int32_t> phiLoop, phiTracked;
+    /** By memory-op id: its function (Module::functions() index) and
+     *  its block's innermost loop (-1: none). */
+    std::vector<std::uint32_t> memFunction;
+    std::vector<std::int32_t> memLoop;
+    /** By function: the loops whose bodies reach it through calls. */
+    std::vector<std::vector<std::uint32_t>> callerLoops;
+
+    /** Is memory op @p mem in LoopPlan::untrackedMem of loop @p ord? */
+    bool
+    untracked(std::uint32_t mem, unsigned ord) const
     {
-        std::int32_t headerOrdinal = -1; ///< LoopPlan::ordinal, -1 = none
-        const std::vector<PlannedDefWatch> *watches = nullptr;
-    };
-    std::vector<PerBlock> blocks;
+        const std::size_t bit = std::size_t{mem} * numLoops_ + ord;
+        return (untracked_[bit >> 6] >> (bit & 63)) & 1;
+    }
+
+  private:
+    std::size_t numLoops_ = 0;
+    /** One bit per (memory op, loop), [mem * numLoops_ + ord]. */
+    std::vector<std::uint64_t> untracked_;
 };
 
-/** Build the shared per-block facts of @p plan's module. */
-BlockFacts buildBlockFacts(const ModulePlan &plan);
+/**
+ * The events a batch of @p cfgs can use, as runLimitStudyBatched
+ * compiles them into each chunk's Machine: every def-watch block some
+ * lane's watch gate passes, every header phi some lane tracks under
+ * dep2 (or the oracle watches, @p withOracle), and every load and store
+ * an open instance could track: inside an eligible loop of its
+ * function that does not filter it, or in a function a call from an
+ * eligible loop's body reaches.  Loop events always fire.
+ */
+interp::Instrumentation selectEvents(const ModulePlan &plan,
+                                     const ProgramTables &tables,
+                                     const std::vector<LPConfig> &cfgs,
+                                     bool withOracle);
 
 /**
  * Run the limit study of @p plan's module for @p cfgs — one or many
@@ -67,14 +103,14 @@ BlockFacts buildBlockFacts(const ModulePlan &plan);
  * apply (fuel, deadline, heap cap, traps, call depth); a failure fails
  * every lane of the batch.
  *
- * @param facts the module's buildBlockFacts()
+ * @param tables the module's ProgramTables
  * @param oracle when non-null, filled once from the shared loop-instance
  *        state with the consistency-oracle evidence of the run (it is
  *        config-independent: one capture serves every lane); must be
  *        fresh.
  */
 std::vector<ProgramReport>
-runLimitStudyBatched(const ModulePlan &plan, const BlockFacts &facts,
+runLimitStudyBatched(const ModulePlan &plan, const ProgramTables &tables,
                      const std::vector<LPConfig> &cfgs,
                      const std::string &name,
                      OracleCapture *oracle = nullptr);

@@ -10,7 +10,9 @@ namespace {
 
 /**
  * The Recorder as the interpreter's sink: each event goes to the
- * Recorder with the machine-clock sample taken at the call-back.
+ * Recorder with the machine-clock sample taken at the call-back.  The
+ * machine has no Instrumentation, so every block entry, phi, load and
+ * store fires and no loop event does.
  */
 struct RecordingSink
 {
@@ -19,21 +21,24 @@ struct RecordingSink
 
     void functionEnter(const ir::Function *fn) { r.functionEnter(fn); }
     void functionExit(const ir::Function *) { r.functionExit(m.cost()); }
-    void blockEnter(const ir::BasicBlock *bb, std::uint32_t)
+    void loopExit(std::uint32_t) {}
+    void loopEnter(std::uint32_t) {}
+    void loopIterate() {}
+    void blockEnter(std::uint32_t b)
     {
-        r.blockEnter(bb, m.cost(), m.stackPointer());
+        r.blockEnter(m.ids().blocks[b], m.cost(), m.stackPointer());
     }
-    void phiResolved(const ir::Instruction *, std::uint64_t bits)
+    void phiResolved(std::uint32_t, std::uint64_t bits)
     {
         r.phiResolved(bits);
     }
-    void load(const ir::Instruction *i, std::uint64_t a)
+    void load(std::uint32_t i, std::uint64_t a)
     {
-        r.load(i, a, m.preciseCost());
+        r.load(m.ids().memOps[i], a, m.preciseCost());
     }
-    void store(const ir::Instruction *i, std::uint64_t a)
+    void store(std::uint32_t i, std::uint64_t a)
     {
-        r.store(i, a, m.preciseCost());
+        r.store(m.ids().memOps[i], a, m.preciseCost());
     }
     void callSite(const ir::Instruction *i) { r.callSite(i); }
 };

@@ -11,13 +11,16 @@
  * mispredicts, static verdict) and per program (serial and parallel
  * cost, coverage, the census, and under the consistency oracle the
  * "oracle" and "static_verdict" sections).  Inputs: the seven fixture
- * shapes and all 30 suite programs under the full configuration grid
- * (paper grid, DOACROSS, HELIX dep2, PDOALL dep3-fn3 and both
- * serialization-threshold ablation ends), and fuzz seeds 0-63.
+ * shapes, the loop-edge fixtures (tests/loop_edges) and all 30 suite
+ * programs under the full configuration grid (paper grid, DOACROSS,
+ * HELIX dep2, PDOALL dep3-fn3 and both serialization-threshold
+ * ablation ends), and fuzz seeds 0-63.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -25,6 +28,8 @@
 #include "fuzz/generator.hpp"
 #include "fuzz/spec.hpp"
 #include "helpers.hpp"
+#include "interp/stdlib.hpp"
+#include "ir/parser.hpp"
 #include "suites/registry.hpp"
 
 namespace lp {
@@ -77,6 +82,21 @@ TEST(SpecEvaluator, FixtureShapesMatchTheEngine)
     for (auto &[name, mod] : test::allShapes())
         EXPECT_EQ(expectEngineMatchesSpec(*mod, name, grid),
                   2 * grid.size());
+}
+
+TEST(SpecEvaluator, LoopEdgeFixturesMatchTheEngine)
+{
+    const std::vector<LPConfig> grid = test::fullGrid();
+    for (const char *name : {"nest_edges", "recursion_entry_header"}) {
+        std::ifstream in(std::string(LP_SOURCE_DIR) + "/tests/loop_edges/" +
+                         name + ".lir");
+        ASSERT_TRUE(in.good()) << name;
+        std::stringstream text;
+        text << in.rdbuf();
+        auto mod = ir::parseModule(text.str(), interp::stdlibImplFor);
+        EXPECT_EQ(expectEngineMatchesSpec(*mod, name, grid),
+                  2 * grid.size());
+    }
 }
 
 TEST(SpecEvaluator, SuiteProgramsMatchTheEngine)
