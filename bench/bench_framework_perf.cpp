@@ -262,6 +262,7 @@ writeBenchBaseline()
     const bool wasEnabled = obs::metricsOn();
     obs::setMetricsEnabled(true);
     obs::Registry::instance().resetAll();
+    obs::SpanLog::instance().reset();
     {
         core::Loopapalooza instrumented(*trackMod);
         (void)instrumented.run(cfg);
@@ -270,7 +271,7 @@ writeBenchBaseline()
     }
     obs::setMetricsEnabled(wasEnabled);
     doc.set("metrics", obs::Registry::instance().toJson());
-    doc.set("phases", obs::PhaseTree::instance().toJson());
+    doc.set("phases", obs::phasesJson(obs::SpanLog::instance().records()));
 
     std::string path = lp::bench::benchJsonPath("framework");
     if (lp::bench::writeJsonFile(path, doc))

@@ -58,7 +58,7 @@ addObsSnapshot(obs::Json &doc)
     if (!obs::metricsOn())
         return;
     doc.set("metrics", obs::Registry::instance().toJson());
-    doc.set("phases", obs::PhaseTree::instance().toJson());
+    doc.set("phases", obs::phasesJson(obs::SpanLog::instance().records()));
 }
 
 std::string

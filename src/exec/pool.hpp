@@ -27,8 +27,8 @@
  * Thread-safety contract for tasks: a task may use the whole pipeline
  * (build modules, run Machines, update lp::obs metrics, open phases and
  * record spans) — those layers are safe under concurrent use.  Tasks
- * must not call Registry::resetAll, PhaseTree::reset, SpanLog::reset
- * or records, or prof::configure/reset/finish; those quiescent-only
+ * must not call Registry::resetAll, SpanLog::reset or records, or
+ * prof::configure/reset/finish; those quiescent-only
  * operations belong to the coordinating thread between parallel
  * regions.
  */

@@ -11,9 +11,9 @@
  * someone asks for a profile.  With profiling on, lock() takes an
  * uncontended try_lock fast path (no clock read); only the *contended*
  * path reads the steady clock around the blocking acquire and records
- * the wait into the site's sharded stats and into a thread-local
- * wait-ns accumulator (obs::ScopedPhase diffs the latter to attribute
- * lock-wait to each span).
+ * the wait into the site's stats and into a thread-local wait-ns
+ * accumulator (obs::ScopedPhase diffs the latter to attribute lock-wait
+ * to each span).
  *
  * This header is deliberately free of lp::obs includes: lp::obs itself
  * adopts TimedMutex for its span-log and registry mutexes, so the
@@ -22,9 +22,8 @@
  * prof/profile.hpp and does link against lp_obs).
  *
  * Thread-safety: lock()/try_lock()/unlock() are safe from any thread
- * (it is a mutex).  Site stats are sharded across cache-line-padded
- * atomic cells, so concurrent recording does not ping-pong one line;
- * snapshots are exact once writers are quiesced.  Site registration
+ * (it is a mutex).  Site stats are relaxed atomics; snapshots are exact
+ * once writers are quiesced.  Site registration
  * (the first TimedMutex constructed per name) takes a private
  * registration mutex — construction is cold by design.
  */
@@ -54,20 +53,6 @@ inline std::atomic<bool> g_profilingEnabled{false};
  */
 inline thread_local std::uint64_t t_lockWaitNs = 0;
 
-/**
- * Small dense shard index of the calling thread.  Independent of
- * obs::threadLane() (this header must not include obs); it only spreads
- * stat updates across shards, it never appears in any output.
- */
-inline unsigned
-shardLane()
-{
-    static std::atomic<unsigned> next{0};
-    thread_local const unsigned lane =
-        next.fetch_add(1, std::memory_order_relaxed);
-    return lane;
-}
-
 } // namespace detail
 
 /** Is contention profiling recording?  One relaxed atomic load. */
@@ -93,62 +78,46 @@ struct LockSiteSnapshot
     std::uint64_t waitNs = 0;       ///< total ns spent waiting
 };
 
-/**
- * Sharded per-site counters.  add* paths are relaxed atomics on a
- * lane-indexed cache-line-padded cell; totals sum the shards.
- */
+/** Per-site counters: relaxed atomics. */
 class LockSiteStats
 {
   public:
     void addUncontended()
     {
-        shard().acquisitions.fetch_add(1, std::memory_order_relaxed);
+        acquisitions_.fetch_add(1, std::memory_order_relaxed);
     }
 
     void addContended(std::uint64_t waitNs)
     {
-        Shard &s = shard();
-        s.acquisitions.fetch_add(1, std::memory_order_relaxed);
-        s.contended.fetch_add(1, std::memory_order_relaxed);
-        s.waitNs.fetch_add(waitNs, std::memory_order_relaxed);
+        acquisitions_.fetch_add(1, std::memory_order_relaxed);
+        contended_.fetch_add(1, std::memory_order_relaxed);
+        waitNs_.fetch_add(waitNs, std::memory_order_relaxed);
     }
 
-    std::uint64_t acquisitions() const { return sum(&Shard::acquisitions); }
-    std::uint64_t contended() const { return sum(&Shard::contended); }
-    std::uint64_t waitNs() const { return sum(&Shard::waitNs); }
+    std::uint64_t acquisitions() const
+    {
+        return acquisitions_.load(std::memory_order_relaxed);
+    }
+    std::uint64_t contended() const
+    {
+        return contended_.load(std::memory_order_relaxed);
+    }
+    std::uint64_t waitNs() const
+    {
+        return waitNs_.load(std::memory_order_relaxed);
+    }
 
     void reset()
     {
-        for (Shard &s : shards_) {
-            s.acquisitions.store(0, std::memory_order_relaxed);
-            s.contended.store(0, std::memory_order_relaxed);
-            s.waitNs.store(0, std::memory_order_relaxed);
-        }
+        acquisitions_.store(0, std::memory_order_relaxed);
+        contended_.store(0, std::memory_order_relaxed);
+        waitNs_.store(0, std::memory_order_relaxed);
     }
 
   private:
-    static constexpr std::size_t kShards = 8;
-    struct alignas(64) Shard
-    {
-        std::atomic<std::uint64_t> acquisitions{0};
-        std::atomic<std::uint64_t> contended{0};
-        std::atomic<std::uint64_t> waitNs{0};
-    };
-
-    Shard &shard()
-    {
-        return shards_[detail::shardLane() & (kShards - 1)];
-    }
-
-    std::uint64_t sum(std::atomic<std::uint64_t> Shard::*field) const
-    {
-        std::uint64_t total = 0;
-        for (const Shard &s : shards_)
-            total += (s.*field).load(std::memory_order_relaxed);
-        return total;
-    }
-
-    Shard shards_[kShards];
+    std::atomic<std::uint64_t> acquisitions_{0};
+    std::atomic<std::uint64_t> contended_{0};
+    std::atomic<std::uint64_t> waitNs_{0};
 };
 
 /**

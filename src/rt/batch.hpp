@@ -103,6 +103,14 @@ interp::Instrumentation selectEvents(const ModulePlan &plan,
  * apply (fuel, deadline, heap cap, traps, call depth); a failure fails
  * every lane of the batch.
  *
+ * The call is one `rt.batch` span.  The engine counts its work as it
+ * runs, in plain integers, and a completed call hands the counts over
+ * once: to the span's args and, when metrics are on, to obs::Registry,
+ * under the metric names tracker.mem_events, tracker.conflicts,
+ * tracker.loop_instances, tracker.trip_count (a histogram),
+ * model.squashes.doall, model.squashes.pdoall and
+ * report.loops_reported.
+ *
  * @param tables the module's ProgramTables
  * @param oracle when non-null, filled once from the shared loop-instance
  *        state with the consistency-oracle evidence of the run (it is

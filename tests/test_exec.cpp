@@ -253,7 +253,9 @@ TEST(ConcurrentMetrics, RegistryLookupUnderContention)
 
 TEST(ConcurrentMetrics, PhaseTimersFromWorkers)
 {
-    obs::PhaseTree::instance().reset();
+    const bool was = obs::metricsOn();
+    obs::setMetricsEnabled(true); // spans are recorded
+    obs::SpanLog::instance().reset();
     parallelFor(
         8,
         [&](std::size_t) {
@@ -264,11 +266,18 @@ TEST(ConcurrentMetrics, PhaseTimersFromWorkers)
             }
         },
         8);
-    // 8 * 200 enters merged into one node per name; count is atomic.
-    std::string json = obs::PhaseTree::instance().toJson().dump();
-    EXPECT_NE(json.find("worker-phase"), std::string::npos);
-    EXPECT_NE(json.find("1600"), std::string::npos) << json;
-    obs::PhaseTree::instance().reset();
+    obs::setMetricsEnabled(was);
+    // 8 * 200 spans from every worker merge into one phase per name.
+    const obs::Json tree =
+        obs::phasesJson(obs::SpanLog::instance().records());
+    obs::SpanLog::instance().reset();
+    ASSERT_EQ(tree.size(), 1u) << tree.dump();
+    EXPECT_EQ(tree.at(0).at("name").asString(), "worker-phase");
+    EXPECT_EQ(tree.at(0).at("count").asU64(), 1600u);
+    ASSERT_EQ(tree.at(0).at("children").size(), 1u);
+    const obs::Json &inner = tree.at(0).at("children").at(0);
+    EXPECT_EQ(inner.at("count").asU64(), 1600u);
+    EXPECT_EQ(inner.at("instructions").asU64(), 3u * 1600u);
 }
 
 // --------------------------------------------------------- determinism
