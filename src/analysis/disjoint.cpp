@@ -78,17 +78,19 @@ decompose(const Scev *s, const Value *base, std::int64_t &start,
 } // namespace
 
 DisjointFilter::DisjointFilter(const ir::Function &fn, const LoopInfo &li,
-                               ScalarEvolution &se, const UseMap &uses)
+                               ScalarEvolution &se, const UseMap &uses,
+                               const PurityAnalysis &purity)
 {
     auto escaped = escapedAllocas(fn, uses);
     for (const auto &loop : li.loops())
-        analyzeLoop(loop.get(), se, escaped);
+        analyzeLoop(loop.get(), se, escaped, purity);
 }
 
 void
 DisjointFilter::analyzeLoop(
     const Loop *loop, ScalarEvolution &se,
-    const std::unordered_set<const Instruction *> &escaped)
+    const std::unordered_set<const Instruction *> &escaped,
+    const PurityAnalysis &purity)
 {
     // Collect every access in the loop, grouped by base object.
     struct Group
@@ -112,6 +114,11 @@ DisjointFilter::analyzeLoop(
                 addr = instr->operand(1);
                 isStore = true;
             } else {
+                // An impure callee may store to any non-local object,
+                // and its stores happen inside this loop's iterations.
+                if (instr->opcode() == Opcode::Call &&
+                    purity.purity(instr->callee()) == Purity::Impure)
+                    haveUnknownBase = haveUnknownBaseStore = true;
                 continue;
             }
 

@@ -10,7 +10,9 @@
  * For each loop we prove, where possible, that the loads/stores hitting an
  * identified object walk it with a common constant stride and pairwise
  * incommensurable offsets, so no two iterations can touch the same 8-byte
- * granule.  Those accesses are left uninstrumented for that loop.
+ * granule.  Those accesses are left uninstrumented for that loop.  A
+ * call to an impure callee (PurityAnalysis) counts as a store through
+ * an unknown pointer: the callee's stores are the loop's too.
  */
 
 #pragma once
@@ -20,6 +22,7 @@
 
 #include "analysis/loop_info.hpp"
 #include "analysis/mem_object.hpp"
+#include "analysis/purity.hpp"
 #include "analysis/scev.hpp"
 
 namespace lp::analysis {
@@ -29,7 +32,8 @@ class DisjointFilter
 {
   public:
     DisjointFilter(const ir::Function &fn, const LoopInfo &li,
-                   ScalarEvolution &se, const UseMap &uses);
+                   ScalarEvolution &se, const UseMap &uses,
+                   const PurityAnalysis &purity);
 
     /**
      * True when @p access (a Load or Store inside @p loop) can never
@@ -44,7 +48,8 @@ class DisjointFilter
   private:
     void analyzeLoop(const Loop *loop, ScalarEvolution &se,
                      const std::unordered_set<const ir::Instruction *>
-                         &escaped);
+                         &escaped,
+                     const PurityAnalysis &purity);
 
     std::unordered_map<const Loop *,
                        std::unordered_set<const ir::Instruction *>>

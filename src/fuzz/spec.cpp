@@ -165,11 +165,11 @@ class SpecEvaluator::Recorder final : public interp::ExecListener
     }
 
     void
-    onLoad(const Instruction *instr, std::uint64_t addr) override
+    onLoad(const Instruction *, std::uint64_t addr) override
     {
         const std::uint64_t now = m_->preciseCost();
         for (Open &o : open_) {
-            if (!tracks(o, instr, addr))
+            if (!tracks(o, addr))
                 continue;
             auto w = o.lastWrite.find(addr >> 3);
             if (w != o.lastWrite.end() && w->second.iter < o.iter)
@@ -179,11 +179,11 @@ class SpecEvaluator::Recorder final : public interp::ExecListener
     }
 
     void
-    onStore(const Instruction *instr, std::uint64_t addr) override
+    onStore(const Instruction *, std::uint64_t addr) override
     {
         const std::uint64_t now = m_->preciseCost();
         for (Open &o : open_)
-            if (tracks(o, instr, addr))
+            if (tracks(o, addr))
                 o.lastWrite[addr >> 3] = {o.iter, now - o.iterStart};
     }
 
@@ -227,19 +227,19 @@ class SpecEvaluator::Recorder final : public interp::ExecListener
     Instance &record(const Open &o) { return out_.instances_[o.id]; }
 
     /**
-     * Does instance @p o watch this access for conflicts?  Not when the
-     * access is statically proven conflict-free at its loop's level,
-     * and not when it touches the stack at or above the stack pointer
-     * of the iteration's start: that memory (the iteration's allocas
-     * and its callees' frames) is private to the iteration.
+     * Does instance @p o watch this access for conflicts?  Not when it
+     * touches the stack at or above the stack pointer of the
+     * iteration's start: that memory (the iteration's allocas and its
+     * callees' frames) is private to the iteration.  Every other access
+     * is watched, including those the static disjointness filter
+     * claims conflict-free (LoopPlan::untrackedMem): the engine skips
+     * them, so a RAW the filter wrongly drops shows up as a difference.
      */
-    bool
-    tracks(const Open &o, const Instruction *instr,
-           std::uint64_t addr) const
+    static bool
+    tracks(const Open &o, std::uint64_t addr)
     {
-        if (interp::Memory::isStackAddress(addr) && addr >= o.spAtIterStart)
-            return false;
-        return !plan_.loopByOrdinal(o.ordinal).untrackedMem.count(instr);
+        return !(interp::Memory::isStackAddress(addr) &&
+                 addr >= o.spAtIterStart);
     }
 
     void

@@ -14,7 +14,10 @@
  *  - where the instance's saving lands: the enclosing instance and the
  *    iteration it was open in (none = the program total);
  *  - every cross-iteration memory RAW that manifests, as (producer
- *    iteration, offset) -> (consumer iteration, offset);
+ *    iteration, offset) -> (consumer iteration, offset), over every
+ *    access outside the iteration's own stack: it does not trust the
+ *    static disjointness filter (LoopPlan::untrackedMem), so the
+ *    comparison checks the filter too;
  *  - for each phi a configuration could track, its producer offset in
  *    every iteration and the iterations whose carried value the hybrid
  *    predictor missed.

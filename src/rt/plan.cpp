@@ -133,7 +133,7 @@ ModulePlan::buildFunctionPlan(FunctionPlan &fp)
     fp.se = std::make_unique<analysis::ScalarEvolution>(*fn, *fp.li);
     fp.uses = std::make_unique<analysis::UseMap>(*fn);
     fp.filter = std::make_unique<analysis::DisjointFilter>(
-        *fn, *fp.li, *fp.se, *fp.uses);
+        *fn, *fp.li, *fp.se, *fp.uses, *purity_);
 
     fp.loopPlans.resize(fp.li->loops().size());
     for (const auto &loopPtr : fp.li->loops()) {

@@ -28,9 +28,9 @@
  * loop per cell — one of the serialization points behind the flat
  * multicore sweep scaling this file's pooling exists to fix.
  *
- * Anything outside the three segments (wild addresses a trap is about
- * to reject) falls back to the old hash map, so correctness never
- * depends on the fast path's coverage.
+ * A granule outside the three segments is a wild access: the
+ * interpreter delivers the event and then traps on the access itself,
+ * failing the run, so such a granule is neither recorded nor found.
  */
 
 #pragma once
@@ -40,7 +40,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "interp/memory.hpp"
@@ -78,57 +77,39 @@ class ShadowWriteMap
         epoch_ = nextEpoch();
     }
 
-    /** The current-instance write to @p granule, or null. */
+    /** The current-instance write to @p granule, or null (always for a
+     *  wild granule). */
     const WriteRec *
     lookup(std::uint64_t granule) const
     {
         const Segment *seg = segmentFor(granule);
-        if (seg) [[likely]] {
-            const std::size_t idx =
-                static_cast<std::size_t>(granule - seg->base) >> kPageBits;
-            if (idx >= seg->pages.size() || !seg->pages[idx])
-                return nullptr;
-            const Entry &e =
-                seg->pages[idx]->at[granule & (kPageGranules - 1)];
-            return e.epoch == epoch_ ? &e.rec : nullptr;
-        }
-        auto it = fallback_.find(granule);
-        if (it == fallback_.end() || it->second.epoch != epoch_)
+        if (!seg) [[unlikely]]
             return nullptr;
-        return &it->second.rec;
+        const std::size_t idx =
+            static_cast<std::size_t>(granule - seg->base) >> kPageBits;
+        if (idx >= seg->pages.size() || !seg->pages[idx])
+            return nullptr;
+        const Entry &e = seg->pages[idx]->at[granule & (kPageGranules - 1)];
+        return e.epoch == epoch_ ? &e.rec : nullptr;
     }
 
-    /** Record a write to @p granule in the current instance. */
+    /** Record a write to @p granule in the current instance (none for a
+     *  wild granule: its store traps). */
     void
     record(std::uint64_t granule, std::uint64_t iter, std::uint64_t offset)
     {
         Segment *seg = segmentFor(granule);
-        if (seg) [[likely]] {
-            const std::size_t idx =
-                static_cast<std::size_t>(granule - seg->base) >> kPageBits;
-            if (idx >= seg->pages.size())
-                seg->pages.resize(idx + 1);
-            if (!seg->pages[idx])
-                seg->pages[idx] = acquirePage();
-            Entry &e = seg->pages[idx]->at[granule & (kPageGranules - 1)];
-            e.rec = {iter, offset};
-            e.epoch = epoch_;
+        if (!seg) [[unlikely]]
             return;
-        }
-        Entry &e = fallback_[granule];
+        const std::size_t idx =
+            static_cast<std::size_t>(granule - seg->base) >> kPageBits;
+        if (idx >= seg->pages.size())
+            seg->pages.resize(idx + 1);
+        if (!seg->pages[idx])
+            seg->pages[idx] = acquirePage();
+        Entry &e = seg->pages[idx]->at[granule & (kPageGranules - 1)];
         e.rec = {iter, offset};
         e.epoch = epoch_;
-    }
-
-    /** Host pages currently mapped (for metrics / memory accounting). */
-    std::size_t
-    pagesMapped() const
-    {
-        std::size_t n = 0;
-        for (const Segment &s : segs_)
-            for (const auto &p : s.pages)
-                n += p != nullptr;
-        return n;
     }
 
     static constexpr unsigned kPageBits = 9;
@@ -136,20 +117,6 @@ class ShadowWriteMap
 
     /// Pages cached per worker thread (~6 MiB at the 12 KiB page size).
     static constexpr std::size_t kMaxPooledPages = 512;
-
-    /** Pages currently cached on this thread (tests / accounting). */
-    static std::size_t
-    pooledPages()
-    {
-        return pagePool().size();
-    }
-
-    /** Drop this thread's page cache (tests want a cold start). */
-    static void
-    drainPagePool()
-    {
-        pagePool().clear();
-    }
 
   private:
     struct Entry
@@ -234,8 +201,6 @@ class ShadowWriteMap
         {interp::Memory::kStackBase >> 3, interp::Memory::kStackLimit >> 3,
          {}},
     };
-    /** Granules outside every band (wild addresses). */
-    std::unordered_map<std::uint64_t, Entry> fallback_;
     std::uint64_t epoch_ = nextEpoch(); ///< unique; above fresh-page 0
 };
 

@@ -3,6 +3,7 @@
 #include <ostream>
 
 #include "exec/pool.hpp"
+#include "ir/parser.hpp"
 #include "support/error.hpp"
 
 namespace lp::test {
@@ -243,6 +244,51 @@ buildLoopWithCalls(std::int64_t n, CalleeKind kind)
     b.ret(b.load(Type::I64, b.elem(out, b.i64(n - 1))));
     mod->finalize();
     return mod;
+}
+
+std::unique_ptr<ir::Module>
+buildCalleeStore(bool loopStore)
+{
+    const std::string ownStore = loopStore ? R"(
+    %far = add i64 %i, 64
+    %fo = mul i64 %far, 8
+    %fp = ptradd ptr @a, %fo
+    store %i, %fp)"
+                                           : "";
+    return ir::parseModule(R"(module callee_store
+global @a [1024 bytes]
+
+func i64 @put(i64 %i, i64 %v) {
+  entry:
+    %o = mul i64 %i, 8
+    %p = ptradd ptr @a, %o
+    store %v, %p
+    ret %v
+}
+
+func i64 @main() {
+  entry:
+    jmp label l.hdr
+  l.hdr:
+    %i = phi i64 [1, entry], [%i.next, l.latch]
+    %c = icmp.lt i64 %i, 12
+    br %c, label l.body, label l.exit
+  l.body:
+    %prev = sub i64 %i, 1
+    %o = mul i64 %prev, 8
+    %p = ptradd ptr @a, %o
+    %v = load i64 %p
+    %v1 = add i64 %v, %i
+    %r = call i64 @put %i, %v1)" + ownStore + R"(
+    jmp label l.latch
+  l.latch:
+    %i.next = add i64 %i, 1
+    jmp label l.hdr
+  l.exit:
+    ret 0
+}
+)",
+                           interp::stdlibImplFor);
 }
 
 std::vector<std::pair<std::string, std::unique_ptr<ir::Module>>>

@@ -64,6 +64,16 @@ std::unique_ptr<ir::Module> buildLoopWithCalls(std::int64_t n,
                                                CalleeKind kind);
 
 /**
+ * callee-store: for i in 1..11 the loop loads a[i-1] and calls
+ * @put(i, a[i-1] + i), which stores a[i]: every iteration after the
+ * first reads what the previous one's callee stored, so 10
+ * cross-iteration RAWs manifest through a function with no loop of its
+ * own.  With @p loopStore the loop body also stores to a far slot of @a
+ * that nothing reads.
+ */
+std::unique_ptr<ir::Module> buildCalleeStore(bool loopStore);
+
+/**
  * Every fixture shape above by name (calls with a pure and with an
  * instrumented helper), plus the shuffled chase (unpredictable carried
  * value — the predictor-heavy case).

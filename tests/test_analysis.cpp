@@ -411,7 +411,8 @@ TEST(Disjoint, SaxpyAccessesFiltered)
     LoopInfo li(fn, dt);
     ScalarEvolution se(fn, li);
     analysis::UseMap uses(fn);
-    analysis::DisjointFilter filter(fn, li, se, uses);
+    analysis::PurityAnalysis purity(*mod);
+    analysis::DisjointFilter filter(fn, li, se, uses, purity);
 
     for (const auto &loop : li.loops()) {
         // Every access in every saxpy loop is a stride-8 walk of its own
@@ -436,7 +437,8 @@ TEST(Disjoint, HistogramUpdateNotFiltered)
     LoopInfo li(fn, dt);
     ScalarEvolution se(fn, li);
     analysis::UseMap uses(fn);
-    analysis::DisjointFilter filter(fn, li, se, uses);
+    analysis::PurityAnalysis purity(*mod);
+    analysis::DisjointFilter filter(fn, li, se, uses, purity);
 
     const Loop *loop = li.topLevel()[0];
     bool sawTracked = false;
@@ -473,7 +475,8 @@ TEST(Disjoint, CrossIterationDistanceBlocksFilter)
     LoopInfo li(fn, dt);
     ScalarEvolution se(fn, li);
     analysis::UseMap uses(fn);
-    analysis::DisjointFilter filter(fn, li, se, uses);
+    analysis::PurityAnalysis purity(mod);
+    analysis::DisjointFilter filter(fn, li, se, uses, purity);
     const Loop *loop = li.topLevel()[0];
     EXPECT_EQ(filter.filteredCount(loop), 0u);
 }
@@ -500,7 +503,8 @@ TEST(Disjoint, ReadOnlyTableFiltered)
     LoopInfo li(fn, dt);
     ScalarEvolution se(fn, li);
     analysis::UseMap uses(fn);
-    analysis::DisjointFilter filter(fn, li, se, uses);
+    analysis::PurityAnalysis purity(mod);
+    analysis::DisjointFilter filter(fn, li, se, uses, purity);
     const Loop *loop = li.topLevel()[0];
     // Both the table load and the out store are filtered.
     EXPECT_EQ(filter.filteredCount(loop), 2u);

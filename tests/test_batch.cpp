@@ -9,12 +9,14 @@
  * lane count including the 64-lane chunk boundary.  Whether a lane's
  * numbers are right is test_spec's question (the spec evaluator).
  * Also covered: every stream the trace walker (src/trace/batch.*)
- * rejects raises LP_IO, and every cell of a sweep, --lint included,
- * equals the one-lane run of its program and configuration.
+ * rejects raises LP_IO, every cell of a sweep, --lint included,
+ * equals the one-lane run of its program and configuration, and a wild
+ * access in a tracked loop fails every lane with LP_TRAP.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -28,6 +30,7 @@
 #include "fuzz/generator.hpp"
 #include "guard/budget.hpp"
 #include "helpers.hpp"
+#include "ir/parser.hpp"
 #include "support/error.hpp"
 #include "trace/batch.hpp"
 #include "trace/format.hpp"
@@ -382,6 +385,76 @@ TEST_F(BatchTest, SweepCellsMatchOneLaneRuns)
                     << (lintMode ? " with --lint" : "");
             }
         }
+    }
+}
+
+// ------------------------------------------------- wild memory accesses
+
+/**
+ * A loop that stores past the stack segment.  Its store is not
+ * filterable (it is a whole number of strides from the loop's load of
+ * @a), so under the paper grid the lane engine receives the store's
+ * event before the access traps.  No shadow map keeps the wild granule,
+ * and the trap fails every lane of the batch.
+ */
+TEST_F(BatchTest, WildStoreInAnEligibleLoopFailsEveryLane)
+{
+    const std::string wildStore = R"(module wild_store
+global @a [64 bytes]
+
+func i64 @main() {
+  entry:
+    jmp label l.hdr
+  l.hdr:
+    %i = phi i64 [0, entry], [%i.next, l.latch]
+    %c = icmp.lt i64 %i, 4
+    br %c, label l.body, label l.exit
+  l.body:
+    %o = mul i64 %i, 8
+    %p = ptradd ptr @a, %o
+    %v = load i64 %p
+    %wo = add i64 %o, 2415919104
+    %wp = ptradd ptr @a, %wo
+    store %v, %wp
+    jmp label l.latch
+  l.latch:
+    %i.next = add i64 %i, 1
+    jmp label l.hdr
+  l.exit:
+    ret 0
+}
+)";
+    auto build = [wildStore] {
+        return ir::parseModule(wildStore, interp::stdlibImplFor);
+    };
+    {
+        // 0x90000000 bytes past @a is past interp::Memory::kStackLimit.
+        auto mod = build();
+        Loopapalooza lp(*mod);
+        const rt::ProgramTables tables(lp.plan());
+        std::vector<LPConfig> grid;
+        for (const core::NamedConfig &named : core::paperConfigs())
+            grid.push_back(named.config);
+        const interp::Instrumentation ev =
+            rt::selectEvents(lp.plan(), tables, grid, false);
+        ASSERT_EQ(ev.memOps.size(), 2u);
+        EXPECT_TRUE(std::all_of(ev.memOps.begin(), ev.memOps.end(),
+                                [](bool used) { return used; }));
+    }
+
+    core::SweepRequest req;
+    req.suite = "unit";
+    req.wantJson = true;
+    std::ostream discard(nullptr);
+    const core::SweepResult res =
+        core::runSweep({{"wild_store", "unit", build}}, req, discard);
+    ASSERT_TRUE(res.hasDocument);
+    const obs::Json &reports = res.document.at("reports");
+    ASSERT_EQ(reports.size(), core::paperConfigs().size());
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+        EXPECT_EQ(reports.at(i).at("status").asString(), "failed") << i;
+        EXPECT_EQ(reports.at(i).at("error_code").asString(), "LP_TRAP")
+            << i;
     }
 }
 

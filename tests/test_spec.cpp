@@ -11,10 +11,13 @@
  * mispredicts, static verdict) and per program (serial and parallel
  * cost, coverage, the census, and under the consistency oracle the
  * "oracle" and "static_verdict" sections).  Inputs: the seven fixture
- * shapes, the loop-edge fixtures (tests/loop_edges) and all 30 suite
- * programs under the full configuration grid (paper grid, DOACROSS,
- * HELIX dep2, PDOALL dep3-fn3 and both serialization-threshold
- * ablation ends), and fuzz seeds 0-63.
+ * shapes, the loop-edge fixtures (tests/loop_edges), the callee-store
+ * fixture and all 30 suite programs under the full configuration grid
+ * (paper grid, DOACROSS, HELIX dep2, PDOALL dep3-fn3 and both
+ * serialization-threshold ablation ends), and fuzz seeds 0-63.
+ *
+ * The evaluator watches every access the static disjointness filter
+ * skips, so each comparison also checks the filter's claims.
  */
 
 #include <gtest/gtest.h>
@@ -97,6 +100,16 @@ TEST(SpecEvaluator, LoopEdgeFixturesMatchTheEngine)
         EXPECT_EQ(expectEngineMatchesSpec(*mod, name, grid),
                   2 * grid.size());
     }
+}
+
+TEST(SpecEvaluator, CalleeStoreMatchesTheEngine)
+{
+    // The loop's only store to @a is its callee's: a filter that called
+    // @a read-only in the loop would drop the load's 10 RAWs.
+    const std::vector<LPConfig> grid = test::fullGrid();
+    auto mod = test::buildCalleeStore(/*loopStore=*/false);
+    EXPECT_EQ(expectEngineMatchesSpec(*mod, "callee_store", grid),
+              2 * grid.size());
 }
 
 TEST(SpecEvaluator, SuiteProgramsMatchTheEngine)
