@@ -4,7 +4,9 @@
  *
  * Walks a seed range, generating a random loop-nest program per seed
  * and pushing it through every oracle pair: the spec evaluator vs the
- * engine on every cell of the plain and --lint sweeps, then the path
+ * engine on every cell of the plain and --lint sweeps (each over
+ * fuzz::fullGrid(): the paper's 14 configurations plus six ablation
+ * lanes, single-sync DOACROSS among them), then the path
  * pairs the framework promises are byte-identical (1 worker vs N,
  * sharded-merged vs unsharded, kill-and-resume vs straight-through),
  * lint static vs dynamic oracle, and PDG verdicts vs the dynamic

@@ -11,6 +11,7 @@
 #include "fuzz/spec.hpp"
 #include "guard/fault.hpp"
 #include "support/error.hpp"
+#include "support/text.hpp"
 
 namespace lp::fuzz {
 
@@ -169,6 +170,32 @@ removeSweepFiles(const std::string &ckPath, unsigned shards)
 
 } // namespace
 
+const std::vector<core::NamedConfig> &
+fullGrid()
+{
+    static const std::vector<core::NamedConfig> grid = [] {
+        using rt::ExecModel;
+        using rt::LPConfig;
+        std::vector<core::NamedConfig> g = core::paperConfigs();
+        for (const char *flags : {"reduc0-dep1-fn2", "reduc1-dep1-fn2"}) {
+            LPConfig ss = LPConfig::parse(flags, ExecModel::Helix);
+            ss.singleSyncDoacross = true;
+            g.push_back({ss.str() + " single-sync", ss});
+        }
+        for (const LPConfig &cfg :
+             {LPConfig::parse("reduc0-dep2-fn2", ExecModel::Helix),
+              LPConfig::parse("reduc1-dep3-fn3", ExecModel::PartialDoAll)})
+            g.push_back({cfg.str(), cfg});
+        for (double threshold : {0.05, 1.0}) {
+            LPConfig th = core::bestPdoall();
+            th.pdoallSerialThreshold = threshold;
+            g.push_back({th.str() + strf(" threshold %g", threshold), th});
+        }
+        return g;
+    }();
+    return grid;
+}
+
 std::string
 reproLineFor(std::uint64_t seed)
 {
@@ -197,6 +224,7 @@ runDifferential(std::uint64_t seed, const DiffOptions &opts)
     }
 
     core::SweepRequest base;
+    base.configs = fullGrid();
     base.suite = "fuzz";
     base.keepGoing = true;
     base.wantJson = true;

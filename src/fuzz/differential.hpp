@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "core/configs.hpp"
 #include "fuzz/generator.hpp"
 
 namespace lp::fuzz {
@@ -57,6 +58,17 @@ struct DiffOptions
     std::string faultSite;
     std::uint64_t faultNth = 0;
 };
+
+/**
+ * The configurations every oracle pair sweeps, each under a unique
+ * label: the paper's 14 rows plus six ablation lanes, namely
+ * single-sync DOACROSS under reduc0 and reduc1 dep1, HELIX dep2, PDOALL
+ * reduc1-dep3-fn3, and the best PDOALL point at both ends of the
+ * serialization-threshold ablation (0.05, 1.0).  That is every model,
+ * every dep/reduc/fn axis and both DOACROSS synchronization modes; the
+ * tests check the engine over the same grid.
+ */
+const std::vector<core::NamedConfig> &fullGrid();
 
 /**
  * Run every oracle pair on the program generated from @p seed.

@@ -273,8 +273,7 @@ Machine::execute(const LoweredFunction &main, Sink &sink)
 
               case Alloca:
                 out = sp_;
-                sp_ += (x + 7) & ~std::uint64_t{7};
-                mem_.ensureStack(sp_);
+                sp_ = mem_.pushStack(sp_, x);
                 continue;
               case Load:
                 ipInBlock_ = op.c;

@@ -36,11 +36,12 @@ align8(std::uint64_t v)
 std::uint64_t
 Memory::allocGlobal(std::uint64_t size)
 {
-    std::uint64_t addr = kGlobalBase + globals_.size();
-    globals_.resize(globals_.size() + align8(size), 0);
-    if (kGlobalBase + globals_.size() > kHeapBase)
+    // Compared before rounding up: a size within 7 of 2^64 rounds to 0.
+    if (size > kHeapBase - kGlobalBase - globals_.size())
         throw ResourceExhausted(ErrorCode::Heap,
                                 "global segment overflow");
+    std::uint64_t addr = kGlobalBase + globals_.size();
+    globals_.resize(globals_.size() + align8(size), 0);
     return addr;
 }
 
@@ -48,7 +49,9 @@ std::uint64_t
 Memory::allocHeap(std::uint64_t size)
 {
     std::uint64_t addr = kHeapBase + heapTop_;
-    std::uint64_t newTop = heapTop_ + align8(size);
+    // Compared before rounding up: a size within 7 of 2^64 rounds to 0.
+    const bool fits = size <= kStackBase - addr;
+    std::uint64_t newTop = fits ? heapTop_ + align8(size) : ~std::uint64_t{0};
     if (heapLimit_ != 0 && newTop > heapLimit_)
         throw ResourceExhausted(
             ErrorCode::Heap,
@@ -57,35 +60,41 @@ Memory::allocHeap(std::uint64_t size)
                  static_cast<unsigned long long>(heapLimit_),
                  static_cast<unsigned long long>(size),
                  static_cast<unsigned long long>(heapTop_)));
-    heapTop_ = newTop;
-    if (kHeapBase + heapTop_ > kStackBase)
+    if (!fits)
         throw ResourceExhausted(ErrorCode::Heap, "heap segment overflow");
+    heapTop_ = newTop;
     if (heapTop_ > heap_.size())
         heap_.resize(std::max<std::uint64_t>(heapTop_, heap_.size() * 2),
                      0);
     return addr;
 }
 
-void
-Memory::ensureStack(std::uint64_t top)
+std::uint64_t
+Memory::pushStack(std::uint64_t sp, std::uint64_t size)
 {
-    if (top > kStackLimit)
+    // Compared before rounding up: a size within 7 of 2^64 rounds to 0,
+    // and sp + size must not wrap below kStackBase.
+    if (size > kStackLimit - sp)
         throw ResourceExhausted(ErrorCode::Stack,
                                 "stack segment overflow");
-    std::uint64_t need = top - kStackBase;
+    const std::uint64_t top = sp + align8(size);
+    const std::uint64_t need = top - kStackBase;
     if (need > stack_.size())
         stack_.resize(std::max<std::uint64_t>(need, stack_.size() * 2 + 4096),
                       0);
+    return top;
 }
 
 const std::uint8_t *
 Memory::locate(std::uint64_t addr, std::uint64_t size) const
 {
-    if (addr >= kGlobalBase && addr + size <= kGlobalBase + globals_.size())
+    // addr - base + size cannot wrap once addr >= base (base > size);
+    // addr + size would for the top addresses.
+    if (addr >= kGlobalBase && addr - kGlobalBase + size <= globals_.size())
         return globals_.data() + (addr - kGlobalBase);
-    if (addr >= kHeapBase && addr + size <= kHeapBase + heap_.size())
+    if (addr >= kHeapBase && addr - kHeapBase + size <= heap_.size())
         return heap_.data() + (addr - kHeapBase);
-    if (addr >= kStackBase && addr + size <= kStackBase + stack_.size())
+    if (addr >= kStackBase && addr - kStackBase + size <= stack_.size())
         return stack_.data() + (addr - kStackBase);
     throw InterpreterTrap(strf("invalid memory access at 0x%llx",
                                static_cast<unsigned long long>(addr)));

@@ -52,8 +52,12 @@ class Memory
         return addr >= kStackBase && addr < kStackLimit;
     }
 
-    /** Grow the stack segment to cover addresses below @p top. */
-    void ensureStack(std::uint64_t top);
+    /**
+     * Reserve @p size bytes (8-aligned) of stack at @p sp, growing the
+     * segment to cover them; returns the new stack pointer.  Throws
+     * lp::ResourceExhausted (LP_STACK) past kStackLimit.
+     */
+    std::uint64_t pushStack(std::uint64_t sp, std::uint64_t size);
 
     /** Bytes of heap currently allocated. */
     std::uint64_t heapUsed() const { return heapTop_; }

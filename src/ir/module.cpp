@@ -33,7 +33,13 @@ Module::addGlobal(std::string name, std::uint64_t sizeBytes)
         std::make_unique<Global>(std::move(name), sizeBytes, globalBytes_));
     // 8-byte alignment, mirrored by interp::Memory::allocGlobal (the
     // Machine asserts the two layouts agree when it maps the segment).
-    globalBytes_ += (sizeBytes + 7) & ~std::uint64_t{7};
+    // A size whose rounding or sum would wrap saturates the layout;
+    // allocGlobal rejects it (LP_HEAP).
+    const std::uint64_t aligned = (sizeBytes + 7) & ~std::uint64_t{7};
+    const std::uint64_t max = ~std::uint64_t{0};
+    globalBytes_ = aligned < sizeBytes || aligned > max - globalBytes_
+                       ? max
+                       : globalBytes_ + aligned;
     return globals_.back().get();
 }
 

@@ -27,6 +27,9 @@
  *   tracker.conflicts       cross-iteration conflicts (memory + register)
  *   tracker.loop_instances  dynamic loop instances opened, x lanes
  *   tracker.trip_count      histogram of per-instance trip counts
+ *   tracker.child_saving_iterations
+ *                           iteration boundaries with child savings
+ *                           (the per-lane ones), x lanes
  *   model.squashes.<model>  speculative iterations squashed (pdoall/doall)
  *   report.loops_reported   per-loop reports emitted
  * The lane engine counts the tracker.*, model.squashes.* and

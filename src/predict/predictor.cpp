@@ -116,8 +116,16 @@ FcmPredictor::predict(std::uint64_t &out) const
 void
 FcmPredictor::train(std::uint64_t actual)
 {
+    predictAndTrain(actual);
+}
+
+bool
+FcmPredictor::predictAndTrain(std::uint64_t actual)
+{
+    bool ok = false;
     if (histCount_ >= order_) {
         Entry &e = table_[contextHash()];
+        ok = e.valid && e.value == actual;
         e.valid = true;
         e.value = actual;
     }
@@ -127,24 +135,22 @@ FcmPredictor::train(std::uint64_t actual)
     history_[order_ - 1] = actual;
     if (histCount_ < order_)
         ++histCount_;
+    return ok;
 }
 
 //
 // HybridPredictor
 //
 
-HybridPredictor::HybridPredictor()
-{
-    preds_[0] = std::make_unique<LastValuePredictor>();
-    preds_[1] = std::make_unique<StridePredictor>();
-    preds_[2] = std::make_unique<TwoDeltaStridePredictor>();
-    preds_[3] = std::make_unique<FcmPredictor>();
-}
-
 const char *
 HybridPredictor::componentName(unsigned i) const
 {
-    return preds_[i]->name();
+    switch (i) {
+      case 0: return last_.name();
+      case 1: return stride_.name();
+      case 2: return twoDelta_.name();
+      default: return fcm_.name();
+    }
 }
 
 HybridOutcome
@@ -160,9 +166,12 @@ HybridPredictor::predictAndTrain(std::uint64_t actual)
             best = i;
     }
 
+    out.componentCorrect = {last_.predictAndTrain(actual),
+                            stride_.predictAndTrain(actual),
+                            twoDelta_.predictAndTrain(actual),
+                            fcm_.predictAndTrain(actual)};
     for (unsigned i = 0; i < kComponents; ++i) {
-        bool correct = preds_[i]->predictAndTrain(actual);
-        out.componentCorrect[i] = correct;
+        const bool correct = out.componentCorrect[i];
         out.anyCorrect |= correct;
         if (i == best)
             out.selectedCorrect = correct;

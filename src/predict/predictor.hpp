@@ -14,7 +14,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -107,6 +106,10 @@ class FcmPredictor final : public ValuePredictor
     void train(std::uint64_t actual) override;
     const char *name() const override { return "fcm"; }
 
+    /** predict() then train() with one context hash: training writes
+     *  the slot the prediction read. */
+    bool predictAndTrain(std::uint64_t actual);
+
   private:
     std::uint64_t contextHash() const;
 
@@ -133,13 +136,12 @@ struct HybridOutcome
 /**
  * The four predictors plus 3-bit confidence counters per component.
  * The limit study uses anyCorrect; the ablation benches also report the
- * realistic selector and per-component accuracies.
+ * realistic selector and per-component accuracies.  The components are
+ * held by value, so their final types make every call direct.
  */
 class HybridPredictor
 {
   public:
-    HybridPredictor();
-
     /** Predict the next value, compare against @p actual, train all. */
     HybridOutcome predictAndTrain(std::uint64_t actual);
 
@@ -150,7 +152,10 @@ class HybridPredictor
     const char *componentName(unsigned i) const;
 
   private:
-    std::array<std::unique_ptr<ValuePredictor>, kComponents> preds_;
+    LastValuePredictor last_;
+    StridePredictor stride_;
+    TwoDeltaStridePredictor twoDelta_;
+    FcmPredictor fcm_;
     std::array<int, kComponents> confidence_{};
 };
 

@@ -9,8 +9,13 @@
  * the per-lane model state (savings, covered lengths, slowest-iteration
  * accumulators, conflict flags, HELIX deltas) lives in parallel arrays
  * indexed [instanceSlot * L + lane].  Each event is one direct call
- * from the interpreter loop; the per-lane work only triggers at
- * boundaries, conflicts and phi resolutions.  What a lane's report is
+ * from the interpreter loop.  What every eligible lane of an instance
+ * updates identically is kept once on the instance and folded into a
+ * lane's own state only where lanes diverge (a child region's savings,
+ * a PDOALL phase restart, the close), so an iteration boundary without
+ * child savings and a memory RAW's HELIX bounds cost O(1) in the lane
+ * count; the per-lane work triggers at child-saving boundaries,
+ * conflicts, phi resolutions and closes.  What a lane's report is
  * assembled from — its per-loop rows, predictor statistics, savings and
  * covered totals — is the plain Lane struct below; what the batch did is
  * counted in the plain BatchCounts, published once per batch.
@@ -36,6 +41,26 @@
  *  - the consistency oracle watches every loop whatever a lane's
  *    verdict, so its per-instance difference states depend only on the
  *    stream and one capture, filled once, serves every lane.
+ *
+ * Per-instance soundness argument (why one scalar serves every lane):
+ *  - in an iteration no child region handed savings to (the instance's
+ *    childSavings flag is clear), every lane's adjusted cost is the
+ *    serial cost, so cleanSlow, the slowest such iteration, is part of
+ *    every lane's slowest iteration: a DOALL or HELIX lane's is the
+ *    larger of its own slow_ (the child-saving iterations) and
+ *    cleanSlow;
+ *  - cleanPhase is the same maximum since the slot's last PDOALL phase
+ *    restart in any lane.  restartPhases folds it into every eligible
+ *    PDOALL lane's slow_ before any lane restarts and then clears it, so
+ *    a PDOALL lane's current phase is the larger of its slow_ and
+ *    cleanPhase at any time;
+ *  - every memory RAW of an instance syncs exactly its eligible HELIX
+ *    lanes (eligMask & helixMask), so the largest delta, the largest
+ *    producer offset and the smallest consumer offset of its RAWs are
+ *    per-instance scalars, folded into each such lane's register-sync
+ *    bounds at the close;
+ *  - ciSavings_ is zero in every lane unless childSavings is set, and
+ *    only those boundaries run the per-lane loop that clears it.
  */
 
 #include "rt/batch.hpp"
@@ -165,6 +190,9 @@ struct BatchCounts
     std::uint64_t doallSquashes = 0;  ///< model.squashes.doall
     std::uint64_t pdoallSquashes = 0; ///< model.squashes.pdoall
     std::uint64_t loopsReported = 0;  ///< report.loops_reported
+    /** tracker.child_saving_iterations: the iteration boundaries that
+     *  paid per-lane work because a child region handed savings. */
+    std::uint64_t childSavingIterations = 0;
     /** tracker.trip_count: each closed instance's trip count, once per
      *  lane (a batch-local tally; obs keeps the bucket rule). */
     obs::Histogram tripCounts{kTripCountBounds};
@@ -181,6 +209,7 @@ struct BatchCounts
             {"model.squashes.doall", doallSquashes},
             {"model.squashes.pdoall", pdoallSquashes},
             {"report.loops_reported", loopsReported},
+            {"tracker.child_saving_iterations", childSavingIterations},
         };
         const bool metrics = obs::metricsOn();
         obs::Registry &reg = obs::Registry::instance();
@@ -267,6 +296,7 @@ class BatchReplayer
 
         const std::size_t numLoops = plan.numLoops();
         eligMask_.assign(numLoops, 0);
+        dep1Lanes_.assign(numLoops, 0);
         ncCount_.resize(numLoops);
         trackedAllCount_.resize(numLoops);
         for (std::size_t ord = 0; ord < numLoops; ++ord) {
@@ -291,8 +321,6 @@ class BatchReplayer
               case ExecModel::PartialDoAll: pdoallMask_ |= bit; break;
               case ExecModel::Helix:        helixMask_ |= bit; break;
             }
-            if (cfg.dep == 1)
-                dep1Mask_ |= bit;
             if (cfg.dep == 2)
                 dep2Mask_ |= bit;
             if (cfg.reduc == 0)
@@ -306,6 +334,9 @@ class BatchReplayer
                 // Reductions join the tracked LCDs only under reduc0.
                 laneTracked_[ord * L_ + l] =
                     cfg.reduc == 0 ? trackedAllCount_[ord] : ncCount_[ord];
+                if (cfg.dep == 1 && laneTracked_[ord * L_ + l] != 0 &&
+                    row.staticReason == SerialReason::None)
+                    dep1Lanes_[ord] |= bit;
                 reportPtr_[ord * L_ + l] = &row;
             }
         }
@@ -548,15 +579,28 @@ class BatchReplayer
         std::size_t savingsBase = 0; ///< into frameSavings_/frameCovered_
     };
 
-    /** One dynamic loop instance (shared across lanes). */
+    /** One dynamic loop instance (shared across lanes), with the model
+     *  state every eligible lane updates identically (see the file
+     *  comment's per-instance soundness argument). */
     struct BInst
     {
         unsigned ord = 0;
+        /** Some lane's child region handed savings to this iteration. */
+        bool childSavings = false;
         std::uint64_t entryTs = 0;
         std::uint64_t iterStartTs = 0;
         std::uint64_t spAtIterStart = 0;
         std::uint64_t curIter = 0;
         std::uint64_t memConflicts = 0; ///< same for every eligible lane
+        /** The slowest iteration without child savings: overall, and
+         *  since the slot's last PDOALL phase restart. */
+        std::uint64_t cleanSlow = 0;
+        std::uint64_t cleanPhase = 0;
+        /** The memory RAWs' HELIX sync bounds: the largest delta, the
+         *  largest producer and the smallest consumer offset. */
+        std::uint64_t memDelta = 0;
+        std::uint64_t memMaxProd = 0;
+        std::uint64_t memMinCons = ~std::uint64_t{0};
         ShadowWriteMap *shadow = nullptr; ///< null when eligMask == 0
         std::uint64_t eligMask = 0;
         std::size_t slot = 0;     ///< stack depth (reused LIFO)
@@ -646,7 +690,8 @@ class BatchReplayer
      * A closed region's per-lane savings and covered lengths land on
      * the innermost open context: the current iteration of the top
      * instance in this frame, else the frame itself.  Resolved once,
-     * applied per lane.
+     * applied per lane.  Savings handed to an iteration flag it for the
+     * per-lane boundary work.
      */
     void
     addToContext(const std::uint64_t *savings, const std::uint64_t *covered)
@@ -657,10 +702,14 @@ class BatchReplayer
             inLoop ? instStack_.back().base : f.savingsBase;
         std::uint64_t *sDst = inLoop ? &ciSavings_[at] : &frameSavings_[at];
         std::uint64_t *cDst = inLoop ? &ciCovered_[at] : &frameCovered_[at];
+        std::uint64_t any = 0;
         for (std::size_t l = 0; l < L_; ++l) {
             sDst[l] += savings[l];
             cDst[l] += covered[l];
+            any |= savings[l];
         }
+        if (inLoop && any)
+            instStack_.back().childSavings = true;
     }
 
     void
@@ -675,8 +724,7 @@ class BatchReplayer
             ciSavings_.resize(n);
             tcSavings_.resize(n);
             ciCovered_.resize(n);
-            iterSlow_.resize(n);
-            phaseSlow_.resize(n);
+            slow_.resize(n);
             pAccum_.resize(n);
             dLargest_.resize(n);
             maxProd_.resize(n);
@@ -729,8 +777,7 @@ class BatchReplayer
             ciSavings_[B + l] = 0;
             tcSavings_[B + l] = 0;
             ciCovered_[B + l] = 0;
-            iterSlow_[B + l] = 0;
-            phaseSlow_[B + l] = 0;
+            slow_[B + l] = 0;
             pAccum_[B + l] = 0;
             dLargest_[B + l] = 0;
             maxProd_[B + l] = 0;
@@ -748,6 +795,38 @@ class BatchReplayer
         counts_.loopInstances += L_;
     }
 
+    /**
+     * PDOALL restarts a phase in each of @p todo's lanes (eligible, not
+     * yet conflicted this iteration): the phase so far joins the lane's
+     * accumulated phases.  cleanPhase belongs to every eligible PDOALL
+     * lane's current phase, so it is folded into each before any lane
+     * restarts, then cleared.
+     */
+    void
+    restartPhases(BInst &inst, std::uint64_t todo)
+    {
+        if (!todo)
+            return;
+        const std::size_t B = inst.base;
+        if (inst.cleanPhase) {
+            for (std::uint64_t m = inst.eligMask & pdoallMask_; m;
+                 m &= m - 1) {
+                const std::size_t i =
+                    B + static_cast<unsigned>(std::countr_zero(m));
+                slow_[i] = std::max(slow_[i], inst.cleanPhase);
+            }
+            inst.cleanPhase = 0;
+        }
+        for (std::uint64_t m = todo; m; m &= m - 1) {
+            const std::size_t i =
+                B + static_cast<unsigned>(std::countr_zero(m));
+            pAccum_[i] += slow_[i];
+            slow_[i] = 0;
+            cIters_[i] += 1;
+        }
+        conflictedM_[inst.slot] |= todo;
+    }
+
     /** A register LCD manifests in @p lanes' current iteration: PDOALL
      *  restarts a phase in each lane not already conflicted. */
     void
@@ -755,55 +834,31 @@ class BatchReplayer
     {
         anyConflictM_[inst.slot] |= lanes;
         counts_.conflicts += static_cast<std::uint64_t>(std::popcount(lanes));
-        const std::uint64_t todo =
-            lanes & pdoallMask_ & ~conflictedM_[inst.slot];
-        for (std::uint64_t m = todo; m; m &= m - 1) {
-            const std::size_t i =
-                inst.base + static_cast<unsigned>(std::countr_zero(m));
-            pAccum_[i] += phaseSlow_[i];
-            phaseSlow_[i] = 0;
-            cIters_[i] += 1;
-        }
-        conflictedM_[inst.slot] |= todo;
+        restartPhases(inst, lanes & pdoallMask_ & ~conflictedM_[inst.slot]);
     }
 
     /** A cross-iteration memory RAW, fanned out over the eligible
-     *  lanes: PDOALL restarts a phase, HELIX records a sync. */
+     *  lanes: PDOALL restarts a phase, HELIX records a sync (on the
+     *  instance: every RAW syncs the same eligible HELIX lanes). */
     void
     noteMemConflict(BInst &inst, const WriteRec &rec,
                     std::uint64_t consumerOffset)
     {
         inst.memConflicts += 1;
-        const std::uint64_t m = inst.eligMask;
-        anyConflictM_[inst.slot] |= m;
-        const std::size_t B = inst.base;
-        std::uint64_t todo = m & pdoallMask_ & ~conflictedM_[inst.slot];
-        for (std::uint64_t pm = todo; pm; pm &= pm - 1) {
-            const unsigned l =
-                static_cast<unsigned>(std::countr_zero(pm));
-            pAccum_[B + l] += phaseSlow_[B + l];
-            phaseSlow_[B + l] = 0;
-            cIters_[B + l] += 1;
-        }
-        conflictedM_[inst.slot] |= todo;
-        const std::uint64_t hm = m & helixMask_;
-        if (hm) {
-            const std::uint64_t dist = inst.curIter - rec.iter;
-            const bool fwd = rec.offset > consumerOffset;
-            const std::uint64_t delta =
-                fwd ? (rec.offset - consumerOffset + dist - 1) / dist
-                    : 0;
-            for (std::uint64_t hmm = hm; hmm; hmm &= hmm - 1) {
-                const unsigned l =
-                    static_cast<unsigned>(std::countr_zero(hmm));
-                if (fwd)
-                    dLargest_[B + l] = std::max(dLargest_[B + l], delta);
-                maxProd_[B + l] = std::max(maxProd_[B + l], rec.offset);
-                minCons_[B + l] =
-                    std::min(minCons_[B + l], consumerOffset);
-            }
-            anySyncM_[inst.slot] |= hm;
-        }
+        anyConflictM_[inst.slot] |= inst.eligMask;
+        restartPhases(inst,
+                      inst.eligMask & pdoallMask_ & ~conflictedM_[inst.slot]);
+        const std::uint64_t hm = inst.eligMask & helixMask_;
+        if (!hm)
+            return;
+        const std::uint64_t dist = inst.curIter - rec.iter;
+        if (rec.offset > consumerOffset)
+            inst.memDelta =
+                std::max(inst.memDelta,
+                         (rec.offset - consumerOffset + dist - 1) / dist);
+        inst.memMaxProd = std::max(inst.memMaxProd, rec.offset);
+        inst.memMinCons = std::min(inst.memMinCons, consumerOffset);
+        anySyncM_[inst.slot] |= hm;
     }
 
     /** Close the top-of-stack instance's iteration, open the next. */
@@ -813,13 +868,21 @@ class BatchReplayer
         BInst &inst = instStack_.back();
         const std::size_t B = inst.base;
         const std::uint64_t serialIterCost = now - inst.iterStartTs;
-        for (std::size_t l = 0; l < L_; ++l) {
-            const std::uint64_t savings =
-                std::min(ciSavings_[B + l], serialIterCost);
-            const std::uint64_t adj = serialIterCost - savings;
-            tcSavings_[B + l] += savings;
-            iterSlow_[B + l] = std::max(iterSlow_[B + l], adj);
-            phaseSlow_[B + l] = std::max(phaseSlow_[B + l], adj);
+        if (inst.childSavings) {
+            // Lanes diverge: each lane's adjusted cost is its own.
+            for (std::size_t l = 0; l < L_; ++l) {
+                const std::uint64_t savings =
+                    std::min(ciSavings_[B + l], serialIterCost);
+                tcSavings_[B + l] += savings;
+                slow_[B + l] =
+                    std::max(slow_[B + l], serialIterCost - savings);
+                ciSavings_[B + l] = 0;
+            }
+            inst.childSavings = false;
+            counts_.childSavingIterations += L_;
+        } else {
+            inst.cleanSlow = std::max(inst.cleanSlow, serialIterCost);
+            inst.cleanPhase = std::max(inst.cleanPhase, serialIterCost);
         }
 
         if (inst.eligMask && inst.nRegs) {
@@ -834,7 +897,7 @@ class BatchReplayer
             }
             // dep1 under HELIX: the lowered LCD is satisfied by one
             // sync per tracked register.
-            std::uint64_t hm = inst.eligMask & dep1Mask_ & helixMask_;
+            const std::uint64_t hm = dep1Lanes_[inst.ord] & helixMask_;
             for (std::uint64_t m = hm; m; m &= m - 1) {
                 const unsigned l =
                     static_cast<unsigned>(std::countr_zero(m));
@@ -842,8 +905,6 @@ class BatchReplayer
                     laneTracked_[static_cast<std::size_t>(inst.ord) *
                                      L_ +
                                  l];
-                if (lt == 0)
-                    continue;
                 for (unsigned r = 0; r < lt; ++r) {
                     const std::uint64_t off =
                         regPrevOff_[inst.regsBase + r];
@@ -851,29 +912,19 @@ class BatchReplayer
                     maxProd_[B + l] = std::max(maxProd_[B + l], off);
                 }
                 minCons_[B + l] = 0; // the phi consumes at the top
-                anySyncM_[inst.slot] |= std::uint64_t{1} << l;
             }
+            anySyncM_[inst.slot] |= hm;
         }
 
         inst.curIter += 1;
         inst.iterStartTs = now;
         inst.spAtIterStart = sp;
-        for (std::size_t l = 0; l < L_; ++l)
-            ciSavings_[B + l] = 0;
         conflictedM_[inst.slot] = 0;
 
         // dep1 under a speculative model: the lowered LCD conflicts at
         // the top of every iteration after the first.
-        std::uint64_t cm = 0;
-        for (std::uint64_t m = inst.eligMask & dep1Mask_ & ~helixMask_; m;
-             m &= m - 1) {
-            const unsigned l =
-                static_cast<unsigned>(std::countr_zero(m));
-            if (laneTracked_[static_cast<std::size_t>(inst.ord) * L_ +
-                             l] != 0)
-                cm |= std::uint64_t{1} << l;
-        }
-        registerConflicts(inst, cm);
+        if (const std::uint64_t cm = dep1Lanes_[inst.ord] & ~helixMask_)
+            registerConflicts(inst, cm);
     }
 
     /**
@@ -931,7 +982,8 @@ class BatchReplayer
                 switch (laneModel_[l]) {
                   case ExecModel::DoAll:
                     if (!(anyConflictM_[inst.slot] & bit)) {
-                        parallel = iterSlow_[B + l] + tailAdj;
+                        parallel =
+                            std::max(slow_[B + l], inst.cleanSlow) + tailAdj;
                         parallelized = true;
                     }
                     break;
@@ -940,21 +992,26 @@ class BatchReplayer
                         static_cast<double>(cIters_[B + l]) /
                         static_cast<double>(inst.curIter);
                     if (conflictFrac <= lanePdoallThr_[l]) {
-                        parallel = pAccum_[B + l] + phaseSlow_[B + l] +
+                        parallel = pAccum_[B + l] +
+                                   std::max(slow_[B + l], inst.cleanPhase) +
                                    tailAdj;
                         parallelized = true;
                     }
                     break;
                   }
                   case ExecModel::Helix: {
-                    std::uint64_t delta = dLargest_[B + l];
+                    std::uint64_t delta =
+                        std::max(dLargest_[B + l], inst.memDelta);
                     if (singleSyncMask_ & bit) {
+                        const std::uint64_t maxProd =
+                            std::max(maxProd_[B + l], inst.memMaxProd);
+                        const std::uint64_t minCons =
+                            std::min(minCons_[B + l], inst.memMinCons);
                         delta = 0;
-                        if ((anySyncM_[inst.slot] & bit) &&
-                            maxProd_[B + l] > minCons_[B + l])
-                            delta = maxProd_[B + l] - minCons_[B + l];
+                        if ((anySyncM_[inst.slot] & bit) && maxProd > minCons)
+                            delta = maxProd - minCons;
                     }
-                    std::uint64_t t = iterSlow_[B + l] +
+                    std::uint64_t t = std::max(slow_[B + l], inst.cleanSlow) +
                                       delta * inst.curIter + tailAdj;
                     if (t <= adjSerial) {
                         parallel = t;
@@ -1003,6 +1060,9 @@ class BatchReplayer
 
     // Per-ordinal lane facts (flat, [ord * L_ + lane]).
     std::vector<std::uint64_t> eligMask_;
+    /** The eligible dep1 lanes with a non-empty tracked prefix: under
+     *  HELIX they sync every iteration, otherwise they conflict. */
+    std::vector<std::uint64_t> dep1Lanes_;
     std::vector<unsigned> ncCount_;
     std::vector<unsigned> trackedAllCount_;
     std::vector<unsigned> laneTracked_;
@@ -1014,7 +1074,6 @@ class BatchReplayer
     std::uint64_t doallMask_ = 0;
     std::uint64_t pdoallMask_ = 0;
     std::uint64_t helixMask_ = 0;
-    std::uint64_t dep1Mask_ = 0;
     std::uint64_t dep2Mask_ = 0;
     std::uint64_t reduc0Mask_ = 0;
     std::uint64_t singleSyncMask_ = 0;
@@ -1035,8 +1094,10 @@ class BatchReplayer
     std::vector<std::uint64_t> tcSavings_; ///< totalChildSavings
     /** Covered by the instance's closed children, all iterations. */
     std::vector<std::uint64_t> ciCovered_;
-    std::vector<std::uint64_t> iterSlow_;
-    std::vector<std::uint64_t> phaseSlow_;
+    /** The slowest iteration in DOALL and HELIX lanes, that of the
+     *  current phase in PDOALL lanes; the instance's cleanSlow and
+     *  cleanPhase hold the rest. */
+    std::vector<std::uint64_t> slow_;
     std::vector<std::uint64_t> pAccum_;
     std::vector<std::uint64_t> dLargest_;
     std::vector<std::uint64_t> maxProd_;

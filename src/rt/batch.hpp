@@ -108,8 +108,8 @@ interp::Instrumentation selectEvents(const ModulePlan &plan,
  * once: to the span's args and, when metrics are on, to obs::Registry,
  * under the metric names tracker.mem_events, tracker.conflicts,
  * tracker.loop_instances, tracker.trip_count (a histogram),
- * model.squashes.doall, model.squashes.pdoall and
- * report.loops_reported.
+ * tracker.child_saving_iterations, model.squashes.doall,
+ * model.squashes.pdoall and report.loops_reported.
  *
  * @param tables the module's ProgramTables
  * @param oracle when non-null, filled once from the shared loop-instance

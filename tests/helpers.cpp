@@ -3,6 +3,7 @@
 #include <ostream>
 
 #include "exec/pool.hpp"
+#include "fuzz/differential.hpp"
 #include "ir/parser.hpp"
 #include "support/error.hpp"
 
@@ -309,25 +310,9 @@ allShapes()
 std::vector<rt::LPConfig>
 fullGrid()
 {
-    using rt::ExecModel;
-    using rt::LPConfig;
-    std::vector<LPConfig> grid;
-    for (const core::NamedConfig &named : core::paperConfigs())
+    std::vector<rt::LPConfig> grid;
+    for (const core::NamedConfig &named : fuzz::fullGrid())
         grid.push_back(named.config);
-    LPConfig ss = LPConfig::parse("reduc0-dep1-fn2", ExecModel::Helix);
-    ss.singleSyncDoacross = true;
-    grid.push_back(ss);
-    ss = LPConfig::parse("reduc1-dep1-fn2", ExecModel::Helix);
-    ss.singleSyncDoacross = true;
-    grid.push_back(ss);
-    grid.push_back(LPConfig::parse("reduc0-dep2-fn2", ExecModel::Helix));
-    grid.push_back(
-        LPConfig::parse("reduc1-dep3-fn3", ExecModel::PartialDoAll));
-    for (double threshold : {0.05, 1.0}) {
-        LPConfig th = core::bestPdoall();
-        th.pdoallSerialThreshold = threshold;
-        grid.push_back(th);
-    }
     return grid;
 }
 

@@ -81,12 +81,9 @@ std::unique_ptr<ir::Module> buildCalleeStore(bool loopStore);
 std::vector<std::pair<std::string, std::unique_ptr<ir::Module>>>
 allShapes();
 
-/**
- * The full paper grid plus single-sync HELIX variants, HELIX dep2,
- * PDOALL dep3-fn3 and PDOALL at both ends of the serialization
- * threshold ablation (0.05, 1.0) — every model, every dep/reduc/fn
- * axis, both DOACROSS synchronization modes.
- */
+/** The configurations of fuzz::fullGrid(), the grid lp_fuzz sweeps:
+ *  every model, every dep/reduc/fn axis, both DOACROSS synchronization
+ *  modes. */
 std::vector<rt::LPConfig> fullGrid();
 
 /**

@@ -11,6 +11,7 @@
 
 #include "helpers.hpp"
 #include "interp/machine.hpp"
+#include "interp/memory.hpp"
 #include "interp/stdlib.hpp"
 #include "ir/builder.hpp"
 #include "support/error.hpp"
@@ -225,6 +226,90 @@ buildRecursion(std::int64_t n)
     b.ret(b.call(f, {b.i64(n)}));
     mod->finalize();
     return mod;
+}
+
+/** Run @p mod and expect it to fail with @p code. */
+void
+expectRunFails(Module &mod, ErrorCode code, const std::string &what)
+{
+    Machine m(mod);
+    try {
+        m.run();
+        ADD_FAILURE() << what << " did not fail";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.code(), code) << what << ": " << e.what();
+    }
+}
+
+TEST(Interp, AccessesWrappingPastTheTopAddressTrap)
+{
+    // @g is the first global (kGlobalBase): offsets -4104..-4097 reach
+    // the top 8 addresses, where address + 8 wraps around to 0.
+    for (std::int64_t off = -4104; off <= -4097; ++off) {
+        for (bool isStore : {true, false}) {
+            Module mod("m");
+            IRBuilder b(mod);
+            Global *g = mod.addGlobal("g", 8);
+            b.createFunction("main", Type::I64);
+            Value *p = b.ptradd(g, b.i64(off), "p");
+            if (isStore) {
+                b.store(b.i64(77), p);
+                b.ret(b.i64(0));
+            } else {
+                b.ret(b.load(Type::I64, p));
+            }
+            mod.finalize();
+            expectRunFails(mod, ErrorCode::Trap,
+                           (isStore ? "store at @g" : "load at @g") +
+                               std::to_string(off));
+        }
+    }
+}
+
+TEST(Interp, AllocaPastTheStackLimitOverflows)
+{
+    // A negative size would move the stack pointer below kStackBase; a
+    // size within 7 of 2^64 would round up to 0 bytes.
+    for (std::uint64_t size :
+         {~std::uint64_t{0} - 7, ~std::uint64_t{0},
+          interp::Memory::kStackLimit - interp::Memory::kStackBase + 1}) {
+        Module mod("m");
+        IRBuilder b(mod);
+        b.createFunction("main", Type::I64);
+        b.allocaBytes(size, "p");
+        b.ret(b.i64(0));
+        mod.finalize();
+        expectRunFails(mod, ErrorCode::Stack,
+                       "alloca " + std::to_string(size));
+    }
+}
+
+TEST(Interp, AllocationsRoundingToZeroBytesFail)
+{
+    // malloc(-1) and a global of 2^64 - 1 bytes would round up to 0
+    // bytes and trap at their first access instead.
+    {
+        Module mod("m");
+        IRBuilder b(mod);
+        interp::Stdlib lib = interp::registerStdlib(mod);
+        b.createFunction("main", Type::I64);
+        Value *p = b.callExt(lib.malloc, {b.i64(-1)});
+        b.store(b.i64(5), p);
+        b.ret(b.i64(0));
+        mod.finalize();
+        expectRunFails(mod, ErrorCode::Heap, "malloc(-1)");
+    }
+    {
+        Module mod("m");
+        IRBuilder b(mod);
+        Global *g = mod.addGlobal("big", ~std::uint64_t{0});
+        mod.addGlobal("after", 8);
+        b.createFunction("main", Type::I64);
+        b.store(b.i64(5), g);
+        b.ret(b.i64(0));
+        mod.finalize();
+        expectRunFails(mod, ErrorCode::Heap, "a 2^64 - 1 byte global");
+    }
 }
 
 TEST(Interp, CallDepthLimit)

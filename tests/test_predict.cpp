@@ -5,10 +5,38 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "predict/predictor.hpp"
 
 namespace lp::predict {
 namespace {
+
+/** 1,200 values mixing strided runs, a period-4 pattern, small
+ *  pseudo-random values (their contexts recur with other successors)
+ *  and constant pairs. */
+std::vector<std::uint64_t>
+mixedSequence()
+{
+    std::vector<std::uint64_t> seq;
+    std::uint64_t x = 88172645463325252ULL;
+    for (int round = 0; round < 40; ++round) {
+        for (std::uint64_t v = 0; v < 10; ++v)
+            seq.push_back(1000 + 7 * v);
+        for (int k = 0; k < 3; ++k)
+            for (std::uint64_t v : {5, 9, 2, 7})
+                seq.push_back(v);
+        for (int k = 0; k < 4; ++k) {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            seq.push_back(x % 8);
+        }
+        seq.push_back(42);
+        seq.push_back(42);
+    }
+    return seq;
+}
 
 TEST(LastValue, ConstantSequencePredicted)
 {
@@ -105,6 +133,69 @@ TEST(Fcm, RandomlikeSequenceMissed)
         hits += p.predictAndTrain(x);
     }
     EXPECT_LE(hits, 2);
+}
+
+TEST(Fcm, FusedPathMatchesPredictThenTrain)
+{
+    // 16 slots: the order-2 contexts alias, so slots are overwritten
+    // and read back under other contexts.
+    FcmPredictor fused(2, 4), split(2, 4);
+    int hits = 0, misses = 0;
+    for (std::uint64_t v : mixedSequence()) {
+        std::uint64_t guess = 0;
+        const bool expected = split.predict(guess) && guess == v;
+        split.train(v);
+        const bool got = fused.predictAndTrain(v);
+        ASSERT_EQ(got, expected) << "value " << v;
+        (got ? hits : misses) += 1;
+        // The trained states agree: same next prediction.
+        std::uint64_t a = 0, b = 0;
+        ASSERT_EQ(fused.predict(a), split.predict(b));
+        ASSERT_EQ(a, b);
+    }
+    EXPECT_GT(hits, 100);
+    EXPECT_GT(misses, 100);
+}
+
+TEST(Hybrid, MatchesStandAloneComponentsAndConfidenceRule)
+{
+    HybridPredictor h;
+    LastValuePredictor last;
+    StridePredictor stride;
+    TwoDeltaStridePredictor twoDelta;
+    FcmPredictor fcm;
+    ValuePredictor *const parts[HybridPredictor::kComponents] = {
+        &last, &stride, &twoDelta, &fcm};
+    int confidence[HybridPredictor::kComponents] = {};
+    int selectedHits = 0;
+    for (std::uint64_t v : mixedSequence()) {
+        // The most confident component is selected, ties to the lower
+        // index; each counter saturates at 0 and 7.
+        unsigned best = 0;
+        for (unsigned i = 1; i < HybridPredictor::kComponents; ++i)
+            if (confidence[i] > confidence[best])
+                best = i;
+        HybridOutcome expected;
+        for (unsigned i = 0; i < HybridPredictor::kComponents; ++i) {
+            const bool ok = parts[i]->predictAndTrain(v);
+            expected.componentCorrect[i] = ok;
+            expected.anyCorrect |= ok;
+            confidence[i] = ok ? std::min(confidence[i] + 1, 7)
+                               : std::max(confidence[i] - 1, 0);
+        }
+        expected.selectedCorrect = expected.componentCorrect[best];
+
+        const HybridOutcome got = h.predictAndTrain(v);
+        ASSERT_EQ(got.anyCorrect, expected.anyCorrect) << "value " << v;
+        ASSERT_EQ(got.selectedCorrect, expected.selectedCorrect)
+            << "value " << v;
+        ASSERT_EQ(got.componentCorrect, expected.componentCorrect)
+            << "value " << v;
+        selectedHits += got.selectedCorrect;
+    }
+    EXPECT_GT(selectedHits, 0);
+    for (unsigned i = 0; i < HybridPredictor::kComponents; ++i)
+        EXPECT_STREQ(h.componentName(i), parts[i]->name());
 }
 
 TEST(Hybrid, AnyCorrectCoversStrideAndPattern)
