@@ -5,8 +5,9 @@
  * The IR follows the usual "no cross-object pointer arithmetic" rule:
  * a pointer derived from global @a via ptradd stays within @a.  Under that
  * rule, distinct identified objects (globals, allocas) never alias, which
- * lets both the purity analysis and the static disjointness filter reason
- * about accesses the way LLVM's basic alias analysis does for the paper.
+ * lets both the purity analysis and the loop PDG's memory relation (and
+ * so the tracker's static filter) reason about accesses the way LLVM's
+ * basic alias analysis does for the paper.
  */
 
 #pragma once

@@ -73,7 +73,7 @@ class ScalarEvolution
 
     /**
      * SCEV of an arbitrary value as seen from inside @p loop.  Used for
-     * memory-address evolutions by the static disjointness filter.
+     * memory-address evolutions by the loop PDG's memory relation.
      */
     const Scev *scevOf(const ir::Value *v, const Loop *loop);
 

@@ -273,6 +273,12 @@ runDifferential(std::uint64_t seed, const DiffOptions &opts)
                                 e.what(),
                             reproLineFor(seed)});
     }
+    // A RAW on an access the static filter leaves unwatched is named on
+    // its own, ahead of the report fields it moves.
+    if (spec)
+        for (const std::string &f : spec->filterFindings())
+            failures.push_back({seed, "spec-vs-engine", f,
+                                reproLineFor(seed)});
     checkAgainstSpec(ctx, sweepOut, spec.get(), specError,
                      /*withOracle=*/false);
 

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
+#include <tuple>
 #include <unordered_map>
 
 #include "interp/machine.hpp"
+#include "lint/engine.hpp"
 #include "lint/oracle.hpp"
 #include "predict/predictor.hpp"
 
@@ -30,6 +33,7 @@ struct SpecEvaluator::Instance
     {
         std::uint64_t producerIter, producerOffset;
         std::uint64_t consumerIter, consumerOffset;
+        const Instruction *store, *load;
     };
 
     unsigned ordinal = 0; ///< LoopPlan::ordinal
@@ -165,7 +169,7 @@ class SpecEvaluator::Recorder final : public interp::ExecListener
     }
 
     void
-    onLoad(const Instruction *, std::uint64_t addr) override
+    onLoad(const Instruction *load, std::uint64_t addr) override
     {
         const std::uint64_t now = m_->preciseCost();
         for (Open &o : open_) {
@@ -174,17 +178,18 @@ class SpecEvaluator::Recorder final : public interp::ExecListener
             auto w = o.lastWrite.find(addr >> 3);
             if (w != o.lastWrite.end() && w->second.iter < o.iter)
                 record(o).raws.push_back({w->second.iter, w->second.offset,
-                                          o.iter, now - o.iterStart});
+                                          o.iter, now - o.iterStart,
+                                          w->second.store, load});
         }
     }
 
     void
-    onStore(const Instruction *, std::uint64_t addr) override
+    onStore(const Instruction *store, std::uint64_t addr) override
     {
         const std::uint64_t now = m_->preciseCost();
         for (Open &o : open_)
             if (tracks(o, addr))
-                o.lastWrite[addr >> 3] = {o.iter, now - o.iterStart};
+                o.lastWrite[addr >> 3] = {o.iter, now - o.iterStart, store};
     }
 
   private:
@@ -199,6 +204,7 @@ class SpecEvaluator::Recorder final : public interp::ExecListener
     {
         std::uint64_t iter;
         std::uint64_t offset;
+        const Instruction *store;
     };
 
     /** An open instance's in-flight state. */
@@ -231,9 +237,10 @@ class SpecEvaluator::Recorder final : public interp::ExecListener
      * touches the stack at or above the stack pointer of the
      * iteration's start: that memory (the iteration's allocas and its
      * callees' frames) is private to the iteration.  Every other access
-     * is watched, including those the static disjointness filter
-     * claims conflict-free (LoopPlan::untrackedMem): the engine skips
-     * them, so a RAW the filter wrongly drops shows up as a difference.
+     * is watched, including those the static filter claims
+     * conflict-free (LoopPlan::untrackedMem): the engine skips them, so
+     * a RAW the filter wrongly drops shows up as a difference and as a
+     * filterFindings() line.
      */
     static bool
     tracks(const Open &o, std::uint64_t addr)
@@ -576,6 +583,29 @@ SpecEvaluator::evaluate(const rt::LPConfig &config, const std::string &name,
         lint::applyVerdictOracle(*verdicts_, rep);
     }
     return rep;
+}
+
+std::vector<std::string>
+SpecEvaluator::filterFindings() const
+{
+    std::vector<std::string> out;
+    std::set<std::tuple<unsigned, const Instruction *, const Instruction *>>
+        seen;
+    for (const Instance &inst : instances_) {
+        const rt::LoopPlan &lp = plan_.loopByOrdinal(inst.ordinal);
+        for (const Instance::Raw &raw : inst.raws) {
+            if (!lp.untrackedMem.count(raw.store) &&
+                !lp.untrackedMem.count(raw.load))
+                continue;
+            if (!seen.insert({inst.ordinal, raw.store, raw.load}).second)
+                continue;
+            out.push_back(lp.loop->label() + ": a RAW from store " +
+                          lint::locate(raw.store).str() + " to load " +
+                          lint::locate(raw.load).str() +
+                          " manifested on a statically filtered access");
+        }
+    }
+    return out;
 }
 
 rt::LPConfig

@@ -14,10 +14,11 @@
  *  - where the instance's saving lands: the enclosing instance and the
  *    iteration it was open in (none = the program total);
  *  - every cross-iteration memory RAW that manifests, as (producer
- *    iteration, offset) -> (consumer iteration, offset), over every
- *    access outside the iteration's own stack: it does not trust the
- *    static disjointness filter (LoopPlan::untrackedMem), so the
- *    comparison checks the filter too;
+ *    iteration, offset, store) -> (consumer iteration, offset, load),
+ *    over every access outside the iteration's own stack: it does not
+ *    trust the static filter (LoopPlan::untrackedMem), so the
+ *    comparison checks the filter too, and filterFindings() names each
+ *    RAW the filter would drop;
  *  - for each phi a configuration could track, its producer offset in
  *    every iteration and the iterations whose carried value the hybrid
  *    predictor missed.
@@ -68,6 +69,15 @@ class SpecEvaluator
     rt::ProgramReport evaluate(const rt::LPConfig &cfg,
                                const std::string &name,
                                bool withOracle = false) const;
+
+    /**
+     * One line per (loop, store, load) whose cross-iteration RAW
+     * manifested in the recorded run while the loop's
+     * LoopPlan::untrackedMem holds the store or the load: a dependence
+     * the engine's static filter drops.  In first-manifested order;
+     * empty when the filter's claims held.
+     */
+    std::vector<std::string> filterFindings() const;
 
   private:
     struct Instance;

@@ -73,9 +73,13 @@ struct LintOptions
     bool warningsAsErrors = false;
     /** Rule ids to skip entirely. */
     std::vector<std::string> disabledRules;
-    /** Emit the lint.deps LCD-classification section. */
-    bool classify = true;
 };
+
+/** lint.deps class names: "computable", "reduction",
+ *  "prediction-candidate". */
+extern const char *const kClassComputable;
+extern const char *const kClassReduction;
+extern const char *const kClassPredictionCandidate;
 
 /** Result of linting one module. */
 struct LintResult
@@ -83,7 +87,21 @@ struct LintResult
     std::string module;   ///< module name
     std::string artifact; ///< file path when linted from disk, else name
     std::vector<Diagnostic> diags;
-    /** lint.deps: machine-readable Table-I classification per loop. */
+    /**
+     * lint.deps: the paper's Table-I class of every loop-header phi —
+     * computable (SCEV add-recurrence), reduction (recognized
+     * accumulator chain) or prediction-candidate (left to the value
+     * predictors) — as the loop PDGs classify them:
+     * @code
+     * {"module": "name",
+     *  "loops": [{"loop": "fn.header", "depth": 1, "canonical": true,
+     *             "phis": [{"name": "i", "class": "computable",
+     *                       "scev": "{0,+,1}<...>", "addrec_depth": 1},
+     *                      {"name": "acc", "class": "reduction",
+     *                       "kind": "sum"},
+     *                      {"name": "p", "class": "prediction-candidate"}]}]}
+     * @endcode
+     */
     obs::Json deps;
 
     bool
@@ -113,25 +131,26 @@ struct LintResult
  */
 struct FunctionAnalyses
 {
-    const ir::Module &mod;
     const ir::Function &fn;
     analysis::DominatorTree dt;
     analysis::LoopInfo li;
     analysis::UseMap uses;
-    analysis::PurityAnalysis purity;
+    const analysis::PurityAnalysis &purity; ///< the module's, shared
     /** Memoizing, hence mutable through the bundle's const ref. */
     mutable analysis::ScalarEvolution se;
 
-    explicit FunctionAnalyses(const ir::Module &m, const ir::Function &f)
-        : mod(m), fn(f), dt(f), li(f, dt), uses(f), purity(m), se(f, li)
+    FunctionAnalyses(const ir::Function &f,
+                     const analysis::PurityAnalysis &p)
+        : fn(f), dt(f), li(f, dt), uses(f), purity(p), se(f, li)
     {
     }
 
     /**
      * Per-loop dependence graphs in li.loops() order, built on first
-     * request and shared by every PDG-backed rule of this run.  The
-     * bundle is per-run (Engine::run builds one per function), so the
-     * lazy cache does not break cross-thread Engine sharing.
+     * request and shared by every PDG-backed rule of this run and by
+     * lint.deps.  The bundle is per-run (Engine::run builds one per
+     * function), so the lazy cache does not break cross-thread Engine
+     * sharing.
      */
     const std::vector<std::unique_ptr<analysis::LoopPdg>> &pdgs() const;
 

@@ -1,5 +1,10 @@
 #include "rt/plan.hpp"
 
+#include "analysis/dominators.hpp"
+#include "analysis/mem_object.hpp"
+#include "analysis/pdg.hpp"
+#include "analysis/scev.hpp"
+#include "analysis/uses.hpp"
 #include "support/error.hpp"
 
 namespace lp::rt {
@@ -128,12 +133,11 @@ void
 ModulePlan::buildFunctionPlan(FunctionPlan &fp)
 {
     const ir::Function *fn = fp.fn;
-    fp.dt = std::make_unique<analysis::DominatorTree>(*fn);
-    fp.li = std::make_unique<analysis::LoopInfo>(*fn, *fp.dt);
-    fp.se = std::make_unique<analysis::ScalarEvolution>(*fn, *fp.li);
-    fp.uses = std::make_unique<analysis::UseMap>(*fn);
-    fp.filter = std::make_unique<analysis::DisjointFilter>(
-        *fn, *fp.li, *fp.se, *fp.uses, *purity_);
+    const analysis::DominatorTree dt(*fn);
+    fp.li = std::make_unique<analysis::LoopInfo>(*fn, dt);
+    analysis::ScalarEvolution se(*fn, *fp.li);
+    const analysis::UseMap uses(*fn);
+    const auto escaped = analysis::escapedAllocas(*fn, uses);
 
     fp.loopPlans.resize(fp.li->loops().size());
     for (const auto &loopPtr : fp.li->loops()) {
@@ -147,16 +151,16 @@ ModulePlan::buildFunctionPlan(FunctionPlan &fp)
 
         // Classify header phis: computable (SCEV) / reduction / tracked.
         for (const Instruction *phi : loop->headerPhis()) {
-            if (fp.se->isComputablePhi(phi)) {
+            if (se.isComputablePhi(phi)) {
                 lplan.computablePhis.push_back(phi);
                 unsigned depth = 0;
-                for (const analysis::Scev *s = fp.se->phiEvolution(phi);
+                for (const analysis::Scev *s = se.phiEvolution(phi);
                      s && s->isAddRec(); s = s->rhs)
                     ++depth;
                 lplan.computableDepths.push_back(depth);
                 continue;
             }
-            if (auto red = analysis::matchReduction(phi, loop, *fp.uses)) {
+            if (auto red = analysis::matchReduction(phi, loop, uses)) {
                 lplan.reductions.push_back(*red);
                 continue;
             }
@@ -172,18 +176,13 @@ ModulePlan::buildFunctionPlan(FunctionPlan &fp)
         }
 
         // Statically filtered memory accesses and direct call sites.
-        for (const ir::BasicBlock *bb : loop->blocks()) {
-            for (const auto &instr : bb->instructions()) {
-                if (instr->opcode() == Opcode::Load ||
-                    instr->opcode() == Opcode::Store) {
-                    if (fp.filter->untracked(loop, instr.get()))
-                        lplan.untrackedMem.insert(instr.get());
-                } else if (instr->opcode() == Opcode::Call ||
-                           instr->opcode() == Opcode::CallExt) {
+        lplan.untrackedMem =
+            analysis::untrackedAccesses(loop, escaped, se, *purity_);
+        for (const ir::BasicBlock *bb : loop->blocks())
+            for (const auto &instr : bb->instructions())
+                if (instr->opcode() == Opcode::Call ||
+                    instr->opcode() == Opcode::CallExt)
                     lplan.callSites.push_back(instr.get());
-                }
-            }
-        }
     }
 
     // Def sites: for every tracked phi whose carried value is defined by

@@ -18,13 +18,9 @@
 #include <unordered_set>
 #include <vector>
 
-#include "analysis/disjoint.hpp"
-#include "analysis/dominators.hpp"
 #include "analysis/loop_info.hpp"
 #include "analysis/purity.hpp"
 #include "analysis/reduction.hpp"
-#include "analysis/scev.hpp"
-#include "analysis/uses.hpp"
 #include "rt/config.hpp"
 
 namespace lp::rt {
@@ -91,7 +87,8 @@ struct LoopPlan
     /** Phi -> index into trackedAll (configs ignore out-of-prefix hits). */
     std::unordered_map<const ir::Instruction *, unsigned> trackedIndex;
 
-    /** Loads/stores needing no conflict tracking at this loop's level. */
+    /** Loads/stores needing no conflict tracking at this loop's level
+     *  (analysis::untrackedAccesses). */
     std::unordered_set<const ir::Instruction *> untrackedMem;
 
     /** Direct Call instructions anywhere in the loop body. */
@@ -126,11 +123,8 @@ struct PlannedDefWatch
 struct FunctionPlan
 {
     const ir::Function *fn = nullptr;
-    std::unique_ptr<analysis::DominatorTree> dt;
+    /** The loop forest the loop plans point into. */
     std::unique_ptr<analysis::LoopInfo> li;
-    std::unique_ptr<analysis::ScalarEvolution> se;
-    std::unique_ptr<analysis::UseMap> uses;
-    std::unique_ptr<analysis::DisjointFilter> filter;
 
     /** One plan per loop, indexed by Loop::id(). */
     std::vector<LoopPlan> loopPlans;
