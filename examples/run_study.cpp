@@ -216,8 +216,10 @@ runFile(const std::string &path, const std::string &flags,
     buf << in.rdbuf();
     auto mod = ir::parseModule(buf.str(), interp::stdlibImplFor);
     if (g_lintMode != 0) {
-        lint::LintResult res =
-            core::lintAndPrint(*mod, g_lintMode, std::cout);
+        // Lint before the driver verifies: a module the verifier
+        // rejects still gets its findings.
+        lint::LintResult res = core::lintAndPrint(
+            analysis::ModuleAnalyses(*mod), g_lintMode, std::cout);
         if (res.hasErrors()) {
             std::cerr << "error: [LP_LINT] " << path << ": "
                       << res.countAtLeast(lint::Severity::Error)
@@ -242,7 +244,7 @@ runSingle(const std::string &name, const std::string &flags,
         core::PreparedProgram prepared(prog);
         if (g_lintMode != 0) {
             lint::LintResult res = core::lintAndPrint(
-                prepared.driver().module(), g_lintMode, std::cout);
+                prepared.driver().plan().analyses(), g_lintMode, std::cout);
             if (res.hasErrors()) {
                 std::cerr << "error: [LP_LINT] " << name << ": "
                           << res.countAtLeast(lint::Severity::Error)

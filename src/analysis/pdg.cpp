@@ -5,6 +5,7 @@
 #include <set>
 #include <unordered_set>
 
+#include "analysis/analyses.hpp"
 #include "analysis/mem_object.hpp"
 
 namespace lp::analysis {
@@ -149,9 +150,7 @@ struct MemNode
 
 /** The memory participants of @p loop, in LoopPdg node order. */
 std::vector<MemNode>
-memNodes(const Loop *loop,
-         const std::unordered_set<const Instruction *> &escaped,
-         ScalarEvolution &se, const PurityAnalysis &purity)
+memNodes(const Loop *loop, const FunctionAnalyses &fa)
 {
     std::vector<MemNode> mems;
     unsigned node = 0;
@@ -173,7 +172,7 @@ memNodes(const Loop *loop,
                 break;
               case Opcode::Call: {
                 Purity p = instr->callee() != nullptr
-                    ? purity.purity(instr->callee())
+                    ? fa.purity.purity(instr->callee())
                     : Purity::Impure;
                 if (p == Purity::Pure)
                     continue;
@@ -201,9 +200,9 @@ memNodes(const Loop *loop,
                 if (m.base != nullptr) {
                     m.privateBase =
                         m.base->kind() == ir::ValueKind::Instruction &&
-                        escaped.count(
+                        fa.escaped.count(
                             static_cast<const Instruction *>(m.base)) == 0;
-                    const Scev *s = se.scevOf(addr, loop);
+                    const Scev *s = fa.se.scevOf(addr, loop);
                     m.affine = s->known() &&
                                decomposeAffine(s, m.base, m.start, m.step);
                 }
@@ -342,16 +341,13 @@ forEachMemoryEdge(const std::vector<MemNode> &mems, Edge &&edge)
  * dependence edge (src/dst are LoopPdg node indices) for each pair of
  * its loads, stores and calls to anything not pure, a writer paired
  * with itself included, that may touch one 8-byte granule within an
- * iteration or across iterations.  @p escaped is escapedAllocas() of
- * the loop's function.
+ * iteration or across iterations.
  */
 void
-memoryEdges(const Loop *loop,
-            const std::unordered_set<const Instruction *> &escaped,
-            ScalarEvolution &se, const PurityAnalysis &purity,
+memoryEdges(const Loop *loop, const FunctionAnalyses &fa,
             std::vector<DepEdge> &edges)
 {
-    const std::vector<MemNode> mems = memNodes(loop, escaped, se, purity);
+    const std::vector<MemNode> mems = memNodes(loop, fa);
     forEachMemoryEdge(
         mems, [&](unsigned a, unsigned b, bool carried, bool may) {
             edges.push_back({mems[a].node, mems[b].node, DepKind::Memory,
@@ -474,33 +470,37 @@ class RegionPostDom
 
 } // namespace
 
-LoopPdg::LoopPdg(const Loop *loop, const UseMap &uses,
-                 const std::unordered_set<const Instruction *> &escaped,
-                 ScalarEvolution &se, const PurityAnalysis &purity)
-    : loop_(loop)
+std::vector<PhiInfo>
+classifyHeaderPhis(const Loop *loop, ScalarEvolution &se,
+                   const UseMap &uses)
 {
-    collectNodes();
-
-    // Header-phi classes first: register-edge breakability reads them.
-    for (const Instruction *phi : loop_->headerPhis()) {
+    std::vector<PhiInfo> out;
+    for (const Instruction *phi : loop->headerPhis()) {
         PhiInfo info;
         info.phi = phi;
         if (se.isComputablePhi(phi)) {
             info.cls = PhiInfo::Cls::Computable;
-            const Scev *s = se.phiEvolution(phi);
-            info.scevStr = se.str(s);
-            for (; s != nullptr && s->isAddRec(); s = s->rhs)
+            info.evolution = se.phiEvolution(phi);
+            for (const Scev *s = info.evolution; s->isAddRec(); s = s->rhs)
                 ++info.addrecDepth;
-        } else if (auto red = matchReduction(phi, loop_, uses)) {
+        } else if (auto red = matchReduction(phi, loop, uses)) {
             info.cls = PhiInfo::Cls::Reduction;
-            info.recurKind = recurKindName(red->kind);
+            info.reduction = std::move(*red);
         }
-        phiInfo_.push_back(std::move(info));
+        out.push_back(std::move(info));
     }
+    return out;
+}
 
-    buildRegisterEdges(uses);
-    buildControlEdges(se);
-    memoryEdges(loop_, escaped, se, purity, edges_);
+LoopPdg::LoopPdg(const Loop *loop, const FunctionAnalyses &fa)
+    : loop_(loop),
+      // Header-phi classes first: register-edge breakability reads them.
+      phiInfo_(classifyHeaderPhis(loop, fa.se, fa.uses))
+{
+    collectNodes();
+    buildRegisterEdges(fa.uses);
+    buildControlEdges(fa.se);
+    memoryEdges(loop_, fa, edges_);
     condenseAndClassify();
 }
 
@@ -626,11 +626,9 @@ LoopPdg::buildControlEdges(ScalarEvolution &se)
 }
 
 std::unordered_set<const Instruction *>
-untrackedAccesses(const Loop *loop,
-                  const std::unordered_set<const Instruction *> &escaped,
-                  ScalarEvolution &se, const PurityAnalysis &purity)
+untrackedAccesses(const Loop *loop, const FunctionAnalyses &fa)
 {
-    const std::vector<MemNode> mems = memNodes(loop, escaped, se, purity);
+    const std::vector<MemNode> mems = memNodes(loop, fa);
 
     // The relation's components (union-find).  raw[i]: a carried edge
     // from a writer to a reader leaves participant i; then, at each
@@ -763,44 +761,6 @@ LoopPdg::edgeStr(const DepEdge &e) const
         s += ", breakable";
     s += ")";
     return s;
-}
-
-std::vector<LoopVerdictSummary>
-classifyModuleVerdicts(const ir::Module &mod)
-{
-    std::vector<LoopVerdictSummary> out;
-    PurityAnalysis purity(mod);
-    for (const auto &fn : mod.functions()) {
-        if (fn->entry() == nullptr)
-            continue;
-        DominatorTree dt(*fn);
-        LoopInfo li(*fn, dt);
-        UseMap uses(*fn);
-        ScalarEvolution se(*fn, li);
-        const auto escaped = escapedAllocas(*fn, uses);
-        for (const auto &loop : li.loops()) {
-            LoopPdg pdg(loop.get(), uses, escaped, se, purity);
-            const StaticVerdict &v = pdg.verdict();
-            LoopVerdictSummary sum;
-            sum.label = loop->label();
-            sum.depth = loop->depth();
-            sum.canonical = loop->isCanonical();
-            sum.kind = v.kind;
-            sum.doomedEdges = static_cast<unsigned>(v.doomedEdges.size());
-            sum.sccCount = v.sccCount;
-            sum.maxSccCost = v.maxSccCost;
-            for (unsigned ei : v.doomedEdges) {
-                const DepEdge &e = pdg.edges()[ei];
-                if (e.may)
-                    ++sum.doomedMay;
-                if (e.kind == DepKind::Control)
-                    ++sum.doomedControl;
-                sum.evidence.push_back(pdg.edgeStr(e));
-            }
-            out.push_back(std::move(sum));
-        }
-    }
-    return out;
 }
 
 } // namespace lp::analysis

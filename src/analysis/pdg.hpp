@@ -47,7 +47,6 @@
 #include <vector>
 
 #include "analysis/loop_info.hpp"
-#include "analysis/purity.hpp"
 #include "analysis/reduction.hpp"
 #include "analysis/scc.hpp"
 #include "analysis/scev.hpp"
@@ -106,33 +105,37 @@ struct StaticVerdict
     std::uint64_t totalCost = 0;  ///< whole body, static IR units
 };
 
-/**
- * Table-I register-LCD class of one header phi, computed as a byproduct
- * of edge construction (lint's LCD classifier reads these).
- */
+struct FunctionAnalyses;
+
+/** Table-I register-LCD class of one header phi. */
 struct PhiInfo
 {
     enum class Cls { Computable, Reduction, Other };
 
     const ir::Instruction *phi = nullptr;
     Cls cls = Cls::Other;
-    std::string scevStr;       ///< Computable: rendered evolution
-    unsigned addrecDepth = 0;  ///< Computable: add-recurrence nesting
-    const char *recurKind = nullptr; ///< Reduction: recurKindName()
+    const Scev *evolution = nullptr; ///< Computable: the add-recurrence
+    unsigned addrecDepth = 0;        ///< Computable: AddRec nesting
+    ReductionDescriptor reduction{}; ///< Reduction: the matched chain
 };
+
+/**
+ * Classify each header phi of @p loop, in Loop::headerPhis() order:
+ * computable (SCEV add-recurrence), else a recognized reduction, else
+ * Other.  The one classifier behind the plan's phi lists and
+ * LoopPdg::headerPhiInfo(); @p se and @p uses belong to the loop's
+ * function.
+ */
+std::vector<PhiInfo> classifyHeaderPhis(const Loop *loop,
+                                        ScalarEvolution &se,
+                                        const UseMap &uses);
 
 /** The dependence graph of one natural loop. */
 class LoopPdg
 {
   public:
-    /**
-     * Build for @p loop.  All analyses must belong to the loop's
-     * function, @p escaped is escapedAllocas() of it; @p se is
-     * memoizing and therefore non-const.
-     */
-    LoopPdg(const Loop *loop, const UseMap &uses,
-            const std::unordered_set<const ir::Instruction *> &escaped,
-            ScalarEvolution &se, const PurityAnalysis &purity);
+    /** Build for @p loop from @p fa, its function's analyses. */
+    LoopPdg(const Loop *loop, const FunctionAnalyses &fa);
 
     const Loop *loop() const { return loop_; }
 
@@ -194,11 +197,10 @@ class LoopPdg
  * do not count: no model serializes on them.
  */
 std::unordered_set<const ir::Instruction *>
-untrackedAccesses(const Loop *loop,
-                  const std::unordered_set<const ir::Instruction *> &escaped,
-                  ScalarEvolution &se, const PurityAnalysis &purity);
+untrackedAccesses(const Loop *loop, const FunctionAnalyses &fa);
 
-/** Per-loop verdict summary, ready for reports and the oracle. */
+/** Per-loop verdict summary, ready for reports and the oracle
+ *  (ModuleAnalyses::verdicts()). */
 struct LoopVerdictSummary
 {
     std::string label;  ///< "function.header"
@@ -212,13 +214,5 @@ struct LoopVerdictSummary
     std::uint64_t maxSccCost = 0;
     std::vector<std::string> evidence; ///< rendered doomed edges
 };
-
-/**
- * Classify every natural loop of @p mod (all functions, LoopInfo
- * discovery order).  Builds the analyses internally; this is the
- * config-independent entry point the sweep oracle caches per program.
- */
-std::vector<LoopVerdictSummary>
-classifyModuleVerdicts(const ir::Module &mod);
 
 } // namespace lp::analysis

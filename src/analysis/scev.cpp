@@ -10,6 +10,25 @@ using ir::Opcode;
 using ir::Value;
 using ir::ValueKind;
 
+namespace {
+
+// Constant folds wrap modulo 2^64, as the interpreter's Add and Mul do.
+std::int64_t
+wrapAdd(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                     static_cast<std::uint64_t>(b));
+}
+
+std::int64_t
+wrapMul(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                     static_cast<std::uint64_t>(b));
+}
+
+} // namespace
+
 ScalarEvolution::ScalarEvolution(const ir::Function &fn, const LoopInfo &li)
     : fn_(fn), li_(li)
 {
@@ -59,7 +78,7 @@ ScalarEvolution::addScev(const Scev *a, const Scev *b)
     if (!a->known() || !b->known())
         return cannot_;
     if (a->isConst() && b->isConst())
-        return getConst(a->konst + b->konst);
+        return getConst(wrapAdd(a->konst, b->konst));
     if (a->isConst() && a->konst == 0)
         return b;
     if (b->isConst() && b->konst == 0)
@@ -85,7 +104,7 @@ ScalarEvolution::mulScev(const Scev *a, const Scev *b)
     if (!a->known() || !b->known())
         return cannot_;
     if (a->isConst() && b->isConst())
-        return getConst(a->konst * b->konst);
+        return getConst(wrapMul(a->konst, b->konst));
     if (a->isConst() && a->konst == 0)
         return getConst(0);
     if (b->isConst() && b->konst == 0)
@@ -185,10 +204,11 @@ ScalarEvolution::computePhiEvolution(const Instruction *phi)
         return cannot_;
     const Scev *startScev = getInvariant(start);
 
-    // Express `next` as k*phi + rest, with rest free of phi.
+    // Express `next` as k*phi + rest, with rest free of phi (k modulo
+    // 2^64, like the values it scales).
     struct Lin
     {
-        std::int64_t k;
+        std::uint64_t k;
         const Scev *rest;
     };
     // Recursive linear-form extraction.
@@ -233,8 +253,12 @@ ScalarEvolution::computePhiEvolution(const Instruction *phi)
             auto b = self(self, instr->operand(1));
             if (!a || !b || !b->rest->isConst() || b->k != 0)
                 return std::nullopt;
-            std::int64_t m = std::int64_t{1} << b->rest->konst;
-            return Lin{a->k * m, mulScev(a->rest, getConst(m))};
+            // The interpreter shifts by the amount's low 6 bits.
+            const std::uint64_t m = std::uint64_t{1}
+                                    << (b->rest->konst & 63);
+            return Lin{a->k * m,
+                       mulScev(a->rest,
+                               getConst(static_cast<std::int64_t>(m)))};
           }
           case Opcode::Phi: {
             // A different header phi of the same loop: a mutual induction

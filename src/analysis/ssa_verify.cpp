@@ -1,16 +1,11 @@
 #include "analysis/ssa_verify.hpp"
 
-#include "analysis/dominators.hpp"
-
 namespace lp::analysis {
 
 ir::VerifyResult
-verifySSA(const ir::Function &fn)
+verifySSA(const ir::Function &fn, const DominatorTree &dt)
 {
     ir::VerifyResult out;
-    if (fn.blocks().empty())
-        return out;
-    DominatorTree dt(fn);
 
     auto err = [&](const ir::BasicBlock *bb, const std::string &msg) {
         out.errors.push_back("@" + fn.name() + " " + bb->name() + ": " +
@@ -64,7 +59,9 @@ verifySSA(const ir::Module &mod)
 {
     ir::VerifyResult out;
     for (const auto &fn : mod.functions()) {
-        ir::VerifyResult r = verifySSA(*fn);
+        if (fn->blocks().empty())
+            continue;
+        ir::VerifyResult r = verifySSA(*fn, DominatorTree(*fn));
         out.errors.insert(out.errors.end(), r.errors.begin(),
                           r.errors.end());
     }

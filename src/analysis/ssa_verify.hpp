@@ -7,12 +7,13 @@
 
 #pragma once
 
+#include "analysis/dominators.hpp"
 #include "ir/verifier.hpp"
 
 namespace lp::analysis {
 
-/** Verify SSA dominance for one function. */
-ir::VerifyResult verifySSA(const ir::Function &fn);
+/** Verify SSA dominance for one function, @p dt its dominator tree. */
+ir::VerifyResult verifySSA(const ir::Function &fn, const DominatorTree &dt);
 
 /** Verify SSA dominance for all functions of a module. */
 ir::VerifyResult verifySSA(const ir::Module &mod);

@@ -61,19 +61,6 @@ Loopapalooza::run(const rt::LPConfig &cfg, rt::OracleCapture &cap) const
     return std::move(runReplayBatched({cfg}, cap).front());
 }
 
-const std::vector<analysis::LoopVerdictSummary> &
-Loopapalooza::staticVerdicts() const
-{
-    std::lock_guard<prof::TimedMutex> lock(verdictMu_);
-    if (!verdicts_) {
-        obs::ScopedPhase phase("analysis.verdicts");
-        verdicts_ =
-            std::make_unique<std::vector<analysis::LoopVerdictSummary>>(
-                analysis::classifyModuleVerdicts(mod_));
-    }
-    return *verdicts_;
-}
-
 const trace::Trace &
 Loopapalooza::trace() const
 {

@@ -108,12 +108,12 @@ class Loopapalooza
 
     const ir::Module &module() const { return mod_; }
 
-    /**
-     * The PDG classifier's whole-loop verdicts, computed lazily on
-     * first use (config-independent, so one computation serves every
-     * oracle-attached cell of a sweep).  Thread-safe.
-     */
-    const std::vector<analysis::LoopVerdictSummary> &staticVerdicts() const;
+    /** The PDG verdicts of the plan's analyses (ModuleAnalyses::verdicts). */
+    const std::vector<analysis::LoopVerdictSummary> &
+    staticVerdicts() const
+    {
+        return plan_->analyses().verdicts();
+    }
 
     /**
      * The flat threaded-code dispatch table of the trace walker
@@ -137,10 +137,6 @@ class Loopapalooza
     mutable prof::TimedMutex traceMu_{"core.trace_record"};
     mutable std::unique_ptr<trace::Trace> trace_;
     mutable std::exception_ptr traceError_;
-
-    mutable prof::TimedMutex verdictMu_{"core.static_verdicts"};
-    mutable std::unique_ptr<std::vector<analysis::LoopVerdictSummary>>
-        verdicts_;
 };
 
 } // namespace lp::core

@@ -21,13 +21,14 @@
 namespace lp::core {
 
 lint::LintResult
-lintAndPrint(const ir::Module &mod, int lintMode, std::ostream &out)
+lintAndPrint(const analysis::ModuleAnalyses &analyses, int lintMode,
+             std::ostream &out)
 {
     obs::ScopedPhase span("lint.module");
-    span.set("module", mod.name());
+    span.set("module", analyses.module().name());
     lint::LintOptions lo;
     lo.warningsAsErrors = lintMode == 2;
-    lint::LintResult res = lint::lintModule(mod, lo);
+    lint::LintResult res = lint::lintModule(analyses, lo);
     if (obs::metricsOn()) {
         obs::Registry::instance().counter("lint.modules_linted").add(1);
         obs::Registry::instance()
@@ -132,8 +133,8 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req,
     std::map<std::string, std::string> lintFailByName;
     if (req.lintMode != 0) {
         for (const auto &p : study.programs()) {
-            lint::LintResult res =
-                lintAndPrint(p->driver().module(), req.lintMode, out);
+            lint::LintResult res = lintAndPrint(
+                p->driver().plan().analyses(), req.lintMode, out);
             if (!res.hasErrors())
                 continue;
             std::string first;

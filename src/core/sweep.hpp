@@ -108,12 +108,12 @@ std::string shardCheckpointPath(const std::string &base, unsigned index,
                                 unsigned count);
 
 /**
- * Lint @p mod under @p lintMode (SweepRequest::lintMode), print every
- * finding to @p out, and bump the lint counters, inside a `lint.module`
- * span.
+ * Lint the module of @p analyses under @p lintMode
+ * (SweepRequest::lintMode), print every finding to @p out, and bump the
+ * lint counters, inside a `lint.module` span.
  */
-lint::LintResult lintAndPrint(const ir::Module &mod, int lintMode,
-                              std::ostream &out);
+lint::LintResult lintAndPrint(const analysis::ModuleAnalyses &analyses,
+                              int lintMode, std::ostream &out);
 
 /**
  * Label @p span, a `core.task` span, as the task that runs @p program's

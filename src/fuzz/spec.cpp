@@ -576,11 +576,7 @@ SpecEvaluator::evaluate(const rt::LPConfig &config, const std::string &name,
 
     if (withOracle) {
         lint::applyOracle(cap_, rep);
-        if (!verdicts_)
-            verdicts_ =
-                std::make_unique<std::vector<analysis::LoopVerdictSummary>>(
-                    analysis::classifyModuleVerdicts(plan_.module()));
-        lint::applyVerdictOracle(*verdicts_, rep);
+        lint::applyVerdictOracle(plan_.analyses().verdicts(), rep);
     }
     return rep;
 }

@@ -37,11 +37,9 @@
 
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "analysis/pdg.hpp"
 #include "obs/json.hpp"
 #include "rt/config.hpp"
 #include "rt/oracle_capture.hpp"
@@ -87,9 +85,6 @@ class SpecEvaluator
     std::vector<Instance> instances_; ///< in the order they opened
     std::uint64_t cost_ = 0;          ///< the run's serial cost
     rt::OracleCapture cap_;
-    /** The PDG verdicts, computed on first use by a withOracle run. */
-    mutable std::unique_ptr<std::vector<analysis::LoopVerdictSummary>>
-        verdicts_;
 };
 
 /**

@@ -1,7 +1,5 @@
 #include "lint/engine.hpp"
 
-#include "analysis/mem_object.hpp"
-
 namespace lp::lint {
 
 const char *const kClassComputable = "computable";
@@ -69,24 +67,11 @@ locate(const ir::Instruction *instr)
     return loc;
 }
 
-const std::vector<std::unique_ptr<analysis::LoopPdg>> &
-FunctionAnalyses::pdgs() const
-{
-    if (!pdgsBuilt_) {
-        const auto escaped = analysis::escapedAllocas(fn, uses);
-        for (const auto &loop : li.loops())
-            pdgs_.push_back(std::make_unique<analysis::LoopPdg>(
-                loop.get(), uses, escaped, se, purity));
-        pdgsBuilt_ = true;
-    }
-    return pdgs_;
-}
-
 namespace {
 
 /** Append the lint.deps rows of @p fa's loops to @p loops. */
 void
-renderDeps(const FunctionAnalyses &fa, obs::Json &loops)
+renderDeps(const analysis::FunctionAnalyses &fa, obs::Json &loops)
 {
     using obs::Json;
     for (const auto &pdg : fa.pdgs()) {
@@ -103,12 +88,12 @@ renderDeps(const FunctionAnalyses &fa, obs::Json &loops)
             switch (pi.cls) {
               case analysis::PhiInfo::Cls::Computable:
                 p.set("class", kClassComputable);
-                p.set("scev", pi.scevStr);
+                p.set("scev", fa.se.str(pi.evolution));
                 p.set("addrec_depth", pi.addrecDepth);
                 break;
               case analysis::PhiInfo::Cls::Reduction:
                 p.set("class", kClassReduction);
-                p.set("kind", pi.recurKind);
+                p.set("kind", analysis::recurKindName(pi.reduction.kind));
                 break;
               case analysis::PhiInfo::Cls::Other:
                 p.set("class", kClassPredictionCandidate);
@@ -123,40 +108,20 @@ renderDeps(const FunctionAnalyses &fa, obs::Json &loops)
 
 } // namespace
 
-Engine::Engine() : rules_(standardRules()) {}
-
-void
-Engine::addRule(std::unique_ptr<Rule> rule)
-{
-    rules_.push_back(std::move(rule));
-}
-
 LintResult
-Engine::run(const ir::Module &mod, const LintOptions &opts) const
+lintModule(const analysis::ModuleAnalyses &analyses, const LintOptions &opts)
 {
+    static const std::vector<std::unique_ptr<Rule>> rules = standardRules();
+    const ir::Module &mod = analyses.module();
     LintResult res;
     res.module = mod.name();
     res.artifact = mod.name();
 
-    auto disabled = [&](const char *id) {
-        for (const std::string &d : opts.disabledRules)
-            if (d == id)
-                return true;
-        return false;
-    };
-
-    const analysis::PurityAnalysis purity(mod);
     obs::Json loops = obs::Json::array();
-    for (const auto &fn : mod.functions()) {
-        if (fn->entry() == nullptr)
-            continue;
-        FunctionAnalyses fa(*fn, purity);
-        for (const auto &rule : rules_) {
-            if (disabled(rule->id()))
-                continue;
-            rule->run(fa, res.diags);
-        }
-        renderDeps(fa, loops);
+    for (const auto &fa : analyses.functions()) {
+        for (const auto &rule : rules)
+            rule->run(*fa, res.diags);
+        renderDeps(*fa, loops);
     }
 
     if (opts.warningsAsErrors)
@@ -173,8 +138,7 @@ Engine::run(const ir::Module &mod, const LintOptions &opts) const
 LintResult
 lintModule(const ir::Module &mod, const LintOptions &opts)
 {
-    static const Engine engine;
-    return engine.run(mod, opts);
+    return lintModule(analysis::ModuleAnalyses(mod), opts);
 }
 
 } // namespace lp::lint

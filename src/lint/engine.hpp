@@ -2,11 +2,10 @@
  * @file
  * lp::lint — static IR diagnostics over LIR modules.
  *
- * A small pass manager in the spirit of clang-tidy: rules with stable
- * ids (LINT_*), severities and per-instruction source locations, run
- * over the same analyses (dominators, loop info, SCEV, use lists) the
- * limit study itself uses.  See docs/static_analysis.md for the rule
- * catalog.
+ * A fixed rule set in the spirit of clang-tidy: rules with stable ids
+ * (LINT_*), severities and per-instruction source locations, run over
+ * the analysis bundle (analysis::ModuleAnalyses) the limit study itself
+ * plans from.  See docs/static_analysis.md for the rule catalog.
  *
  * Unlike ir::verifyModuleOrDie, linting never throws on dirty input:
  * every rule degrades to diagnostics, so a sweep driver can lint a
@@ -20,12 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/dominators.hpp"
-#include "analysis/loop_info.hpp"
-#include "analysis/pdg.hpp"
-#include "analysis/purity.hpp"
-#include "analysis/scev.hpp"
-#include "analysis/uses.hpp"
+#include "analysis/analyses.hpp"
 #include "ir/module.hpp"
 #include "obs/json.hpp"
 
@@ -71,8 +65,6 @@ struct LintOptions
 {
     /** Promote every Warning finding to Error. */
     bool warningsAsErrors = false;
-    /** Rule ids to skip entirely. */
-    std::vector<std::string> disabledRules;
 };
 
 /** lint.deps class names: "computable", "reduction",
@@ -124,41 +116,6 @@ struct LintResult
     }
 };
 
-/**
- * The per-function analysis bundle handed to every rule.  Built by the
- * engine directly from the function (not via rt::ModulePlan) so rules
- * run even on modules the verifier would reject.
- */
-struct FunctionAnalyses
-{
-    const ir::Function &fn;
-    analysis::DominatorTree dt;
-    analysis::LoopInfo li;
-    analysis::UseMap uses;
-    const analysis::PurityAnalysis &purity; ///< the module's, shared
-    /** Memoizing, hence mutable through the bundle's const ref. */
-    mutable analysis::ScalarEvolution se;
-
-    FunctionAnalyses(const ir::Function &f,
-                     const analysis::PurityAnalysis &p)
-        : fn(f), dt(f), li(f, dt), uses(f), purity(p), se(f, li)
-    {
-    }
-
-    /**
-     * Per-loop dependence graphs in li.loops() order, built on first
-     * request and shared by every PDG-backed rule of this run and by
-     * lint.deps.  The bundle is per-run (Engine::run builds one per
-     * function), so the lazy cache does not break cross-thread Engine
-     * sharing.
-     */
-    const std::vector<std::unique_ptr<analysis::LoopPdg>> &pdgs() const;
-
-  private:
-    mutable std::vector<std::unique_ptr<analysis::LoopPdg>> pdgs_;
-    mutable bool pdgsBuilt_ = false;
-};
-
 /** Base class of all lint rules. */
 class Rule
 {
@@ -174,8 +131,12 @@ class Rule
     /** Default severity of this rule's findings. */
     virtual Severity severity() const = 0;
 
-    /** Append findings for one function. */
-    virtual void run(const FunctionAnalyses &fa,
+    /**
+     * Append findings for one function.  Reads @p fa through const
+     * members only (fa.se.isLoopInvariant among them), so rules may run
+     * concurrently over one shared bundle.
+     */
+    virtual void run(const analysis::FunctionAnalyses &fa,
                      std::vector<Diagnostic> &out) const = 0;
 };
 
@@ -195,28 +156,14 @@ std::vector<RuleMeta> standardRuleMeta();
 Location locate(const ir::Instruction *instr);
 
 /**
- * The engine: owns a rule list and runs it over modules.  Stateless
- * between run() calls; safe to reuse and to share across threads for
- * concurrent run() invocations.
+ * Run the standard rules over every function of @p analyses' module and
+ * render its lint.deps.  Thread-safe: any number of threads may lint
+ * one shared bundle.
  */
-class Engine
-{
-  public:
-    /** An engine pre-loaded with standardRules(). */
-    Engine();
+LintResult lintModule(const analysis::ModuleAnalyses &analyses,
+                      const LintOptions &opts = {});
 
-    /** Extra rule (tests, extensions); appended after the standard set. */
-    void addRule(std::unique_ptr<Rule> rule);
-
-    /** Lint one module. */
-    LintResult run(const ir::Module &mod,
-                   const LintOptions &opts = {}) const;
-
-  private:
-    std::vector<std::unique_ptr<Rule>> rules_;
-};
-
-/** One-shot convenience: standard rules over @p mod. */
+/** As above, over a bundle built for @p mod (which need not verify). */
 LintResult lintModule(const ir::Module &mod, const LintOptions &opts = {});
 
 } // namespace lp::lint

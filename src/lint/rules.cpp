@@ -15,6 +15,8 @@
 
 namespace lp::lint {
 
+using analysis::FunctionAnalyses;
+
 namespace {
 
 /** First instruction of @p bb (for locating block-level findings). */
@@ -115,7 +117,7 @@ class SsaRule : public Rule
     void
     run(const FunctionAnalyses &fa, std::vector<Diagnostic> &out) const override
     {
-        ir::VerifyResult vr = analysis::verifySSA(fa.fn);
+        ir::VerifyResult vr = analysis::verifySSA(fa.fn, fa.dt);
         for (const std::string &msg : vr.errors) {
             Diagnostic d;
             d.rule = id();
@@ -736,8 +738,8 @@ standardRuleMeta()
     std::vector<RuleMeta> meta;
     for (const auto &rule : standardRules())
         meta.push_back({rule->id(), rule->description(), rule->severity()});
-    // Oracle rules are emitted by lint::checkOracle, not by an Engine
-    // pass, but share the SARIF rule table.
+    // Oracle rules are emitted by lint::checkOracle, not by lintModule,
+    // but share the SARIF rule table.
     meta.push_back({"LINT_ORACLE_COMPUTABLE_DIVERGED",
                     "phi claimed SCEV-computable diverged from its "
                     "add-recurrence at run time",

@@ -6,8 +6,8 @@
  * Recording is off by default (`LP_METRICS=1` turns it on).  Nothing is
  * counted per event: the lane engine tallies its work in plain integers
  * and publishes them once per batch (rt/batch.cpp), and every other
- * site adds once per run, plan, module or cell, each guarded by
- * metricsOn() (one relaxed atomic-bool load).
+ * site adds once per run, plan, function, module or cell, each guarded
+ * by metricsOn() (one relaxed atomic-bool load).
  *
  * Thread-safety (see docs/observability.md): a counter is one relaxed
  * atomic, a histogram one relaxed atomic per bucket plus its count and
@@ -22,6 +22,7 @@
  *   interp.instructions     dynamic IR instructions of completed runs
  *   interp.runs             Machine::run() calls (aborted ones too)
  *   plan.loops_analyzed     static loops planned by the compile-time side
+ *   analysis.loop_pdgs      loop PDGs built (lint and the PDG verdicts)
  *   tracker.mem_events      load/store events delivered to the lane
  *                           engine (a batch's selected ones), x lanes
  *   tracker.conflicts       cross-iteration conflicts (memory + register)

@@ -1,10 +1,5 @@
 #include "rt/plan.hpp"
 
-#include "analysis/dominators.hpp"
-#include "analysis/mem_object.hpp"
-#include "analysis/pdg.hpp"
-#include "analysis/scev.hpp"
-#include "analysis/uses.hpp"
 #include "support/error.hpp"
 
 namespace lp::rt {
@@ -25,15 +20,13 @@ serialReasonName(SerialReason r)
     return "?";
 }
 
-ModulePlan::ModulePlan(const ir::Module &mod) : mod_(mod)
+ModulePlan::ModulePlan(const ir::Module &mod) : analyses_(mod)
 {
-    purity_ = std::make_unique<analysis::PurityAnalysis>(mod);
-
-    for (const auto &fn : mod.functions()) {
+    for (const auto &fa : analyses_.functions()) {
         auto fp = std::make_unique<FunctionPlan>();
-        fp->fn = fn.get();
-        buildFunctionPlan(*fp);
-        byFn_[fn.get()] = fp.get();
+        fp->fn = &fa->fn;
+        buildFunctionPlan(*fp, *fa);
+        byFn_[fp->fn] = fp.get();
         plans_.push_back(std::move(fp));
     }
 
@@ -130,17 +123,11 @@ ModulePlan::buildSharedRuntimeTables()
 }
 
 void
-ModulePlan::buildFunctionPlan(FunctionPlan &fp)
+ModulePlan::buildFunctionPlan(FunctionPlan &fp,
+                              const analysis::FunctionAnalyses &fa)
 {
-    const ir::Function *fn = fp.fn;
-    const analysis::DominatorTree dt(*fn);
-    fp.li = std::make_unique<analysis::LoopInfo>(*fn, dt);
-    analysis::ScalarEvolution se(*fn, *fp.li);
-    const analysis::UseMap uses(*fn);
-    const auto escaped = analysis::escapedAllocas(*fn, uses);
-
-    fp.loopPlans.resize(fp.li->loops().size());
-    for (const auto &loopPtr : fp.li->loops()) {
+    fp.loopPlans.resize(fa.li.loops().size());
+    for (const auto &loopPtr : fa.li.loops()) {
         const analysis::Loop *loop = loopPtr.get();
         LoopPlan &lplan = fp.loopPlans[loop->id()];
         lplan.loop = loop;
@@ -149,35 +136,33 @@ ModulePlan::buildFunctionPlan(FunctionPlan &fp)
         if (!loop->isCanonical())
             continue; // left unclassified; always sequential
 
-        // Classify header phis: computable (SCEV) / reduction / tracked.
-        for (const Instruction *phi : loop->headerPhis()) {
-            if (se.isComputablePhi(phi)) {
-                lplan.computablePhis.push_back(phi);
-                unsigned depth = 0;
-                for (const analysis::Scev *s = se.phiEvolution(phi);
-                     s && s->isAddRec(); s = s->rhs)
-                    ++depth;
-                lplan.computableDepths.push_back(depth);
+        // Header phis: computable (SCEV) / reduction / tracked.
+        for (analysis::PhiInfo &pi :
+             analysis::classifyHeaderPhis(loop, fa.se, fa.uses)) {
+            switch (pi.cls) {
+              case analysis::PhiInfo::Cls::Computable:
+                lplan.computablePhis.push_back(pi.phi);
+                lplan.computableDepths.push_back(pi.addrecDepth);
                 continue;
-            }
-            if (auto red = analysis::matchReduction(phi, loop, uses)) {
-                lplan.reductions.push_back(*red);
+              case analysis::PhiInfo::Cls::Reduction:
+                lplan.reductions.push_back(std::move(pi.reduction));
                 continue;
+              case analysis::PhiInfo::Cls::Other:
+                break;
             }
             const ir::Value *latchVal =
-                phi->incomingFor(loop->latches().front());
+                pi.phi->incomingFor(loop->latches().front());
             const Instruction *def = nullptr;
             if (latchVal->kind() == ir::ValueKind::Instruction) {
                 const auto *li = static_cast<const Instruction *>(latchVal);
                 if (loop->contains(li->parent()))
                     def = li;
             }
-            lplan.nonComputable.push_back({phi, def, false});
+            lplan.nonComputable.push_back({pi.phi, def, false});
         }
 
         // Statically filtered memory accesses and direct call sites.
-        lplan.untrackedMem =
-            analysis::untrackedAccesses(loop, escaped, se, *purity_);
+        lplan.untrackedMem = analysis::untrackedAccesses(loop, fa);
         for (const ir::BasicBlock *bb : loop->blocks())
             for (const auto &instr : bb->instructions())
                 if (instr->opcode() == Opcode::Call ||
@@ -252,7 +237,8 @@ staticVerdict(const LoopPlan &lp, const FunctionPlan &,
                     return SerialReason::CallPolicy;
             } else {
                 const ir::Function *callee = call->callee();
-                if (mp.purity().purity(callee) == analysis::Purity::Impure ||
+                if (mp.analyses().purity().purity(callee) ==
+                        analysis::Purity::Impure ||
                     mp.planFor(callee).reachesNonPureExt) {
                     return SerialReason::CallPolicy;
                 }

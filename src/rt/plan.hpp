@@ -18,9 +18,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "analysis/loop_info.hpp"
-#include "analysis/purity.hpp"
-#include "analysis/reduction.hpp"
+#include "analysis/analyses.hpp"
 #include "rt/config.hpp"
 
 namespace lp::rt {
@@ -123,8 +121,6 @@ struct PlannedDefWatch
 struct FunctionPlan
 {
     const ir::Function *fn = nullptr;
-    /** The loop forest the loop plans point into. */
-    std::unique_ptr<analysis::LoopInfo> li;
 
     /** One plan per loop, indexed by Loop::id(). */
     std::vector<LoopPlan> loopPlans;
@@ -146,14 +142,18 @@ struct FunctionPlan
 class ModulePlan
 {
   public:
-    /** Run all static analyses over a finalized, verified module. */
+    /**
+     * Build the analysis bundle of a finalized, verified module and
+     * plan it.  The loop plans point into the bundle's loop forests.
+     */
     explicit ModulePlan(const ir::Module &mod);
 
-    const ir::Module &module() const { return mod_; }
+    const ir::Module &module() const { return analyses_.module(); }
+
+    /** The module's analyses, shared with the verdicts and lint. */
+    const analysis::ModuleAnalyses &analyses() const { return analyses_; }
 
     const FunctionPlan &planFor(const ir::Function *fn) const;
-
-    const analysis::PurityAnalysis &purity() const { return *purity_; }
 
     /** All function plans. */
     const std::vector<std::unique_ptr<FunctionPlan>> &functionPlans() const
@@ -189,11 +189,11 @@ class ModulePlan
     }
 
   private:
-    void buildFunctionPlan(FunctionPlan &fp);
+    void buildFunctionPlan(FunctionPlan &fp,
+                           const analysis::FunctionAnalyses &fa);
     void buildSharedRuntimeTables();
 
-    const ir::Module &mod_;
-    std::unique_ptr<analysis::PurityAnalysis> purity_;
+    analysis::ModuleAnalyses analyses_;
     std::vector<std::unique_ptr<FunctionPlan>> plans_;
     std::unordered_map<const ir::Function *, FunctionPlan *> byFn_;
     std::vector<const LoopPlan *> loopsByOrdinal_;

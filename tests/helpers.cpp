@@ -1,6 +1,7 @@
 #include "helpers.hpp"
 
 #include <ostream>
+#include <stdexcept>
 
 #include "exec/pool.hpp"
 #include "fuzz/differential.hpp"
@@ -400,6 +401,15 @@ sweepDocument(const std::vector<core::BenchProgram> &programs,
     core::SweepResult res = core::runSweep(programs, req, discard);
     exec::setJobsOverride(0);
     return res.document;
+}
+
+const analysis::FunctionAnalyses &
+analysesOf(const analysis::ModuleAnalyses &analyses, const ir::Function &fn)
+{
+    for (const auto &fa : analyses.functions())
+        if (&fa->fn == &fn)
+            return *fa;
+    throw std::runtime_error("no analyses for @" + fn.name());
 }
 
 } // namespace lp::test

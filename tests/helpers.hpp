@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/analyses.hpp"
 #include "core/sweep.hpp"
 #include "interp/stdlib.hpp"
 #include "ir/builder.hpp"
@@ -111,5 +112,9 @@ std::vector<rt::LPConfig> fullGrid();
 obs::Json sweepDocument(const std::vector<core::BenchProgram> &programs,
                         const std::vector<rt::LPConfig> &configs,
                         unsigned jobs);
+
+/** The analyses of @p fn within its module's bundle @p analyses. */
+const analysis::FunctionAnalyses &
+analysesOf(const analysis::ModuleAnalyses &analyses, const ir::Function &fn);
 
 } // namespace lp::test

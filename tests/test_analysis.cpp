@@ -9,13 +9,8 @@
 
 #include <limits>
 
-#include "analysis/dominators.hpp"
-#include "analysis/loop_info.hpp"
-#include "analysis/mem_object.hpp"
-#include "analysis/pdg.hpp"
-#include "analysis/purity.hpp"
+#include "analysis/analyses.hpp"
 #include "analysis/reduction.hpp"
-#include "analysis/scev.hpp"
 #include "analysis/ssa_verify.hpp"
 #include "helpers.hpp"
 #include "ir/builder.hpp"
@@ -248,6 +243,61 @@ TEST(Scev, AffineAddressOfArrayWalk)
     EXPECT_EQ(s->rhs->konst, 8);
 }
 
+TEST(Scev, ConstantFoldsWrapModulo2To64)
+{
+    // %s = %o + %o with %o = i * INT64_MAX: the step folds INT64_MAX +
+    // INT64_MAX, which wraps to -2 as the interpreter's Add does.
+    Module mod("m");
+    IRBuilder b(mod);
+    Global *g = mod.addGlobal("g", 64);
+    b.createFunction("main", Type::I64);
+    CountedLoop l(b, b.i64(0), b.i64(4), b.i64(1), "i");
+    Value *o = b.mul(l.iv(), b.i64(std::numeric_limits<std::int64_t>::max()),
+                     "o");
+    Value *s = b.add(o, o, "s");
+    b.load(Type::I64, b.ptradd(g, s), "v");
+    l.finish();
+    b.ret(b.i64(0));
+    mod.finalize();
+
+    const Function &fn = *mod.mainFunction();
+    DominatorTree dt(fn);
+    LoopInfo li(fn, dt);
+    ScalarEvolution se(fn, li);
+    const analysis::Scev *ev = se.scevOf(s, li.topLevel()[0]);
+    ASSERT_TRUE(ev->isAddRec());
+    ASSERT_TRUE(ev->lhs->isConst());
+    ASSERT_TRUE(ev->rhs->isConst());
+    EXPECT_EQ(ev->lhs->konst, 0);
+    EXPECT_EQ(ev->rhs->konst, -2);
+}
+
+TEST(Scev, ShiftAmountsAreMaskedTo6Bits)
+{
+    // x = 1; x = x << 64: the interpreter shifts by 64 & 63 = 0, so x
+    // stays 1, the add-recurrence {1,+,0}.
+    Module mod("m");
+    IRBuilder b(mod);
+    b.createFunction("main", Type::I64);
+    CountedLoop l(b, b.i64(0), b.i64(4), b.i64(1), "i");
+    Instruction *x = l.addRecurrence(Type::I64, b.i64(1), "x");
+    l.setNext(x, b.shl(x, b.i64(64), "x1"));
+    l.finish();
+    b.ret(x);
+    mod.finalize();
+
+    const Function &fn = *mod.mainFunction();
+    DominatorTree dt(fn);
+    LoopInfo li(fn, dt);
+    ScalarEvolution se(fn, li);
+    ASSERT_TRUE(se.isComputablePhi(x));
+    const analysis::Scev *ev = se.phiEvolution(x);
+    ASSERT_TRUE(ev->lhs->isConst());
+    ASSERT_TRUE(ev->rhs->isConst());
+    EXPECT_EQ(ev->lhs->konst, 1);
+    EXPECT_EQ(ev->rhs->konst, 0);
+}
+
 TEST(Scev, LoopInvariance)
 {
     auto mod = test::buildSaxpy(8);
@@ -406,27 +456,25 @@ TEST(SsaVerify, RejectsUseBeforeDef)
     EXPECT_NE(r.message().find("does not dominate"), std::string::npos);
 }
 
-/** One function's analyses and its loops' untracked accesses, as
- *  rt::ModulePlan computes them. */
+/** A module's analysis bundle, viewed through one function's loops and
+ *  their untracked accesses, as rt::ModulePlan computes them. */
 struct FilterBundle
 {
-    DominatorTree dt;
-    LoopInfo li;
-    ScalarEvolution se;
-    analysis::UseMap uses;
-    analysis::PurityAnalysis purity;
-    std::unordered_set<const Instruction *> escaped;
+    analysis::ModuleAnalyses analyses;
+    const analysis::FunctionAnalyses &fa;
+    const LoopInfo &li;
+    const analysis::PurityAnalysis &purity;
 
     FilterBundle(const Module &m, const Function &fn)
-        : dt(fn), li(fn, dt), se(fn, li), uses(fn), purity(m),
-          escaped(analysis::escapedAllocas(fn, uses))
+        : analyses(m), fa(test::analysesOf(analyses, fn)), li(fa.li),
+          purity(analyses.purity())
     {
     }
 
     std::unordered_set<const Instruction *>
-    untracked(const Loop *loop)
+    untracked(const Loop *loop) const
     {
-        return analysis::untrackedAccesses(loop, escaped, se, purity);
+        return analysis::untrackedAccesses(loop, fa);
     }
 };
 

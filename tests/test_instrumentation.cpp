@@ -625,7 +625,8 @@ TEST(TrackerCounts, SweepCountsArePinned)
         {"tracker.mem_events", 22'370'642},
     };
     std::map<std::string, std::uint64_t> linted = sweep;
-    linted.insert({{"lint.findings", 28},
+    linted.insert({{"analysis.loop_pdgs", 206},
+                   {"lint.findings", 28},
                    {"lint.modules_linted", 30},
                    {"oracle.phis_checked", 3'668},
                    {"oracle.verdicts_checked", 2'884}});

@@ -241,14 +241,6 @@ TEST(LintOptions, WarningsAsErrorsPromotes)
     EXPECT_TRUE(res.hasErrors());
 }
 
-TEST(LintOptions, DisabledRulesSkip)
-{
-    lint::LintOptions opts;
-    opts.disabledRules = {"LINT_DEAD_DEF"};
-    lint::LintResult res = lintCorpus("dead_def", opts);
-    EXPECT_TRUE(res.diags.empty());
-}
-
 // ---------------------------------------------------------------------
 // Clean inputs: nothing we ship has Warning-or-worse findings.  The
 // advisory PDG notes (may-LCD stores, impure call cycles) fire on

@@ -7,16 +7,18 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <thread>
 
 #include <gtest/gtest.h>
 
-#include "analysis/mem_object.hpp"
-#include "analysis/pdg.hpp"
+#include "analysis/analyses.hpp"
 #include "analysis/scc.hpp"
 #include "helpers.hpp"
 #include "interp/stdlib.hpp"
 #include "ir/parser.hpp"
+#include "lint/engine.hpp"
 #include "obs/log.hpp"
+#include "suites/registry.hpp"
 
 namespace lp {
 namespace {
@@ -86,24 +88,15 @@ TEST_F(PdgTest, SccHandlesEmptyAndDeepGraphs)
 
 // ------------------------------------------------- per-loop PDG fixture
 
-/** Analyses + one PDG per loop of one function, kept alive together. */
+/** A module's analysis bundle, viewed through one function's PDGs. */
 struct PdgBundle
 {
-    const ir::Function &fn;
-    analysis::DominatorTree dt;
-    analysis::LoopInfo li;
-    analysis::UseMap uses;
-    analysis::ScalarEvolution se;
-    analysis::PurityAnalysis purity;
-    std::vector<std::unique_ptr<LoopPdg>> pdgs;
+    analysis::ModuleAnalyses analyses;
+    const std::vector<std::unique_ptr<LoopPdg>> &pdgs;
 
     PdgBundle(const ir::Module &m, const ir::Function &f)
-        : fn(f), dt(f), li(f, dt), uses(f), se(f, li), purity(m)
+        : analyses(m), pdgs(test::analysesOf(analyses, f).pdgs())
     {
-        const auto escaped = analysis::escapedAllocas(f, uses);
-        for (const auto &loop : li.loops())
-            pdgs.push_back(std::make_unique<LoopPdg>(loop.get(), uses,
-                                                     escaped, se, purity));
     }
 
     /** The PDG of the loop whose header block is named @p header. */
@@ -175,7 +168,7 @@ TEST_F(PdgTest, DisjointStridedLoopIsDoAll)
     EXPECT_EQ(pdg.headerPhiInfo()[0].cls,
               analysis::PhiInfo::Cls::Computable);
     EXPECT_EQ(pdg.headerPhiInfo()[0].addrecDepth, 1u);
-    EXPECT_FALSE(pdg.headerPhiInfo()[0].scevStr.empty());
+    EXPECT_NE(pdg.headerPhiInfo()[0].evolution, nullptr);
 }
 
 TEST_F(PdgTest, LoopCarriedArrayRecurrenceIsDoAcrossSync)
@@ -398,7 +391,8 @@ TEST_F(PdgTest, ImpureCallGetsConservativeMemoryEdges)
 TEST_F(PdgTest, SaxpyClassifiesEveryLoopDoAll)
 {
     auto mod = test::buildSaxpy(64);
-    auto verdicts = analysis::classifyModuleVerdicts(*mod);
+    const analysis::ModuleAnalyses analyses(*mod);
+    const auto &verdicts = analyses.verdicts();
     ASSERT_FALSE(verdicts.empty());
     for (const auto &v : verdicts) {
         EXPECT_EQ(v.kind, VerdictKind::DoAll) << v.label;
@@ -412,7 +406,8 @@ TEST_F(PdgTest, SumReductionStaysDoAllStatically)
     // The reduction's carried register edge is breakable (reduc1
     // decouples it), so the static verdict is DoAll.
     auto mod = test::buildSumReduction(64);
-    auto verdicts = analysis::classifyModuleVerdicts(*mod);
+    const analysis::ModuleAnalyses analyses(*mod);
+    const auto &verdicts = analyses.verdicts();
     ASSERT_FALSE(verdicts.empty());
     for (const auto &v : verdicts)
         EXPECT_EQ(v.kind, VerdictKind::DoAll) << v.label;
@@ -421,7 +416,8 @@ TEST_F(PdgTest, SumReductionStaysDoAllStatically)
 TEST_F(PdgTest, VerdictSummariesCarryEvidenceAndCosts)
 {
     auto mod = test::buildPointerChase(64);
-    auto verdicts = analysis::classifyModuleVerdicts(*mod);
+    const analysis::ModuleAnalyses analyses(*mod);
+    const auto &verdicts = analyses.verdicts();
     bool sawDoomed = false;
     for (const auto &v : verdicts) {
         EXPECT_GE(v.sccCount, 1u) << v.label;
@@ -440,14 +436,53 @@ TEST_F(PdgTest, VerdictSummariesCarryEvidenceAndCosts)
 TEST_F(PdgTest, VerdictsAreDeterministic)
 {
     auto mod = test::buildHistogram(128, 8);
-    auto a = analysis::classifyModuleVerdicts(*mod);
-    auto b = analysis::classifyModuleVerdicts(*mod);
+    const analysis::ModuleAnalyses first(*mod), second(*mod);
+    const auto &a = first.verdicts();
+    const auto &b = second.verdicts();
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].label, b[i].label);
         EXPECT_EQ(a[i].kind, b[i].kind);
         EXPECT_EQ(a[i].doomedEdges, b[i].doomedEdges);
         EXPECT_EQ(a[i].evidence, b[i].evidence);
+    }
+}
+
+TEST_F(PdgTest, SharedBundleServesConcurrentLintAndVerdicts)
+{
+    // Four threads share each suite program's bundle, two linting
+    // before they ask for the verdicts and two after: every thread gets
+    // the one verdict list, and every lint result equals a fresh
+    // bundle's.
+    for (const core::BenchProgram &prog : suites::allPrograms()) {
+        SCOPED_TRACE(prog.name);
+        auto mod = prog.build();
+        const lint::LintResult fresh = lint::lintModule(*mod);
+        const analysis::ModuleAnalyses shared(*mod);
+        std::vector<const void *> lists(4);
+        std::vector<lint::LintResult> results(4);
+        std::vector<std::thread> threads;
+        for (unsigned t = 0; t < 4; ++t) {
+            threads.emplace_back([&, t] {
+                if (t % 2 == 0)
+                    results[t] = lint::lintModule(shared);
+                lists[t] = &shared.verdicts();
+                if (t % 2 == 1)
+                    results[t] = lint::lintModule(shared);
+            });
+        }
+        for (std::thread &th : threads)
+            th.join();
+        for (unsigned t = 0; t < 4; ++t) {
+            EXPECT_EQ(lists[t], lists[0]) << "thread " << t;
+            EXPECT_EQ(results[t].deps.dump(), fresh.deps.dump())
+                << "thread " << t;
+            ASSERT_EQ(results[t].diags.size(), fresh.diags.size());
+            for (std::size_t i = 0; i < fresh.diags.size(); ++i)
+                EXPECT_EQ(results[t].diags[i].str(), fresh.diags[i].str());
+        }
+        EXPECT_EQ(shared.verdicts().size(),
+                  fresh.deps.at("loops").size());
     }
 }
 
