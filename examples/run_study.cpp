@@ -156,14 +156,15 @@ parseModel(const std::string &s)
     fatal("unknown model (want doall|pdoall|helix): " + s);
 }
 
-/** Write @p doc to the report path, if one was requested.  Returns the
- * process exit code: a requested report that cannot be written is an
- * error, not a shrug. */
+/** Write @p doc to the report path, if one was requested, and free it;
+ * both are the core.write_report span.  Returns the process exit code:
+ * a requested report that cannot be written is an error, not a shrug. */
 int
-maybeWriteReport(const obs::Json &doc)
+maybeWriteReport(obs::Json doc)
 {
     if (g_reportPath.empty())
         return 0;
+    obs::ScopedPhase span("core.write_report");
     std::ofstream out(g_reportPath, std::ios::trunc);
     if (!out) {
         obs::logMessage(obs::Level::Error,
@@ -172,6 +173,7 @@ maybeWriteReport(const obs::Json &doc)
         return 1;
     }
     out << doc.dump(2) << '\n';
+    doc = obs::Json();
     LP_LOG_INFO("wrote run report to %s", g_reportPath.c_str());
     return 0;
 }
@@ -200,7 +202,24 @@ reportOne(const std::string &program, const std::string &suite,
     rep.print(std::cout, /*perLoop=*/true);
     obs::Json doc = rep.toJson();
     core::addObsSnapshot(doc);
-    return maybeWriteReport(doc);
+    return maybeWriteReport(std::move(doc));
+}
+
+/** Under --lint, lint @p analyses and print the findings.  True when
+ * error-level findings stop the run of @p name (reported as LP_LINT). */
+bool
+lintStops(const analysis::ModuleAnalyses &analyses, const std::string &name)
+{
+    if (g_lintMode == 0)
+        return false;
+    lint::LintResult res =
+        core::lintAndPrint(analyses, g_lintMode, std::cout);
+    if (!res.hasErrors())
+        return false;
+    std::cerr << "error: [LP_LINT] " << name << ": "
+              << res.countAtLeast(lint::Severity::Error)
+              << " error-level lint finding(s)\n";
+    return true;
 }
 
 int
@@ -215,22 +234,21 @@ runFile(const std::string &path, const std::string &flags,
     std::stringstream buf;
     buf << in.rdbuf();
     auto mod = ir::parseModule(buf.str(), interp::stdlibImplFor);
-    if (g_lintMode != 0) {
-        // Lint before the driver verifies: a module the verifier
-        // rejects still gets its findings.
-        lint::LintResult res = core::lintAndPrint(
-            analysis::ModuleAnalyses(*mod), g_lintMode, std::cout);
-        if (res.hasErrors()) {
-            std::cerr << "error: [LP_LINT] " << path << ": "
-                      << res.countAtLeast(lint::Severity::Error)
-                      << " error-level lint finding(s)\n";
+    std::optional<core::Loopapalooza> lp;
+    try {
+        lp.emplace(*mod);
+    } catch (const Error &) {
+        // A module the driver rejects is linted from a bundle of its
+        // own, so its findings still print before the rejection.
+        if (lintStops(analysis::ModuleAnalyses(*mod), path))
             return 1;
-        }
+        throw;
     }
-    core::Loopapalooza lp(*mod);
+    if (lintStops(lp->plan().analyses(), path))
+        return 1;
     rt::LPConfig cfg = rt::LPConfig::parse(flags, parseModel(model));
     return reportOne(path, "file", cfg, [&] {
-        return g_lintMode != 0 ? lp.runWithOracle(cfg) : lp.run(cfg);
+        return g_lintMode != 0 ? lp->runWithOracle(cfg) : lp->run(cfg);
     });
 }
 
@@ -242,16 +260,8 @@ runSingle(const std::string &name, const std::string &flags,
         if (prog.name != name)
             continue;
         core::PreparedProgram prepared(prog);
-        if (g_lintMode != 0) {
-            lint::LintResult res = core::lintAndPrint(
-                prepared.driver().plan().analyses(), g_lintMode, std::cout);
-            if (res.hasErrors()) {
-                std::cerr << "error: [LP_LINT] " << name << ": "
-                          << res.countAtLeast(lint::Severity::Error)
-                          << " error-level lint finding(s)\n";
-                return 1;
-            }
-        }
+        if (lintStops(prepared.driver().plan().analyses(), name))
+            return 1;
         rt::LPConfig cfg = rt::LPConfig::parse(flags, parseModel(model));
         return reportOne(name, prog.suite, cfg, [&] {
             return g_lintMode != 0 ? prepared.runWithOracle(cfg)
@@ -271,7 +281,7 @@ sweepSuites(const std::string &onlySuite, core::SweepRequest sweep)
     core::SweepResult res = core::runSweep(suites::allPrograms(), sweep);
     int rc = res.exitCode;
     if (res.hasDocument) {
-        int wrc = maybeWriteReport(res.document);
+        int wrc = maybeWriteReport(std::move(res.document));
         if (rc == 0)
             rc = wrc;
     }

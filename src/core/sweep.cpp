@@ -4,6 +4,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "core/configs.hpp"
 #include "exec/pool.hpp"
@@ -104,6 +105,10 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req,
     }
 
     SweepResult result;
+    // Everything after the dispatch region is the core.aggregate span,
+    // down to the study's and the cells' destruction: declared before
+    // them, it closes after them.
+    std::optional<obs::ScopedPhase> aggregate;
 
     std::vector<BenchProgram> progs;
     for (const auto &p : programs)
@@ -385,6 +390,7 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req,
         obs::ScopedPhase region("exec.region");
         exec::parallelFor(tasks.size(), runTask);
     }
+    aggregate.emplace("core.aggregate");
 
     if (sharded) {
         // No table, no aggregation: a shard sees only its slice, so any
@@ -431,7 +437,7 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req,
     obs::Json reportsJson = obs::Json::array();
     TextTable t({"configuration", "suite", "geomean speedup",
                  "geomean coverage", "ok", "failed", "skipped"});
-    std::vector<const Cell *> unhealthy;
+    std::vector<std::string> unhealthy; ///< the "did not complete" lines
     std::uint64_t oraclePhisChecked = 0, oracleMismatches = 0;
     std::size_t oracleCells = 0;
     std::uint64_t verdictsChecked = 0, verdictContradictions = 0;
@@ -441,7 +447,8 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req,
     // geomean inputs — is read back from the cell JSON, so fresh,
     // checkpoint-resumed and shard-merged cells flow through the
     // identical computation; that shared path is what makes a merged
-    // report byte-identical to an unsharded run's.
+    // report byte-identical to an unsharded run's.  Once read, each
+    // cell's tree moves into the document.
     std::size_t at = 0;
     for (const NamedConfig &named : req.configs) {
         for (const std::string &suite : suiteOrder) {
@@ -450,7 +457,7 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req,
             for (; at < cells.size() && cells[at].config == &named &&
                    cells[at].suite == suite;
                  ++at) {
-                const Cell &cell = cells[at];
+                Cell &cell = cells[at];
                 const std::string &status =
                     cell.json.at("status").asString();
                 if (status == "ok") {
@@ -462,7 +469,10 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req,
                         0.1));
                 } else {
                     (status == "failed" ? failed : skipped) += 1;
-                    unhealthy.push_back(&cell);
+                    unhealthy.push_back(
+                        "  " + status + "  " + cell.program + " [" +
+                        cell.config->label + " " + cell.suite + "]  " +
+                        cell.json.at("error_code").asString());
                 }
                 if (cell.json.contains("oracle")) {
                     const obs::Json &o = cell.json.at("oracle");
@@ -479,7 +489,7 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req,
                     ++verdictCells;
                 }
                 if (req.wantJson)
-                    reportsJson.push(cell.json);
+                    reportsJson.push(std::move(cell.json));
             }
             double speedup = accSpeedup.value();
             double coverage = accCoverage.value();
@@ -514,12 +524,8 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req,
 
     if (!unhealthy.empty()) {
         out << unhealthy.size() << " cell(s) did not complete:\n";
-        for (const Cell *cell : unhealthy)
-            out << "  " << cell->json.at("status").asString()
-                << "  " << cell->program << " ["
-                << cell->config->label << " " << cell->suite
-                << "]  " << cell->json.at("error_code").asString()
-                << "\n";
+        for (const std::string &line : unhealthy)
+            out << line << "\n";
     }
 
     if (req.wantJson) {

@@ -2,9 +2,8 @@
 
 #include <cctype>
 #include <charconv>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
+#include <iterator>
 #include <stdexcept>
 
 namespace lp::obs {
@@ -19,29 +18,27 @@ jsonError(const std::string &what)
     throw std::runtime_error("Json: " + what);
 }
 
-const char *
-kindName(Json::Kind k)
+[[noreturn]] void
+wrongKind(const char *op, Json::Kind k)
 {
-    switch (k) {
-      case Json::Kind::Null: return "null";
-      case Json::Kind::Bool: return "bool";
-      case Json::Kind::Int: return "int";
-      case Json::Kind::Double: return "double";
-      case Json::Kind::String: return "string";
-      case Json::Kind::Array: return "array";
-      case Json::Kind::Object: return "object";
-    }
-    return "?";
+    static const char *const names[] = {"null",   "bool",  "int",   "double",
+                                        "string", "array", "object"};
+    jsonError(std::string(op) + " on " + names[static_cast<int>(k)]);
 }
 
-} // namespace
-
-std::string
-jsonEscape(const std::string &s)
+/** Append @p s to @p out as a quoted JSON string. */
+void
+appendEscaped(std::string &out, std::string_view s)
 {
-    std::string out;
-    out.reserve(s.size());
-    for (unsigned char c : s) {
+    static const char hex[] = "0123456789abcdef";
+    out += '"';
+    std::size_t plain = 0; // start of the run not yet appended
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const unsigned char c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s, plain, i - plain);
+        plain = i + 1;
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
@@ -51,52 +48,56 @@ jsonEscape(const std::string &s)
           case '\b': out += "\\b"; break;
           case '\f': out += "\\f"; break;
           default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
+            out += "\\u00";
+            out += hex[c >> 4];
+            out += hex[c & 0xf];
         }
     }
-    return out;
+    out.append(s, plain);
+    out += '"';
 }
 
+} // namespace
+
 Json &
-Json::set(const std::string &key, Json v)
+Json::set(std::string key, Json v)
 {
-    if (kind_ != Kind::Object)
-        jsonError("set() on " + std::string(kindName(kind_)));
-    if (!obj_.count(key))
-        order_.push_back(key);
-    obj_[key] = std::move(v);
+    Object *obj = std::get_if<Object>(&v_);
+    if (!obj)
+        wrongKind("set()", kind());
+    for (auto &[k, member] : *obj)
+        if (k == key) {
+            member = std::move(v);
+            return *this;
+        }
+    obj->emplace_back(std::move(key), std::move(v));
     return *this;
 }
 
 Json &
 Json::push(Json v)
 {
-    if (kind_ != Kind::Array)
-        jsonError("push() on " + std::string(kindName(kind_)));
-    arr_.push_back(std::move(v));
+    Array *arr = std::get_if<Array>(&v_);
+    if (!arr)
+        wrongKind("push()", kind());
+    arr->push_back(std::move(v));
     return *this;
 }
 
 bool
 Json::asBool() const
 {
-    if (kind_ != Kind::Bool)
-        jsonError("asBool() on " + std::string(kindName(kind_)));
-    return bool_;
+    if (const bool *b = std::get_if<bool>(&v_))
+        return *b;
+    wrongKind("asBool()", kind());
 }
 
 std::int64_t
 Json::asInt() const
 {
-    if (kind_ != Kind::Int)
-        jsonError("asInt() on " + std::string(kindName(kind_)));
-    return int_;
+    if (const std::int64_t *i = std::get_if<std::int64_t>(&v_))
+        return *i;
+    wrongKind("asInt()", kind());
 }
 
 std::uint64_t
@@ -108,56 +109,77 @@ Json::asU64() const
 double
 Json::asDouble() const
 {
-    if (kind_ == Kind::Int)
-        return static_cast<double>(int_);
-    if (kind_ != Kind::Double)
-        jsonError("asDouble() on " + std::string(kindName(kind_)));
-    return dbl_;
+    if (const std::int64_t *i = std::get_if<std::int64_t>(&v_))
+        return static_cast<double>(*i);
+    if (const double *d = std::get_if<double>(&v_))
+        return *d;
+    wrongKind("asDouble()", kind());
 }
 
 const std::string &
 Json::asString() const
 {
-    if (kind_ != Kind::String)
-        jsonError("asString() on " + std::string(kindName(kind_)));
-    return str_;
+    if (const std::string *s = std::get_if<std::string>(&v_))
+        return *s;
+    wrongKind("asString()", kind());
+}
+
+const Json *
+Json::find(std::string_view key) const
+{
+    if (const Object *obj = std::get_if<Object>(&v_))
+        for (const auto &[k, member] : *obj)
+            if (k == key)
+                return &member;
+    return nullptr;
 }
 
 const Json &
-Json::at(const std::string &key) const
+Json::at(std::string_view key) const
 {
-    if (kind_ != Kind::Object)
-        jsonError("at(key) on " + std::string(kindName(kind_)));
-    auto it = obj_.find(key);
-    if (it == obj_.end())
-        jsonError("missing key '" + key + "'");
-    return it->second;
+    if (!isObject())
+        wrongKind("at(key)", kind());
+    const Json *member = find(key);
+    if (!member)
+        jsonError("missing key '" + std::string(key) + "'");
+    return *member;
 }
 
 bool
-Json::contains(const std::string &key) const
+Json::contains(std::string_view key) const
 {
-    return kind_ == Kind::Object && obj_.count(key) != 0;
+    return find(key) != nullptr;
 }
 
 const Json &
 Json::at(std::size_t i) const
 {
-    if (kind_ != Kind::Array)
-        jsonError("at(index) on " + std::string(kindName(kind_)));
-    if (i >= arr_.size())
+    const Array *arr = std::get_if<Array>(&v_);
+    if (!arr)
+        wrongKind("at(index)", kind());
+    if (i >= arr->size())
         jsonError("index out of range");
-    return arr_[i];
+    return (*arr)[i];
 }
 
 std::size_t
 Json::size() const
 {
-    if (kind_ == Kind::Array)
-        return arr_.size();
-    if (kind_ == Kind::Object)
-        return obj_.size();
-    jsonError("size() on " + std::string(kindName(kind_)));
+    if (const Array *arr = std::get_if<Array>(&v_))
+        return arr->size();
+    if (const Object *obj = std::get_if<Object>(&v_))
+        return obj->size();
+    wrongKind("size()", kind());
+}
+
+std::vector<std::string>
+Json::keys() const
+{
+    std::vector<std::string> out;
+    if (const Object *obj = std::get_if<Object>(&v_))
+        for (const auto &member : *obj)
+            out.push_back(member.first);
+    return out;
 }
 
 void
@@ -171,68 +193,67 @@ Json::dumpTo(std::string &out, int indent, int depth) const
         out.append(static_cast<std::size_t>(indent) * d, ' ');
     };
 
-    switch (kind_) {
+    switch (kind()) {
       case Kind::Null:
         out += "null";
         break;
       case Kind::Bool:
-        out += bool_ ? "true" : "false";
+        out += std::get<bool>(v_) ? "true" : "false";
         break;
       case Kind::Int: {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%" PRId64, int_);
-        out += buf;
+        char buf[24];
+        out.append(buf, std::to_chars(buf, std::end(buf),
+                                      std::get<std::int64_t>(v_))
+                            .ptr);
         break;
       }
       case Kind::Double: {
-        if (!std::isfinite(dbl_)) {
+        const double d = std::get<double>(v_);
+        if (!std::isfinite(d)) {
             out += "null"; // JSON has no inf/nan
             break;
         }
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.17g", dbl_);
-        out += buf;
+        // Specified to print what %.17g prints.
+        char buf[32];
+        out.append(buf, std::to_chars(buf, std::end(buf), d,
+                                      std::chars_format::general, 17)
+                            .ptr);
         break;
       }
       case Kind::String:
-        out += '"';
-        out += jsonEscape(str_);
-        out += '"';
+        appendEscaped(out, std::get<std::string>(v_));
         break;
       case Kind::Array: {
-        if (arr_.empty()) {
+        const Array &arr = std::get<Array>(v_);
+        if (arr.empty()) {
             out += "[]";
             break;
         }
         out += '[';
-        bool first = true;
-        for (const Json &v : arr_) {
-            if (!first)
+        for (std::size_t i = 0; i < arr.size(); ++i) {
+            if (i != 0)
                 out += ',';
-            first = false;
             newline(depth + 1);
-            v.dumpTo(out, indent, depth + 1);
+            arr[i].dumpTo(out, indent, depth + 1);
         }
         newline(depth);
         out += ']';
         break;
       }
       case Kind::Object: {
-        if (obj_.empty()) {
+        const Object &obj = std::get<Object>(v_);
+        if (obj.empty()) {
             out += "{}";
             break;
         }
         out += '{';
-        bool first = true;
-        for (const std::string &key : order_) {
-            if (!first)
+        for (std::size_t i = 0; i < obj.size(); ++i) {
+            if (i != 0)
                 out += ',';
-            first = false;
             newline(depth + 1);
-            out += '"';
-            out += jsonEscape(key);
-            out += pretty ? "\": " : "\":";
-            obj_.at(key).dumpTo(out, indent, depth + 1);
+            appendEscaped(out, obj[i].first);
+            out += pretty ? ": " : ":";
+            obj[i].second.dumpTo(out, indent, depth + 1);
         }
         newline(depth);
         out += '}';
@@ -418,21 +439,24 @@ class Parser
             fail("expected a value");
             return Json();
         }
-        std::string tok = s_.substr(start, pos_ - start);
+        // Both conversions must consume the whole token: a token that
+        // only starts like a number is malformed.  from_chars reads
+        // every double dump() prints back to its bits, subnormals too.
+        const char *first = s_.data() + start;
+        const char *last = s_.data() + pos_;
         if (!isDouble) {
             std::int64_t v = 0;
-            auto res = std::from_chars(tok.data(), tok.data() + tok.size(),
-                                       v, 10);
-            if (res.ec == std::errc{} &&
-                res.ptr == tok.data() + tok.size())
+            auto res = std::from_chars(first, last, v, 10);
+            if (res.ec == std::errc{} && res.ptr == last)
                 return Json(v);
         }
-        try {
-            return Json(std::stod(tok));
-        } catch (const std::exception &) {
-            fail("malformed number '" + tok + "'");
+        double d = 0.0;
+        auto res = std::from_chars(first, last, d);
+        if (res.ec != std::errc{} || res.ptr != last) {
+            fail("malformed number '" + std::string(first, last) + "'");
             return Json();
         }
+        return Json(d);
     }
 
     Json array()
@@ -473,7 +497,8 @@ class Parser
                 fail("expected ':' after key");
                 return out;
             }
-            out.set(key, value());
+            // A repeated key keeps its first place and its last value.
+            out.set(std::move(key), value());
             if (failed_)
                 return out;
             if (consume(','))

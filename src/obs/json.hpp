@@ -9,15 +9,20 @@
  * tools built on top of the library need no external JSON dependency.
  *
  * Deliberately small: UTF-8 pass-through strings, 64-bit integers and
- * doubles, no comments, no trailing commas.
+ * doubles, no comments, no trailing commas.  A value is its kind plus
+ * one payload; an object is one vector of members in insertion order,
+ * looked up linearly (the objects the framework builds have fewer than
+ * twenty keys).  A reference returned by at() points into that storage:
+ * it does not survive a set() or push() on its parent.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <variant>
 #include <vector>
 
 namespace lp::obs {
@@ -26,34 +31,32 @@ namespace lp::obs {
 class Json
 {
   public:
+    /** In the order of the payload's alternatives. */
     enum class Kind { Null, Bool, Int, Double, String, Array, Object };
 
-    Json() : kind_(Kind::Null) {}
-    Json(bool b) : kind_(Kind::Bool), bool_(b) {}
-    Json(std::int64_t v) : kind_(Kind::Int), int_(v) {}
-    Json(std::uint64_t v)
-        : kind_(Kind::Int), int_(static_cast<std::int64_t>(v))
-    {
-    }
-    Json(int v) : kind_(Kind::Int), int_(v) {}
-    Json(unsigned v) : kind_(Kind::Int), int_(v) {}
-    Json(double v) : kind_(Kind::Double), dbl_(v) {}
-    Json(const char *s) : kind_(Kind::String), str_(s) {}
-    Json(std::string s) : kind_(Kind::String), str_(std::move(s)) {}
+    Json() = default;
+    Json(bool b) : v_(std::in_place_type<bool>, b) {}
+    Json(std::int64_t v) : v_(std::in_place_type<std::int64_t>, v) {}
+    Json(std::uint64_t v) : Json(static_cast<std::int64_t>(v)) {}
+    Json(int v) : Json(std::int64_t{v}) {}
+    Json(unsigned v) : Json(std::int64_t{v}) {}
+    Json(double v) : v_(std::in_place_type<double>, v) {}
+    Json(const char *s) : v_(std::in_place_type<std::string>, s) {}
+    Json(std::string s) : v_(std::in_place_type<std::string>, std::move(s)) {}
 
-    static Json array() { return Json(Kind::Array); }
-    static Json object() { return Json(Kind::Object); }
+    static Json array() { return Json(std::in_place_type<Array>); }
+    static Json object() { return Json(std::in_place_type<Object>); }
 
-    Kind kind() const { return kind_; }
-    bool isNull() const { return kind_ == Kind::Null; }
-    bool isObject() const { return kind_ == Kind::Object; }
-    bool isArray() const { return kind_ == Kind::Array; }
+    Kind kind() const { return static_cast<Kind>(v_.index()); }
+    bool isNull() const { return kind() == Kind::Null; }
+    bool isObject() const { return kind() == Kind::Object; }
+    bool isArray() const { return kind() == Kind::Array; }
 
     /// @name Builders
     /// @{
 
-    /** Object: set @p key to @p v (replaces an existing key). */
-    Json &set(const std::string &key, Json v);
+    /** Object: set @p key to @p v (an existing key keeps its place). */
+    Json &set(std::string key, Json v);
 
     /** Array: append @p v. */
     Json &push(Json v);
@@ -70,15 +73,15 @@ class Json
     const std::string &asString() const;
 
     /** Object member access; panics when the key is absent. */
-    const Json &at(const std::string &key) const;
+    const Json &at(std::string_view key) const;
     /** Object member test. */
-    bool contains(const std::string &key) const;
+    bool contains(std::string_view key) const;
     /** Array element access. */
     const Json &at(std::size_t i) const;
     /** Array length / object member count. */
     std::size_t size() const;
-    /** Object keys in insertion order. */
-    const std::vector<std::string> &keys() const { return order_; }
+    /** Object keys in insertion order (none for any other kind). */
+    std::vector<std::string> keys() const;
     /// @}
 
     /**
@@ -94,20 +97,17 @@ class Json
     static Json parse(const std::string &text, std::string *err = nullptr);
 
   private:
-    explicit Json(Kind k) : kind_(k) {}
+    using Array = std::vector<Json>;
+    using Object = std::vector<std::pair<std::string, Json>>;
+
+    template <typename T>
+    explicit Json(std::in_place_type_t<T> empty) : v_(empty) {}
+    const Json *find(std::string_view key) const;
     void dumpTo(std::string &out, int indent, int depth) const;
 
-    Kind kind_;
-    bool bool_ = false;
-    std::int64_t int_ = 0;
-    double dbl_ = 0.0;
-    std::string str_;
-    std::vector<Json> arr_;
-    std::map<std::string, Json> obj_;
-    std::vector<std::string> order_; ///< object keys, insertion order
+    std::variant<std::monostate, bool, std::int64_t, double, std::string,
+                 Array, Object>
+        v_;
 };
-
-/** JSON string escaping (quotes not included). */
-std::string jsonEscape(const std::string &s);
 
 } // namespace lp::obs

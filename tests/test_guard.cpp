@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -378,8 +379,15 @@ TEST_F(GuardTest, KeepGoingSuiteQuarantinesOneCellOthersComplete)
     req.configs = {{cfg.str(), cfg}};
     req.keepGoing = true;
     req.wantJson = true;
-    std::ostream discard(nullptr);
-    core::SweepResult res = core::runSweep(progs, req, discard);
+    std::ostringstream out;
+    core::SweepResult res = core::runSweep(progs, req, out);
+
+    // The listing names the quarantined cell after the table.
+    EXPECT_NE(out.str().find("1 cell(s) did not complete:\n"
+                             "  failed  trap.kernel [reduc1-dep1-fn2 HELIX "
+                             "guard-suite]  LP_TRAP\n"),
+              std::string::npos)
+        << out.str();
 
     const obs::Json &reports = res.document.at("reports");
     ASSERT_EQ(reports.size(), 3u);
@@ -403,6 +411,7 @@ TEST_F(GuardTest, KeepGoingSuiteQuarantinesOneCellOthersComplete)
     // trapping program's batch traps once and is quarantined whole,
     // every lane carrying the verdict the one-lane run above reports.
     const std::string trapMessage = reports.at(1).at("error").asString();
+    std::ostream discard(nullptr);
     for (const std::vector<core::NamedConfig> &grid :
          {req.configs, core::paperConfigs()}) {
         core::SweepRequest fusedReq = req;

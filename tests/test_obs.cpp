@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cinttypes>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -101,6 +106,53 @@ TEST(Json, PreservesKeyInsertionOrder)
     doc.set("alpha", 2);
     doc.set("zebra", 3); // overwrite keeps the original position
     EXPECT_EQ(doc.dump(), "{\"zebra\":3,\"alpha\":2}");
+    EXPECT_EQ(doc.keys(), (std::vector<std::string>{"zebra", "alpha"}));
+
+    // A parsed object with a repeated key: its first place, its last value.
+    const Json parsed = Json::parse("{\"a\":1,\"b\":2,\"a\":3}");
+    EXPECT_EQ(parsed.dump(), "{\"a\":3,\"b\":2}");
+}
+
+TEST(Json, NumbersPrintAsPrintfDoes)
+{
+    // dump() formats a double with std::to_chars(general, 17), which is
+    // specified to match %.17g, and an integer as PRId64 does.
+    const double doubles[] = {0.1,
+                              1.0 / 3,
+                              5e-324,
+                              2.2250738585072014e-308,
+                              1e21,
+                              1e-7,
+                              1.2345678901234568e17,
+                              -0.0,
+                              std::numeric_limits<double>::max()};
+    for (double d : doubles) {
+        char want[40];
+        std::snprintf(want, sizeof(want), "%.17g", d);
+        const std::string text = Json(d).dump();
+        EXPECT_EQ(text, want);
+        std::string err;
+        const Json back = Json::parse(text, &err);
+        ASSERT_TRUE(err.empty()) << text << ": " << err;
+        if (d == 0.0 && std::signbit(d)) {
+            // "-0" reads back as the integer 0: the sign is lost.
+            EXPECT_EQ(back.kind(), Json::Kind::Int) << text;
+            continue;
+        }
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(back.asDouble()),
+                  std::bit_cast<std::uint64_t>(d))
+            << text;
+    }
+    for (std::int64_t i : {INT64_MIN, INT64_MAX}) {
+        char want[32];
+        std::snprintf(want, sizeof(want), "%" PRId64, i);
+        EXPECT_EQ(Json(i).dump(), want);
+        EXPECT_EQ(Json::parse(want).asInt(), i);
+    }
+    for (double d : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()})
+        EXPECT_EQ(Json(d).dump(), "null") << d;
 }
 
 // -------------------------------------------------------------- metrics

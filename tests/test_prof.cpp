@@ -545,7 +545,7 @@ TEST_F(ProfSandbox, AllSuiteSweepIsProfiledTaskByTask)
     // Every layer the sweep runs has its span; no retired name is left.
     for (const char *layer :
          {"exec.region", "core.prepare", "ir.build", "ir.verify", "rt.plan",
-          "rt.batch", "rt.report_json"})
+          "rt.batch", "rt.report_json", "core.aggregate"})
         EXPECT_GT(countNamed(log, layer), 0u) << layer;
     for (const char *retired :
          {"guard", "prepare", "plan", "replay_batch", "report"})
