@@ -159,11 +159,12 @@ main(int argc, char **argv)
 
     if (!sarifPath.empty()) {
         std::ofstream out(sarifPath);
+        if (out)
+            out << lint::toSarif(results).dump(2) << "\n" << std::flush;
         if (!out) {
             std::cerr << "cannot write " << sarifPath << "\n";
             return 2;
         }
-        out << lint::toSarif(results).dump(2) << "\n";
     }
 
     if (depsOnly) {

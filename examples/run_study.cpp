@@ -166,13 +166,14 @@ maybeWriteReport(obs::Json doc)
         return 0;
     obs::ScopedPhase span("core.write_report");
     std::ofstream out(g_reportPath, std::ios::trunc);
+    if (out)
+        out << doc.dump(2) << '\n' << std::flush;
     if (!out) {
         obs::logMessage(obs::Level::Error,
                         "cannot write report to " + g_reportPath,
                         /*force=*/true);
         return 1;
     }
-    out << doc.dump(2) << '\n';
     doc = obs::Json();
     LP_LOG_INFO("wrote run report to %s", g_reportPath.c_str());
     return 0;

@@ -124,17 +124,15 @@ void
 Checkpoint::record(const std::string &key, const obs::Json &cell)
 {
     faultPoint("io");
-    obs::Json rec = obs::Json::object();
-    rec.set("v", 1);
-    rec.set("key", key);
-    rec.set("cell", cell);
-    std::string line = rec.dump();
+    // The bytes of {"v":1,"key":<key>,"cell":<cell>} dumped compact,
+    // without copying the cell into a tree.
+    std::string line = "{\"v\":1,\"key\":" + obs::Json(key).dump() +
+                       ",\"cell\":" + cell.dump() + "}";
     std::lock_guard<prof::TimedMutex> lock(mu_);
     out_ << line << '\n';
     out_.flush();
     if (!out_)
         throw IoError("cannot append to checkpoint file " + path_);
-    cells_[key] = cell;
 }
 
 std::size_t

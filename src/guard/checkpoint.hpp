@@ -61,12 +61,16 @@ class Checkpoint
                                const std::string &program,
                                std::uint64_t seed = 0);
 
-    /** The stored cell JSON for @p key, or nullptr.  Pointer stays valid
-     *  for the Checkpoint's lifetime (loaded cells are never evicted). */
+    /**
+     * The cell JSON for @p key loaded on resume or absorbed, or nullptr.
+     * Cells this Checkpoint record()s are written only, never kept: a
+     * sweep looks its cells up before it runs any.  The pointer stays
+     * valid for the Checkpoint's lifetime (cells are never evicted).
+     */
     const obs::Json *find(const std::string &key) const;
 
-    /** Append one completed cell and flush.  @throws IoError on write
-     *  failure.  Thread-safe. */
+    /** Append one completed cell and flush; find() does not see it.
+     *  @throws IoError on write failure.  Thread-safe. */
     void record(const std::string &key, const obs::Json &cell);
 
     /**

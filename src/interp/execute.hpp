@@ -15,7 +15,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -28,9 +30,17 @@ namespace lp::interp {
 /**
  * Operations of the lowered form: ir::Opcode's, in the same order so
  * lowering converts with a cast, Panic for malformed IR reached at run
- * time, and the loads and stores whose events the Instrumentation does
- * not select.  PtrAdd runs as Add; Phi never runs (phis are edge
- * copies).
+ * time, the loads and stores whose events the Instrumentation does not
+ * select, and the superinstructions.  PtrAdd runs as Add; Phi never
+ * runs (phis are edge copies).
+ *
+ * A superinstruction replaces the code of the first op of a run of
+ * adjacent ops in one block (fuseBlock in machine.cpp): MulPtrAdd is
+ * `mul` then the `ptradd` adding its product (what IRBuilder::elem
+ * emits), MulPtrAddLoad that and the `load` of the sum, ICmpLtBr an
+ * `icmp.lt` and the `br` on it, AddJmp an `add` and a `jmp`.  The later
+ * ops keep their own slots and codes: the handler reads their operands
+ * there and steps over them.
  */
 enum class LoweredCode : std::uint8_t {
     Add, Sub, Mul, SDiv, SRem, And, Or, Xor, Shl, AShr,
@@ -40,18 +50,27 @@ enum class LoweredCode : std::uint8_t {
     Select, IToF, FToI, Alloca, Load, Store, PtrAdd, Phi,
     Call, CallExt, Br, Jmp, Ret,
     Panic, QuietLoad, QuietStore,
+    MulPtrAdd, MulPtrAddLoad, MulPtrAddQuietLoad, ICmpLtBr, AddJmp,
 };
 
 /**
- * One lowered instruction.  a and b are the source registers every op
- * reads before dispatch (register 0 when unused: every frame has one),
- * dst the result register.  c is Select's third source; Load, Store,
- * Call, CallExt and Ret keep their in-block position there instead,
- * which is what preciseCost() counts.  aux is Jmp's edge, Br's taken
- * edge (c its fall-through edge), a call's call site, a load's or
- * store's memory-op id or a Panic's message.  Store reads its value
- * from a and its address from b; Ret returns a (a zero register for a
- * void return).
+ * The number of LoweredCodes (AddJmp stays last): one handler each in
+ * Machine::execute.
+ */
+constexpr std::size_t kLoweredCodes =
+    static_cast<std::size_t>(LoweredCode::AddJmp) + 1;
+
+/**
+ * One lowered instruction.  a and b are the source registers the
+ * dispatch reads before jumping to the op's handler (register 0 when
+ * unused: every frame has one), dst the result register.  c is
+ * Select's third source; Load, Store, Call, CallExt and Ret keep their
+ * in-block position there instead, which is what preciseCost() counts
+ * (a load inside a fused run too).  aux is Jmp's edge, Br's taken edge
+ * (c its fall-through edge), a call's call site, a load's or store's
+ * memory-op id or a Panic's message.  Store reads its value from a and
+ * its address from b; Ret returns a (a zero register for a void
+ * return).
  */
 struct LoweredOp
 {
@@ -192,171 +211,238 @@ Machine::run(Sink &sink)
     return result;
 }
 
+/*
+ * The loop is direct-threaded: every handler ends in its own
+ * LP_DISPATCH, which fetches the next op, reads its two sources and
+ * jumps through kHandlers to that op's handler (labels as values, a
+ * GNU extension GCC and Clang implement), so each handler's jump is
+ * predicted on its own.  A handler that leaves the block sets e and
+ * jumps to enter.  Every handler's locals sit in its own braces: a
+ * jump never enters the scope of a declaration.
+ */
+#define LP_DISPATCH()                                                     \
+    do {                                                                  \
+        op = pc++;                                                        \
+        x = regs[op->a];                                                  \
+        y = regs[op->b];                                                  \
+        goto *kHandlers[static_cast<std::size_t>(op->code)];              \
+    } while (0)
+
 template <typename Sink>
 std::uint64_t
 Machine::execute(const LoweredFunction &main, Sink &sink)
 {
     using namespace detail;
+    static const void *const kHandlers[] = {
+        &&Add, &&Sub, &&Mul, &&SDiv, &&SRem, &&And, &&Or, &&Xor, &&Shl,
+        &&AShr,
+        &&FAdd, &&FSub, &&FMul, &&FDiv,
+        &&ICmpEq, &&ICmpNe, &&ICmpLt, &&ICmpLe, &&ICmpGt, &&ICmpGe,
+        &&FCmpEq, &&FCmpNe, &&FCmpLt, &&FCmpLe, &&FCmpGt, &&FCmpGe,
+        &&Select, &&IToF, &&FToI, &&Alloca, &&Load, &&Store, &&PtrAdd,
+        &&Phi,
+        &&Call, &&CallExt, &&Br, &&Jmp, &&Ret,
+        &&Panic, &&QuietLoad, &&QuietStore,
+        &&MulPtrAdd, &&MulPtrAddLoad, &&MulPtrAddQuietLoad, &&ICmpLtBr,
+        &&AddJmp,
+    };
+    static_assert(std::size(kHandlers) == kLoweredCodes);
+
     const LoweredFunction *f = &main;
     std::size_t base = 0;
     std::uint64_t *regs = pushRegisters(main, base);
     frames_.push_back({nullptr, nullptr, 0, sp_, curBlockSize_, ipInBlock_});
     sink.functionEnter(main.fn);
     const LoweredFunction::Edge *e = &main.edges[0];
+    const LoweredOp *pc = nullptr;
+    const LoweredOp *op = nullptr;
+    std::uint64_t x = 0, y = 0;
 
-    for (;;) {
-        // Enter e's block: charge all of it, check the budgets, fire
-        // the edge's events, then resolve its phis (the copy runs
-        // before any phi fires).
-        cost_ += e->size;
-        curBlockSize_ = e->size;
-        ipInBlock_ = 0;
-        if (cost_ > costLimit_) [[unlikely]]
-            throwFuelExhausted(f->fn);
-        if (cost_ >= nextPollCost_) [[unlikely]]
-            pollBudgets(f->fn);
-        if (e->exits)
-            sink.loopExit(e->exits);
-        if (e->loopEvent == LoweredFunction::LoopEvent::Enter)
-            sink.loopEnter(e->loop);
-        else if (e->loopEvent == LoweredFunction::LoopEvent::Iterate)
-            sink.loopIterate();
-        if (e->announce)
-            sink.blockEnter(e->blockId);
-        for (std::uint32_t i = e->movesBegin; i < e->movesEnd; ++i)
-            regs[f->moves[i].dst] = regs[f->moves[i].src];
-        for (std::uint32_t i = e->phisBegin; i < e->phisEnd; ++i)
-            sink.phiResolved(f->phis[i].id, regs[f->phis[i].reg]);
-        const LoweredOp *pc = f->ops.data() + e->resume;
+enter:
+    // Enter e's block: charge all of it, check the budgets, fire the
+    // edge's events, then resolve its phis (the copy runs before any
+    // phi fires).
+    cost_ += e->size;
+    curBlockSize_ = e->size;
+    ipInBlock_ = 0;
+    if (cost_ > costLimit_) [[unlikely]]
+        throwFuelExhausted(f->fn);
+    if (cost_ >= nextPollCost_) [[unlikely]]
+        pollBudgets(f->fn);
+    if (e->exits)
+        sink.loopExit(e->exits);
+    if (e->loopEvent == LoweredFunction::LoopEvent::Enter)
+        sink.loopEnter(e->loop);
+    else if (e->loopEvent == LoweredFunction::LoopEvent::Iterate)
+        sink.loopIterate();
+    if (e->announce)
+        sink.blockEnter(e->blockId);
+    for (std::uint32_t i = e->movesBegin; i < e->movesEnd; ++i)
+        regs[f->moves[i].dst] = regs[f->moves[i].src];
+    for (std::uint32_t i = e->phisBegin; i < e->phisEnd; ++i)
+        sink.phiResolved(f->phis[i].id, regs[f->phis[i].reg]);
+    pc = f->ops.data() + e->resume;
+    LP_DISPATCH();
 
-        // Run ops until control leaves the block: each case either
-        // continues with the next op or sets e and breaks.
-        for (;;) {
-            const LoweredOp &op = *pc++;
-            const std::uint64_t x = regs[op.a], y = regs[op.b];
-            const std::int64_t ix = asI64(x), iy = asI64(y);
-            const double fx = asF64(x), fy = asF64(y);
-            std::uint64_t &out = regs[op.dst];
-            using enum LoweredCode;
-            switch (op.code) {
-              case Add: case PtrAdd: out = x + y; continue;
-              case Sub: out = x - y; continue;
-              case Mul: out = x * y; continue;
-              case SDiv: out = sdiv(x, y); continue;
-              case SRem: out = srem(x, y); continue;
-              case And: out = x & y; continue;
-              case Or: out = x | y; continue;
-              case Xor: out = x ^ y; continue;
-              case Shl: out = x << (y & 63); continue;
-              case AShr:
-                out = static_cast<std::uint64_t>(ix >> (y & 63));
-                continue;
-              case FAdd: out = asBits(fx + fy); continue;
-              case FSub: out = asBits(fx - fy); continue;
-              case FMul: out = asBits(fx * fy); continue;
-              case FDiv: out = asBits(fx / fy); continue;
-              case ICmpEq: out = x == y; continue;
-              case ICmpNe: out = x != y; continue;
-              case ICmpLt: out = ix < iy; continue;
-              case ICmpLe: out = ix <= iy; continue;
-              case ICmpGt: out = ix > iy; continue;
-              case ICmpGe: out = ix >= iy; continue;
-              case FCmpEq: out = fx == fy; continue;
-              case FCmpNe: out = fx != fy; continue;
-              case FCmpLt: out = fx < fy; continue;
-              case FCmpLe: out = fx <= fy; continue;
-              case FCmpGt: out = fx > fy; continue;
-              case FCmpGe: out = fx >= fy; continue;
-              case Select: out = x ? y : regs[op.c]; continue;
-              case IToF: out = asBits(static_cast<double>(ix)); continue;
-              case FToI: out = ftoi(fx); continue;
+Add:
+PtrAdd: regs[op->dst] = x + y; LP_DISPATCH();
+Sub: regs[op->dst] = x - y; LP_DISPATCH();
+Mul: regs[op->dst] = x * y; LP_DISPATCH();
+SDiv: regs[op->dst] = sdiv(x, y); LP_DISPATCH();
+SRem: regs[op->dst] = srem(x, y); LP_DISPATCH();
+And: regs[op->dst] = x & y; LP_DISPATCH();
+Or: regs[op->dst] = x | y; LP_DISPATCH();
+Xor: regs[op->dst] = x ^ y; LP_DISPATCH();
+Shl: regs[op->dst] = x << (y & 63); LP_DISPATCH();
+AShr:
+    regs[op->dst] = static_cast<std::uint64_t>(asI64(x) >> (y & 63));
+    LP_DISPATCH();
+FAdd: regs[op->dst] = asBits(asF64(x) + asF64(y)); LP_DISPATCH();
+FSub: regs[op->dst] = asBits(asF64(x) - asF64(y)); LP_DISPATCH();
+FMul: regs[op->dst] = asBits(asF64(x) * asF64(y)); LP_DISPATCH();
+FDiv: regs[op->dst] = asBits(asF64(x) / asF64(y)); LP_DISPATCH();
+ICmpEq: regs[op->dst] = x == y; LP_DISPATCH();
+ICmpNe: regs[op->dst] = x != y; LP_DISPATCH();
+ICmpLt: regs[op->dst] = asI64(x) < asI64(y); LP_DISPATCH();
+ICmpLe: regs[op->dst] = asI64(x) <= asI64(y); LP_DISPATCH();
+ICmpGt: regs[op->dst] = asI64(x) > asI64(y); LP_DISPATCH();
+ICmpGe: regs[op->dst] = asI64(x) >= asI64(y); LP_DISPATCH();
+FCmpEq: regs[op->dst] = asF64(x) == asF64(y); LP_DISPATCH();
+FCmpNe: regs[op->dst] = asF64(x) != asF64(y); LP_DISPATCH();
+FCmpLt: regs[op->dst] = asF64(x) < asF64(y); LP_DISPATCH();
+FCmpLe: regs[op->dst] = asF64(x) <= asF64(y); LP_DISPATCH();
+FCmpGt: regs[op->dst] = asF64(x) > asF64(y); LP_DISPATCH();
+FCmpGe: regs[op->dst] = asF64(x) >= asF64(y); LP_DISPATCH();
+Select: regs[op->dst] = x ? y : regs[op->c]; LP_DISPATCH();
+IToF: regs[op->dst] = asBits(static_cast<double>(asI64(x))); LP_DISPATCH();
+FToI: regs[op->dst] = ftoi(asF64(x)); LP_DISPATCH();
 
-              case Alloca:
-                out = sp_;
-                sp_ = mem_.pushStack(sp_, x);
-                continue;
-              case Load:
-                ipInBlock_ = op.c;
-                sink.load(op.aux, x);
-                out = mem_.load64(x);
-                continue;
-              case QuietLoad: out = mem_.load64(x); continue;
-              case Store:
-                ipInBlock_ = op.c;
-                sink.store(op.aux, y);
-                mem_.store64(y, x);
-                continue;
-              case QuietStore: mem_.store64(y, x); continue;
+Alloca:
+    regs[op->dst] = sp_;
+    sp_ = mem_.pushStack(sp_, x);
+    LP_DISPATCH();
+Load:
+    ipInBlock_ = op->c;
+    sink.load(op->aux, x);
+    regs[op->dst] = mem_.load64(x);
+    LP_DISPATCH();
+QuietLoad: regs[op->dst] = mem_.load64(x); LP_DISPATCH();
+Store:
+    ipInBlock_ = op->c;
+    sink.store(op->aux, y);
+    mem_.store64(y, x);
+    LP_DISPATCH();
+QuietStore: mem_.store64(y, x); LP_DISPATCH();
 
-              case Call: {
-                ipInBlock_ = op.c;
-                sink.callSite(op.instr);
-                const LoweredFunction::Call &call = f->calls[op.aux];
-                const LoweredFunction &callee = fns_[call.target];
-                const std::uint32_t argc = call.argsEnd - call.argsBegin;
-                if (argc != callee.numArgs) [[unlikely]]
-                    fatal("argument count mismatch calling @" +
-                          callee.fn->name());
-                if (frames_.size() >= kMaxCallDepth) [[unlikely]]
-                    throwStackOverflow(callee.fn);
-                frames_.push_back(
-                    {f, pc, base, sp_, curBlockSize_, ipInBlock_});
-                sink.functionEnter(callee.fn);
-                // pushRegisters may move regs_ (out dangles from here
-                // on; Ret stores the result through the fresh pointer).
-                const std::size_t calleeBase = base + f->frameSize;
-                std::uint64_t *args = pushRegisters(callee, calleeBase);
-                regs = regs_.data() + base;
-                for (std::uint32_t i = 0; i < argc; ++i)
-                    args[i] = regs[f->callArgs[call.argsBegin + i]];
-                f = &callee;
-                base = calleeBase;
-                regs = args;
-                e = &callee.edges[0];
-                break;
-              }
-              case CallExt: {
-                ipInBlock_ = op.c;
-                sink.callSite(op.instr);
-                const LoweredFunction::Call &call = f->calls[op.aux];
-                extArgs_.clear();
-                for (std::uint32_t i = call.argsBegin; i < call.argsEnd; ++i)
-                    extArgs_.push_back(regs[f->callArgs[i]]);
-                cost_ += op.instr->externalCallee()->cost();
-                out = extImpls_[call.target](*this, extArgs_);
-                continue;
-              }
-
-              case Br:
-                e = &f->edges[x ? op.aux : op.c];
-                break;
-              case Jmp:
-                e = &f->edges[op.aux];
-                break;
-              case Ret: {
-                ipInBlock_ = op.c;
-                sink.functionExit(f->fn);
-                const Frame fr = frames_.back();
-                frames_.pop_back();
-                sp_ = fr.sp;
-                curBlockSize_ = fr.blockSize;
-                ipInBlock_ = fr.ip;
-                if (!fr.caller)
-                    return x;
-                f = fr.caller;
-                pc = fr.resume;
-                base = fr.base;
-                regs = regs_.data() + base;
-                regs[pc[-1].dst] = x;
-                continue;
-              }
-              case Phi:
-              case Panic:
-                panic(f->panics[op.aux]);
-            }
-            break;
-        }
-    }
+Call: {
+    ipInBlock_ = op->c;
+    sink.callSite(op->instr);
+    const LoweredFunction::Call &call = f->calls[op->aux];
+    const LoweredFunction &callee = fns_[call.target];
+    const std::uint32_t argc = call.argsEnd - call.argsBegin;
+    if (argc != callee.numArgs) [[unlikely]]
+        fatal("argument count mismatch calling @" + callee.fn->name());
+    if (frames_.size() >= kMaxCallDepth) [[unlikely]]
+        throwStackOverflow(callee.fn);
+    frames_.push_back({f, pc, base, sp_, curBlockSize_, ipInBlock_});
+    sink.functionEnter(callee.fn);
+    // pushRegisters may move regs_ (Ret stores the result through the
+    // fresh pointer).
+    const std::size_t calleeBase = base + f->frameSize;
+    std::uint64_t *args = pushRegisters(callee, calleeBase);
+    regs = regs_.data() + base;
+    for (std::uint32_t i = 0; i < argc; ++i)
+        args[i] = regs[f->callArgs[call.argsBegin + i]];
+    f = &callee;
+    base = calleeBase;
+    regs = args;
+    e = &callee.edges[0];
+    goto enter;
 }
+CallExt: {
+    ipInBlock_ = op->c;
+    sink.callSite(op->instr);
+    const LoweredFunction::Call &call = f->calls[op->aux];
+    extArgs_.clear();
+    for (std::uint32_t i = call.argsBegin; i < call.argsEnd; ++i)
+        extArgs_.push_back(regs[f->callArgs[i]]);
+    cost_ += op->instr->externalCallee()->cost();
+    regs[op->dst] = extImpls_[call.target](*this, extArgs_);
+    LP_DISPATCH();
+}
+
+Br:
+    e = &f->edges[x ? op->aux : op->c];
+    goto enter;
+Jmp:
+    e = &f->edges[op->aux];
+    goto enter;
+Ret: {
+    ipInBlock_ = op->c;
+    sink.functionExit(f->fn);
+    const Frame fr = frames_.back();
+    frames_.pop_back();
+    sp_ = fr.sp;
+    curBlockSize_ = fr.blockSize;
+    ipInBlock_ = fr.ip;
+    if (!fr.caller)
+        return x;
+    f = fr.caller;
+    pc = fr.resume;
+    base = fr.base;
+    regs = regs_.data() + base;
+    regs[pc[-1].dst] = x;
+    LP_DISPATCH();
+}
+Phi:
+Panic:
+    panic(f->panics[op->aux]);
+
+    // The superinstructions: each writes every component's result,
+    // reading a later component's operands from its own slot after the
+    // earlier results are written, and fires a load's event at that
+    // op's in-block position.
+MulPtrAdd: {
+    const std::uint64_t product = x * y;
+    regs[op->dst] = product;
+    const LoweredOp &add = *pc++;
+    regs[add.dst] = regs[add.a] + product;
+    LP_DISPATCH();
+}
+MulPtrAddLoad: {
+    const std::uint64_t product = x * y;
+    regs[op->dst] = product;
+    const LoweredOp &add = pc[0], &load = pc[1];
+    pc += 2;
+    const std::uint64_t addr = regs[add.a] + product;
+    regs[add.dst] = addr;
+    ipInBlock_ = load.c;
+    sink.load(load.aux, addr);
+    regs[load.dst] = mem_.load64(addr);
+    LP_DISPATCH();
+}
+MulPtrAddQuietLoad: {
+    const std::uint64_t product = x * y;
+    regs[op->dst] = product;
+    const LoweredOp &add = pc[0], &load = pc[1];
+    pc += 2;
+    const std::uint64_t addr = regs[add.a] + product;
+    regs[add.dst] = addr;
+    regs[load.dst] = mem_.load64(addr);
+    LP_DISPATCH();
+}
+ICmpLtBr: {
+    const bool taken = asI64(x) < asI64(y);
+    regs[op->dst] = taken;
+    e = &f->edges[taken ? pc->aux : pc->c];
+    goto enter;
+}
+AddJmp:
+    regs[op->dst] = x + y;
+    e = &f->edges[pc->aux];
+    goto enter;
+}
+
+#undef LP_DISPATCH
 
 } // namespace lp::interp

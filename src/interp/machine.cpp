@@ -1,6 +1,7 @@
 #include "interp/execute.hpp"
 
 #include <cassert>
+#include <span>
 #include <unordered_map>
 
 #include "guard/fault.hpp"
@@ -81,6 +82,44 @@ incomingFrom(const Instruction &phi, const ir::BasicBlock *from)
         if (phi.blocks()[i] == from)
             return phi.operand(i);
     return nullptr;
+}
+
+/**
+ * Rewrite the first op of each fusable run among one block's @p ops to
+ * its superinstruction (see LoweredCode).  A run is adjacent ops whose
+ * later component reads the earlier one's result where the handler
+ * passes it on: the ptradd's offset is the mul's product, the load's
+ * address is the ptradd's sum, the br's condition is the icmp's result.
+ * No run holds a call, so no call returns into the middle of one, and
+ * a block is entered only at its first op after the phis.
+ */
+void
+fuseBlock(std::span<LoweredOp> ops)
+{
+    using enum LoweredCode;
+    for (std::size_t i = 0; i + 1 < ops.size(); ++i) {
+        LoweredOp &op = ops[i];
+        const LoweredOp &next = ops[i + 1];
+        std::size_t later = 1; // ops of the run after the first
+        if (op.code == Mul && next.code == PtrAdd && next.b == op.dst) {
+            const LoweredCode load =
+                i + 2 < ops.size() && ops[i + 2].a == next.dst ? ops[i + 2].code
+                                                               : Panic;
+            if (load == Load || load == QuietLoad) {
+                op.code = load == Load ? MulPtrAddLoad : MulPtrAddQuietLoad;
+                later = 2;
+            } else {
+                op.code = MulPtrAdd;
+            }
+        } else if (op.code == ICmpLt && next.code == Br && next.a == op.dst) {
+            op.code = ICmpLtBr;
+        } else if (op.code == Add && next.code == Jmp) {
+            op.code = AddJmp;
+        } else {
+            continue;
+        }
+        i += later; // the run's later ops run inside its handler
+    }
 }
 
 using FunctionIndex = std::unordered_map<const ir::Function *, std::uint32_t>;
@@ -267,6 +306,7 @@ lowerFunction(const ir::Function &fn, std::uint32_t fi,
             }
             lf.ops.push_back(op);
         }
+        fuseBlock(std::span(lf.ops).subspan(firstOp[b]));
         if (!bb.terminator())
             panicOp("block fell through without terminator");
     }

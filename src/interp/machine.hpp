@@ -12,10 +12,12 @@
  * global addresses are preloaded into registers after the locals),
  * phis become parallel-copy lists on the CFG edges, and each edge
  * carries what entering its target block costs on the block-granular
- * clock and which call-backs it fires.  Built with an Instrumentation,
- * the lowering classifies every edge against the loop forest and
- * compiles in only the selected events; the sinks receive dense ids
- * (interp::EventIds), which ids() maps back to the IR.
+ * clock and which call-backs it fires.  Adjacent ops that form the
+ * address, compare-branch and latch shapes are fused into
+ * superinstructions, each op keeping its slot.  Built with an
+ * Instrumentation, the lowering classifies every edge against the loop
+ * forest and compiles in only the selected events; the sinks receive
+ * dense ids (interp::EventIds), which ids() maps back to the IR.
  *
  * To make that guarantee hold run-to-run (and to let lp::exec run many
  * Machines over one module concurrently), each Machine copies the
@@ -148,8 +150,11 @@ class Machine
     /**
      * The interpreter loop over the lowered code, templated on the
      * instrumentation sink so every sink's events are direct
-     * (inlineable) calls instead of virtual dispatch per event.  Calls
-     * push a Frame instead of recursing.
+     * (inlineable) calls instead of virtual dispatch per event.  The
+     * loop is direct-threaded: one handler per LoweredCode, each ending
+     * in its own jump to the next op's handler, and a block-entry label
+     * that branches, jumps, calls and returns reach.  Calls push a Frame
+     * instead of recursing.
      */
     template <typename Sink>
     std::uint64_t execute(const LoweredFunction &main, Sink &sink);
@@ -180,6 +185,7 @@ class Machine
     {
         const LoweredFunction *caller; ///< null for main()
         const LoweredOp *resume;       ///< caller op after the Call
+                                       ///< (never inside a fused run)
         std::size_t base;              ///< caller's register offset
         std::uint64_t sp;
         std::uint64_t blockSize;

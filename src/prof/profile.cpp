@@ -377,13 +377,14 @@ finish()
     const obs::Json doc =
         m == Mode::Json ? profileJson(spans) : chromeProfile(spans);
     std::ofstream out(g_path, std::ios::trunc);
+    if (out)
+        out << doc.dump(2) << '\n' << std::flush;
     if (!out) {
         obs::logMessage(obs::Level::Error,
                         "cannot write profile to " + g_path,
                         /*force=*/true);
         return false;
     }
-    out << doc.dump(2) << '\n';
     LP_LOG_INFO("wrote %s profile to %s",
                 m == Mode::Json ? "json" : "chrome", g_path.c_str());
     return true;

@@ -374,6 +374,10 @@ class BatchReplayer
     void attach(const interp::Machine &machine) { m_ = &machine; }
 
     /// @name Sink interface of interp::Machine::run
+    /// The event bodies with per-lane work are kept out of line: inlined
+    /// into every threaded handler and edge that fires them, they bloat
+    /// the interpreter loop and cost more than the call
+    /// (docs/performance.md).
     /// @{
     void
     functionEnter(const ir::Function *)
@@ -393,7 +397,7 @@ class BatchReplayer
         std::fill_n(frameCovered_.begin() + at, L_, std::uint64_t{0});
     }
 
-    void
+    [[gnu::noinline]] void
     functionExit(const ir::Function *)
     {
         // Close instances an early return left open, then hand the
@@ -414,7 +418,7 @@ class BatchReplayer
         }
     }
 
-    void
+    [[gnu::noinline]] void
     loopExit(std::uint32_t k)
     {
         const std::uint64_t now = m_->blockEntryCost();
@@ -422,20 +426,20 @@ class BatchReplayer
             closeTop(now);
     }
 
-    void
+    [[gnu::noinline]] void
     loopEnter(std::uint32_t ord)
     {
         openInstance(ord, m_->blockEntryCost(), m_->stackPointer());
     }
 
-    void
+    [[gnu::noinline]] void
     loopIterate()
     {
         iterationBoundary(m_->blockEntryCost(), m_->stackPointer());
     }
 
     /** Entering a block with def watches. */
-    void
+    [[gnu::noinline]] void
     blockEnter(std::uint32_t block)
     {
         const std::uint64_t now = m_->blockEntryCost();
@@ -458,7 +462,7 @@ class BatchReplayer
         }
     }
 
-    void
+    [[gnu::noinline]] void
     phiResolved(std::uint32_t phi, std::uint64_t bits)
     {
         // A selected phi heads a loop, so its block's entry just opened
@@ -502,7 +506,7 @@ class BatchReplayer
         registerConflicts(inst, st.activeMask & ~helixMask_);
     }
 
-    void
+    [[gnu::noinline]] void
     load(std::uint32_t mem, std::uint64_t addr)
     {
         const std::uint64_t preciseNow = m_->preciseCost();
@@ -523,7 +527,7 @@ class BatchReplayer
         }
     }
 
-    void
+    [[gnu::noinline]] void
     store(std::uint32_t mem, std::uint64_t addr)
     {
         const std::uint64_t preciseNow = m_->preciseCost();

@@ -9,7 +9,9 @@
  *    derives from the unfiltered listener stream (Loop::contains on
  *    every block entry, the plan's header table): over the fixture
  *    shapes, the 30 suite programs, fuzz seeds 0-63 and the loop-edge
- *    fixtures (tests/loop_edges).
+ *    fixtures (tests/loop_edges).  Each load's and store's clock is
+ *    checked against its IR position, so fused lowered ops must keep
+ *    preciseCost() exact.
  *  - The per-batch selection (rt::selectEvents) drops what no lane can
  *    use and keeps what one can.
  *  - The counts of the all-suite default and --lint sweeps are pinned,
@@ -150,6 +152,12 @@ class BlockRule final : public interp::ExecListener
             instrId_.emplace(tables.ids.phis[p], p);
         for (std::uint32_t i = 0; i < tables.ids.memOps.size(); ++i)
             instrId_.emplace(tables.ids.memOps[i], i);
+        for (const ir::Instruction *i : tables.ids.memOps) {
+            const auto &instrs = i->parent()->instructions();
+            for (std::uint64_t ip = 0; ip < instrs.size(); ++ip)
+                if (instrs[ip].get() == i)
+                    position_.emplace(i, ip);
+        }
     }
 
     const interp::Machine *m = nullptr;
@@ -202,19 +210,33 @@ class BlockRule final : public interp::ExecListener
     void
     onLoad(const ir::Instruction *i, std::uint64_t addr) override
     {
-        events.push_back({'l', instrId_.at(i), m->preciseCost(), addr});
+        events.push_back({'l', instrId_.at(i), clockAt(i), addr});
     }
     void
     onStore(const ir::Instruction *i, std::uint64_t addr) override
     {
-        events.push_back({'s', instrId_.at(i), m->preciseCost(), addr});
+        events.push_back({'s', instrId_.at(i), clockAt(i), addr});
     }
 
   private:
+    /**
+     * The instruction-resolution clock at @p i by its definition: the
+     * block's entry clock plus the instructions of the block up to and
+     * including @p i, counted in the IR (not the Machine's preciseCost(),
+     * which the compiled side samples).
+     */
+    std::uint64_t
+    clockAt(const ir::Instruction *i) const
+    {
+        return m->blockEntryCost() + position_.at(i) + 1;
+    }
+
     const rt::ModulePlan &plan_;
     const rt::ProgramTables &tables_;
     std::unordered_map<const ir::BasicBlock *, std::uint32_t> blockId_;
     std::unordered_map<const ir::Instruction *, std::uint32_t> instrId_;
+    /** Each load's and store's index in its block. */
+    std::unordered_map<const ir::Instruction *, std::uint64_t> position_;
     std::vector<std::size_t> frames_;
     std::vector<unsigned> open_;
 };

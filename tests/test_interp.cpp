@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <string>
 
@@ -608,6 +609,104 @@ TEST(Interp, BranchWithBothEdgesIntoOnePhiBlock)
     Machine m(mod, &log);
     EXPECT_EQ(m.run(), 1u + 2u + 3u + 4u + 5u);
     EXPECT_EQ(log.values["v"], (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
+}
+
+/** Every load: its address and the Machine's clocks when it fired. */
+struct LoadClocks : interp::ExecListener
+{
+    const Machine *m = nullptr;
+    std::vector<std::uint64_t> addrs, precise, entry;
+    void
+    onLoad(const Instruction *, std::uint64_t addr) override
+    {
+        addrs.push_back(addr);
+        precise.push_back(m->preciseCost());
+        entry.push_back(m->blockEntryCost());
+    }
+};
+
+TEST(Interp, CallReturnsIntoAFusedRun)
+{
+    // The op after the call starts the mul -> ptradd -> load run that
+    // IRBuilder::elem and load emit; the return resumes at that run's
+    // first op, which must run the whole run.
+    Module mod("m");
+    Global *g = mod.addGlobal("g", 32);
+    IRBuilder b(mod);
+    Function *f = b.createFunction("f", Type::I64, {{Type::I64, "x"}});
+    b.ret(f->args()[0].get());
+    b.createFunction("main", Type::I64);
+    b.store(b.i64(42), b.ptradd(g, b.i64(8)));          // ops 0, 1
+    Value *i = b.call(f, {b.i64(1)});                   // op 2
+    b.ret(b.load(Type::I64, b.elem(g, i)));             // ops 3-6
+    mod.finalize();
+
+    LoadClocks log;
+    Machine m(mod, &log);
+    log.m = &m;
+    EXPECT_EQ(m.run(), 42u);
+    const std::uint64_t at = interp::Memory::kGlobalBase + g->offsetBytes();
+    ASSERT_EQ(log.addrs, (std::vector<std::uint64_t>{at + 8}));
+    // The load is op 5 of main's block; f's one op ran before it.
+    EXPECT_EQ(log.entry[0], 1u);
+    EXPECT_EQ(log.precise[0], log.entry[0] + 5 + 1);
+    EXPECT_EQ(m.cost(), 7u + 1u);
+}
+
+TEST(Interp, InvalidAddressAtAFusedLoadTraps)
+{
+    // elem(@g, 2^20) is far past @g: the fused run fires its load event,
+    // then traps, with the whole block charged as at any trap.
+    Module mod("m");
+    Global *g = mod.addGlobal("g", 8);
+    IRBuilder b(mod);
+    b.createFunction("main", Type::I64);
+    b.ret(b.load(Type::I64, b.elem(g, b.i64(1 << 20))));
+    mod.finalize();
+
+    LoadClocks log;
+    Machine m(mod, &log);
+    log.m = &m;
+    const std::uint64_t addr =
+        interp::Memory::kGlobalBase + g->offsetBytes() + (8u << 20);
+    try {
+        m.run();
+        ADD_FAILURE() << "the load did not trap";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.code(), ErrorCode::Trap) << e.what();
+        char want[64];
+        std::snprintf(want, sizeof want, "invalid memory access at 0x%llx",
+                      static_cast<unsigned long long>(addr));
+        EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(m.cost(), 4u);
+    ASSERT_EQ(log.addrs, (std::vector<std::uint64_t>{addr}));
+    EXPECT_EQ(log.precise[0], 3u);
+}
+
+TEST(Interp, FusedIntermediatesStayReadable)
+{
+    // Each fused run writes its mul's product and its ptradd's sum: the
+    // later ops of the block read them again.
+    Module mod("m");
+    Global *g = mod.addGlobal("g", 32);
+    IRBuilder b(mod);
+    b.createFunction("main", Type::I64);
+    b.store(b.i64(5), b.ptradd(g, b.i64(24)));
+    Value *three = b.add(b.i64(1), b.i64(2));
+    Value *off = b.mul(three, b.i64(8));                // mul -> ptradd
+    Value *p = b.ptradd(g, off);                        // -> load
+    Value *v = b.load(Type::I64, p);
+    Value *off2 = b.mul(b.i64(2), b.i64(8));            // mul -> ptradd
+    Value *p2 = b.ptradd(g, off2);
+    b.store(off2, p2);                                  // not fused
+    Value *sum = b.add(b.add(off, v), b.add(off2, b.load(Type::I64, p2)));
+    Value *span = b.sub(p, p2);
+    b.ret(b.add(sum, span));
+    mod.finalize();
+    // (24 + 5) + (16 + 16) + (24 - 16)
+    EXPECT_EQ(runModule(mod), 69u);
 }
 
 } // namespace

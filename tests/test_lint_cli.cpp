@@ -3,7 +3,8 @@
  * End-to-end tests for the lp-lint executable: exit-status contract
  * (0 = clean, 1 = error-level findings, 2 = usage/input error) and the
  * --sarif PATH side channel (SARIF lands in the file, stdout is
- * byte-identical with and without it).
+ * byte-identical with and without it, and a file that cannot be opened
+ * or written is an exit 2).
  *
  * The binary path comes in via LP_LINT_BIN; commands run through
  * std::system with stdout redirected to a scratch file.
@@ -124,6 +125,15 @@ TEST(LintCli, UnwritableSarifPathExitsTwo)
     EXPECT_EQ(runLint("--sarif /nonexistent/dir/out.sarif " +
                           corpus("dead_def"),
                       scratch("cli_sarif_bad.out")),
+              2);
+}
+
+TEST(LintCli, FailedSarifWriteExitsTwo)
+{
+    // /dev/full opens but refuses every write: the SARIF is lost, so
+    // the run fails as an unopenable path does.
+    EXPECT_EQ(runLint("--all-suites --sarif /dev/full",
+                      scratch("cli_sarif_full.out")),
               2);
 }
 

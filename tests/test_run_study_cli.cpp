@@ -3,8 +3,9 @@
  * End-to-end tests of the run_study executable's profile and report
  * files: a failing run still writes its profile (the failed task
  * recorded as such), a single run's task is labelled like a sweep
- * cell, two identical single runs write byte-identical reports, and
- * `--profile` accepts only its documented modes.
+ * cell, two identical single runs write byte-identical reports, a
+ * report or profile whose write fails is an exit 1, and `--profile`
+ * accepts only its documented modes.
  *
  * The binary path comes in via RUN_STUDY_BIN; commands run through
  * std::system with the environment's LP_* knobs cleared and stdout
@@ -117,6 +118,18 @@ TEST(RunStudyCli, SingleRunReportsAreByteIdentical)
     EXPECT_EQ(first.find("\"phases\""), std::string::npos);
     std::remove(a.c_str());
     std::remove(b.c_str());
+}
+
+TEST(RunStudyCli, FailedReportOrProfileWriteExitsOne)
+{
+    // /dev/full opens but refuses every write.  A chrome profile has no
+    // span stream, so nothing is created next to it.
+    EXPECT_EQ(runStudy("164.gzip-like reduc1-dep1-fn2 helix --json "
+                       "/dev/full"),
+              1);
+    EXPECT_EQ(runStudy("164.gzip-like reduc1-dep1-fn2 helix "
+                       "--profile=chrome:/dev/full"),
+              1);
 }
 
 TEST(RunStudyCli, ProfileTakesOnlyItsDocumentedModes)
