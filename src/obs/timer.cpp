@@ -54,6 +54,7 @@ SpanLog::reset(const std::string &streamPath)
     std::lock_guard<prof::TimedMutex> lock(mu_);
     records_.clear();
     stream_.reset();
+    streamFailed_ = false;
     nextId_.store(1, std::memory_order_relaxed);
     t_span = 0;
     if (streamPath.empty())
@@ -66,11 +67,16 @@ SpanLog::reset(const std::string &streamPath)
     return true;
 }
 
-void
+bool
 SpanLog::closeStream()
 {
     std::lock_guard<prof::TimedMutex> lock(mu_);
+    if (stream_) {
+        stream_->close();
+        streamFailed_ |= !*stream_;
+    }
     stream_.reset();
+    return !streamFailed_;
 }
 
 std::vector<SpanRecord>
@@ -89,8 +95,8 @@ SpanLog::append(SpanRecord rec)
     if (stream_)
         line = rec.toJson().dump();
     std::lock_guard<prof::TimedMutex> lock(mu_);
-    if (stream_)
-        *stream_ << line << '\n' << std::flush;
+    if (stream_ && !(*stream_ << line << '\n' << std::flush))
+        streamFailed_ = true;
     records_.push_back(std::move(rec));
 }
 

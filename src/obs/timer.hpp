@@ -95,8 +95,11 @@ class SpanLog
      */
     bool reset(const std::string &streamPath = "");
 
-    /** Flush and close the stream, if any. */
-    void closeStream();
+    /**
+     * Flush and close the stream, if any.  Returns false when a line
+     * or the close failed to write.
+     */
+    bool closeStream();
 
     /** Every record so far, in close order.  Quiescent-only. */
     std::vector<SpanRecord> records() const;
@@ -115,6 +118,7 @@ class SpanLog
     mutable prof::TimedMutex mu_{"obs.spans"};
     std::vector<SpanRecord> records_;
     std::unique_ptr<std::ofstream> stream_;
+    bool streamFailed_ = false; ///< a line could not be written
     std::atomic<std::uint64_t> nextId_{1};
 };
 

@@ -1,5 +1,9 @@
 #include "predict/predictor.hpp"
 
+#include <string>
+
+#include "support/error.hpp"
+
 namespace lp::predict {
 
 //
@@ -83,14 +87,25 @@ TwoDeltaStridePredictor::train(std::uint64_t actual)
 //
 
 FcmPredictor::FcmPredictor(unsigned order, unsigned tableBits)
-    : order_(order), mask_((std::uint64_t{1} << tableBits) - 1),
-      history_(order, 0), table_(std::size_t{1} << tableBits)
-{}
+    : order_(order)
+{
+    if (order == 0 || order > kMaxOrder)
+        throw InternalError("predict::FcmPredictor order " +
+                            std::to_string(order) + " is outside 1-" +
+                            std::to_string(kMaxOrder));
+    if (tableBits == 0 || tableBits > 24)
+        throw InternalError("predict::FcmPredictor tableBits " +
+                            std::to_string(tableBits) +
+                            " is outside 1-24");
+    mask_ = (std::uint64_t{1} << tableBits) - 1;
+    values_.resize(mask_ + 1);
+    valid_.resize((values_.size() + 63) / 64);
+}
 
 std::uint64_t
 FcmPredictor::contextHash() const
 {
-    // splitmix-style mixing of the value history ring.
+    // splitmix-style mixing of the value history.
     std::uint64_t h = 0x9e3779b97f4a7c15ULL;
     for (unsigned i = 0; i < order_; ++i) {
         std::uint64_t z = history_[i] + h;
@@ -106,10 +121,10 @@ FcmPredictor::predict(std::uint64_t &out) const
 {
     if (histCount_ < order_)
         return false;
-    const Entry &e = table_[contextHash()];
-    if (!e.valid)
+    const std::uint64_t slot = contextHash();
+    if (!(valid_[slot >> 6] >> (slot & 63) & 1))
         return false;
-    out = e.value;
+    out = values_[slot];
     return true;
 }
 
@@ -124,10 +139,12 @@ FcmPredictor::predictAndTrain(std::uint64_t actual)
 {
     bool ok = false;
     if (histCount_ >= order_) {
-        Entry &e = table_[contextHash()];
-        ok = e.valid && e.value == actual;
-        e.valid = true;
-        e.value = actual;
+        const std::uint64_t slot = contextHash();
+        std::uint64_t &word = valid_[slot >> 6];
+        const std::uint64_t bit = std::uint64_t{1} << (slot & 63);
+        ok = (word & bit) && values_[slot] == actual;
+        word |= bit;
+        values_[slot] = actual;
     }
     // Shift the context window.
     for (unsigned i = 0; i + 1 < order_; ++i)

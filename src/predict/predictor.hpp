@@ -95,11 +95,19 @@ class TwoDeltaStridePredictor final : public ValuePredictor
 /**
  * Finite Context Method predictor: hashes the last @p order values into a
  * direct-mapped value table (2^tableBits entries, untagged — aliasing is
- * part of the model, as in real FCM hardware proposals).
+ * part of the model, as in real FCM hardware proposals).  The table is a
+ * value per slot plus a validity bitmap: 32.5 KiB at the default size.
  */
 class FcmPredictor final : public ValuePredictor
 {
   public:
+    /** The longest context the history holds. */
+    static constexpr unsigned kMaxOrder = 8;
+
+    /**
+     * @throws lp::InternalError for an @p order outside 1..kMaxOrder or
+     *         a @p tableBits outside 1..24
+     */
     explicit FcmPredictor(unsigned order = 3, unsigned tableBits = 12);
 
     bool predict(std::uint64_t &out) const override;
@@ -114,15 +122,12 @@ class FcmPredictor final : public ValuePredictor
     std::uint64_t contextHash() const;
 
     unsigned order_;
-    std::uint64_t mask_;
-    std::vector<std::uint64_t> history_; ///< ring of last `order` values
+    std::uint64_t mask_ = 0;
+    /** The last `order` values, oldest first. */
+    std::array<std::uint64_t, kMaxOrder> history_{};
     unsigned histCount_ = 0;
-    struct Entry
-    {
-        bool valid = false;
-        std::uint64_t value = 0;
-    };
-    std::vector<Entry> table_;
+    std::vector<std::uint64_t> values_; ///< by slot
+    std::vector<std::uint64_t> valid_;  ///< bit per slot: values_ holds one
 };
 
 /** Per-component outcome of one hybrid prediction. */

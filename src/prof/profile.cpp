@@ -372,7 +372,11 @@ finish()
     g_mode = Mode::Off;
     setEnabled(false);
     obs::SpanLog &log = obs::SpanLog::instance();
-    log.closeStream();
+    const bool streamOk = log.closeStream();
+    if (!streamOk)
+        obs::logMessage(obs::Level::Error,
+                        "cannot write span stream " + g_path + ".spans.jsonl",
+                        /*force=*/true);
     const std::vector<obs::SpanRecord> spans = log.records();
     const obs::Json doc =
         m == Mode::Json ? profileJson(spans) : chromeProfile(spans);
@@ -387,7 +391,7 @@ finish()
     }
     LP_LOG_INFO("wrote %s profile to %s",
                 m == Mode::Json ? "json" : "chrome", g_path.c_str());
-    return true;
+    return streamOk;
 }
 
 } // namespace lp::prof

@@ -88,7 +88,8 @@ obs::Json chromeProfile(const std::vector<obs::SpanRecord> &spans);
 /**
  * Stop recording and write the configured profile of the span log.
  * Idempotent; a no-op when the mode is Off.  Returns false when the
- * output file could not be written (already logged).
+ * output file or a json profile's span stream could not be written
+ * (already logged).
  */
 bool finish();
 

@@ -12,10 +12,12 @@
  * from the interpreter loop.  What every eligible lane of an instance
  * updates identically is kept once on the instance and folded into a
  * lane's own state only where lanes diverge (a child region's savings,
- * a PDOALL phase restart, the close), so an iteration boundary without
- * child savings and a memory RAW's HELIX bounds cost O(1) in the lane
- * count; the per-lane work triggers at child-saving boundaries,
- * conflicts, phi resolutions and closes.  What a lane's report is
+ * a PDOALL restart that splits a restart group, the close), so a call
+ * whose frame no closed region landed on, an iteration boundary without
+ * child savings, a dep1 HELIX sync, a restart of a restart group and a
+ * memory RAW's HELIX bounds cost O(1) in the lane count; the per-lane
+ * work triggers at child-saving boundaries, group-splitting restarts,
+ * phi mispredictions and closes.  What a lane's report is
  * assembled from — its per-loop rows, predictor statistics, savings and
  * covered totals — is the plain Lane struct below; what the batch did is
  * counted in the plain BatchCounts, published once per batch.
@@ -42,6 +44,14 @@
  *    verdict, so its per-instance difference states depend only on the
  *    stream and one capture, filled once, serves every lane.
  *
+ * Per-frame soundness argument: a frame's savings and covered rows
+ * change only where a closed region lands on the frame rather than on
+ * an instance (addToContext), which sets the frame's touched flag.  An
+ * untouched frame's rows are still zero at its exit, so handing them to
+ * the caller would change nothing; a touched frame hands them up and
+ * re-zeroes them, so every dead frame's rows are zero and a call fills
+ * nothing at entry.
+ *
  * Per-instance soundness argument (why one scalar serves every lane):
  *  - in an iteration no child region handed savings to (the instance's
  *    childSavings flag is clear), every lane's adjusted cost is the
@@ -50,15 +60,38 @@
  *    larger of its own slow_ (the child-saving iterations) and
  *    cleanSlow;
  *  - cleanPhase is the same maximum since the slot's last PDOALL phase
- *    restart in any lane.  restartPhases folds it into every eligible
- *    PDOALL lane's slow_ before any lane restarts and then clears it, so
- *    a PDOALL lane's current phase is the larger of its slow_ and
- *    cleanPhase at any time;
+ *    restart in any lane.  A per-lane restart folds it into every
+ *    eligible PDOALL lane's slow_ before any lane restarts and then
+ *    clears it, so a PDOALL lane's current phase is the larger of its
+ *    slow_ and cleanPhase at any time;
+ *  - a restart depends only on which lanes a conflict hit in the
+ *    iteration, and nothing reads a lane's phase state before the
+ *    iteration's cost is folded in at its boundary.  So a conflict only
+ *    marks its PDOALL lanes (conflictedM_), and restartPhases applies
+ *    the marks once at the boundary, before the fold, and at the close
+ *    for the trailing iteration;
+ *  - until a child-saving boundary or a restart of lanes that are
+ *    neither restart group nor both (laneSlow), the eligible PDOALL
+ *    lanes form two groups, and every lane of a group has taken the
+ *    same restarts at the same iterations.  So a lane's phase state is
+ *    its group's: the group's slowest iteration since its last restart
+ *    beyond cleanPhase (PhaseGroup::slow) and the phases and restarts it
+ *    took (owedPhases, owedRestarts), which the close or the group's end
+ *    pays into each lane's slow_, pAccum_ and cIters_: sums commute.
+ *    The groups start as all the lanes and none; the first subset to
+ *    restart splits them, and a per-lane restart of every lane joins
+ *    them again;
  *  - every memory RAW of an instance syncs exactly its eligible HELIX
  *    lanes (eligMask & helixMask), so the largest delta, the largest
  *    producer offset and the smallest consumer offset of its RAWs are
  *    per-instance scalars, folded into each such lane's register-sync
  *    bounds at the close;
+ *  - a dep1 HELIX lane syncs every register of its tracked prefix at
+ *    every boundary, and its prefix is either the non-computable
+ *    registers (reduc1) or all tracked ones (reduc0).  So the largest
+ *    producer offset over each prefix (dep1NcMax, dep1AllMax) is a
+ *    per-instance scalar; max commutes, and nothing reads a lane's
+ *    sync bounds before the close folds them in;
  *  - ciSavings_ is zero in every lane unless childSavings is set, and
  *    only those boundaries run the per-lane loop that clears it.
  */
@@ -193,6 +226,10 @@ struct BatchCounts
     /** tracker.child_saving_iterations: the iteration boundaries that
      *  paid per-lane work because a child region handed savings. */
     std::uint64_t childSavingIterations = 0;
+    /** tracker.lane_restart_iterations: the iterations whose PDOALL
+     *  phase restarts paid per-lane work (the restarting lanes split a
+     *  restart group, or the lanes kept their phase state per lane). */
+    std::uint64_t laneRestartIterations = 0;
     /** tracker.trip_count: each closed instance's trip count, once per
      *  lane (a batch-local tally; obs keeps the bucket rule). */
     obs::Histogram tripCounts{kTripCountBounds};
@@ -210,6 +247,7 @@ struct BatchCounts
             {"model.squashes.pdoall", pdoallSquashes},
             {"report.loops_reported", loopsReported},
             {"tracker.child_saving_iterations", childSavingIterations},
+            {"tracker.lane_restart_iterations", laneRestartIterations},
         };
         const bool metrics = obs::metricsOn();
         obs::Registry &reg = obs::Registry::instance();
@@ -307,7 +345,6 @@ class BatchReplayer
             trackedAllCount_[ord] =
                 static_cast<unsigned>(lp.trackedAll.size());
         }
-        laneTracked_.resize(numLoops * L_);
         reportPtr_.resize(numLoops * L_);
         laneModel_.resize(L_);
         lanePdoallThr_.resize(L_);
@@ -332,9 +369,9 @@ class BatchReplayer
                 if (row.staticReason == SerialReason::None)
                     eligMask_[ord] |= bit;
                 // Reductions join the tracked LCDs only under reduc0.
-                laneTracked_[ord * L_ + l] =
+                const unsigned tracked =
                     cfg.reduc == 0 ? trackedAllCount_[ord] : ncCount_[ord];
-                if (cfg.dep == 1 && laneTracked_[ord * L_ + l] != 0 &&
+                if (cfg.dep == 1 && tracked != 0 &&
                     row.staticReason == SerialReason::None)
                     dep1Lanes_[ord] |= bit;
                 reportPtr_[ord * L_ + l] = &row;
@@ -382,19 +419,17 @@ class BatchReplayer
     void
     functionEnter(const ir::Function *)
     {
-        // Reuse dead frames above the live prefix.
+        // Reuse dead frames above the live prefix: their rows are zero.
         if (frameDepth_ == eframes_.size())
             eframes_.emplace_back();
         EFrame &f = eframes_[frameDepth_++];
         f.loopLo = instStack_.size();
         f.savingsBase = (frameDepth_ - 1) * L_;
+        f.touched = false;
         if (frameSavings_.size() < frameDepth_ * L_) {
             frameSavings_.resize(frameDepth_ * L_);
             frameCovered_.resize(frameDepth_ * L_);
         }
-        const auto at = static_cast<std::ptrdiff_t>(f.savingsBase);
-        std::fill_n(frameSavings_.begin() + at, L_, std::uint64_t{0});
-        std::fill_n(frameCovered_.begin() + at, L_, std::uint64_t{0});
     }
 
     [[gnu::noinline]] void
@@ -413,8 +448,12 @@ class BatchReplayer
                 lanes_[l].savings = frameSavings_[sb + l];
                 lanes_[l].covered = frameCovered_[sb + l];
             }
-        } else {
+        } else if (f.touched) {
+            // An untouched frame's rows are zero: nothing to hand up.
             addToContext(&frameSavings_[sb], &frameCovered_[sb]);
+            const auto at = static_cast<std::ptrdiff_t>(sb);
+            std::fill_n(frameSavings_.begin() + at, L_, std::uint64_t{0});
+            std::fill_n(frameCovered_.begin() + at, L_, std::uint64_t{0});
         }
     }
 
@@ -581,6 +620,19 @@ class BatchReplayer
     {
         std::size_t loopLo = 0;      ///< instStack_ depth at entry
         std::size_t savingsBase = 0; ///< into frameSavings_/frameCovered_
+        /** A closed region landed on the frame's rows. */
+        bool touched = false;
+    };
+
+    /** The phase state every lane of a restart group shares. */
+    struct PhaseGroup
+    {
+        /** The slowest iteration since the group's last restart,
+         *  beyond the instance's cleanPhase. */
+        std::uint64_t slow = 0;
+        /** Phases and restarts owed to each lane's pAccum_, cIters_. */
+        std::uint64_t owedPhases = 0;
+        std::uint64_t owedRestarts = 0;
     };
 
     /** One dynamic loop instance (shared across lanes), with the model
@@ -605,6 +657,17 @@ class BatchReplayer
         std::uint64_t memDelta = 0;
         std::uint64_t memMaxProd = 0;
         std::uint64_t memMinCons = ~std::uint64_t{0};
+        /** The largest producer offset a dep1 HELIX sync saw: over the
+         *  non-computable registers, and over every tracked one. */
+        std::uint64_t dep1NcMax = 0;
+        std::uint64_t dep1AllMax = 0;
+        /** While laneSlow is clear, the eligible PDOALL lanes form two
+         *  restart groups, restartGroup's lanes and the rest. */
+        std::uint64_t restartGroup = 0;
+        PhaseGroup group[2];
+        /** The eligible PDOALL lanes keep their phase state per lane: a
+         *  child region handed savings, or a restart split a group. */
+        bool laneSlow = false;
         ShadowWriteMap *shadow = nullptr; ///< null when eligMask == 0
         std::uint64_t eligMask = 0;
         std::size_t slot = 0;     ///< stack depth (reused LIFO)
@@ -712,7 +775,9 @@ class BatchReplayer
             cDst[l] += covered[l];
             any |= savings[l];
         }
-        if (inLoop && any)
+        if (!inLoop)
+            f.touched = true;
+        else if (any)
             instStack_.back().childSavings = true;
     }
 
@@ -745,6 +810,7 @@ class BatchReplayer
         inst.iterStartTs = now;
         inst.spAtIterStart = sp;
         inst.eligMask = eligMask_[ord];
+        inst.restartGroup = inst.eligMask & pdoallMask_;
         inst.slot = slot;
         inst.base = slot * L_;
         inst.nRegs = static_cast<std::uint32_t>(lp.trackedAll.size());
@@ -800,21 +866,50 @@ class BatchReplayer
     }
 
     /**
-     * PDOALL restarts a phase in each of @p todo's lanes (eligible, not
-     * yet conflicted this iteration): the phase so far joins the lane's
-     * accumulated phases.  cleanPhase belongs to every eligible PDOALL
-     * lane's current phase, so it is folded into each before any lane
-     * restarts, then cleared.
+     * PDOALL restarts a phase in each lane a conflict hit in the
+     * iteration that just ended (conflictedM_), before that iteration's
+     * cost is folded in: the phase so far joins the lane's accumulated
+     * phases.  When the restarting lanes are one or both restart groups
+     * (the first subset to restart splits the one group in two), each
+     * group's phase is the larger of its slow and cleanPhase, so
+     * the restart is owed on the instance.  Otherwise the lanes leave
+     * their groups, cleanPhase is folded into each lane's slow_ before
+     * the lanes restart, then cleared; a restart of every lane makes
+     * them one group again.
      */
     void
-    restartPhases(BInst &inst, std::uint64_t todo)
+    restartPhases(BInst &inst)
     {
+        const std::uint64_t todo = conflictedM_[inst.slot];
         if (!todo)
             return;
+        const std::uint64_t all = inst.eligMask & pdoallMask_;
+        if (!inst.laneSlow) {
+            if (inst.restartGroup == all) {
+                inst.restartGroup = todo;
+                inst.group[1] = inst.group[0];
+            }
+            const std::uint64_t lanes[2] = {inst.restartGroup,
+                                            all ^ inst.restartGroup};
+            if (todo == all || todo == lanes[0] || todo == lanes[1]) {
+                for (int g = 0; g < 2; ++g) {
+                    PhaseGroup &grp = inst.group[g];
+                    grp.slow = std::max(grp.slow, inst.cleanPhase);
+                    if (todo & lanes[g]) {
+                        grp.owedPhases += grp.slow;
+                        grp.owedRestarts += 1;
+                        grp.slow = 0;
+                    }
+                }
+                inst.cleanPhase = 0;
+                return;
+            }
+            groupsToLanes(inst);
+        }
+        counts_.laneRestartIterations += L_;
         const std::size_t B = inst.base;
         if (inst.cleanPhase) {
-            for (std::uint64_t m = inst.eligMask & pdoallMask_; m;
-                 m &= m - 1) {
+            for (std::uint64_t m = all; m; m &= m - 1) {
                 const std::size_t i =
                     B + static_cast<unsigned>(std::countr_zero(m));
                 slow_[i] = std::max(slow_[i], inst.cleanPhase);
@@ -828,17 +923,38 @@ class BatchReplayer
             slow_[i] = 0;
             cIters_[i] += 1;
         }
-        conflictedM_[inst.slot] |= todo;
+        if (todo == all) {
+            inst.laneSlow = false;
+            inst.restartGroup = all;
+        }
+    }
+
+    /** Fold each restart group's state into its lanes' own and keep
+     *  the phase state per lane from here on. */
+    void
+    groupsToLanes(BInst &inst)
+    {
+        const std::size_t B = inst.base;
+        for (std::uint64_t m = inst.eligMask & pdoallMask_; m; m &= m - 1) {
+            const unsigned l = static_cast<unsigned>(std::countr_zero(m));
+            const PhaseGroup &grp =
+                inst.group[(inst.restartGroup >> l) & 1 ? 0 : 1];
+            slow_[B + l] = std::max(slow_[B + l], grp.slow);
+            pAccum_[B + l] += grp.owedPhases;
+            cIters_[B + l] += grp.owedRestarts;
+        }
+        inst.group[0] = inst.group[1] = PhaseGroup{};
+        inst.laneSlow = true;
     }
 
     /** A register LCD manifests in @p lanes' current iteration: PDOALL
-     *  restarts a phase in each lane not already conflicted. */
+     *  restarts a phase in each of them at the iteration's end. */
     void
     registerConflicts(BInst &inst, std::uint64_t lanes)
     {
         anyConflictM_[inst.slot] |= lanes;
         counts_.conflicts += static_cast<std::uint64_t>(std::popcount(lanes));
-        restartPhases(inst, lanes & pdoallMask_ & ~conflictedM_[inst.slot]);
+        conflictedM_[inst.slot] |= lanes & pdoallMask_;
     }
 
     /** A cross-iteration memory RAW, fanned out over the eligible
@@ -850,8 +966,7 @@ class BatchReplayer
     {
         inst.memConflicts += 1;
         anyConflictM_[inst.slot] |= inst.eligMask;
-        restartPhases(inst,
-                      inst.eligMask & pdoallMask_ & ~conflictedM_[inst.slot]);
+        conflictedM_[inst.slot] |= inst.eligMask & pdoallMask_;
         const std::uint64_t hm = inst.eligMask & helixMask_;
         if (!hm)
             return;
@@ -872,8 +987,11 @@ class BatchReplayer
         BInst &inst = instStack_.back();
         const std::size_t B = inst.base;
         const std::uint64_t serialIterCost = now - inst.iterStartTs;
+        restartPhases(inst);
         if (inst.childSavings) {
             // Lanes diverge: each lane's adjusted cost is its own.
+            if (!inst.laneSlow)
+                groupsToLanes(inst);
             for (std::size_t l = 0; l < L_; ++l) {
                 const std::uint64_t savings =
                     std::min(ciSavings_[B + l], serialIterCost);
@@ -892,32 +1010,21 @@ class BatchReplayer
         if (inst.eligMask && inst.nRegs) {
             // Producer offsets of the iteration that just ended; the
             // values are config-independent, each lane reads only its
-            // own tracked prefix.
+            // own tracked prefix.  A dep1 HELIX lane syncs every
+            // register of its prefix, so only the prefix maxima matter.
+            const unsigned nc = ncCount_[inst.ord];
+            std::uint64_t ncMax = 0, allMax = 0;
             for (std::uint32_t r = 0; r < inst.nRegs; ++r) {
                 const std::size_t ri = inst.regsBase + r;
-                regPrevOff_[ri] = regDefSeen_[ri]
-                                      ? regLastDef_[ri] - inst.iterStartTs
-                                      : 0;
+                const std::uint64_t off =
+                    regDefSeen_[ri] ? regLastDef_[ri] - inst.iterStartTs : 0;
+                regPrevOff_[ri] = off;
+                allMax = std::max(allMax, off);
+                if (r + 1 == nc)
+                    ncMax = allMax;
             }
-            // dep1 under HELIX: the lowered LCD is satisfied by one
-            // sync per tracked register.
-            const std::uint64_t hm = dep1Lanes_[inst.ord] & helixMask_;
-            for (std::uint64_t m = hm; m; m &= m - 1) {
-                const unsigned l =
-                    static_cast<unsigned>(std::countr_zero(m));
-                const unsigned lt =
-                    laneTracked_[static_cast<std::size_t>(inst.ord) *
-                                     L_ +
-                                 l];
-                for (unsigned r = 0; r < lt; ++r) {
-                    const std::uint64_t off =
-                        regPrevOff_[inst.regsBase + r];
-                    dLargest_[B + l] = std::max(dLargest_[B + l], off);
-                    maxProd_[B + l] = std::max(maxProd_[B + l], off);
-                }
-                minCons_[B + l] = 0; // the phi consumes at the top
-            }
-            anySyncM_[inst.slot] |= hm;
+            inst.dep1NcMax = std::max(inst.dep1NcMax, ncMax);
+            inst.dep1AllMax = std::max(inst.dep1AllMax, allMax);
         }
 
         inst.curIter += 1;
@@ -940,8 +1047,30 @@ class BatchReplayer
     void
     closeTop(std::uint64_t now)
     {
-        const BInst inst = instStack_.back();
+        BInst inst = instStack_.back();
         instStack_.pop_back();
+        const std::size_t B = inst.base;
+        // The trailing iteration's restarts, then what the restart
+        // groups owe their lanes.
+        restartPhases(inst);
+        if (!inst.laneSlow)
+            groupsToLanes(inst);
+        if (inst.curIter > 0) {
+            // dep1 under HELIX: every boundary synced each register of
+            // the lane's tracked prefix; the phi consumes at the top.
+            const std::uint64_t hm = dep1Lanes_[inst.ord] & helixMask_;
+            for (std::uint64_t m = hm; m; m &= m - 1) {
+                const unsigned l =
+                    static_cast<unsigned>(std::countr_zero(m));
+                const std::uint64_t off = (reduc0Mask_ >> l) & 1
+                                              ? inst.dep1AllMax
+                                              : inst.dep1NcMax;
+                dLargest_[B + l] = std::max(dLargest_[B + l], off);
+                maxProd_[B + l] = std::max(maxProd_[B + l], off);
+                minCons_[B + l] = 0;
+            }
+            anySyncM_[inst.slot] |= hm;
+        }
         regsTop_ = inst.regsBase;
         if (oracle_) {
             const auto &slots = oracleWatches_[inst.ord].slots;
@@ -952,7 +1081,6 @@ class BatchReplayer
             oracleTop_ = inst.oracleBase;
         }
 
-        const std::size_t B = inst.base;
         const std::uint64_t tailSerial = now - inst.iterStartTs;
         const std::uint64_t rawSerial = now - inst.entryTs;
         if (inst.shadow)
@@ -1069,7 +1197,6 @@ class BatchReplayer
     std::vector<std::uint64_t> dep1Lanes_;
     std::vector<unsigned> ncCount_;
     std::vector<unsigned> trackedAllCount_;
-    std::vector<unsigned> laneTracked_;
     std::vector<LoopReport *> reportPtr_;
 
     // Per-lane configuration facts.

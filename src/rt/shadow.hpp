@@ -13,6 +13,12 @@
  * A granule resolves to its entry with two shifts and two bounds
  * checks — no hashing, no probing.
  *
+ * Each map also caches the page it resolved last, by page number
+ * (granule >> kPageBits).  Segment bases are page-aligned, so a page
+ * number names one page, and an access on the cached page skips the
+ * segment and table walk.  Pages never move and stay mapped across
+ * reset(), so the cache survives the pooled reuse of a map.
+ *
  * Instance reset is epoch-tagged: every entry stamps the epoch it was
  * written in, and reset() just moves the map to a fresh epoch,
  * invalidating all entries at once — O(1), keeping pages warm for the
@@ -80,16 +86,12 @@ class ShadowWriteMap
     /** The current-instance write to @p granule, or null (always for a
      *  wild granule). */
     const WriteRec *
-    lookup(std::uint64_t granule) const
+    lookup(std::uint64_t granule)
     {
-        const Segment *seg = segmentFor(granule);
-        if (!seg) [[unlikely]]
+        const Page *p = pageFor(granule, /*map=*/false);
+        if (!p)
             return nullptr;
-        const std::size_t idx =
-            static_cast<std::size_t>(granule - seg->base) >> kPageBits;
-        if (idx >= seg->pages.size() || !seg->pages[idx])
-            return nullptr;
-        const Entry &e = seg->pages[idx]->at[granule & (kPageGranules - 1)];
+        const Entry &e = p->at[granule & (kPageGranules - 1)];
         return e.epoch == epoch_ ? &e.rec : nullptr;
     }
 
@@ -98,16 +100,10 @@ class ShadowWriteMap
     void
     record(std::uint64_t granule, std::uint64_t iter, std::uint64_t offset)
     {
-        Segment *seg = segmentFor(granule);
-        if (!seg) [[unlikely]]
+        Page *p = pageFor(granule, /*map=*/true);
+        if (!p) [[unlikely]]
             return;
-        const std::size_t idx =
-            static_cast<std::size_t>(granule - seg->base) >> kPageBits;
-        if (idx >= seg->pages.size())
-            seg->pages.resize(idx + 1);
-        if (!seg->pages[idx])
-            seg->pages[idx] = acquirePage();
-        Entry &e = seg->pages[idx]->at[granule & (kPageGranules - 1)];
+        Entry &e = p->at[granule & (kPageGranules - 1)];
         e.rec = {iter, offset};
         e.epoch = epoch_;
     }
@@ -173,8 +169,8 @@ class ShadowWriteMap
         std::vector<std::unique_ptr<Page>> pages; ///< grown as touched
     };
 
-    const Segment *
-    segmentFor(std::uint64_t granule) const
+    Segment *
+    segmentFor(std::uint64_t granule)
     {
         // Stack first: loop-carried traffic is most often stack/heap.
         if (granule >= segs_[2].base)
@@ -186,13 +182,51 @@ class ShadowWriteMap
         return nullptr;
     }
 
-    Segment *
-    segmentFor(std::uint64_t granule)
+    /**
+     * The page holding @p granule: the cached one, else resolved
+     * through its segment's table (mapped first when @p map) and
+     * cached.  Null for a wild granule, and for an unmapped page unless
+     * @p map.
+     */
+    Page *
+    pageFor(std::uint64_t granule, bool map)
     {
-        return const_cast<Segment *>(
-            static_cast<const ShadowWriteMap *>(this)->segmentFor(granule));
+        if (granule >> kPageBits == cachedPageNo_) [[likely]]
+            return cachedPage_;
+        return resolvePage(granule, map);
     }
 
+    /** pageFor() off the cached page: kept out of line, so the cached
+     *  path inlines into every lookup and record. */
+    [[gnu::noinline]] Page *
+    resolvePage(std::uint64_t granule, bool map)
+    {
+        Segment *seg = segmentFor(granule);
+        if (!seg) [[unlikely]]
+            return nullptr;
+        const std::size_t idx =
+            static_cast<std::size_t>(granule - seg->base) >> kPageBits;
+        if (idx >= seg->pages.size()) {
+            if (!map)
+                return nullptr;
+            seg->pages.resize(idx + 1);
+        }
+        std::unique_ptr<Page> &page = seg->pages[idx];
+        if (!page) {
+            if (!map)
+                return nullptr;
+            page = acquirePage();
+        }
+        cachedPageNo_ = granule >> kPageBits;
+        cachedPage_ = page.get();
+        return cachedPage_;
+    }
+
+    static_assert((interp::Memory::kGlobalBase >> 3) % kPageGranules == 0 &&
+                      (interp::Memory::kHeapBase >> 3) % kPageGranules == 0 &&
+                      (interp::Memory::kStackBase >> 3) % kPageGranules == 0,
+                  "segment bases are page-aligned: a page number names one "
+                  "page");
     Segment segs_[3] = {
         {interp::Memory::kGlobalBase >> 3, interp::Memory::kHeapBase >> 3,
          {}},
@@ -202,6 +236,10 @@ class ShadowWriteMap
          {}},
     };
     std::uint64_t epoch_ = nextEpoch(); ///< unique; above fresh-page 0
+    /** The page pageFor() resolved last, by its page number (granule >>
+     *  kPageBits; none matches ~0). */
+    std::uint64_t cachedPageNo_ = ~std::uint64_t{0};
+    Page *cachedPage_ = nullptr;
 };
 
 } // namespace lp::rt

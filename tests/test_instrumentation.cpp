@@ -630,7 +630,11 @@ u64s(const obs::Json &array)
  * each time.  tracker.child_saving_iterations counts the
  * iteration boundaries that paid per-lane work: 13,600 of the sweep's
  * 1,078,924 boundaries (the trip-count sum over the 14 lanes), times
- * the lanes.
+ * the lanes.  tracker.lane_restart_iterations counts, times the lanes,
+ * the iterations whose PDOALL phase restarts paid per-lane work: 4,982
+ * of the 469,194 that restart a phase in some lane.  The other 464,212
+ * restart one or both of the instance's two restart groups, an update
+ * of the instance alone (73,764 restart every eligible PDOALL lane).
  */
 TEST(TrackerCounts, SweepCountsArePinned)
 {
@@ -643,6 +647,7 @@ TEST(TrackerCounts, SweepCountsArePinned)
         {"report.loops_reported", 2'884},
         {"tracker.child_saving_iterations", 190'400},
         {"tracker.conflicts", 12'430'683},
+        {"tracker.lane_restart_iterations", 69'748},
         {"tracker.loop_instances", 204'722},
         {"tracker.mem_events", 22'370'642},
     };
@@ -698,7 +703,8 @@ TEST(TrackerCounts, SweepCountsArePinned)
                     "tracker.mem_events",    "tracker.conflicts",
                     "tracker.loop_instances", "model.squashes.doall",
                     "model.squashes.pdoall", "report.loops_reported",
-                    "tracker.child_saving_iterations"};
+                    "tracker.child_saving_iterations",
+                    "tracker.lane_restart_iterations"};
                 std::map<std::string, std::uint64_t> spanSums;
                 std::uint64_t tripCount = 0, tripSum = 0;
                 std::vector<std::uint64_t> spanBuckets(tripBuckets.size());

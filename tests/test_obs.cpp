@@ -440,7 +440,7 @@ TEST(Spans, StreamCarriesOneLinePerRecord)
         ScopedPhase b("b");
     }
     instant("c", Json::object());
-    SpanLog::instance().closeStream();
+    EXPECT_TRUE(SpanLog::instance().closeStream());
 
     const std::vector<SpanRecord> records = SpanLog::instance().records();
     std::ifstream in(path);

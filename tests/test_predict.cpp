@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "predict/predictor.hpp"
+#include "support/error.hpp"
 
 namespace lp::predict {
 namespace {
@@ -155,6 +156,27 @@ TEST(Fcm, FusedPathMatchesPredictThenTrain)
     }
     EXPECT_GT(hits, 100);
     EXPECT_GT(misses, 100);
+}
+
+TEST(Fcm, RejectsSizesItCannotRun)
+{
+    // An order-0 history has no last slot, and a shift by 64 or more
+    // bits is undefined: the constructor refuses both.
+    EXPECT_THROW(FcmPredictor(0, 12), InternalError);
+    EXPECT_THROW(FcmPredictor(FcmPredictor::kMaxOrder + 1, 12),
+                 InternalError);
+    EXPECT_THROW(FcmPredictor(3, 0), InternalError);
+    EXPECT_THROW(FcmPredictor(3, 25), InternalError);
+    EXPECT_THROW(FcmPredictor(3, 64), InternalError);
+
+    // The smallest table and the longest history it takes still learn
+    // a constant.
+    for (FcmPredictor p : {FcmPredictor(1, 1),
+                           FcmPredictor(FcmPredictor::kMaxOrder, 4)}) {
+        for (unsigned i = 0; i <= FcmPredictor::kMaxOrder; ++i)
+            p.train(5);
+        EXPECT_TRUE(p.predictAndTrain(5));
+    }
 }
 
 TEST(Hybrid, MatchesStandAloneComponentsAndConfidenceRule)

@@ -4,8 +4,8 @@
  * files: a failing run still writes its profile (the failed task
  * recorded as such), a single run's task is labelled like a sweep
  * cell, two identical single runs write byte-identical reports, a
- * report or profile whose write fails is an exit 1, and `--profile`
- * accepts only its documented modes.
+ * report, profile or span stream whose write fails is an exit 1, and
+ * `--profile` accepts only its documented modes.
  *
  * The binary path comes in via RUN_STUDY_BIN; commands run through
  * std::system with the environment's LP_* knobs cleared and stdout
@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -130,6 +131,22 @@ TEST(RunStudyCli, FailedReportOrProfileWriteExitsOne)
     EXPECT_EQ(runStudy("164.gzip-like reduc1-dep1-fn2 helix "
                        "--profile=chrome:/dev/full"),
               1);
+
+    // A json profile whose span stream fails is written all the same.
+    const std::string prof = scratch("cli_full_stream.json");
+    const std::string stream = prof + ".spans.jsonl";
+    std::remove(prof.c_str());
+    std::remove(stream.c_str());
+    std::error_code ec;
+    std::filesystem::create_symlink("/dev/full", stream, ec);
+    ASSERT_FALSE(ec) << ec.message();
+    EXPECT_EQ(runStudy("164.gzip-like reduc1-dep1-fn2 helix "
+                       "--profile=json:" +
+                       prof),
+              1);
+    EXPECT_GT(readProfile(prof).at("spans").size(), 0u);
+    std::remove(prof.c_str());
+    std::remove(stream.c_str());
 }
 
 TEST(RunStudyCli, ProfileTakesOnlyItsDocumentedModes)

@@ -14,8 +14,8 @@
  * shapes, the loop-edge fixtures (tests/loop_edges), the callee-store,
  * callee-load and narrow-stride fixtures and all 30 suite programs
  * under the full configuration grid (paper grid, DOACROSS, HELIX dep2,
- * PDOALL dep3-fn3 and both serialization-threshold ablation ends), and
- * fuzz seeds 0-63.
+ * PDOALL dep3-fn3 and both serialization-threshold ablation ends),
+ * fuzz seeds 0-63, and seeds 1-4 drawn with trips of 100-200.
  *
  * The evaluator watches every access the tracker's static filter (the
  * RAW-free components of the loop PDG's memory relation) skips, so each
@@ -166,6 +166,22 @@ TEST(SpecEvaluator, FuzzSeedsMatchTheEngine)
     for (std::uint64_t seed = 0; seed < 64; ++seed) {
         auto mod = fuzz::generateProgram(seed);
         expectEngineMatchesSpec(*mod, "seed " + std::to_string(seed), grid);
+    }
+}
+
+TEST(SpecEvaluator, GeneratedLongLoopsMatchTheEngine)
+{
+    // Seeds 0-63 draw trips of 8-55; trips of 100-200 run instances long
+    // enough for thousands of PDOALL restarts the instance owes every
+    // lane at once.
+    const std::vector<LPConfig> grid = test::fullGrid();
+    fuzz::GenOptions opts;
+    opts.minTrip = 100;
+    opts.maxTrip = 200;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        auto mod = fuzz::generateProgram(seed, opts);
+        expectEngineMatchesSpec(*mod, "long-trip seed " + std::to_string(seed),
+                                grid);
     }
 }
 
