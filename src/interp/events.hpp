@@ -12,7 +12,8 @@
  * A Machine built with an Instrumentation compiles the call-backs into
  * its lowered code the way the paper's passes insert them: loop entry,
  * iteration and exit on the CFG edges that cross loop boundaries, and
- * only the block entries, phis, loads and stores the plan selects.
+ * only the function entries and exits, block entries, phis, loads and
+ * stores the plan selects.
  */
 
 #pragma once
@@ -97,13 +98,21 @@ struct LoopForest
  * (loopEnter(ordinal)).  A branch from an inner loop straight to its
  * outer loop's header is loopExit(1) then loopIterate().  The other
  * events fire only where selected, by dense id.
+ *
+ * A call into an unselected function fires neither functionEnter nor
+ * functionExit (main's entry and return always fire).  When such a
+ * callee is a leaf of one block that fires nothing — no phi, call,
+ * alloca, load or store, and its block neither selected nor in a loop —
+ * the lowering runs its body inline in the caller, with the callee's
+ * depth check, charge and budget checks where its block entry was.
  */
 struct Instrumentation
 {
     const LoopForest *loops = nullptr;
-    std::vector<bool> blocks; ///< blockEnter, by block id
-    std::vector<bool> phis;   ///< phiResolved, by phi id
-    std::vector<bool> memOps; ///< load / store, by memory-op id
+    std::vector<bool> functions; ///< functionEnter/Exit, by functions()
+    std::vector<bool> blocks;    ///< blockEnter, by block id
+    std::vector<bool> phis;      ///< phiResolved, by phi id
+    std::vector<bool> memOps;    ///< load / store, by memory-op id
 };
 
 } // namespace lp::interp

@@ -31,16 +31,23 @@ namespace lp::interp {
  * Operations of the lowered form: ir::Opcode's, in the same order so
  * lowering converts with a cast, Panic for malformed IR reached at run
  * time, the loads and stores whose events the Instrumentation does not
- * select, and the superinstructions.  PtrAdd runs as Add; Phi never
- * runs (phis are edge copies).
+ * select, the entry of an inlined leaf call and the superinstructions.
+ * PtrAdd runs as Add; Phi never runs (phis are edge copies).
+ *
+ * InlineCall stands where a call into an inlined leaf was (see
+ * Instrumentation): it does what entering the leaf's block did, and the
+ * leaf's ops follow it in the caller's block, renamed into registers of
+ * the caller, the last of them writing the call's register.
  *
  * A superinstruction replaces the code of the first op of a run of
  * adjacent ops in one block (fuseBlock in machine.cpp): MulPtrAdd is
  * `mul` then the `ptradd` adding its product (what IRBuilder::elem
- * emits), MulPtrAddLoad that and the `load` of the sum, ICmpLtBr an
- * `icmp.lt` and the `br` on it, AddJmp an `add` and a `jmp`.  The later
- * ops keep their own slots and codes: the handler reads their operands
- * there and steps over them.
+ * emits), MulPtrAddLoad that and the `load` of the sum, MulPtrAddStore
+ * that and a `store` to the sum, each AndMulPtrAdd code an `and` whose
+ * result the `mul` of that load's or store's run multiplies (a masked
+ * index), ICmpLtBr an `icmp.lt` and the `br` on it, AddJmp an `add`
+ * and a `jmp`.  The later ops keep their own slots and codes: the
+ * handler reads their operands there and steps over them.
  */
 enum class LoweredCode : std::uint8_t {
     Add, Sub, Mul, SDiv, SRem, And, Or, Xor, Shl, AShr,
@@ -49,8 +56,12 @@ enum class LoweredCode : std::uint8_t {
     FCmpEq, FCmpNe, FCmpLt, FCmpLe, FCmpGt, FCmpGe,
     Select, IToF, FToI, Alloca, Load, Store, PtrAdd, Phi,
     Call, CallExt, Br, Jmp, Ret,
-    Panic, QuietLoad, QuietStore,
-    MulPtrAdd, MulPtrAddLoad, MulPtrAddQuietLoad, ICmpLtBr, AddJmp,
+    Panic, QuietLoad, QuietStore, InlineCall,
+    MulPtrAdd, MulPtrAddLoad, MulPtrAddQuietLoad, MulPtrAddStore,
+    MulPtrAddQuietStore,
+    AndMulPtrAddLoad, AndMulPtrAddQuietLoad, AndMulPtrAddStore,
+    AndMulPtrAddQuietStore,
+    ICmpLtBr, AddJmp,
 };
 
 /**
@@ -64,13 +75,14 @@ constexpr std::size_t kLoweredCodes =
  * One lowered instruction.  a and b are the source registers the
  * dispatch reads before jumping to the op's handler (register 0 when
  * unused: every frame has one), dst the result register.  c is
- * Select's third source; Load, Store, Call, CallExt and Ret keep their
- * in-block position there instead, which is what preciseCost() counts
- * (a load inside a fused run too).  aux is Jmp's edge, Br's taken edge
- * (c its fall-through edge), a call's call site, a load's or store's
- * memory-op id or a Panic's message.  Store reads its value from a and
- * its address from b; Ret returns a (a zero register for a void
- * return).
+ * Select's third source; Load, Store, Call, CallExt, InlineCall and Ret
+ * keep their in-block position there instead, which is what
+ * preciseCost() counts (a load or store inside a fused run too).  aux
+ * is Jmp's edge, Br's taken edge (c its fall-through edge), a call's
+ * call site, InlineCall's callee (a function index), a load's or
+ * store's memory-op id or a Panic's message.  Store reads its value
+ * from a and its address from b; Ret returns a (a zero register for a
+ * void return).
  */
 struct LoweredOp
 {
@@ -85,8 +97,9 @@ struct LoweredOp
 
 /**
  * One function lowered to flat register code.  The register file of a
- * call is its locals (by localId; the arguments first), one scratch
- * register for breaking phi-copy cycles, then the constants.
+ * call is its locals (by localId; the arguments first), the registers
+ * its inlined leaves' ops write (shared by every inlined call), one
+ * scratch register for breaking phi-copy cycles, then the constants.
  */
 struct LoweredFunction
 {
@@ -139,6 +152,8 @@ struct LoweredFunction
     std::vector<Call> calls;
     std::vector<std::uint32_t> callArgs;
     std::vector<std::string> panics;
+    /** Calls into it fire functionEnter and its returns functionExit. */
+    bool announce = true;
 };
 
 /** Simulated call depth (main() included) past which a call fails. */
@@ -242,9 +257,12 @@ Machine::execute(const LoweredFunction &main, Sink &sink)
         &&Select, &&IToF, &&FToI, &&Alloca, &&Load, &&Store, &&PtrAdd,
         &&Phi,
         &&Call, &&CallExt, &&Br, &&Jmp, &&Ret,
-        &&Panic, &&QuietLoad, &&QuietStore,
-        &&MulPtrAdd, &&MulPtrAddLoad, &&MulPtrAddQuietLoad, &&ICmpLtBr,
-        &&AddJmp,
+        &&Panic, &&QuietLoad, &&QuietStore, &&InlineCall,
+        &&MulPtrAdd, &&MulPtrAddLoad, &&MulPtrAddQuietLoad,
+        &&MulPtrAddStore, &&MulPtrAddQuietStore,
+        &&AndMulPtrAddLoad, &&AndMulPtrAddQuietLoad, &&AndMulPtrAddStore,
+        &&AndMulPtrAddQuietStore,
+        &&ICmpLtBr, &&AddJmp,
     };
     static_assert(std::size(kHandlers) == kLoweredCodes);
 
@@ -345,7 +363,8 @@ Call: {
     if (frames_.size() >= kMaxCallDepth) [[unlikely]]
         throwStackOverflow(callee.fn);
     frames_.push_back({f, pc, base, sp_, curBlockSize_, ipInBlock_});
-    sink.functionEnter(callee.fn);
+    if (callee.announce)
+        sink.functionEnter(callee.fn);
     // pushRegisters may move regs_ (Ret stores the result through the
     // fresh pointer).
     const std::size_t calleeBase = base + f->frameSize;
@@ -370,6 +389,22 @@ CallExt: {
     regs[op->dst] = extImpls_[call.target](*this, extArgs_);
     LP_DISPATCH();
 }
+InlineCall: {
+    // What entering the leaf's block did.  No frame is pushed:
+    // curBlockSize_ stays the caller's and ipInBlock_ the call's
+    // position, what the leaf's return restored.
+    ipInBlock_ = op->c;
+    sink.callSite(op->instr);
+    const LoweredFunction &leaf = fns_[op->aux];
+    if (frames_.size() >= kMaxCallDepth) [[unlikely]]
+        throwStackOverflow(leaf.fn);
+    cost_ += leaf.edges[0].size;
+    if (cost_ > costLimit_) [[unlikely]]
+        throwFuelExhausted(leaf.fn);
+    if (cost_ >= nextPollCost_) [[unlikely]]
+        pollBudgets(leaf.fn);
+    LP_DISPATCH();
+}
 
 Br:
     e = &f->edges[x ? op->aux : op->c];
@@ -379,7 +414,8 @@ Jmp:
     goto enter;
 Ret: {
     ipInBlock_ = op->c;
-    sink.functionExit(f->fn);
+    if (f->announce)
+        sink.functionExit(f->fn);
     const Frame fr = frames_.back();
     frames_.pop_back();
     sp_ = fr.sp;
@@ -400,8 +436,22 @@ Panic:
 
     // The superinstructions: each writes every component's result,
     // reading a later component's operands from its own slot after the
-    // earlier results are written, and fires a load's event at that
-    // op's in-block position.
+    // earlier results are written, and fires a load's or store's event
+    // at that op's in-block position.  An and -> mul run masks the
+    // mul's first operand, then runs the mul's superinstruction.
+#define LP_MASK_THEN(run)                                                 \
+    do {                                                                  \
+        x &= y;                                                           \
+        regs[op->dst] = x;                                                \
+        op = pc++;                                                        \
+        y = regs[op->b];                                                  \
+        goto run;                                                         \
+    } while (0)
+AndMulPtrAddLoad: LP_MASK_THEN(MulPtrAddLoad);
+AndMulPtrAddQuietLoad: LP_MASK_THEN(MulPtrAddQuietLoad);
+AndMulPtrAddStore: LP_MASK_THEN(MulPtrAddStore);
+AndMulPtrAddQuietStore: LP_MASK_THEN(MulPtrAddQuietStore);
+#undef LP_MASK_THEN
 MulPtrAdd: {
     const std::uint64_t product = x * y;
     regs[op->dst] = product;
@@ -429,6 +479,28 @@ MulPtrAddQuietLoad: {
     const std::uint64_t addr = regs[add.a] + product;
     regs[add.dst] = addr;
     regs[load.dst] = mem_.load64(addr);
+    LP_DISPATCH();
+}
+MulPtrAddStore: {
+    const std::uint64_t product = x * y;
+    regs[op->dst] = product;
+    const LoweredOp &add = pc[0], &store = pc[1];
+    pc += 2;
+    const std::uint64_t addr = regs[add.a] + product;
+    regs[add.dst] = addr;
+    ipInBlock_ = store.c;
+    sink.store(store.aux, addr);
+    mem_.store64(addr, regs[store.a]);
+    LP_DISPATCH();
+}
+MulPtrAddQuietStore: {
+    const std::uint64_t product = x * y;
+    regs[op->dst] = product;
+    const LoweredOp &add = pc[0], &store = pc[1];
+    pc += 2;
+    const std::uint64_t addr = regs[add.a] + product;
+    regs[add.dst] = addr;
+    mem_.store64(addr, regs[store.a]);
     LP_DISPATCH();
 }
 ICmpLtBr: {

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <span>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "guard/fault.hpp"
 #include "obs/metrics.hpp"
@@ -85,13 +86,58 @@ incomingFrom(const Instruction &phi, const ir::BasicBlock *from)
 }
 
 /**
+ * The superinstruction of a `mul` -> `ptradd` run at @p i among @p ops,
+ * taking in the `load` or `store` of its sum that follows it, or Panic
+ * when no run starts there.  @p later receives the run's ops after the
+ * first.
+ */
+LoweredCode
+mulRun(std::span<const LoweredOp> ops, std::size_t i, std::size_t &later)
+{
+    using enum LoweredCode;
+    if (i + 1 >= ops.size() || ops[i].code != Mul ||
+        ops[i + 1].code != PtrAdd || ops[i + 1].b != ops[i].dst)
+        return Panic;
+    later = 2;
+    const std::uint32_t sum = ops[i + 1].dst;
+    const LoweredOp *access = i + 2 < ops.size() ? &ops[i + 2] : nullptr;
+    if (access && access->a == sum && access->code == Load)
+        return MulPtrAddLoad;
+    if (access && access->a == sum && access->code == QuietLoad)
+        return MulPtrAddQuietLoad;
+    if (access && access->b == sum && access->code == Store)
+        return MulPtrAddStore;
+    if (access && access->b == sum && access->code == QuietStore)
+        return MulPtrAddQuietStore;
+    later = 1;
+    return MulPtrAdd;
+}
+
+/**
+ * The `and` -> @p run form of a mul run that takes in its load or
+ * store (the codes are laid out alike).
+ */
+constexpr LoweredCode
+masked(LoweredCode run)
+{
+    using enum LoweredCode;
+    return static_cast<LoweredCode>(static_cast<int>(run) -
+                                    static_cast<int>(MulPtrAddLoad) +
+                                    static_cast<int>(AndMulPtrAddLoad));
+}
+static_assert(masked(LoweredCode::MulPtrAddQuietStore) ==
+              LoweredCode::AndMulPtrAddQuietStore);
+
+/**
  * Rewrite the first op of each fusable run among one block's @p ops to
  * its superinstruction (see LoweredCode).  A run is adjacent ops whose
  * later component reads the earlier one's result where the handler
- * passes it on: the ptradd's offset is the mul's product, the load's
- * address is the ptradd's sum, the br's condition is the icmp's result.
- * No run holds a call, so no call returns into the middle of one, and
- * a block is entered only at its first op after the phis.
+ * passes it on: the mul's first operand is the and's result (in a run
+ * that ends in a load or store), the ptradd's offset is the mul's
+ * product, the load's or store's address is the ptradd's sum, the br's
+ * condition is the icmp's result.  No
+ * run holds a call, so no call returns into the middle of one, and a
+ * block is entered only at its first op after the phis.
  */
 void
 fuseBlock(std::span<LoweredOp> ops)
@@ -101,16 +147,13 @@ fuseBlock(std::span<LoweredOp> ops)
         LoweredOp &op = ops[i];
         const LoweredOp &next = ops[i + 1];
         std::size_t later = 1; // ops of the run after the first
-        if (op.code == Mul && next.code == PtrAdd && next.b == op.dst) {
-            const LoweredCode load =
-                i + 2 < ops.size() && ops[i + 2].a == next.dst ? ops[i + 2].code
-                                                               : Panic;
-            if (load == Load || load == QuietLoad) {
-                op.code = load == Load ? MulPtrAddLoad : MulPtrAddQuietLoad;
-                later = 2;
-            } else {
-                op.code = MulPtrAdd;
-            }
+        LoweredCode run = Panic;
+        if (op.code == And && next.code == Mul && next.a == op.dst &&
+            (run = mulRun(ops, i + 1, later)) != Panic && run != MulPtrAdd) {
+            op.code = masked(run);
+            ++later;
+        } else if ((run = mulRun(ops, i, later)) != Panic) {
+            op.code = run;
         } else if (op.code == ICmpLt && next.code == Br && next.a == op.dst) {
             op.code = ICmpLtBr;
         } else if (op.code == Add && next.code == Jmp) {
@@ -159,22 +202,84 @@ classifyEdge(const LoopForest &loops, std::int64_t from, std::uint32_t to,
 }
 
 /**
+ * Can calls into @p fn (function @p fi, unselected in @p events) run
+ * inline?  It must be a leaf of one block that fires nothing: no phi,
+ * call, alloca, load or store, its block neither selected nor in a
+ * loop, and a `ret` its only terminator.  Every operand must be a
+ * constant, a global, an argument or an earlier instruction of the
+ * block, so its ops read in the caller's registers what they read in
+ * a frame of their own.
+ */
+bool
+inlineableLeaf(const ir::Function &fn, std::uint32_t fi, const EventIds &ids,
+               const Instrumentation &events)
+{
+    const std::uint32_t block = ids.blockBase[fi];
+    if (fn.blocks().size() != 1 || events.blocks[block] ||
+        events.loops->blockLoop[block] >= 0)
+        return false;
+    const auto &body = fn.entry()->instructions();
+    if (body.empty() || body.back()->opcode() != Opcode::Ret)
+        return false;
+    std::unordered_set<const ir::Value *> defined;
+    for (const auto &instr : body) {
+        switch (instr->opcode()) {
+          case Opcode::Phi: case Opcode::Call: case Opcode::CallExt:
+          case Opcode::Alloca: case Opcode::Load: case Opcode::Store:
+          case Opcode::Br: case Opcode::Jmp:
+            return false;
+          case Opcode::Ret:
+            if (instr != body.back())
+                return false;
+            break;
+          default:
+            break;
+        }
+        for (unsigned i = 0; i < instr->numOperands(); ++i) {
+            const ir::Value *v = instr->operand(i);
+            if (v->kind() == ValueKind::Argument
+                    ? static_cast<const ir::Argument *>(v)->parent() != &fn
+                    : v->kind() == ValueKind::Instruction && !defined.count(v))
+                return false;
+        }
+        defined.insert(instr.get());
+    }
+    return true;
+}
+
+/**
  * Lower @p fn (finalized, with a body; function @p fi of the module)
  * once.  Blocks are lowered in order; branch edges are numbered as they
  * appear and built afterwards, when every block's first op is known.
  * Without @p events every block entry, phi, load and store fires and
- * no loop event does.
+ * no loop event does.  A call into a function @p leaves marks, with as
+ * many operands as it has arguments, runs inline.
  */
 LoweredFunction
 lowerFunction(const ir::Function &fn, std::uint32_t fi,
               const FunctionIndex &fnIndex, const EventIds &ids,
-              const Instrumentation *events)
+              const Instrumentation *events, const std::vector<bool> &leaves)
 {
     fatalIf(fn.blocks().empty(), "@" + fn.name() + " has no body");
     LoweredFunction lf;
     lf.fn = &fn;
     lf.numArgs = static_cast<std::uint32_t>(fn.args().size());
-    lf.numLocals = fn.numLocals();
+    auto inlined = [&](const Instruction &call) {
+        return call.opcode() == Opcode::Call &&
+               leaves[fnIndex.at(call.callee())] &&
+               call.numOperands() == call.callee()->args().size();
+    };
+    // Every inlined call's leaf writes the same registers, after the
+    // function's own locals: all but its ret write one each.
+    std::uint32_t leafRegs = 0;
+    for (const auto &bb : fn.blocks())
+        for (const auto &instr : bb->instructions())
+            if (inlined(*instr))
+                leafRegs = std::max(
+                    leafRegs,
+                    static_cast<std::uint32_t>(
+                        instr->callee()->entry()->instructions().size() - 1));
+    lf.numLocals = fn.numLocals() + leafRegs;
     const std::uint32_t scratch = lf.numLocals;
 
     std::unordered_map<std::uint64_t, std::uint32_t> constRegs;
@@ -186,6 +291,9 @@ lowerFunction(const ir::Function &fn, std::uint32_t fi,
             lf.consts.push_back(bits);
         return it->second;
     };
+    // While an inlined leaf's ops are lowered: its values' registers in
+    // this function, by the leaf's local ids (empty otherwise).
+    std::vector<std::uint32_t> leafReg;
     auto reg = [&](const ir::Value *v) -> std::uint32_t {
         switch (v->kind()) {
           case ValueKind::ConstInt:
@@ -201,9 +309,66 @@ lowerFunction(const ir::Function &fn, std::uint32_t fi,
                 static_cast<const ir::Global *>(v)->offsetBytes());
           case ValueKind::Argument:
           case ValueKind::Instruction:
-            return v->localId();
+            return leafReg.empty() ? v->localId() : leafReg[v->localId()];
         }
         panic("unreachable value kind");
+    };
+    // A plain op: its sources in a, b and c, its result in dst.
+    auto plainOp = [&](const Instruction &instr, std::uint32_t dst) {
+        LoweredOp op;
+        op.code = static_cast<LoweredCode>(instr.opcode());
+        op.dst = dst;
+        op.instr = &instr;
+        const unsigned n = instr.numOperands();
+        if (n > 0)
+            op.a = reg(instr.operand(0));
+        if (n > 1)
+            op.b = reg(instr.operand(1));
+        if (n > 2)
+            op.c = reg(instr.operand(2));
+        return op;
+    };
+    // A call into a leaf: InlineCall, then the leaf's ops.  The
+    // returned instruction writes the call's register unless the call
+    // reads an argument from it; a returned argument or constant (or
+    // that instruction) is moved there, as an add of zero.
+    auto inlineLeaf = [&](const Instruction &call, std::uint32_t ip) {
+        const ir::Function &leaf = *call.callee();
+        const auto &body = leaf.entry()->instructions();
+        LoweredOp entry;
+        entry.code = LoweredCode::InlineCall;
+        entry.c = ip;
+        entry.aux = fnIndex.at(&leaf);
+        entry.instr = &call;
+        lf.ops.push_back(entry);
+
+        std::vector<std::uint32_t> regs(leaf.numLocals());
+        for (unsigned i = 0; i < call.numOperands(); ++i)
+            regs[i] = reg(call.operand(i));
+        const Instruction &ret = *body.back();
+        const ir::Value *value = ret.numOperands() ? ret.operand(0) : nullptr;
+        const std::uint32_t dst = call.localId();
+        const bool direct =
+            value && value->kind() == ValueKind::Instruction &&
+            std::find(regs.begin(), regs.begin() + call.numOperands(), dst) ==
+                regs.begin() + call.numOperands();
+        std::uint32_t extra = fn.numLocals();
+        for (std::size_t k = 0; k + 1 < body.size(); ++k)
+            regs[body[k]->localId()] =
+                direct && body[k].get() == value ? dst : extra++;
+        leafReg = std::move(regs);
+        for (std::size_t k = 0; k + 1 < body.size(); ++k)
+            lf.ops.push_back(plainOp(*body[k], leafReg[body[k]->localId()]));
+        if (value && !direct) {
+            LoweredOp move;
+            move.code = LoweredCode::Add;
+            move.dst = dst;
+            move.a = reg(value);
+            move.b = constant(0);
+            move.instr = &ret;
+            lf.ops.push_back(move);
+        }
+        leafReg.clear();
     };
     auto panicOp = [&](std::string msg) {
         LoweredOp op;
@@ -244,6 +409,10 @@ lowerFunction(const ir::Function &fn, std::uint32_t fi,
 
         for (; ip < instrs.size(); ++ip) {
             const Instruction &instr = *instrs[ip];
+            if (inlined(instr)) {
+                inlineLeaf(instr, static_cast<std::uint32_t>(ip));
+                continue;
+            }
             const unsigned n = instr.numOperands();
             auto r = [&](unsigned i) { return reg(instr.operand(i)); };
             LoweredOp op;
@@ -296,12 +465,7 @@ lowerFunction(const ir::Function &fn, std::uint32_t fi,
                 ++memId;
                 break;
               default:
-                if (n > 0)
-                    op.a = r(0);
-                if (n > 1)
-                    op.b = r(1);
-                if (n > 2)
-                    op.c = r(2);
+                op = plainOp(instr, op.dst);
                 break;
             }
             lf.ops.push_back(op);
@@ -430,6 +594,7 @@ Machine::Machine(const ir::Module &mod, const Instrumentation &events)
 {
     panicIf(!events.loops ||
                 events.loops->blockLoop.size() != ids_.blocks.size() ||
+                events.functions.size() != mod.functions().size() ||
                 events.blocks.size() != ids_.blocks.size() ||
                 events.phis.size() != ids_.phis.size() ||
                 events.memOps.size() != ids_.memOps.size(),
@@ -446,11 +611,22 @@ Machine::lower(const Instrumentation *events)
                 "module not finalized before interpretation");
         index.emplace(fn.get(), static_cast<std::uint32_t>(index.size()));
     }
-    fns_.reserve(mod_.functions().size());
-    for (const auto &fn : mod_.functions())
-        fns_.push_back(lowerFunction(
-            *fn, static_cast<std::uint32_t>(fns_.size()), index, ids_,
-            events));
+    // With an Instrumentation only main's and the selected functions'
+    // calls announce themselves, and calls into the inlineable leaves
+    // among the rest run inline.
+    const ir::Function *main = mod_.mainFunction();
+    std::vector<bool> announce(index.size(), true), leaves(index.size());
+    for (std::uint32_t fi = 0; events && fi < index.size(); ++fi) {
+        const ir::Function &fn = *mod_.functions()[fi];
+        announce[fi] = events->functions[fi] || &fn == main;
+        leaves[fi] = !announce[fi] && inlineableLeaf(fn, fi, ids_, *events);
+    }
+    fns_.reserve(index.size());
+    for (const auto &fn : mod_.functions()) {
+        const auto fi = static_cast<std::uint32_t>(fns_.size());
+        fns_.push_back(lowerFunction(*fn, fi, index, ids_, events, leaves));
+        fns_.back().announce = announce[fi];
+    }
     // Copy the external impls so stateful ones (rand's LCG) restart per
     // run and never share mutable state across concurrent Machines.
     extImpls_.reserve(mod_.externals().size());

@@ -16,8 +16,9 @@
  * address, compare-branch and latch shapes are fused into
  * superinstructions, each op keeping its slot.  Built with an
  * Instrumentation, the lowering classifies every edge against the loop
- * forest and compiles in only the selected events; the sinks receive
- * dense ids (interp::EventIds), which ids() maps back to the IR.
+ * forest, compiles in only the selected events and runs calls into the
+ * unselected one-block leaves inline; the sinks receive dense ids
+ * (interp::EventIds), which ids() maps back to the IR.
  *
  * To make that guarantee hold run-to-run (and to let lp::exec run many
  * Machines over one module concurrently), each Machine copies the
@@ -94,8 +95,13 @@ class Machine
      * block fires its edge's loop events (exits first), then
      * blockEnter, then the block's phis in order, before any other
      * event.  Without an Instrumentation no loop event fires and every
-     * block entry, phi, load and store does; loops left open by a
-     * return are the sink's to close at functionExit.
+     * function entry and exit, block entry, phi, load and store does;
+     * loops left open by a return are the sink's to close at
+     * functionExit.  With one, functionEnter and functionExit fire for
+     * main and the selected functions only, and a call into an
+     * unselected one-block leaf runs inline: callSite fires, then
+     * nothing until the caller's next event, whose clocks read as
+     * after the leaf's return.
      */
     template <typename Sink> std::uint64_t run(Sink &sink);
 

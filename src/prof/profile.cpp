@@ -125,7 +125,7 @@ configure(const std::string &spec)
         g_mode = Mode::Off;
         g_path.clear();
         setEnabled(false);
-        return modeName.empty() || modeName == "off";
+        return spec == "off";
     }
 
     g_path = !path.empty() ? path

@@ -44,8 +44,8 @@ enum class Mode { Off, Json, Chrome };
  * Parse a `--profile` value — "json" or "chrome", optionally ":PATH"
  * ("json:prof.json") — set the mode and path, drop all evidence and
  * start recording (json mode streams the span log to PATH.spans.jsonl).
- * "off" (or empty) stops.  Returns false (and stops) on an unknown
- * mode.
+ * Exactly "off" stops.  Returns false (and stops) on any other value:
+ * an unknown or empty mode, or "off" with a path.
  */
 bool configure(const std::string &spec);
 

@@ -50,7 +50,15 @@
  * untouched frame's rows are still zero at its exit, so handing them to
  * the caller would change nothing; a touched frame hands them up and
  * re-zeroes them, so every dead frame's rows are zero and a call fills
- * nothing at entry.
+ * nothing at entry.  Only the functions that hold a loop get a frame
+ * (chooseEvents; main always does).  A loop-free function opens no
+ * instance and has no def watches, so no region lands on its frame and
+ * a return from it closes nothing; its loads and stores read only the
+ * instance stack.  A region that closes in one of its callees lands on
+ * the nearest opened frame or instance instead: the context the skipped
+ * frame would have handed it to at its exit, and that context's loop
+ * cannot iterate in between.  The sums commute, and childSavings is set
+ * in the same iteration.
  *
  * Per-instance soundness argument (why one scalar serves every lane):
  *  - in an iteration no child region handed savings to (the instance's
@@ -220,6 +228,7 @@ struct BatchCounts
     std::uint64_t memEvents = 0;      ///< tracker.mem_events
     std::uint64_t conflicts = 0;      ///< tracker.conflicts
     std::uint64_t loopInstances = 0;  ///< tracker.loop_instances
+    std::uint64_t frames = 0;         ///< tracker.frames
     std::uint64_t doallSquashes = 0;  ///< model.squashes.doall
     std::uint64_t pdoallSquashes = 0; ///< model.squashes.pdoall
     std::uint64_t loopsReported = 0;  ///< report.loops_reported
@@ -243,6 +252,7 @@ struct BatchCounts
             {"tracker.mem_events", memEvents},
             {"tracker.conflicts", conflicts},
             {"tracker.loop_instances", loopInstances},
+            {"tracker.frames", frames},
             {"model.squashes.doall", doallSquashes},
             {"model.squashes.pdoall", pdoallSquashes},
             {"report.loops_reported", loopsReported},
@@ -430,6 +440,7 @@ class BatchReplayer
             frameSavings_.resize(frameDepth_ * L_);
             frameCovered_.resize(frameDepth_ * L_);
         }
+        counts_.frames += L_;
     }
 
     [[gnu::noinline]] void
@@ -703,17 +714,27 @@ class BatchReplayer
     }
 
     /**
-     * Fill events_: the def-watch blocks some watch gate passes, the
-     * header phis some lane tracks or the oracle watches, and the loads
-     * and stores some open instance could track.  An access is tracked
-     * by the instances of its own function's loops that hold it, unless
-     * the loop filters it, and by every instance in a caller's frame.
+     * Fill events_: the functions that hold a loop (see the per-frame
+     * soundness argument), the def-watch blocks some watch gate passes,
+     * the header phis some lane tracks or the oracle watches, and the
+     * loads and stores some open instance could track.  An access is
+     * tracked by the instances of its own function's loops that hold
+     * it, unless the loop filters it, and by every instance in a
+     * caller's frame.
      */
     void
     chooseEvents()
     {
         const interp::LoopForest &forest = tables_.forest;
         events_.loops = &forest;
+        // A loop's header is a block of the function holding it: the
+        // last function whose first block id is not above the header's.
+        const std::vector<std::uint32_t> &base = tables_.ids.blockBase;
+        events_.functions.assign(base.size(), false);
+        for (const std::uint32_t header : forest.header)
+            events_.functions[static_cast<std::size_t>(
+                std::upper_bound(base.begin(), base.end(), header) -
+                base.begin() - 1)] = true;
         events_.blocks.assign(tables_.watches.size(), false);
         for (std::size_t b = 0; b < tables_.watches.size(); ++b)
             if (const auto *ws = tables_.watches[b])

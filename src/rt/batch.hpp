@@ -82,12 +82,13 @@ struct ProgramTables
 
 /**
  * The events a batch of @p cfgs can use, as runLimitStudyBatched
- * compiles them into each chunk's Machine: every def-watch block some
- * lane's watch gate passes, every header phi some lane tracks under
- * dep2 (or the oracle watches, @p withOracle), and every load and store
- * an open instance could track: inside an eligible loop of its
- * function that does not filter it, or in a function a call from an
- * eligible loop's body reaches.  Loop events always fire.
+ * compiles them into each chunk's Machine: the entries and exits of
+ * the functions that hold a loop, every def-watch block some lane's
+ * watch gate passes, every header phi some lane tracks under dep2 (or
+ * the oracle watches, @p withOracle), and every load and store an open
+ * instance could track: inside an eligible loop of its function that
+ * does not filter it, or in a function a call from an eligible loop's
+ * body reaches.  Loop events always fire.
  */
 interp::Instrumentation selectEvents(const ModulePlan &plan,
                                      const ProgramTables &tables,
@@ -107,8 +108,9 @@ interp::Instrumentation selectEvents(const ModulePlan &plan,
  * runs, in plain integers, and a completed call hands the counts over
  * once: to the span's args and, when metrics are on, to obs::Registry,
  * under the metric names tracker.mem_events, tracker.conflicts,
- * tracker.loop_instances, tracker.trip_count (a histogram),
- * tracker.child_saving_iterations, model.squashes.doall,
+ * tracker.loop_instances, tracker.frames, tracker.trip_count (a
+ * histogram), tracker.child_saving_iterations,
+ * tracker.lane_restart_iterations, model.squashes.doall,
  * model.squashes.pdoall and report.loops_reported.
  *
  * @param tables the module's ProgramTables

@@ -9,9 +9,11 @@
  *    derives from the unfiltered listener stream (Loop::contains on
  *    every block entry, the plan's header table): over the fixture
  *    shapes, the 30 suite programs, fuzz seeds 0-63 and the loop-edge
- *    fixtures (tests/loop_edges).  Each load's and store's clock is
- *    checked against its IR position, so fused lowered ops must keep
- *    preciseCost() exact.
+ *    fixtures (tests/loop_edges), with every event selected and with
+ *    the lane engine's own selection (whose calls into loop-free
+ *    leaves run inline).  Each load's and store's clock is checked
+ *    against its IR position, so fused lowered ops and inlined calls
+ *    must keep preciseCost() exact.
  *  - The per-batch selection (rt::selectEvents) drops what no lane can
  *    use and keeps what one can.
  *  - The counts of the all-suite default and --lint sweeps are pinned,
@@ -138,14 +140,20 @@ struct CompiledLog
  * listener stream by the rule the lane engine applied to every block
  * entry before the lowering classified edges: close each open loop of
  * this frame that does not contain the block, then at a header iterate
- * its loop if it is open on top, else enter it.
+ * its loop if it is open on top, else enter it.  Of the other events it
+ * keeps those @p sel selects (main's returns always).
  */
 class BlockRule final : public interp::ExecListener
 {
   public:
-    BlockRule(const rt::ModulePlan &plan, const rt::ProgramTables &tables)
-        : plan_(plan), tables_(tables)
+    BlockRule(const rt::ModulePlan &plan, const rt::ProgramTables &tables,
+              const interp::Instrumentation &sel)
+        : plan_(plan), sel_(sel)
     {
+        for (const auto &fn : plan.module().functions())
+            announced_.emplace(fn.get(),
+                               sel.functions[announced_.size()] ||
+                                   fn.get() == plan.module().mainFunction());
         for (std::uint32_t b = 0; b < tables.ids.blocks.size(); ++b)
             blockId_.emplace(tables.ids.blocks[b], b);
         for (std::uint32_t p = 0; p < tables.ids.phis.size(); ++p)
@@ -169,9 +177,11 @@ class BlockRule final : public interp::ExecListener
         frames_.push_back(open_.size());
     }
     void
-    onFunctionExit(const ir::Function *) override
+    onFunctionExit(const ir::Function *fn) override
     {
-        events.push_back({'r', open_.size() - frames_.back(), m->cost(), 0});
+        if (announced_.at(fn))
+            events.push_back(
+                {'r', open_.size() - frames_.back(), m->cost(), 0});
         open_.resize(frames_.back());
         frames_.pop_back();
     }
@@ -199,23 +209,26 @@ class BlockRule final : public interp::ExecListener
             }
         }
         const std::uint32_t b = blockId_.at(bb);
-        if (watched(tables_, b))
+        if (sel_.blocks[b])
             events.push_back({'w', b, now, 0});
     }
     void
     onPhiResolved(const ir::Instruction *phi, std::uint64_t bits) override
     {
-        events.push_back({'p', instrId_.at(phi), bits, 0});
+        if (sel_.phis[instrId_.at(phi)])
+            events.push_back({'p', instrId_.at(phi), bits, 0});
     }
     void
     onLoad(const ir::Instruction *i, std::uint64_t addr) override
     {
-        events.push_back({'l', instrId_.at(i), clockAt(i), addr});
+        if (sel_.memOps[instrId_.at(i)])
+            events.push_back({'l', instrId_.at(i), clockAt(i), addr});
     }
     void
     onStore(const ir::Instruction *i, std::uint64_t addr) override
     {
-        events.push_back({'s', instrId_.at(i), clockAt(i), addr});
+        if (sel_.memOps[instrId_.at(i)])
+            events.push_back({'s', instrId_.at(i), clockAt(i), addr});
     }
 
   private:
@@ -232,7 +245,9 @@ class BlockRule final : public interp::ExecListener
     }
 
     const rt::ModulePlan &plan_;
-    const rt::ProgramTables &tables_;
+    const interp::Instrumentation &sel_;
+    /** Does a return from the function fire? */
+    std::unordered_map<const ir::Function *, bool> announced_;
     std::unordered_map<const ir::BasicBlock *, std::uint32_t> blockId_;
     std::unordered_map<const ir::Instruction *, std::uint32_t> instrId_;
     /** Each load's and store's index in its block. */
@@ -242,28 +257,21 @@ class BlockRule final : public interp::ExecListener
 };
 
 /**
- * Run @p mod compiled with the loop forest, every def-watch block and
- * every phi, load and store selected, and through a listener under
- * the block rule; the two streams must be equal.
+ * Run @p mod compiled with the loop forest and @p sel, and through a
+ * listener under the block rule; the two streams must be equal.
  */
 void
-expectClassificationMatches(const ir::Module &mod, const std::string &what)
+expectClassificationMatches(const ir::Module &mod, const core::Loopapalooza &lp,
+                            const rt::ProgramTables &tables,
+                            const interp::Instrumentation &sel,
+                            const std::string &what)
 {
-    core::Loopapalooza lp(mod);
-    const rt::ProgramTables tables(lp.plan());
-    interp::Instrumentation all;
-    all.loops = &tables.forest;
-    for (std::size_t b = 0; b < tables.ids.blocks.size(); ++b)
-        all.blocks.push_back(watched(tables, b));
-    all.phis.assign(tables.ids.phis.size(), true);
-    all.memOps.assign(tables.ids.memOps.size(), true);
-
-    interp::Machine compiled(mod, all);
+    interp::Machine compiled(mod, sel);
     CompiledLog log;
     log.m = &compiled;
     const std::uint64_t result = compiled.run(log);
 
-    BlockRule rule(lp.plan(), tables);
+    BlockRule rule(lp.plan(), tables, sel);
     interp::Machine reference(mod, &rule);
     rule.m = &reference;
     EXPECT_EQ(reference.run(), result) << what;
@@ -282,6 +290,31 @@ expectClassificationMatches(const ir::Module &mod, const std::string &what)
                             [](const Event &e) { return e.kind == 'e'; }),
               0)
         << what << " enters no loop";
+}
+
+/**
+ * expectClassificationMatches under two selections: every function,
+ * def-watch block, phi, load and store, and the lane engine's own for
+ * the full configuration grid (fewer functions and accesses, so calls
+ * into loop-free leaves run inline).
+ */
+void
+expectClassificationMatches(const ir::Module &mod, const std::string &what)
+{
+    core::Loopapalooza lp(mod);
+    const rt::ProgramTables tables(lp.plan());
+    interp::Instrumentation all;
+    all.loops = &tables.forest;
+    all.functions.assign(mod.functions().size(), true);
+    for (std::size_t b = 0; b < tables.ids.blocks.size(); ++b)
+        all.blocks.push_back(watched(tables, b));
+    all.phis.assign(tables.ids.phis.size(), true);
+    all.memOps.assign(tables.ids.memOps.size(), true);
+    expectClassificationMatches(mod, lp, tables, all, what);
+    expectClassificationMatches(
+        mod, lp, tables,
+        rt::selectEvents(lp.plan(), tables, test::fullGrid(), false),
+        what + " (lane selection)");
 }
 
 std::unique_ptr<ir::Module>
@@ -338,6 +371,7 @@ TEST(EdgeClassification, InnerLoopToOuterHeaderExitsThenIterates)
     const rt::ProgramTables tables(lp.plan());
     interp::Instrumentation none;
     none.loops = &tables.forest;
+    none.functions.assign(mod->functions().size(), true);
     none.blocks.assign(tables.ids.blocks.size(), false);
     none.phis.assign(tables.ids.phis.size(), false);
     none.memOps.assign(tables.ids.memOps.size(), false);
@@ -635,6 +669,10 @@ u64s(const obs::Json &array)
  * of the 469,194 that restart a phase in some lane.  The other 464,212
  * restart one or both of the instance's two restart groups, an update
  * of the instance alone (73,764 restart every eligible PDOALL lane).
+ * tracker.frames counts, times the lanes, the frames the lane engine
+ * opened: the 30 mains and the 1,324 calls into functions that hold a
+ * loop, of the sweep's 100,897 function entries (1,412,558 when every
+ * call opened one).
  */
 TEST(TrackerCounts, SweepCountsArePinned)
 {
@@ -647,6 +685,7 @@ TEST(TrackerCounts, SweepCountsArePinned)
         {"report.loops_reported", 2'884},
         {"tracker.child_saving_iterations", 190'400},
         {"tracker.conflicts", 12'430'683},
+        {"tracker.frames", 18'956},
         {"tracker.lane_restart_iterations", 69'748},
         {"tracker.loop_instances", 204'722},
         {"tracker.mem_events", 22'370'642},
@@ -704,7 +743,7 @@ TEST(TrackerCounts, SweepCountsArePinned)
                     "tracker.loop_instances", "model.squashes.doall",
                     "model.squashes.pdoall", "report.loops_reported",
                     "tracker.child_saving_iterations",
-                    "tracker.lane_restart_iterations"};
+                    "tracker.lane_restart_iterations", "tracker.frames"};
                 std::map<std::string, std::uint64_t> spanSums;
                 std::uint64_t tripCount = 0, tripSum = 0;
                 std::vector<std::uint64_t> spanBuckets(tripBuckets.size());

@@ -8,9 +8,11 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <set>
 #include <string>
 
 #include "helpers.hpp"
+#include "interp/execute.hpp"
 #include "interp/machine.hpp"
 #include "interp/memory.hpp"
 #include "interp/stdlib.hpp"
@@ -707,6 +709,347 @@ TEST(Interp, FusedIntermediatesStayReadable)
     mod.finalize();
     // (24 + 5) + (16 + 16) + (24 - 16)
     EXPECT_EQ(runModule(mod), 69u);
+}
+
+/**
+ * An Instrumentation of @p mod without loops: every function but those
+ * @p quiet names, main's block entries, and every phi, load and store
+ * when @p accesses (none otherwise).
+ */
+struct Selection
+{
+    Selection(const Module &mod, const std::set<std::string> &quiet,
+              bool accesses = true)
+    {
+        const interp::EventIds ids(mod);
+        forest.blockLoop.assign(ids.blocks.size(), -1);
+        events.loops = &forest;
+        for (const auto &fn : mod.functions())
+            events.functions.push_back(!quiet.count(fn->name()));
+        for (const BasicBlock *bb : ids.blocks)
+            events.blocks.push_back(bb->parent()->name() == "main");
+        events.phis.assign(ids.phis.size(), accesses);
+        events.memOps.assign(ids.memOps.size(), accesses);
+    }
+    Selection(const Selection &) = delete; // events.loops points here
+
+    interp::LoopForest forest;
+    interp::Instrumentation events;
+};
+
+/** Every event of a run, one line each with the clock sampled there. */
+struct EventLog
+{
+    const Machine *m = nullptr;
+    std::vector<std::string> lines;
+
+    void
+    add(const std::string &what, std::uint64_t clock)
+    {
+        lines.push_back(what + " @" + std::to_string(clock));
+    }
+    void
+    functionEnter(const Function *fn)
+    {
+        add("enter " + fn->name(), m->cost());
+    }
+    void
+    functionExit(const Function *fn)
+    {
+        add("exit " + fn->name(), m->cost());
+    }
+    void
+    loopExit(std::uint32_t k)
+    {
+        add("x" + std::to_string(k), m->blockEntryCost());
+    }
+    void
+    loopEnter(std::uint32_t loop)
+    {
+        add("e" + std::to_string(loop), m->blockEntryCost());
+    }
+    void loopIterate() { add("i", m->blockEntryCost()); }
+    void
+    blockEnter(std::uint32_t block)
+    {
+        add("block " + std::to_string(block), m->blockEntryCost());
+    }
+    void
+    phiResolved(std::uint32_t phi, std::uint64_t bits)
+    {
+        add("phi " + std::to_string(phi) + " = " + std::to_string(bits),
+            m->cost());
+    }
+    void
+    load(std::uint32_t i, std::uint64_t addr)
+    {
+        add("load " + std::to_string(i) + " " + std::to_string(addr),
+            m->preciseCost());
+    }
+    void
+    store(std::uint32_t i, std::uint64_t addr)
+    {
+        add("store " + std::to_string(i) + " " + std::to_string(addr),
+            m->preciseCost());
+    }
+    void callSite(const Instruction *) { add("call", m->preciseCost()); }
+};
+
+/** How a run ended ("returned N" or the error), its events and cost. */
+struct Outcome
+{
+    std::string end;
+    std::vector<std::string> events;
+    std::uint64_t cost = 0;
+};
+
+/** Run @p mod compiled with @p sel, within @p fuel instructions if set. */
+Outcome
+runSelected(const Module &mod, const interp::Instrumentation &sel,
+            std::uint64_t fuel = 0)
+{
+    Machine m(mod, sel);
+    if (fuel)
+        m.setCostLimit(fuel);
+    EventLog log;
+    log.m = &m;
+    Outcome out;
+    try {
+        out.end = "returned " + std::to_string(m.run(log));
+    } catch (const Error &e) {
+        out.end = std::string(e.codeName()) + ": " + e.what();
+    }
+    out.events = std::move(log.lines);
+    out.cost = m.cost();
+    return out;
+}
+
+/**
+ * @p mod run with every function selected and with @p leaves not: the
+ * same end and cost, and the same events but the leaves' entries and
+ * returns (which the first run must fire).
+ */
+void
+expectLeavesRunInline(const Module &mod, const std::set<std::string> &leaves,
+                      std::uint64_t fuel = 0)
+{
+    const Selection all(mod, {}), quiet(mod, leaves);
+    const Outcome every = runSelected(mod, all.events, fuel);
+    const Outcome inlined = runSelected(mod, quiet.events, fuel);
+    std::vector<std::string> want;
+    for (const std::string &e : every.events) {
+        bool leafEvent = false;
+        for (const std::string &leaf : leaves)
+            leafEvent |= e.starts_with("enter " + leaf + " @") ||
+                         e.starts_with("exit " + leaf + " @");
+        if (!leafEvent)
+            want.push_back(e);
+    }
+    if (every.end.starts_with("returned")) {
+        EXPECT_LT(want.size(), every.events.size());
+    }
+    EXPECT_EQ(inlined.end, every.end);
+    EXPECT_EQ(inlined.cost, every.cost);
+    EXPECT_EQ(inlined.events, want);
+}
+
+/**
+ * main's loop calls leaves that return an argument (@id), a constant
+ * (@seven), nothing (@touch) and an instruction (@mix, the generator's
+ * helper), between masked-index accesses.
+ */
+std::unique_ptr<Module>
+buildLeafCalls()
+{
+    auto mod = std::make_unique<Module>("m");
+    Global *g = mod->addGlobal("g", 64);
+    IRBuilder b(*mod);
+    Function *id = b.createFunction("id", Type::I64, {{Type::I64, "x"}});
+    b.ret(id->args()[0].get());
+    Function *seven =
+        b.createFunction("seven", Type::I64, {{Type::I64, "x"}});
+    b.ret(b.i64(7));
+    Function *touch =
+        b.createFunction("touch", Type::Void, {{Type::I64, "x"}});
+    b.add(touch->args()[0].get(), b.i64(1));
+    b.retVoid();
+    Function *mix = b.createFunction("mix", Type::I64, {{Type::I64, "x"}});
+    Value *x = mix->args()[0].get();
+    b.ret(b.and_(b.add(b.mul(x, b.i64(37)), b.ashr(x, b.i64(3))),
+                 b.i64(0xffff)));
+
+    b.createFunction("main", Type::I64);
+    CountedLoop l(b, b.i64(0), b.i64(6), b.i64(1), "i");
+    Instruction *acc = l.addRecurrence(Type::I64, b.i64(0), "acc");
+    Value *k = b.call(id, {b.call(mix, {l.iv()})});
+    b.store(k, b.elem(g, b.and_(l.iv(), b.i64(7))));
+    b.call(touch, {k});
+    Value *s = b.call(seven, {k});
+    Value *v = b.load(Type::I64,
+                      b.elem(g, b.and_(b.add(l.iv(), b.i64(5)), b.i64(7))));
+    l.setNext(acc, b.add(acc, b.add(v, s)));
+    l.finish();
+    b.ret(acc);
+    mod->finalize();
+    return mod;
+}
+
+TEST(Interp, UnselectedLeavesRunInline)
+{
+    auto mod = buildLeafCalls();
+    expectLeavesRunInline(*mod, {"id", "seven", "touch", "mix"});
+    expectLeavesRunInline(*mod, {"mix"});
+    // The leaves' values reach main: the same result as a plain run.
+    const Selection quiet(*mod, {"id", "seven", "touch", "mix"});
+    EXPECT_EQ(runSelected(*mod, quiet.events).end,
+              "returned " + std::to_string(runModule(*mod)));
+}
+
+TEST(Interp, InlinedLeafTrapsAndRunsOutOfFuelAsItsCall)
+{
+    // @div(0) divides by zero inside the inlined body: the same trap
+    // and cost as the call.  Then every fuel limit up to the run's cost
+    // ends the same way; the ones that fall in @div's block name it.
+    Module mod("m");
+    IRBuilder b(mod);
+    Function *div = b.createFunction("div", Type::I64, {{Type::I64, "x"}});
+    b.ret(b.add(b.sdiv(b.i64(100), div->args()[0].get()), b.i64(1)));
+    b.createFunction("main", Type::I64);
+    Value *q = b.call(div, {b.i64(4)});
+    b.ret(b.add(q, b.call(div, {b.sub(q, b.i64(26))})));
+    mod.finalize();
+    expectLeavesRunInline(mod, {"div"});
+    const Selection quiet(mod, {"div"});
+    const Outcome trap = runSelected(mod, quiet.events);
+    EXPECT_TRUE(trap.end.starts_with("LP_TRAP")) << trap.end;
+    EXPECT_NE(trap.end.find("division by zero"), std::string::npos);
+
+    bool namesDiv = false;
+    for (std::uint64_t fuel = 1; fuel <= trap.cost; ++fuel) {
+        SCOPED_TRACE("fuel " + std::to_string(fuel));
+        expectLeavesRunInline(mod, {"div"}, fuel);
+        const std::string end = runSelected(mod, quiet.events, fuel).end;
+        namesDiv |= end.starts_with("LP_FUEL") &&
+                    end.find("in @div:") != std::string::npos;
+    }
+    EXPECT_TRUE(namesDiv);
+}
+
+TEST(Interp, InlinedLeafAtTheCallDepthLimitOverflows)
+{
+    // f(n) = n == 0 ? leaf() : f(n - 1) + 1.  main plus f(9998)..f(0)
+    // is 10,000 frames, so the leaf's call overflows; one level less
+    // and it is the 10,000th.
+    for (std::int64_t n : {9997, 9998}) {
+        Module mod("m");
+        IRBuilder b(mod);
+        Function *leaf = b.createFunction("leaf", Type::I64);
+        b.ret(b.i64(5));
+        Function *f = b.createFunction("f", Type::I64, {{Type::I64, "n"}});
+        Value *arg = f->args()[0].get();
+        BasicBlock *base = b.newBlock("base");
+        BasicBlock *rec = b.newBlock("rec");
+        b.br(b.icmpEq(arg, b.i64(0)), base, rec);
+        b.setInsertPoint(base);
+        b.ret(b.call(leaf, {}));
+        b.setInsertPoint(rec);
+        b.ret(b.add(b.call(f, {b.sub(arg, b.i64(1))}), b.i64(1)));
+        b.createFunction("main", Type::I64);
+        b.ret(b.call(f, {b.i64(n)}));
+        mod.finalize();
+
+        const Selection quiet(mod, {"leaf"});
+        const std::string end = runSelected(mod, quiet.events).end;
+        if (n == 9997) {
+            EXPECT_EQ(end, "returned " + std::to_string(5 + n));
+        } else {
+            EXPECT_TRUE(end.starts_with("LP_STACK") &&
+                        end.find("calling @leaf") != std::string::npos)
+                << end;
+        }
+        const Selection all(mod, {});
+        EXPECT_EQ(runSelected(mod, all.events).end, end);
+    }
+}
+
+/**
+ * main() { store 3, @g + 8 * (k & mask) } with the index run fused
+ * (@p fused: the store's value is computed first) or broken up (its
+ * value is computed between the mul and the ptradd, at the same
+ * position), the and present when @p masked.
+ */
+std::unique_ptr<Module>
+buildIndexedStore(std::int64_t k, bool masked, bool fused)
+{
+    auto mod = std::make_unique<Module>("m");
+    Global *g = mod->addGlobal("g", 64);
+    IRBuilder b(*mod);
+    b.createFunction("main", Type::I64);
+    Value *v = fused ? b.add(b.i64(1), b.i64(2)) : nullptr;
+    Value *idx = masked ? b.and_(b.i64(k), b.i64(-1)) : b.i64(k);
+    Value *off = b.mul(idx, b.i64(8));
+    if (!fused)
+        v = b.add(b.i64(1), b.i64(2));
+    b.store(v, b.ptradd(g, off));
+    b.ret(b.load(Type::I64, b.ptradd(g, off)));
+    mod->finalize();
+    return mod;
+}
+
+TEST(Interp, FusedStoresTrapAsUnfused)
+{
+    // Each fused store (mul -> ptradd -> store and its masked form,
+    // with and without its event) ends as the unfused program does: a
+    // store far past @g traps after its event, one in @g returns.
+    for (bool masked : {false, true}) {
+        for (bool event : {true, false}) {
+            for (std::int64_t k : {std::int64_t{1} << 20, std::int64_t{3}}) {
+                SCOPED_TRACE(std::string(masked ? "masked" : "plain") +
+                             (event ? ", event" : ", quiet") + ", index " +
+                             std::to_string(k));
+                auto fused = buildIndexedStore(k, masked, true);
+                auto unfused = buildIndexedStore(k, masked, false);
+                const Selection fs(*fused, {}, event), us(*unfused, {}, event);
+                const Outcome got = runSelected(*fused, fs.events);
+                const Outcome want = runSelected(*unfused, us.events);
+                EXPECT_EQ(got.end, want.end);
+                EXPECT_EQ(got.cost, want.cost);
+                EXPECT_EQ(got.events, want.events);
+                EXPECT_EQ(got.end.starts_with("LP_TRAP"), k != 3) << got.end;
+            }
+        }
+    }
+}
+
+TEST(Interp, MaskedIndexIntermediatesStayReadable)
+{
+    // Each fused masked-index run writes its and, mul and ptradd
+    // results: later ops read them again, with and without events.
+    Module mod("m");
+    Global *g = mod.addGlobal("g", 64);
+    IRBuilder b(mod);
+    b.createFunction("main", Type::I64);
+    b.store(b.i64(4), b.ptradd(g, b.i64(16)));
+    Value *k = b.and_(b.i64(13), b.i64(7));             // and -> mul
+    Value *o = b.mul(k, b.i64(8));                      // -> ptradd
+    Value *p = b.ptradd(g, o);                          // -> store
+    b.store(k, p);
+    Value *k2 = b.and_(b.i64(6), b.i64(3));             // and -> ... load
+    Value *o2 = b.mul(k2, b.i64(8));
+    Value *v2 = b.load(Type::I64, b.ptradd(g, o2));
+    Value *o3 = b.mul(b.i64(5), b.i64(8));              // mul -> ... store
+    Value *p3 = b.ptradd(g, o3);
+    b.store(o3, p3);
+    Value *v3 = b.load(Type::I64, p);
+    Value *sum = b.add(b.add(k, o), b.add(k2, o2));
+    b.ret(b.add(b.add(sum, b.add(v2, v3)), b.sub(p3, p)));
+    mod.finalize();
+    // 5 + 40 + 2 + 16 + 4 + 40 + 0
+    EXPECT_EQ(runModule(mod), 107u);
+    for (bool accesses : {true, false}) {
+        const Selection sel(mod, {}, accesses);
+        EXPECT_EQ(runSelected(mod, sel.events).end, "returned 107");
+    }
 }
 
 } // namespace

@@ -164,7 +164,7 @@ TEST_F(ProfSandbox, ContentionSnapshotRanksSites)
 
 TEST_F(ProfSandbox, ConfigureParsesSpecsAndRejectsUnknownModes)
 {
-    for (const char *bad : {"perf", "1", "on"}) {
+    for (const char *bad : {"perf", "1", "on", "", ":x.json", "off:y"}) {
         EXPECT_FALSE(prof::configure(bad)) << bad;
         EXPECT_EQ(prof::mode(), prof::Mode::Off);
         EXPECT_FALSE(prof::profilingOn());
